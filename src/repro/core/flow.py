@@ -121,11 +121,12 @@ class FlowReport:
     power: PowerReport
     pdn: Optional[PdnSizingResult]
     #: Selector + GNN-refine wall time only — the paper's Table V
-    #: "Run-Time (min)" column (as ``runtime_min`` in :meth:`row`).
+    #: "Run-Time (min)" column (as ``runtime_min`` in :meth:`row`, the
+    #: row's one wall-clock value; :meth:`result_row` drops it).
     select_runtime_s: float
     #: Whole-flow wall time: prepare (even when the design came from
-    #: the prepare cache) through PDN.  Wall-clock, so deliberately
-    #: *not* part of :meth:`row` — rows must stay bit-identical.
+    #: the prepare cache) through PDN.  Wall-clock, so not part of
+    #: :meth:`row`.
     runtime_s: float = 0.0
     #: Per-stage wall time keyed by flow span name ("flow.prepare",
     #: "flow.select", ...).  Same wall-clock caveat as ``runtime_s``.
@@ -159,6 +160,13 @@ class FlowReport:
             out["coverage_pct"] = self.coverage_pct
             out["total_faults"] = self.total_faults
             out["detected_faults"] = self.detected_faults
+        return out
+
+    def result_row(self) -> dict[str, float]:
+        """:meth:`row` without its wall-clock ``runtime_min``: the
+        values a seeded flow reproduces bit for bit."""
+        out = self.row()
+        del out["runtime_min"]
         return out
 
 
@@ -402,10 +410,13 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                 design, router, baseline, base_report, seeds, config,
                 sta=timing)
 
+        # Every later route replays the one before it (differential
+        # route), and the STA then patches only the nets that moved.
         with _stage("flow.route_mls", stages, nets=len(requested)):
             router, routing = route_with_mls(design, requested,
                                              config.route,
-                                             parallel=config.parallel)
+                                             parallel=config.parallel,
+                                             previous=baseline)
             final_report = timing.update_routing()
 
         if config.selector == "gnn" and model is not None:
@@ -424,9 +435,9 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                     if not new:
                         break
                     requested |= new
-                    router, routing = route_with_mls(design, requested,
-                                                     config.route,
-                                                     parallel=config.parallel)
+                    router, routing = route_with_mls(
+                        design, requested, config.route,
+                        parallel=config.parallel, previous=routing)
                     final_report = timing.update_routing()
                 runtime_s += time.perf_counter() - start
 

@@ -14,22 +14,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
 
 def route_with_mls(design: Design, mls_nets: set[str],
                    config: RouteConfig | None = None,
-                   parallel: ParallelConfig | None = None
+                   parallel: ParallelConfig | None = None,
+                   previous: RoutingResult | None = None
                    ) -> tuple[GlobalRouter, RoutingResult]:
-    """Route the whole design from scratch with *mls_nets* shared.
+    """Route the whole design with *mls_nets* shared.
 
-    A fresh full route is the faithful evaluation: it captures not
-    only the selected nets' own delay changes but also the congestion
-    relief they grant everyone else on the home tier (and the shared-
-    resource pressure they put on the other tier — how SOTA's
-    over-application backfires).
+    A full route is the faithful evaluation: it captures not only the
+    selected nets' own delay changes but also the congestion relief
+    they grant everyone else on the home tier (and the shared-resource
+    pressure they put on the other tier — how SOTA's over-application
+    backfires).
 
-    A multi-worker *parallel* config routes in wavefront order; the
-    result is bit-identical to the serial schedule (see
-    :meth:`GlobalRouter.route_all`).
+    Without *previous* the design routes from scratch; a multi-worker
+    *parallel* config routes in wavefront order, bit-identical to the
+    serial schedule.  With *previous* — the design's last full-route
+    result — the route is differential: it replays *previous* and
+    re-routes only the nets whose inputs could have changed, again
+    bit-identical to a from-scratch route.  The new result's
+    ``changed_nets`` then lists the nets whose tree moved, which
+    :meth:`IncrementalSta.update_routing
+    <repro.timing.incremental.IncrementalSta.update_routing>` patches
+    alone.  See :meth:`GlobalRouter.route_all`.
     """
     router = GlobalRouter(design, config)
-    result = router.route_all(mls_nets=mls_nets, parallel=parallel)
+    result = router.route_all(mls_nets=mls_nets, parallel=parallel,
+                              previous=previous)
     return router, result
 
 

@@ -19,6 +19,7 @@ Routing policy per net (long nets first, as commercial routers prioritize):
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 
 from repro.design import Design
@@ -77,13 +78,57 @@ COST_EWMA = 0.3
 
 
 class RoutingResult:
-    """Routed trees + parasitics + the live congestion grid."""
+    """Routed trees + parasitics + the live congestion grid.
+
+    A result that :meth:`GlobalRouter.route_all` produced also records
+    what a later differential route needs to replay it: the requested
+    MLS set, the (design, placement, netlist size) it was routed for,
+    and the ECO edits made to it since.  Per-net gcell footprints are
+    a derived cache shared along a chain of differential routes; like
+    the link to the diffed-against result they are dropped on pickling.
+    """
 
     def __init__(self, grid: CongestionGrid, config: RouteConfig):
         self.grid = grid
         self.config = config
         self.trees: dict[str, RouteTree] = {}
         self.rc: dict[str, NetRC] = {}
+        #: MLS nets requested of route_all; None for any other result.
+        self.mls_request: frozenset | None = None
+        #: (design, placement, (#instances, #nets)) routed for.
+        self.basis: tuple | None = None
+        #: Nets with an outstanding ECO edit (reroute/unroute, not yet
+        #: undone by restore_net).  A result with edits cannot be
+        #: replayed by a differential route.
+        self.eco_pending: set[str] = set()
+        #: Count of every ECO operation ever applied; lets an observer
+        #: (IncrementalSta) tell whether the result changed since it
+        #: last looked.
+        self.eco_epoch = 0
+        #: Nets whose tree differs from the result this one was diffed
+        #: against (serial route order); None after a from-scratch route.
+        self.changed_nets: tuple[str, ...] | None = None
+        self._diffed_from: weakref.ref | None = None
+        #: net name -> flat gcell indices (``ix * ny + iy``) of its
+        #: footprint, filled lazily by differential routes.
+        self.footprints: dict[str, np.ndarray] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_diffed_from"] = None
+        state["footprints"] = {}
+        return state
+
+    def diffed_from(self) -> "RoutingResult | None":
+        """The result a differential route replayed (if still alive)."""
+        return None if self._diffed_from is None else self._diffed_from()
+
+    def _note_edit(self, net_name: str, outstanding: bool) -> None:
+        self.eco_epoch += 1
+        if outstanding:
+            self.eco_pending.add(net_name)
+        else:
+            self.eco_pending.discard(net_name)
 
     def tree(self, net_name: str) -> RouteTree:
         try:
@@ -181,7 +226,8 @@ class GlobalRouter:
     # -- public API -----------------------------------------------------------
 
     def route_all(self, mls_nets: set[str] | frozenset = frozenset(),
-                  parallel: ParallelConfig | None = None) -> RoutingResult:
+                  parallel: ParallelConfig | None = None,
+                  previous: RoutingResult | None = None) -> RoutingResult:
         """Route every signal net; attach the result to the design.
 
         With a multi-worker *parallel* config the nets are routed in
@@ -189,19 +235,40 @@ class GlobalRouter:
         parasitics, congestion arrays and :meth:`RoutingResult.stats`
         are bit-identical to the serial long-nets-first schedule at any
         worker count.
+
+        Pass the design's last full-route result as *previous* to route
+        differentially (see :meth:`_route_all_diff`): nets whose inputs
+        cannot have changed replay their previous tree, the rest route
+        against the live grid — still bit-identical to a from-scratch
+        route.  A *previous* that cannot be replayed exactly (another
+        design, placement or config, or outstanding ECO edits) is
+        ignored and counted in ``route.diff_fallbacks``.
         """
+        mls_nets = frozenset(mls_nets)
         result = RoutingResult(self.grid, self.cfg)
-        nets = self.design.netlist.signal_nets()
+        result.mls_request = mls_nets
+        result.basis = self._basis()
+        diff = previous is not None and self._replayable(previous)
+        if previous is not None and not diff:
+            metrics.inc("route.diff_fallbacks")
         # Long nets first: they claim upper layers before congestion.
-        ordered = sorted(nets, key=lambda n: (-self._est_len(n), n.name))
-        wavefront = parallel is not None \
+        # A replay walks this order too, never *previous*'s trees
+        # order, which ECO probes (reroute_net/restore_net) shuffle.
+        ordered = sorted(self.design.netlist.signal_nets(),
+                         key=lambda n: (-self._est_len(n), n.name))
+        wavefront = not diff and parallel is not None \
             and parallel.should_parallelize(
                 len(ordered), est_item_cost_s=INIT_NET_COST_S)
         with trace.span("route.all", nets=len(ordered),
-                        mls_nets=len(mls_nets), wavefront=wavefront):
-            if wavefront:
-                self._route_all_wavefront(result, ordered,
-                                          frozenset(mls_nets), parallel)
+                        mls_nets=len(mls_nets), wavefront=wavefront,
+                        diff=diff) as span:
+            if diff:
+                reused = self._route_all_diff(result, ordered, previous)
+                span.set(reused=reused, rerouted=len(ordered) - reused,
+                         changed=len(result.changed_nets))
+            elif wavefront:
+                self._route_all_wavefront(result, ordered, mls_nets,
+                                          parallel)
             else:
                 for net in ordered:
                     self._commit_net(result, net,
@@ -212,6 +279,106 @@ class GlobalRouter:
         self.design.routing = result
         self.design.mls_nets = set(mls_nets)
         return result
+
+    def _basis(self) -> tuple:
+        netlist = self.design.netlist
+        return (self.design, self.placement,
+                (len(netlist.instances), len(netlist.nets)))
+
+    def _replayable(self, previous: RoutingResult) -> bool:
+        """Whether *previous* is a clean full route of this exact input.
+
+        Design and placement compare by identity (neither defines
+        ``__eq__``).  *previous* also started from an empty grid; a
+        router that already holds usage would route differently.
+        """
+        grid = self.grid
+        return (previous.basis == self._basis()
+                and not previous.eco_pending
+                and previous.config == self.cfg
+                and not grid.f2f_usage.any()
+                and not any(plane.any() for tier in grid.usage
+                            for plane in tier))
+
+    def _route_all_diff(self, result: RoutingResult, ordered: list[Net],
+                        previous: RoutingResult) -> int:
+        """Replay *previous* in serial order; returns #nets reused.
+
+        The serial router routes net *i* against the usage of nets
+        ``0..i-1`` and reads and writes only net *i*'s gcell footprint
+        (see :func:`~repro.route.steiner.footprint_gcells`).  So if a
+        net keeps its MLS flag and no earlier net's tree changed
+        anywhere on its footprint, it sees exactly the grid it saw in
+        *previous* and routes to exactly the same tree: its previous
+        tree and RC are reused and only its usage is re-applied.
+        Every other net routes against the live grid; if its edges
+        differ from the previous tree, its footprint joins the *dirty*
+        set (old and new trees share one footprint — it depends only
+        on pin locations).  Usage values are integer-valued, so the
+        grid is bit-identical to a from-scratch route's.
+
+        A re-routed net whose edges come out unchanged keeps the
+        previous tree and RC objects (no ``extract_rc``).  Footprints
+        are computed only once the dirty set is non-empty and are
+        cached on the results.
+        """
+        stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
+        old_trees, old_rc = previous.trees, previous.rc
+        old_mls, new_mls = previous.mls_request, result.mls_request
+        footprints = result.footprints = previous.footprints
+        dirty = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
+        any_dirty = False
+        changed: list[str] = []
+        reused = 0
+
+        def footprint(name: str, tree: RouteTree) -> np.ndarray:
+            fp = footprints.get(name)
+            if fp is None:
+                fp = footprints[name] = self._tree_footprint(tree)
+            return fp
+
+        for net in ordered:
+            name = net.name
+            old = old_trees.get(name)
+            mls = name in new_mls
+            if old is not None and mls == (name in old_mls) \
+                    and not (any_dirty and dirty[footprint(name, old)].any()):
+                self._apply_tree_usage(old, +1.0)
+                result.trees[old.net_name] = old
+                result.rc[old.net_name] = old_rc[name]
+                reused += 1
+                continue
+            tree = self._route_net(net, mls=mls, commit=True)
+            if old is not None and tree.edges == old.edges:
+                result.trees[old.net_name] = old
+                result.rc[old.net_name] = old_rc[name]
+                continue
+            result.trees[name] = tree
+            result.rc[name] = extract_rc(tree, stacks, f2f)
+            changed.append(name)
+            dirty[footprint(name, tree)] = True
+            any_dirty = True
+        result.changed_nets = tuple(changed)
+        result._diffed_from = weakref.ref(previous)
+        metrics.inc("route.nets_reused", reused)
+        metrics.inc("route.nets_rerouted", len(ordered) - reused)
+        metrics.inc("route.nets_changed", len(changed))
+        return reused
+
+    def _tree_footprint(self, tree: RouteTree) -> np.ndarray:
+        """:func:`footprint_gcells` of a routed net, as an index array.
+
+        A tree's edges are its net's MST edges, so its nodes and edge
+        parents give the footprint without rebuilding the MST.
+        """
+        grid, nodes = self.grid, tree.nodes
+        parents = [-1] * len(nodes)
+        for edge in tree.edges:
+            parents[edge.child] = edge.parent
+        cells = footprint_gcells([n.x for n in nodes], [n.y for n in nodes],
+                                 parents, grid.gcell, grid.nx, grid.ny)
+        return np.fromiter((ix * grid.ny + iy for ix, iy in cells),
+                           dtype=np.int32, count=len(cells))
 
     def _est_len(self, net: Net) -> float:
         x0, y0, x1, y1 = self.placement.net_bbox(net)
@@ -444,6 +611,7 @@ class GlobalRouter:
 
     def unroute_net(self, result: RoutingResult, net: Net) -> None:
         """Remove a net's tree and release its grid resources."""
+        result._note_edit(net.name, outstanding=True)
         tree = result.trees.pop(net.name, None)
         result.rc.pop(net.name, None)
         if tree is None:
@@ -458,12 +626,15 @@ class GlobalRouter:
         the net a second time would route against *today's* congestion
         and may not reproduce the tree committed during the full
         route, whereas re-applying the saved tree restores grid usage
-        bit-exactly (usage values are integer-valued).
+        bit-exactly (usage values are integer-valued).  It also clears
+        the net's outstanding ECO edit, so the result can again seed a
+        differential route.
         """
         self.unroute_net(result, net)
         result.trees[net.name] = tree
         result.rc[net.name] = rc
         self._apply_tree_usage(tree, +1.0)
+        result._note_edit(net.name, outstanding=False)
         if tree.num_shared_edges() > 0:
             self.design.mls_nets.add(net.name)
         else:

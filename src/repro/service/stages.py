@@ -51,10 +51,8 @@ def report_digest(report: FlowReport) -> str:
     columns (``runtime_min``) are excluded: two cold runs of one key
     are bit-identical in results, never in elapsed time.
     """
-    row = {k: v for k, v in report.row().items()
-           if k != "runtime_min"}
     h = hashlib.sha256()
-    h.update(json.dumps(canonical(row), sort_keys=True,
+    h.update(json.dumps(canonical(report.result_row()), sort_keys=True,
                         default=str).encode())
     for sta in (report.baseline_sta, report.final_sta):
         h.update(f"|{sta.wns_ps!r}|{sta.tns_ns!r}|"

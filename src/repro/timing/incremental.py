@@ -111,9 +111,10 @@ class IncrementalSta:
 
     Build once per (netlist structure, clock period); call
     :meth:`update` after targeted reroutes with the affected net
-    names, or :meth:`update_routing` after a full re-route (it diffs
-    every net's parasitics and patches only real changes).  Both
-    return a report equal to a from-scratch :func:`run_sta`.
+    names, or :meth:`update_routing` after a full re-route (it patches
+    a differential route's changed nets, or diffs every net's
+    parasitics and patches only real changes).  Both return a report
+    equal to a from-scratch :func:`run_sta`.
 
     The engine keeps the shared :class:`TimingGraph` (list-of-lists
     *and* CSR views) consistent with every patch, so the graph can
@@ -165,6 +166,16 @@ class IncrementalSta:
         self._required = required
         self._worst_pred = worst_pred
         self._endpoint_slack = endpoint_slack
+        #: (routing result, its eco_epoch) whose parasitics every arc
+        #: delay reflects, or None when that is not known.
+        self._synced: tuple[RoutingResult, int] | None = None
+        if graph is None and design.routing is not None:
+            self._synced = (design.routing, design.routing.eco_epoch)
+
+    def _is_synced_to(self, routing: RoutingResult | None) -> bool:
+        return (routing is not None and self._synced is not None
+                and self._synced[0] is routing
+                and self._synced[1] == routing.eco_epoch)
 
     # -- arc-delay patching --------------------------------------------------
 
@@ -341,6 +352,13 @@ class IncrementalSta:
         load arcs are patched automatically).  Returns a report equal
         to a from-scratch :func:`run_sta`.
         """
+        # Given every changed net (the contract above), an update keeps
+        # the engine synced to the result it tracks, at that result's
+        # current edit count; against any other result, sync is lost.
+        routing = self.design.routing
+        self._synced = (routing, routing.eco_epoch) \
+            if self._synced is not None and self._synced[0] is routing \
+            else None
         if self.design.clock_period_ps != self.period:
             return self._rebind_period(changed_nets)
         netlist = self.design.netlist
@@ -357,14 +375,30 @@ class IncrementalSta:
     def update_routing(self) -> TimingReport:
         """Re-sync against the design's current routing result.
 
-        Diffs **every** signal net's parasitics against the stored arc
-        delays and patches only real changes — the cheap way to follow
-        a full re-route, where most nets route identically and only
-        the neighborhood of the toggled MLS nets actually moves.
+        After a differential route (``route_all(previous=...)``) from
+        exactly the result this engine last synced to — same object,
+        no ECO edit since — only the route's ``changed_nets`` are
+        patched: every other net kept its tree and parasitics.
+        Otherwise every signal net's parasitics are diffed against the
+        stored arc delays and only real changes are patched — the way
+        to follow a from-scratch route, where most nets route
+        identically and only the neighborhood of the toggled MLS nets
+        moves.  Either way the report equals a from-scratch
+        :func:`run_sta`.
         """
-        with trace.span("sta.update_routing"):
-            return self.update(net.name
-                               for net in self.design.netlist.signal_nets())
+        routing = self.design.require_routing()
+        with trace.span("sta.update_routing") as span:
+            changed_only = routing.changed_nets is not None \
+                and self._is_synced_to(routing.diffed_from())
+            if changed_only:
+                names = list(routing.changed_nets)
+            else:
+                names = [net.name
+                         for net in self.design.netlist.signal_nets()]
+            span.set(nets=len(names), changed_only=changed_only)
+            report = self.update(names)
+        self._synced = (routing, routing.eco_epoch)
+        return report
 
     def _rebind_period(self, changed_nets: Iterable[str]) -> TimingReport:
         """Clock constraint changed: refresh constraints, full pass."""

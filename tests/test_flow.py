@@ -58,6 +58,11 @@ class TestRunFlow:
                     "eff_freq_mhz"):
             assert key in row
 
+    def test_result_row_drops_only_wall_clock(self, reports):
+        row = reports["sota"].row()
+        del row["runtime_min"]
+        assert reports["sota"].result_row() == row
+
     def test_none_has_no_mls(self, reports):
         assert reports["none"].row()["mls_nets"] == 0
 
@@ -102,10 +107,8 @@ class TestRunFlow:
     def test_deterministic_across_runs(self, hetero_tech, reports):
         again = run_flow(tiny_factory, hetero_tech,
                          SeedBundle(TEST_SEED), fast_config("sota"))
-        row_a = {k: v for k, v in again.row().items()
-                 if k != "runtime_min"}      # wall-clock, not a result
-        row_b = {k: v for k, v in reports["sota"].row().items()
-                 if k != "runtime_min"}
+        row_a = again.result_row()
+        row_b = reports["sota"].result_row()
         assert row_a == pytest.approx(row_b)
 
 

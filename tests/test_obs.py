@@ -339,6 +339,16 @@ class TestFlowTracing:
         assert "sta.inc.frontier" in snap["stats"]
         assert "place.factor_s" in snap["stats"]
 
+    def test_mls_route_replays_the_baseline(self, traced_flow):
+        _, records = traced_flow
+        baseline, mls = by_name(records)["route.all"]
+        assert baseline["attrs"]["diff"] is False
+        attrs = mls["attrs"]
+        assert attrs["diff"] is True
+        assert attrs["reused"] > 0
+        assert attrs["reused"] + attrs["rerouted"] == attrs["nets"]
+        assert attrs["changed"] <= attrs["rerouted"]
+
 
 class TestTracingDeterminism:
     def test_rows_bit_identical_with_tracing_on(self, hetero_tech):
@@ -352,10 +362,8 @@ class TestTracingDeterminism:
         finally:
             trace.disable()
             trace.reset()
-        row_a = {k: v for k, v in baseline.row().items()
-                 if k != "runtime_min"}
-        row_b = {k: v for k, v in traced.row().items()
-                 if k != "runtime_min"}
+        row_a = baseline.result_row()
+        row_b = traced.result_row()
         assert row_a == row_b
 
 
@@ -607,8 +615,6 @@ class TestRecorderDeterminism:
             assert any(e["type"] == "span" for e in flight.events())
         finally:
             flight.disarm()
-        row_a = {k: v for k, v in baseline.row().items()
-                 if k != "runtime_min"}
-        row_b = {k: v for k, v in recorded.row().items()
-                 if k != "runtime_min"}
+        row_a = baseline.result_row()
+        row_b = recorded.result_row()
         assert row_a == row_b

@@ -475,8 +475,7 @@ class TestWavefrontEquivalence:
             report = run_flow(_tiny_factory, hetero_tech,
                               SeedBundle(TEST_SEED), cfg)
             assert report.requested_mls  # sota actually requested MLS
-            row = {k: v for k, v in report.row().items()
-                   if k != "runtime_min"}
+            row = report.result_row()
             rows.append(json.dumps(row, sort_keys=True))
         assert rows[0] == rows[1]
 
@@ -570,7 +569,6 @@ class TestGoldenDeterminism:
                                            SeedBundle(TEST_SEED), cfg)
             report = run_flow(_tiny_factory, hetero_tech,
                               SeedBundle(TEST_SEED), cfg, design=design)
-            row = {k: v for k, v in report.row().items()
-                   if k != "runtime_min"}
+            row = report.result_row()
             rows.append(json.dumps(row, sort_keys=True))
         assert rows[0] == rows[1]
