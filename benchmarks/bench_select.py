@@ -5,10 +5,12 @@ GNN-MLS selector two ways on the routed no-MLS fabrics and writes
 ``BENCH_select.json`` at the repo root:
 
 * ``batched``             — the padded (B, L, D) path
-  (``TrainConfig.vectorized=True``), one forward/backward and
-  optimizer step per length-bucketed minibatch;
+  (``TrainConfig.vectorized=True``): one forward/backward and
+  optimizer step per length-bucketed minibatch, each encoder forward
+  one fused autograd node (``repro.nn.fused``; DGI stacks its clean
+  and corrupted batches into one pass);
 * ``per_graph_reference`` — the same minibatch schedule computed with
-  per-graph forwards and gradient accumulation
+  per-graph op-by-op forwards and gradient accumulation
   (``vectorized=False``), i.e. the historical per-graph kernels.
 
 Both legs share one dataset (and its cached normalized features) and

@@ -101,7 +101,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "multi-wave batching; 0 = one wave per "
                              "dispatch; default: RouteConfig.batch_ms). "
                              "Scheduling only — results are identical")
-    parser.add_argument("--select-batch", type=int, default=None,
+    parser.add_argument("--select-batch", type=_positive_int,
+                        default=None,
                         metavar="N",
                         help="graphs per padded minibatch in the GNN "
                              "selector leg (DGI, fine-tune, and "
@@ -437,8 +438,8 @@ def _trace_gate(args) -> int:
                                       tolerance=args.tolerance,
                                       headroom=args.headroom)
         log.info(f"wrote {len(payload['budgets'])} leg budgets to "
-                 f"{args.budgets} (headroom x{args.headroom:g}, "
-                 f"tolerance {args.tolerance:.0%})")
+                 f"{args.budgets} (headroom x{payload['headroom']:g}, "
+                 f"tolerance {payload['tolerance']:.0%})")
         return 0
     budgets = trend.load_budgets(args.budgets)
     failures, lines = trend.check_gate(latest, budgets)
@@ -602,15 +603,17 @@ def main(argv: list[str] | None = None) -> int:
                              "newest ledger samples instead of "
                              "checking")
     t_gate.add_argument("--leg", action="append", metavar="NAME",
-                        help="with --update-budgets: budget only this "
-                             "leg (repeatable; default: every sampled "
-                             "leg)")
-    t_gate.add_argument("--tolerance", type=float, default=0.15,
-                        help="allowed fraction over budget "
-                             "(default: 0.15)")
-    t_gate.add_argument("--headroom", type=float, default=2.0,
+                        help="with --update-budgets: re-baseline only "
+                             "this leg, keeping every other budget "
+                             "(repeatable; default: every sampled leg)")
+    t_gate.add_argument("--tolerance", type=float, default=None,
+                        help="with --update-budgets: allowed fraction "
+                             "over budget (default: keep the file's, "
+                             "else 0.15)")
+    t_gate.add_argument("--headroom", type=float, default=None,
                         help="with --update-budgets: budget = newest "
-                             "sample x headroom (default: 2.0)")
+                             "sample x headroom (default: keep the "
+                             "file's, else 2.0)")
 
     for command in (listing, flow, table, timing, congestion, export,
                     s_start, s_stop, s_submit, t_report, t_diff,

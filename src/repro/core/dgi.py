@@ -8,11 +8,12 @@ the loss pushes true node/summary pairs toward 1 and corrupted pairs
 toward 0 through the sigmoid of Eq. 3.
 
 Training runs over zero-padded (B, L, D) minibatches by default —
-corruption is still drawn per graph in visit order, the summary
-readout and score means are masked so padding contributes exact zeros,
-and one optimizer step covers the batch.  ``batch_size=1`` with
-``vectorized=False`` retains the per-graph reference loop unchanged
-(same math, same RNG draw sequence).
+corruption is still drawn per graph in visit order, the clean and
+corrupted batches share one stacked forward through the fused encoder
+kernel, the summary readout and score means are masked so padding
+contributes exact zeros, and one optimizer step covers the batch.
+``batch_size=1`` with ``vectorized=False`` retains the per-graph
+reference loop unchanged (same math, same RNG draw sequence).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.core.batching import (length_bucketed_batches, pad_batch)
 from repro.core.encoder import GraphTransformer
 from repro.core.hypergraph import PathGraph
 from repro.nn.functional import dgi_loss, masked_dgi_loss, masked_mean
+from repro.nn.fused import split_rows
 from repro.nn.init import xavier_uniform
 from repro.nn.layers import Module
 from repro.nn.optim import Adam
@@ -61,16 +63,20 @@ class DGIPretrainer(Module):
         """DGI loss of one padded minibatch of feature matrices.
 
         Corruption draws per graph in list order — the same RNG call
-        sequence the per-graph path consumes — then both the clean and
-        corrupted batches run one masked (B, L, D) forward each.
+        sequence the per-graph path consumes — before any forward.
+        The clean and corrupted batches then run as one stacked
+        (2B, L, D) forward whose two halves reduce their parameter
+        gradients separately, so the loss and every gradient equal
+        those of two (B, L, D) forwards.
         """
         batch, mask = pad_batch(mats)
         corrupt, _ = pad_batch([self.corrupt(m) for m in mats])
-        pos = self.encoder(Tensor(batch), mask)
+        stacked = self.encoder(Tensor(np.concatenate([batch, corrupt])),
+                               np.concatenate([mask, mask]), groups=2)
+        pos, neg = split_rows(stacked, 2)
         summary = masked_mean(pos, mask, axis=1).tanh()      # (B, D)
         summary = summary.reshape(len(mats), 1,
                                   self.encoder.config.d_model)
-        neg = self.encoder(Tensor(corrupt), mask)
         pos_scores = ((pos @ self.discriminator) * summary).sum(axis=-1)
         neg_scores = ((neg @ self.discriminator) * summary).sum(axis=-1)
         return masked_dgi_loss(pos_scores, neg_scores, mask)

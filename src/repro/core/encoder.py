@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn import fused
 from repro.nn.layers import (Linear, Module, TransformerEncoder,
                              positional_encoding)
 from repro.nn.tensor import Tensor
@@ -46,19 +47,40 @@ class GraphTransformer(Module):
         self._posenc = positional_encoding(config.max_len, config.d_model)
 
     def __call__(self, features: Tensor,
-                 key_padding_mask: np.ndarray | None = None) -> Tensor:
+                 key_padding_mask: np.ndarray | None = None,
+                 groups: int = 1) -> Tensor:
         """Encode path features to node embeddings.
 
         Accepts one path's (N, in_dim) matrix — the per-graph
-        reference — or a zero-padded (B, L, in_dim) batch with a
-        boolean (B, L) *key_padding_mask* marking real nodes; the
+        reference, evaluated op by op on the autograd engine — or a
+        zero-padded (B, L, in_dim) batch with a boolean (B, L)
+        *key_padding_mask* marking real nodes.  A batch runs through
+        the fused kernel (:func:`repro.nn.fused.encode`) as one
+        autograd node, bit-identical to the op-by-op graph: the
         positional encoding broadcasts per row, and the mask keeps
         padded nodes out of every attention softmax so real rows
-        encode exactly as they would alone.
+        encode exactly as they would alone.  *groups* > 1 treats the
+        batch as that many stacked batches whose parameter gradients
+        are reduced separately (DGI's clean + corrupted pass).
         """
-        n = features.shape[-2]
+        n = self._check_length(features.shape[-2])
+        if features.ndim == 3:
+            return fused.encode(self.proj, self.encoder, self._posenc[:n],
+                                features, key_padding_mask, groups)
+        h = self.proj(features) + Tensor(self._posenc[:n])
+        return self.encoder(h)
+
+    def infer(self, features: np.ndarray,
+              key_padding_mask: np.ndarray | None = None) -> np.ndarray:
+        """Forward-only (B, L, d_model) embeddings of a padded batch:
+        the values :meth:`__call__` returns, with no autograd node and
+        no saved activations."""
+        n = self._check_length(features.shape[-2])
+        return fused.infer(self.proj, self.encoder, self._posenc[:n],
+                           features, key_padding_mask)
+
+    def _check_length(self, n: int) -> int:
         if n > self.config.max_len:
             raise ValueError(
                 f"path length {n} exceeds max_len {self.config.max_len}")
-        h = self.proj(features) + Tensor(self._posenc[:n])
-        return self.encoder(h, key_padding_mask)
+        return n

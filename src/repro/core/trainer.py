@@ -10,12 +10,15 @@ Both stages and inference run over zero-padded (B, L, D) minibatches
 by default (``TrainConfig.batch_size``): graphs are length-bucketed
 per epoch from the shuffle the ``finetune``/``dgi`` seed streams draw,
 padding rows contribute exact zeros through the masked attention/
-reduction stack, and one optimizer step covers each batch.  Two
-escape hatches recover the historical behavior: ``batch_size=1``
-reproduces the per-graph schedule exactly, and ``vectorized=False``
-computes the *same* minibatch loss with per-graph forwards and
-gradient accumulation — the reference implementation the equivalence
-tests and ``benchmarks/bench_select.py`` gate against.
+reduction stack, and one optimizer step covers each batch.  Each
+batched encoder forward is one fused autograd node
+(:mod:`repro.nn.fused`), bit-identical to the op-by-op graph;
+inference uses its forward-only entry.  Two escape hatches recover
+the historical behavior: ``batch_size=1`` reproduces the per-graph
+schedule exactly, and ``vectorized=False`` computes the *same*
+minibatch loss with per-graph op-by-op forwards and gradient
+accumulation — the reference implementation the equivalence tests
+and ``benchmarks/bench_select.py`` gate against.
 """
 
 from __future__ import annotations
@@ -56,9 +59,10 @@ class TrainConfig:
     #: Graphs per padded minibatch (forward/backward/optimizer step).
     #: 1 retains the per-graph reference schedule exactly.
     batch_size: int = 16
-    #: False routes every minibatch through per-graph forwards with
-    #: gradient accumulation instead of the padded (B, L, D) kernels —
-    #: same math within float tolerance, the benchmark's reference leg.
+    #: False routes every minibatch through per-graph op-by-op
+    #: forwards with gradient accumulation instead of the fused padded
+    #: (B, L, D) kernel — same math within float tolerance, the
+    #: benchmark's reference leg.
     vectorized: bool = True
 
     def __post_init__(self) -> None:
@@ -97,7 +101,7 @@ class GnnMlsModel:
         out: list[np.ndarray | None] = [None] * len(mats)
         for batch_idx in batches:
             batch, mask = pad_batch([mats[int(i)] for i in batch_idx])
-            logits = self.head(self.encoder(Tensor(batch), mask))
+            logits = self.head(Tensor(self.encoder.infer(batch, mask)))
             probs = logits.sigmoid().data[:, :, 0]
             for row, idx in enumerate(batch_idx):
                 out[int(idx)] = probs[row, : lengths[int(idx)]]

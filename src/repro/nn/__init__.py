@@ -3,7 +3,8 @@
 Replaces PyTorch/PyG for this reproduction (no network access, no GPU
 needed at our scale).  Provides the pieces GNN-MLS requires: a
 :class:`~repro.nn.tensor.Tensor` with broadcasting-aware backprop,
-Linear/LayerNorm/multi-head-attention/Transformer layers, Adam, and
+Linear/LayerNorm/multi-head-attention/Transformer layers, the fused
+batched encoder kernel (:mod:`repro.nn.fused`), Adam, and
 deterministic parameter (de)serialization.  The model is tiny (3
 layers x 3 heads on <=64-dim embeddings), so NumPy trains it in
 seconds, bit-reproducibly.

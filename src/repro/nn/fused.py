@@ -1,0 +1,251 @@
+"""Fused batched Graph-Transformer kernel.
+
+The selector's encoder — input projection, sinusoidal positional
+encoding, pre-LN Transformer layers and a final LayerNorm — runs on
+tiny zero-padded (B, L, D) batches, where the op-by-op autograd engine
+spends more time building ~170 graph nodes per forward than doing the
+arithmetic.  :func:`encode` runs the whole encoder as plain NumPy and
+records **one** autograd node whose hand-written backward repeats the
+engine's gradient arithmetic bit for bit:
+
+* every expression is the one the op-by-op layers
+  (:mod:`repro.nn.layers`) evaluate, on the same shapes and memory
+  layouts — batched (B, L, D) @ (D, D') matmuls stay 3-D, because
+  folding them into one 2-D matmul changes the rounding;
+* every broadcast reduction is the engine's ``_unbroadcast``: bias and
+  LayerNorm-affine gradients are ``.sum(0).sum(0)``, weight gradients
+  ``.sum(0)`` of the batched product, LayerNorm's (B, L, 1) terms
+  ``sum(axis=2, keepdims=True)``;
+* the engine copies every gradient it stores, so a gradient reaches
+  the next matmul or reduction C-contiguous; head-split gradients are
+  copied here for the same reason;
+* a tensor's gradient contributions are added in the order the
+  engine's topological sort visits its consumers: a layer input gets
+  its residual term, then LayerNorm's centered term, then its mean
+  term; a LayerNorm output feeding attention gets (q + k) + v.
+
+``groups`` splits the batch into equal row blocks whose parameter
+gradients are reduced and accumulated separately, so one stacked
+forward of two batches is exactly two forwards (DGI runs its clean
+and corrupted views this way; :func:`split_rows` hands the blocks
+back).  :func:`infer` is the forward alone, keeping no caches.  The
+per-graph (N, D) path stays on the op-by-op layers as the reference.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.nn.layers import (LayerNorm, Linear, MultiHeadSelfAttention,
+                             TransformerEncoder)
+from repro.nn.tensor import Tensor, softmax_data
+
+
+def _group_sums(arr: np.ndarray, groups: int) -> list[np.ndarray]:
+    """``.sum(0)`` of each row block — the engine's batch-axis
+    ``_unbroadcast``, once per stacked forward."""
+    if groups == 1:
+        return [arr.sum(0)]
+    rows = arr.shape[0] // groups
+    return [arr[j * rows:(j + 1) * rows].sum(0) for j in range(groups)]
+
+
+def _vector_sums(arr: np.ndarray, groups: int) -> list[np.ndarray]:
+    """``.sum(0).sum(0)`` of each row block: a (D,) bias or LayerNorm
+    parameter's share of a (B, L, D) gradient."""
+    return [part.sum(0) for part in _group_sums(arr, groups)]
+
+
+def _accumulate(param: Tensor, parts: list[np.ndarray]) -> None:
+    """Add fresh per-group gradient arrays into *param*, as the
+    engine's ``_accumulate`` would (first store, then ``+=``)."""
+    for part in parts:
+        if param.grad is None:
+            param.grad = part
+        else:
+            param.grad += part
+
+
+def _linear_backward(linear: Linear, x: np.ndarray, grad: np.ndarray,
+                     groups: int, input_grad: bool = True
+                     ) -> np.ndarray | None:
+    """Accumulate ``x @ W + b``'s parameter gradients; return dx."""
+    _accumulate(linear.weight, _group_sums(x.swapaxes(-1, -2) @ grad,
+                                           groups))
+    _accumulate(linear.bias, _vector_sums(grad, groups))
+    if not input_grad:
+        return None
+    return grad @ linear.weight.data.T
+
+
+def _heads_to_rows(grad: np.ndarray) -> np.ndarray:
+    """A (B, H, L, hd) head-split gradient as C-ordered (B, L, D)."""
+    b, heads, length, head_dim = grad.shape
+    return grad.transpose(0, 2, 1, 3).copy().reshape(
+        b, length, heads * head_dim)
+
+
+def _layernorm(x: np.ndarray, ln: LayerNorm) -> tuple[np.ndarray, tuple]:
+    scale = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
+    shifted = (centered * centered).sum(axis=-1, keepdims=True) * scale \
+        + ln.eps
+    inv = shifted ** -0.5
+    normed = centered * inv
+    out = normed * ln.gamma.data + ln.beta.data
+    return out, (centered, shifted, inv, normed)
+
+
+def _layernorm_backward(grad: np.ndarray, ln: LayerNorm, cache: tuple,
+                        groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """LayerNorm's input gradient as (centered term, (B, L, 1) mean
+    term); the caller adds them in the engine's order."""
+    centered, shifted, inv, normed = cache
+    scale = 1.0 / grad.shape[-1]
+    _accumulate(ln.beta, _vector_sums(grad, groups))
+    _accumulate(ln.gamma, _vector_sums(grad * normed, groups))
+    d_normed = grad * ln.gamma.data
+    d_centered = d_normed * inv
+    d_inv = (d_normed * centered).sum(axis=2, keepdims=True)
+    d_square = d_inv * -0.5 * shifted ** -1.5 * scale
+    square_term = d_square * centered
+    d_centered += square_term        # centered * centered: two terms
+    d_centered += square_term
+    d_mean = -d_centered.sum(axis=2, keepdims=True) * scale
+    return d_centered, d_mean
+
+
+def _attention(x: np.ndarray, attn: MultiHeadSelfAttention,
+               mask: np.ndarray | None
+               ) -> tuple[np.ndarray, tuple]:
+    b, length, dim = x.shape
+    heads, head_dim = attn.heads, attn.head_dim
+
+    def split(linear: Linear) -> np.ndarray:
+        return (x @ linear.weight.data + linear.bias.data) \
+            .reshape(b, length, heads, head_dim).transpose(0, 2, 1, 3)
+
+    q, k, v = split(attn.wq), split(attn.wk), split(attn.wv)
+    k_t = k.transpose(0, 1, 3, 2)
+    probs = softmax_data((q @ k_t) * (head_dim ** -0.5), -1, mask)
+    merged = (probs @ v).transpose(0, 2, 1, 3).reshape(b, length, dim)
+    out = merged @ attn.wo.weight.data + attn.wo.bias.data
+    return out, (x, q, k_t, v, probs, merged)
+
+
+def _attention_backward(grad: np.ndarray, attn: MultiHeadSelfAttention,
+                        cache: tuple, groups: int) -> np.ndarray:
+    x, q, k_t, v, probs, merged = cache
+    d_merged = _linear_backward(attn.wo, merged, grad, groups)
+    d_mixed = d_merged.reshape(v.shape[0], v.shape[2], attn.heads,
+                               attn.head_dim).transpose(0, 2, 1, 3).copy()
+    d_probs = d_mixed @ v.swapaxes(-1, -2)
+    d_v = probs.swapaxes(-1, -2) @ d_mixed
+    dot = (d_probs * probs).sum(axis=-1, keepdims=True)
+    d_scores = probs * (d_probs - dot) * (attn.head_dim ** -0.5)
+    d_q = d_scores @ k_t.swapaxes(-1, -2)
+    d_k = (q.swapaxes(-1, -2) @ d_scores).transpose(0, 1, 3, 2)
+    dx = _linear_backward(attn.wq, x, _heads_to_rows(d_q), groups)
+    dx = dx + _linear_backward(attn.wk, x, _heads_to_rows(d_k), groups)
+    return dx + _linear_backward(attn.wv, x, _heads_to_rows(d_v), groups)
+
+
+def _forward(proj: Linear, encoder: TransformerEncoder,
+             posenc: np.ndarray, features: np.ndarray,
+             mask: np.ndarray | None, caches: list | None) -> np.ndarray:
+    """The encoder forward; appends one cache tuple per layer (then
+    the final LayerNorm's) to *caches* unless it is None."""
+    if mask is not None:
+        # (B, L) key mask -> broadcast over heads and query rows.
+        mask = np.asarray(mask, dtype=bool)[:, None, None, :]
+    x = (features @ proj.weight.data + proj.bias.data) + posenc
+    for layer in encoder.layers:
+        normed, ln1 = _layernorm(x, layer.ln1)
+        mixed, attn = _attention(normed, layer.attn, mask)
+        x = x + mixed
+        normed, ln2 = _layernorm(x, layer.ln2)
+        hidden = normed @ layer.ff1.weight.data + layer.ff1.bias.data
+        active = hidden > 0
+        hidden = hidden * active
+        x = x + (hidden @ layer.ff2.weight.data + layer.ff2.bias.data)
+        if caches is not None:
+            caches.append((ln1, attn, ln2, normed, active, hidden))
+    out, final = _layernorm(x, encoder.final_ln)
+    if caches is not None:
+        caches.append(final)
+    return out
+
+
+def infer(proj: Linear, encoder: TransformerEncoder, posenc: np.ndarray,
+          features: np.ndarray, mask: np.ndarray | None = None
+          ) -> np.ndarray:
+    """Forward only: the (B, L, D) embeddings :func:`encode` returns,
+    with no autograd node and no caches."""
+    return _forward(proj, encoder, posenc, features, mask, None)
+
+
+def encode(proj: Linear, encoder: TransformerEncoder, posenc: np.ndarray,
+           features: Tensor, mask: np.ndarray | None = None,
+           groups: int = 1) -> Tensor:
+    """Encode a padded (B, L, in_dim) batch as one autograd node.
+
+    *proj* and *encoder* hold the parameters, *posenc* is the (L, D)
+    positional encoding, *mask* the boolean (B, L) key-padding mask.
+    The batch's rows form *groups* equal blocks whose parameter
+    gradients are reduced separately (see the module docstring).
+    """
+    if features.shape[0] % groups:
+        raise ValueError(f"{features.shape[0]} rows do not split into "
+                         f"{groups} groups")
+    caches: list = []
+    out = _forward(proj, encoder, posenc, features.data, mask, caches)
+
+    def backward(grad: np.ndarray) -> None:
+        d_centered, d_mean = _layernorm_backward(
+            grad, encoder.final_ln, caches[-1], groups)
+        dx = d_centered + d_mean
+        for layer, cache in zip(reversed(encoder.layers),
+                                reversed(caches[:-1])):
+            ln1, attn, ln2, normed, active, hidden = cache
+            d_hidden = _linear_backward(layer.ff2, hidden, dx, groups)
+            d_normed = _linear_backward(layer.ff1, normed,
+                                        d_hidden * active, groups)
+            d_centered, d_mean = _layernorm_backward(
+                d_normed, layer.ln2, ln2, groups)
+            dx = dx + d_centered             # residual term first
+            dx += d_mean
+            d_normed = _attention_backward(dx, layer.attn, attn, groups)
+            d_centered, d_mean = _layernorm_backward(
+                d_normed, layer.ln1, ln1, groups)
+            dx = dx + d_centered
+            dx += d_mean
+        d_features = _linear_backward(proj, features.data, dx, groups,
+                                      input_grad=features.requires_grad)
+        if d_features is not None:
+            features._accumulate(d_features)
+
+    # The parameters are leaves the backward writes into directly, so
+    # only the input needs a graph edge.
+    node = Tensor(out, requires_grad=True)
+    node._parents = (features,)
+    node._backward = backward
+    return node
+
+
+def split_rows(stacked: Tensor, groups: int) -> list[Tensor]:
+    """Split a stacked (G * B, ...) tensor into *groups* row blocks.
+
+    Each block's backward assigns (never adds) its gradient into its
+    rows of the stacked gradient, so the blocks must be the stacked
+    tensor's only consumers.
+    """
+    rows = stacked.shape[0] // groups
+
+    def block(lo: int, hi: int) -> Tensor:
+        def backward(grad: np.ndarray) -> None:
+            if stacked.grad is None:
+                stacked.grad = np.zeros_like(stacked.data)
+            stacked.grad[lo:hi] = grad
+        return stacked._make(stacked.data[lo:hi], (stacked,), backward)
+
+    return [block(j * rows, (j + 1) * rows) for j in range(groups)]

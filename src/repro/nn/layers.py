@@ -4,6 +4,12 @@ Everything the GNN-MLS encoder needs: Linear, LayerNorm, a two-layer
 MLP head, multi-head self-attention and pre-LN Transformer encoder
 layers, plus sinusoidal positional encodings (Section III-C preserves
 path order through positional encodings).
+
+The attention and encoder layers run one (N, D) sequence op by op —
+the per-graph reference.  Padded (B, L, D) batches of the whole
+encoder run through the fused kernel in :mod:`repro.nn.fused`, which
+reads these modules' parameters and reproduces their arithmetic bit
+for bit.
 """
 
 from __future__ import annotations
@@ -96,14 +102,10 @@ class MLP(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Standard scaled dot-product self-attention.
-
-    Accepts one (N, D) sequence — the per-graph reference path — or a
-    zero-padded (B, L, D) batch with a boolean (B, L) key-padding mask
-    (True = real node).  Masking happens inside the softmax: padded
-    keys get exactly-zero attention weight (and gradient), so each
-    real row's mixture matches the per-graph computation, and padded
-    query rows attend to nothing and come out exactly zero.
+    """Standard scaled dot-product self-attention over one (N, D)
+    sequence — the per-graph reference path.  Padded (B, L, D) batches
+    run through the fused encoder kernel (:mod:`repro.nn.fused`),
+    which reads these parameters.
     """
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
@@ -118,10 +120,7 @@ class MultiHeadSelfAttention(Module):
         self.wv = Linear(dim, dim, rng, name=f"{name}.wv")
         self.wo = Linear(dim, dim, rng, name=f"{name}.wo")
 
-    def __call__(self, x: Tensor,
-                 key_padding_mask: np.ndarray | None = None) -> Tensor:
-        if x.ndim == 3:
-            return self._batched(x, key_padding_mask)
+    def __call__(self, x: Tensor) -> Tensor:
         n = x.shape[0]
         q = self.wq(x).reshape(n, self.heads, self.head_dim) \
             .transpose(1, 0, 2)
@@ -133,25 +132,6 @@ class MultiHeadSelfAttention(Module):
         attn = scores.softmax(axis=-1)
         mixed = attn @ v                      # (H, N, hd)
         merged = mixed.transpose(1, 0, 2).reshape(n, self.dim)
-        return self.wo(merged)
-
-    def _batched(self, x: Tensor,
-                 key_padding_mask: np.ndarray | None) -> Tensor:
-        b, length = x.shape[0], x.shape[1]
-        q = self.wq(x).reshape(b, length, self.heads, self.head_dim) \
-            .transpose(0, 2, 1, 3)
-        k = self.wk(x).reshape(b, length, self.heads, self.head_dim) \
-            .transpose(0, 2, 1, 3)
-        v = self.wv(x).reshape(b, length, self.heads, self.head_dim) \
-            .transpose(0, 2, 1, 3)
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (self.head_dim ** -0.5)
-        mask = None
-        if key_padding_mask is not None:
-            # (B, L) key mask -> broadcast over heads and query rows.
-            mask = np.asarray(key_padding_mask, dtype=bool)[:, None, None, :]
-        attn = scores.softmax(axis=-1, mask=mask)
-        mixed = attn @ v                      # (B, H, L, hd)
-        merged = mixed.transpose(0, 2, 1, 3).reshape(b, length, self.dim)
         return self.wo(merged)
 
 
@@ -167,9 +147,8 @@ class TransformerEncoderLayer(Module):
         self.ff1 = Linear(dim, dim * ff_mult, rng, name=f"{name}.ff1")
         self.ff2 = Linear(dim * ff_mult, dim, rng, name=f"{name}.ff2")
 
-    def __call__(self, x: Tensor,
-                 key_padding_mask: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), key_padding_mask)
+    def __call__(self, x: Tensor) -> Tensor:
+        x = x + self.attn(self.ln1(x))
         return x + self.ff2(self.ff1(self.ln2(x)).relu())
 
 
@@ -184,10 +163,9 @@ class TransformerEncoder(Module):
                        for i in range(layers)]
         self.final_ln = LayerNorm(dim, name=f"{name}.final_ln")
 
-    def __call__(self, x: Tensor,
-                 key_padding_mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         for layer in self.layers:
-            x = layer(x, key_padding_mask)
+            x = layer(x)
         return self.final_ln(x)
 
 

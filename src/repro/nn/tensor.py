@@ -5,6 +5,13 @@ broadcasting-aware gradients.  Every op records a backward closure;
 :meth:`Tensor.backward` topologically sorts the graph and accumulates.
 The op set is exactly what the GNN-MLS model needs — add/mul/matmul,
 elementwise nonlinearities, reductions, softmax, slicing, concat.
+
+The per-graph encoder, the decision head and the losses run op by op
+here.  The padded (B, L, D) encoder forward is one node instead:
+:mod:`repro.nn.fused` computes it as plain NumPy and its hand-written
+backward reproduces this engine's arithmetic — ``_unbroadcast``
+reductions, C-ordered stored gradients, contribution order — bit for
+bit.
 """
 
 from __future__ import annotations
@@ -26,6 +33,33 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad.reshape(shape)
+
+
+def softmax_data(data: np.ndarray, axis: int = -1,
+                 mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax of a plain array along *axis*; optional boolean *mask*
+    (True = keep).
+
+    Masked-out entries get an exactly-zero probability, and the
+    max/exp/sum over the kept entries is the same arithmetic an
+    unmasked softmax over just those entries would do — which is what
+    lets padded (B, L, D) batches reproduce the per-graph path.
+    Slices with every entry masked come out all-zero (a padding row
+    attends to nothing).
+    """
+    if mask is None:
+        shifted = data - data.max(axis=axis, keepdims=True)
+        exp = np.exp(shifted)
+        return exp / exp.sum(axis=axis, keepdims=True)
+    keep = np.broadcast_to(np.asarray(mask, dtype=bool), data.shape)
+    neg = np.where(keep, data, -np.inf)
+    peak = neg.max(axis=axis, keepdims=True)
+    # All-masked slices have peak -inf; any finite stand-in works
+    # because their exp terms are forced to zero below.
+    peak = np.where(np.isfinite(peak), peak, 0.0)
+    exp = np.where(keep, np.exp(data - peak), 0.0)
+    denom = exp.sum(axis=axis, keepdims=True)
+    return exp / np.where(denom == 0.0, 1.0, denom)
 
 
 class Tensor:
@@ -270,28 +304,10 @@ class Tensor:
                 mask: Optional[np.ndarray] = None) -> "Tensor":
         """Softmax along *axis*; optional boolean *mask* (True = keep).
 
-        Masked-out entries get an exactly-zero probability and an
-        exactly-zero gradient, and the max/exp/sum over the kept
-        entries is the same arithmetic an unmasked softmax over just
-        those entries would do — which is what lets padded (B, L, D)
-        batches reproduce the per-graph path.  Slices with every entry
-        masked come out all-zero (a padding row attends to nothing).
+        The forward is :func:`softmax_data`; masked-out entries get an
+        exactly-zero gradient as well.
         """
-        if mask is None:
-            shifted = self.data - self.data.max(axis=axis, keepdims=True)
-            exp = np.exp(shifted)
-            out_data = exp / exp.sum(axis=axis, keepdims=True)
-        else:
-            keep = np.broadcast_to(np.asarray(mask, dtype=bool),
-                                   self.data.shape)
-            neg = np.where(keep, self.data, -np.inf)
-            peak = neg.max(axis=axis, keepdims=True)
-            # All-masked slices have peak -inf; any finite stand-in
-            # works because their exp terms are forced to zero below.
-            peak = np.where(np.isfinite(peak), peak, 0.0)
-            exp = np.where(keep, np.exp(self.data - peak), 0.0)
-            denom = exp.sum(axis=axis, keepdims=True)
-            out_data = exp / np.where(denom == 0.0, 1.0, denom)
+        out_data = softmax_data(self.data, axis, mask)
 
         def backward(grad):
             if not self.requires_grad:

@@ -22,7 +22,8 @@ job runs the smoke benches and then this check, so a hot-path
 regression larger than the tolerance (15 % by default) cannot merge
 silently.  Budgets are deliberately generous absolute ceilings (CI
 machines vary); re-baseline with ``repro trace gate
---update-budgets`` after an intentional perf change.
+--update-budgets [--leg NAME ...]`` after an intentional perf change
+— named legs are re-baselined and every other budget is kept.
 """
 
 from __future__ import annotations
@@ -129,22 +130,31 @@ def load_budgets(path: str | Path) -> dict:
 
 def write_budgets(path: str | Path, latest: dict[str, dict],
                   legs: list[str] | None = None,
-                  tolerance: float = DEFAULT_TOLERANCE,
-                  headroom: float = DEFAULT_HEADROOM) -> dict:
-    """(Re)write the budgets file from the newest samples.
+                  tolerance: float | None = None,
+                  headroom: float | None = None) -> dict:
+    """(Re)baseline budgets from the newest samples, merging into *path*.
 
-    *legs* restricts which leg names get budgets (default: every leg
-    with a sample); *headroom* scales the sample into a ceiling.
+    *legs* restricts which leg names get new budgets (default: every
+    leg with a sample); *headroom* scales the sample into a ceiling.
+    Every other leg already in the file keeps its budget, and the
+    file's ``tolerance`` and ``headroom`` stay unless passed here
+    (defaults: :data:`DEFAULT_TOLERANCE`, :data:`DEFAULT_HEADROOM`).
     """
     names = sorted(latest.keys() if legs is None else legs)
-    budgets = {}
     for name in names:
         if name not in latest:
             raise ValueError(f"no trend sample for leg {name!r}")
+    previous = load_budgets(path) if Path(path).exists() else {}
+    if tolerance is None:
+        tolerance = previous.get("tolerance", DEFAULT_TOLERANCE)
+    if headroom is None:
+        headroom = previous.get("headroom", DEFAULT_HEADROOM)
+    budgets = dict(previous.get("budgets", {}))
+    for name in names:
         budgets[name] = round(latest[name]["value"] * headroom, 6)
     payload = {"version": TREND_VERSION, "tolerance": tolerance,
                "headroom": headroom, "updated": _utc_now(),
-               "budgets": budgets}
+               "budgets": dict(sorted(budgets.items()))}
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
                           + "\n")
     return payload

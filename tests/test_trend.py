@@ -76,6 +76,32 @@ class TestBudgets:
         with pytest.raises(ValueError, match="no trend sample"):
             write_budgets(tmp_path / "b.json", latest, legs=["ghost_s"])
 
+    def test_update_one_leg_keeps_the_others(self, tmp_path):
+        """``repro trace gate --update-budgets --leg NAME`` re-baselines
+        NAME at the file's headroom and keeps every other budget, the
+        tolerance and the headroom."""
+        from repro.cli import main
+        budgets_path = tmp_path / "budgets.json"
+        budgets_path.write_text(json.dumps(
+            {"version": 1, "tolerance": 0.2, "headroom": 3.0,
+             "budgets": {"a.leg_s": 9.0, "b.leg_s": 5.0}}))
+        trend_path = tmp_path / "trend.jsonl"
+        append_trend(trend_path, "x", {"a.leg_s": 0.5, "b.leg_s": 0.1,
+                                       "c.leg_s": 0.7})
+        assert main(["trace", "gate", "--update-budgets",
+                     "--leg", "a.leg_s", "--trend", str(trend_path),
+                     "--budgets", str(budgets_path)]) == 0
+        payload = load_budgets(budgets_path)
+        assert payload["budgets"] == {"a.leg_s": 1.5, "b.leg_s": 5.0}
+        assert (payload["tolerance"], payload["headroom"]) == (0.2, 3.0)
+
+        latest = latest_legs(load_trend(trend_path))
+        payload = write_budgets(budgets_path, latest, legs=["c.leg_s"],
+                                tolerance=0.1, headroom=2.0)
+        assert payload["budgets"] == {"a.leg_s": 1.5, "b.leg_s": 5.0,
+                                      "c.leg_s": 1.4}
+        assert (payload["tolerance"], payload["headroom"]) == (0.1, 2.0)
+
     def test_invalid_budgets_rejected(self, tmp_path):
         path = tmp_path / "budgets.json"
         path.write_text(json.dumps({"budgets": {"a": -1.0}}))
