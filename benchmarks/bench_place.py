@@ -9,35 +9,19 @@ no-MLS MAERI fabrics and writes ``BENCH_place.json`` at the repo root:
 * ``cached`` — the shipped engine: one :class:`NetConnectivity` walk,
                one assembled sparse pattern served to every bisection
                level (``repro.place.system``), vectorized split/clamp/
-               leaf layout;
-* ``region`` — the opt-in block-Jacobi region-parallel refinement
-               (``region_parallel=True``), fanned over the process
-               pool;
-* ``cg``     — the factor-reuse backend (``solver="cg"``): one SuperLU
-               factorization kept as a PCG preconditioner across
-               bisection levels, refactoring only when the anchor
-               perturbation grows past the reuse bound.
-
-Per-leg metric deltas (from the ``place.factor_s`` stat) record what
-share of each leg's wall-clock went into factorization — the quantity
-the cg backend exists to shrink.
+               leaf layout.
 
 Correctness gates (the script exits non-zero on any failure):
 
 * cached bisection with ``reuse_system=True`` is **bit-identical** to
   ``reuse_system=False`` (fresh assembly per level) — the cached-vs-
   rebuild contract;
-* region-parallel placement is deterministic across worker counts,
-  legalizes cleanly, and stays within 2% HPWL of the serial placer;
-* the cg placement stays within 2% HPWL of the direct placement.
+* the cached placement's HPWL stays within 2% of the seed placer's.
 
 Speedup is additionally gated in full mode (cached ≥ 3x seed on
 MAERI-128) and loosely in smoke mode — but only when more than one
 core is usable; on a 1-core box the JSON still records timings while
-the gate checks correctness/quality only.  The cg factor-share gate
-on MAERI-128 (share ≤ 30% of the placement leg, or ≥ 1.5x leg
-speedup) applies in full mode at any core count: it measures solver
-economics, not parallel scaling.
+the gate checks correctness/quality only.
 
 Run directly::
 
@@ -64,8 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.errors import PlacementError                          # noqa: E402
 from repro.harness.designs import get_benchmark                  # noqa: E402
-from repro.obs import metrics                                    # noqa: E402
-from repro.parallel import ParallelConfig, usable_cores          # noqa: E402
+from repro.parallel import usable_cores                          # noqa: E402
 from repro.partition import partition_memory_on_logic            # noqa: E402
 from repro.partition.tier import TIER_LOGIC, TIER_MEMORY         # noqa: E402
 from repro.place import (NetConnectivity, Placement,             # noqa: E402
@@ -77,16 +60,10 @@ from repro.place.placer import _pin_ports                        # noqa: E402
 BENCH_JSON = REPO_ROOT / "BENCH_place.json"
 TREND_JSONL = REPO_ROOT / "benchmarks" / "results" / "trend.jsonl"
 
-#: Allowed relative HPWL delta: cached vs seed, region vs cached, and
-#: cg vs cached.
+#: Allowed relative HPWL delta of the cached placer vs the seed placer.
 HPWL_TOL = 0.02
 #: Full-mode speedup gate for the cached engine on MAERI-128.
 FULL_SPEEDUP_GATE = 3.0
-#: Full-mode MAERI-128 gate on the cg leg: factorization may take at
-#: most this share of the placement leg's wall-clock ...
-CG_FACTOR_SHARE_GATE = 30.0
-#: ... or, failing that, the cg leg must beat direct by this factor.
-CG_SPEEDUP_GATE = 1.5
 
 # --------------------------------------------------------------------------
 # Frozen seed implementation (pre cached-Laplacian), kept verbatim so the
@@ -424,35 +401,6 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
     return best, result
 
 
-def _stat_total(name: str) -> float:
-    stat = metrics.snapshot()["stats"].get(name)
-    return stat["total"] if stat else 0.0
-
-
-def _metered_leg(fn, repeats: int) -> tuple[float, object, float, dict]:
-    """_best_of plus the leg's factor-time share and counter deltas.
-
-    Share = ``place.factor_s`` accumulated across *all* repeats divided
-    by total leg wall-clock — a ratio, so best-of jitter cancels.
-    """
-    factor0 = _stat_total("place.factor_s")
-    counters0 = dict(metrics.snapshot()["counters"])
-    t0 = time.perf_counter()
-    best, result = _best_of(fn, repeats)
-    wall = time.perf_counter() - t0
-    factor_s = _stat_total("place.factor_s") - factor0
-    share = factor_s / wall * 100.0 if wall > 0 else 0.0
-    deltas = {name: value - counters0.get(name, 0)
-              for name, value in metrics.snapshot()["counters"].items()
-              if name.startswith("place.")}
-    return best, result, share, deltas
-
-
-def _placements_identical(a: Placement, b: Placement, netlist) -> bool:
-    return all(a.of_instance(n) == b.of_instance(n)
-               for n in netlist.instances)
-
-
 def _cached_vs_rebuild_identical(netlist, tiers) -> bool:
     """Gate: serving levels from the cached system == per-level rebuild."""
     fp = make_floorplan(netlist, utilization=0.45)
@@ -469,7 +417,7 @@ def _cached_vs_rebuild_identical(netlist, tiers) -> bool:
     return cached == rebuilt
 
 
-def bench_design(key: str, repeats: int, workers: int) -> dict:
+def bench_design(key: str, repeats: int) -> dict:
     spec = get_benchmark(key)
     netlist = spec.factory(spec.tech().libraries, spec.seeds())
     tiers = partition_memory_on_logic(netlist)
@@ -477,39 +425,12 @@ def bench_design(key: str, repeats: int, workers: int) -> dict:
 
     t_seed, (seed_pl, _) = _best_of(
         lambda: _seed_place_design(netlist, tiers), repeats)
-    t_cached, (cached_pl, _), share_direct, _ = _metered_leg(
+    t_cached, (cached_pl, _) = _best_of(
         lambda: place_design(netlist, tiers, seeds), repeats)
-    t_cg, (cg_pl, _), share_cg, cg_counts = _metered_leg(
-        lambda: place_design(netlist, tiers, seeds, solver="cg"), repeats)
     identical = _cached_vs_rebuild_identical(netlist, tiers)
-
-    region_cfg = ParallelConfig(workers=workers)
-    t_region, (region_pl, region_fp) = _best_of(
-        lambda: place_design(netlist, tiers, seeds, parallel=region_cfg,
-                             region_parallel=True), 1)
-    region_other, _ = place_design(
-        netlist, tiers, seeds,
-        parallel=ParallelConfig(workers=max(1, workers // 2)
-                                if workers > 1 else 2),
-        region_parallel=True)
-    region_deterministic = _placements_identical(region_pl, region_other,
-                                                 netlist)
-    try:
-        region_pl.validate()
-        region_legal = True
-    except PlacementError:
-        region_legal = False
-
-    try:
-        cg_pl.validate()
-        cg_legal = True
-    except PlacementError:
-        cg_legal = False
 
     hpwl_seed = seed_pl.hpwl()
     hpwl_cached = cached_pl.hpwl()
-    hpwl_region = region_pl.hpwl()
-    hpwl_cg = cg_pl.hpwl()
     return {
         "design": spec.paper_name,
         "key": key,
@@ -517,30 +438,12 @@ def bench_design(key: str, repeats: int, workers: int) -> dict:
         "nets": len(netlist.nets),
         "seed_place_s": round(t_seed, 3),
         "cached_place_s": round(t_cached, 3),
-        "region_place_s": round(t_region, 3),
-        "cg_place_s": round(t_cg, 3),
         "speedup_cached_vs_seed": round(t_seed / t_cached, 2),
-        "speedup_cg_vs_direct": round(t_cached / t_cg, 2),
-        "factor_share_direct_pct": round(share_direct, 1),
-        "factor_share_cg_pct": round(share_cg, 1),
-        "cg_factorizations": cg_counts.get("place.factorizations", 0),
-        "cg_factor_reuse": cg_counts.get("place.factor_reuse", 0),
-        "cg_fallbacks": cg_counts.get("place.cg_fallbacks", 0),
         "hpwl_seed": round(hpwl_seed, 2),
         "hpwl_cached": round(hpwl_cached, 2),
-        "hpwl_region": round(hpwl_region, 2),
-        "hpwl_cg": round(hpwl_cg, 2),
         "hpwl_cached_delta_pct": round(
             (hpwl_cached - hpwl_seed) / hpwl_seed * 100.0, 3),
-        "hpwl_region_delta_pct": round(
-            (hpwl_region - hpwl_cached) / hpwl_cached * 100.0, 3),
-        "hpwl_cg_delta_pct": round(
-            (hpwl_cg - hpwl_cached) / hpwl_cached * 100.0, 3),
         "cached_equals_rebuild": identical,
-        "region_deterministic": region_deterministic,
-        "region_legal": region_legal,
-        "cg_legal": cg_legal,
-        "region_workers": workers,
     }
 
 
@@ -550,35 +453,9 @@ def _gates(rows: list[dict], smoke: bool, cores: int) -> list[str]:
         name = row["design"]
         if not row["cached_equals_rebuild"]:
             failures.append(f"{name}: cached system != per-level rebuild")
-        if not row["region_deterministic"]:
-            failures.append(f"{name}: region-parallel placement varies "
-                            "with worker count")
-        if not row["region_legal"]:
-            failures.append(f"{name}: region-parallel placement illegal")
-        if abs(row["hpwl_cached_delta_pct"]) > HPWL_TOL * 100.0 \
-                and row["hpwl_cached_delta_pct"] > 0:
+        if row["hpwl_cached_delta_pct"] > HPWL_TOL * 100.0:
             failures.append(f"{name}: cached HPWL regressed "
                             f"{row['hpwl_cached_delta_pct']:.2f}%")
-        if row["hpwl_region_delta_pct"] > HPWL_TOL * 100.0:
-            failures.append(f"{name}: region HPWL off by "
-                            f"{row['hpwl_region_delta_pct']:.2f}%")
-        if not row["cg_legal"]:
-            failures.append(f"{name}: cg placement illegal")
-        if row["hpwl_cg_delta_pct"] > HPWL_TOL * 100.0:
-            failures.append(f"{name}: cg HPWL off by "
-                            f"{row['hpwl_cg_delta_pct']:.2f}%")
-        # Solver economics, valid at any core count: on the big fabric
-        # the cg leg must either get factorization under the share
-        # gate or beat direct outright on wall-clock.
-        if not smoke and "128" in name \
-                and row["factor_share_cg_pct"] > CG_FACTOR_SHARE_GATE \
-                and row["speedup_cg_vs_direct"] < CG_SPEEDUP_GATE:
-            failures.append(
-                f"{name}: cg factor share "
-                f"{row['factor_share_cg_pct']:.1f}% > "
-                f"{CG_FACTOR_SHARE_GATE:.0f}% and speedup "
-                f"{row['speedup_cg_vs_direct']:.2f}x < "
-                f"{CG_SPEEDUP_GATE:.1f}x")
     if cores <= 1:
         # Honest single-core mode: wall-clock on a time-sliced box is
         # noise, so only correctness/quality gate above applies.
@@ -605,12 +482,11 @@ def main(argv: list[str] | None = None) -> int:
         else ["maeri16_hetero", "maeri128_hetero"]
     repeats = args.repeats or (2 if args.smoke else 4)
     cores = usable_cores()
-    workers = max(2, min(cores, 4)) if cores > 1 else 1
 
     rows = []
     for key in keys:
         print(f"benchmarking {key} ...", flush=True)
-        row = bench_design(key, repeats, workers)
+        row = bench_design(key, repeats)
         rows.append(row)
         for field, value in row.items():
             print(f"  {field:<28}{value}")
@@ -625,8 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.obs.trend import append_trend
     legs = {f"place.{row['key']}.{leg}": row[leg]
             for row in rows
-            for leg in ("seed_place_s", "cached_place_s",
-                        "cg_place_s", "region_place_s")}
+            for leg in ("seed_place_s", "cached_place_s")}
     append_trend(TREND_JSONL, "place", legs, smoke=args.smoke,
                  meta={"cpu_count": cores, "repeats": repeats})
 

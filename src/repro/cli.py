@@ -44,7 +44,7 @@ python -m repro service submit --benchmark maeri16_hetero --selector none
 python -m repro service status --json
 python -m repro service status --metrics
 python -m repro trace report run.jsonl --top 15
-python -m repro trace diff direct.jsonl cg.jsonl
+python -m repro trace diff none.jsonl sota.jsonl
 python -m repro trace gate --update-budgets
 """
 
@@ -56,7 +56,7 @@ import os
 import sys
 from pathlib import Path
 
-from repro.core.flow import PLACE_SOLVERS, SELECTORS
+from repro.core.flow import SELECTORS
 from repro.harness.designs import BENCHMARKS, DEFAULT_EXPERIMENT_SEED, \
     get_benchmark
 from repro.harness.tables import run_benchmark_flow
@@ -72,28 +72,18 @@ DEFAULT_SOCKET = os.environ.get("REPRO_SERVICE_SOCKET",
 DEFAULT_STORE = os.environ.get("REPRO_STORE", ".repro/store")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_design(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--benchmark", default="maeri16_hetero",
                         choices=sorted(BENCHMARKS))
-    parser.add_argument("--selector", default="gnn",
-                        choices=list(SELECTORS))
     parser.add_argument("--seed", type=int,
                         default=DEFAULT_EXPERIMENT_SEED)
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    _add_design(parser)
+    parser.add_argument("--selector", default="gnn",
+                        choices=list(SELECTORS))
     _add_parallel(parser)
-    parser.add_argument("--place-region-parallel", action="store_true",
-                        help="opt-in block-Jacobi region-parallel "
-                             "bisection placement (deterministic at any "
-                             "worker count, but placements differ "
-                             "slightly from the serial joint solve)")
-    parser.add_argument("--place-solver", default="direct",
-                        choices=list(PLACE_SOLVERS),
-                        help="bisection solve backend: 'direct' "
-                             "factorizes every level (bit-identical "
-                             "baseline), 'cg' reuses one SuperLU "
-                             "factorization as a PCG preconditioner "
-                             "across levels (equal within tolerance, "
-                             "fewer factorizations), 'auto' picks by "
-                             "system size")
     parser.add_argument("--route-batch", type=float, default=None,
                         metavar="MS",
                         help="target milliseconds of routing work per "
@@ -200,9 +190,6 @@ def _cmd_flow(args) -> int:
     store = _store(args)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
                                 parallel=_parallel_config(args),
-                                place_region_parallel=
-                                args.place_region_parallel,
-                                place_solver=args.place_solver,
                                 route_batch_ms=args.route_batch,
                                 select_batch=args.select_batch,
                                 store=store)
@@ -251,9 +238,6 @@ def _cmd_timing(args) -> int:
     store = _store(args)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
                                 parallel=_parallel_config(args),
-                                place_region_parallel=
-                                args.place_region_parallel,
-                                place_solver=args.place_solver,
                                 route_batch_ms=args.route_batch,
                                 select_batch=args.select_batch,
                                 store=store)
@@ -269,9 +253,6 @@ def _cmd_congestion(args) -> int:
     store = _store(args)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
                                 parallel=_parallel_config(args),
-                                place_region_parallel=
-                                args.place_region_parallel,
-                                place_solver=args.place_solver,
                                 route_batch_ms=args.route_batch,
                                 select_batch=args.select_batch,
                                 store=store)
@@ -388,9 +369,7 @@ def _service_submit(args) -> int:
         benchmark=args.benchmark, selector=args.selector,
         seed=args.seed, with_scan=args.with_scan,
         dft_strategy=args.dft_strategy, freq_mhz=args.freq_mhz,
-        workers=args.workers,
-        place_region_parallel=args.place_region_parallel,
-        save_report=args.save_report)
+        workers=args.workers, save_report=args.save_report)
     if args.json:
         print(json.dumps(response, indent=2, sort_keys=True))
         return 0 if response.get("ok") else 1
@@ -507,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
     _add_common(congestion)
 
     export = sub.add_parser("export", help="write structural Verilog")
-    _add_common(export)
+    _add_design(export)
     export.add_argument("--out", required=True)
 
     service = sub.add_parser(
@@ -544,20 +523,15 @@ def main(argv: list[str] | None = None) -> int:
 
     s_submit = ssub.add_parser("submit", help="submit one flow request")
     _add_socket(s_submit)
-    s_submit.add_argument("--benchmark", default="maeri16_hetero",
-                          choices=sorted(BENCHMARKS))
+    _add_design(s_submit)
     s_submit.add_argument("--selector", default="gnn",
                           choices=list(SELECTORS))
-    s_submit.add_argument("--seed", type=int,
-                          default=DEFAULT_EXPERIMENT_SEED)
     s_submit.add_argument("--with-scan", action="store_true")
     s_submit.add_argument("--dft-strategy", default=None,
                           choices=("net-based", "wire-based"))
     s_submit.add_argument("--freq-mhz", type=float, default=None,
                           help="override the benchmark target clock")
     s_submit.add_argument("--workers", type=_positive_int, default=1)
-    s_submit.add_argument("--place-region-parallel",
-                          action="store_true")
     s_submit.add_argument("--save-report", action="store_true",
                           help="also report the on-disk FlowReport "
                                "artifact paths")

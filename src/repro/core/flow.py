@@ -26,7 +26,6 @@ from repro.opt.buffering import insert_buffers
 from repro.parallel import ParallelConfig, dumps_snapshot, loads_snapshot
 from repro.partition import partition_memory_on_logic
 from repro.place import place_design
-from repro.place.system import SOLVERS as PLACE_SOLVERS
 from repro.power import (default_power_plan, estimate_power,
                          insert_level_shifters, PowerReport)
 from repro.pdn.sizing import PdnSizingResult, size_pdn
@@ -79,26 +78,11 @@ class FlowConfig:
     #: default (workers=1) runs every stage serially, bit-identical to
     #: the parallel paths.
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
-    #: Opt-in block-Jacobi region-parallel bisection refinement (see
-    #: repro.place.bisection).  Unlike the other parallel stages this
-    #: changes the placement slightly (not bit-identical to the joint
-    #: solve), though deterministically at any worker count — hence a
-    #: separate flag rather than riding on ``parallel`` alone.
-    place_region_parallel: bool = False
-    #: Per-level solve backend for the bisection placer:
-    #: ``"direct"`` factorizes every level (bit-identical baseline),
-    #: ``"cg"`` reuses one SuperLU factorization as a PCG
-    #: preconditioner across levels (equal within tolerance),
-    #: ``"auto"`` picks by system size.  See repro.place.system.
-    place_solver: str = "direct"
 
     def __post_init__(self) -> None:
         if self.selector not in SELECTORS:
             raise FlowError(f"unknown selector {self.selector!r}; "
                             f"choose from {SELECTORS}")
-        if self.place_solver not in PLACE_SOLVERS:
-            raise FlowError(f"unknown place solver {self.place_solver!r}; "
-                            f"choose from {PLACE_SOLVERS}")
         if self.dft_strategy is not None \
                 and self.dft_strategy not in DFT_STRATEGIES:
             raise FlowError(f"unknown DFT strategy {self.dft_strategy!r}; "
@@ -226,20 +210,15 @@ def stage_partition(netlist: Netlist):
         return partition_memory_on_logic(netlist)
 
 
-def stage_place(netlist: Netlist, tiers, seeds: SeedBundle,
-                config: FlowConfig):
+def stage_place(netlist: Netlist, tiers, seeds: SeedBundle):
     """Prepare stage 3: placement; returns (placement, floorplan).
 
-    Deterministic in (netlist, tiers, region-parallel flag, solver) —
-    worker fan-out is bit-identical by the placement equivalence
-    suite, and nothing here reads the clock target, so frequency
-    sweeps share one placement artifact.
+    Deterministic in (netlist, tiers) and independent of every
+    ``FlowConfig`` field — nothing here reads the clock target, so
+    frequency and scan sweeps share one placement artifact.
     """
     with trace.span("prepare.place"):
-        return place_design(netlist, tiers, seeds,
-                            parallel=config.parallel,
-                            region_parallel=config.place_region_parallel,
-                            solver=config.place_solver)
+        return place_design(netlist, tiers, seeds)
 
 
 def stage_finish(design: Design, config: FlowConfig) -> Design:
@@ -268,7 +247,7 @@ def prepare_design(factory: NetlistFactory, tech: TechSetup,
         design = Design(netlist, tech, config.target_freq_mhz)
         design.tiers = stage_partition(netlist)
         design.placement, design.floorplan = stage_place(
-            netlist, design.tiers, seeds, config)
+            netlist, design.tiers, seeds)
         stage_finish(design, config)
     _note_prepare_runtime(design, time.perf_counter() - t0)
     return design
@@ -312,8 +291,8 @@ def prepare_design_cached(factory: NetlistFactory, tech: TechSetup,
     including the one that populates an entry — gets its own unpickled
     copy, so downstream stages (routing, MLS toggles, DFT inserts) on
     one copy never leak into another selector's run.  Preparation is
-    deterministic in (factory, tech, seed, target freq, scan,
-    region-parallel placement), which is exactly the cache key.
+    deterministic in (factory, tech, seed, target freq, scan), which is
+    exactly the cache key.
     """
     key = _prepare_cache_key(factory, tech, seeds, config)
     t0 = time.perf_counter()

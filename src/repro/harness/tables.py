@@ -32,8 +32,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        dft_strategy: str | None = None,
                        seed: int = DEFAULT_EXPERIMENT_SEED,
                        parallel: ParallelConfig | None = None,
-                       place_region_parallel: bool = False,
-                       place_solver: str = "direct",
                        route_batch_ms: float | None = None,
                        select_batch: int | None = None,
                        store=None) -> FlowReport:
@@ -67,8 +65,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
         dft_strategy=dft_strategy,
         activity=spec.activity,
         parallel=parallel,
-        place_region_parallel=place_region_parallel,
-        place_solver=place_solver,
         route=route,
         train=train,
     )

@@ -15,9 +15,7 @@ of anchored solves against it.
 from repro.place.floorplan import Floorplan, make_floorplan
 from repro.place.placement import Placement
 from repro.place.quadratic import quadratic_solve
-from repro.place.system import (SOLVERS, FactorReuseSolver, NetConnectivity,
-                                PlacementSystem)
-from repro.place.spreading import bin_spread
+from repro.place.system import NetConnectivity, PlacementSystem
 from repro.place.bisection import bisection_place
 from repro.place.legalize import legalize_tier
 from repro.place.placer import place_design
@@ -25,13 +23,10 @@ from repro.place.placer import place_design
 __all__ = [
     "Floorplan",
     "make_floorplan",
-    "SOLVERS",
-    "FactorReuseSolver",
     "NetConnectivity",
     "Placement",
     "PlacementSystem",
     "quadratic_solve",
-    "bin_spread",
     "bisection_place",
     "legalize_tier",
     "place_design",

@@ -18,16 +18,6 @@ connectivity Laplacian never changes between levels — only the anchor
 diagonal and RHS do).  ``reuse_system=False`` rebuilds the system per
 level; the results are bit-identical either way, which the test suite
 and ``benchmarks/bench_place.py`` enforce.
-
-``region_parallel=True`` switches levels with enough regions to a
-block-Jacobi scheme: each region's subsystem is solved with the other
-regions' cells held fixed at their current positions, fanned out over
-a persistent :class:`~repro.parallel.SnapshotPool`.  That changes the
-arithmetic (regions no longer co-optimize within a level), so the mode
-is opt-in and *not* bit-identical to the joint solve — its contract is
-deterministic output at any worker count (activation depends only on
-the region count, never on the pool), legality, and HPWL within a few
-percent of the serial placer.
 """
 
 from __future__ import annotations
@@ -40,11 +30,8 @@ import numpy as np
 from repro.errors import PlacementError
 from repro.netlist.netlist import Netlist
 from repro.obs import metrics, trace
-from repro.parallel import ParallelConfig, SnapshotPool
-from repro.parallel import config as _parallel_config
 from repro.place.floorplan import Floorplan
-from repro.place.system import (NetConnectivity, PlacementSystem,
-                                assemble_system, solve_assembled)
+from repro.place.system import NetConnectivity, PlacementSystem
 
 #: Stop splitting when a region holds at most this many cells.
 DEFAULT_LEAF_CELLS = 24
@@ -53,17 +40,6 @@ DEFAULT_LEAF_CELLS = 24
 SOLVE_STOP_MULT = 2
 #: Anchor weight at the first level; doubles per level.
 DEFAULT_BASE_ANCHOR = 0.01
-#: Region-parallel mode engages once a level has at least this many
-#: regions.  The threshold is a fixed constant (not derived from the
-#: worker count) so the sequence of solves — and hence the placement —
-#: is identical at any worker count.
-REGION_PARALLEL_MIN_REGIONS = 16
-#: Block-Jacobi sweeps per level in region-parallel mode.  One sweep
-#: lets a region see its neighbors only at their pre-level positions;
-#: repeated sweeps propagate the level's movement across region
-#: boundaries (one region hop per sweep), which is what holds the
-#: mode's HPWL within the quality tolerance of the joint solve.
-REGION_JACOBI_SWEEPS = 4
 
 
 @dataclass
@@ -131,141 +107,12 @@ def _layout_leaf(region: _Region, xs: np.ndarray, ys: np.ndarray,
     ys[ordered] = region.y0 + (r + 0.5) * region.height / max(rows, 1)
 
 
-class _RegionState:
-    """Pool snapshot for region subsolves: the connectivity arrays plus
-    the static movable/fixed key maps.  Duck-types the NetConnectivity
-    attributes :func:`assemble_system` reads."""
-
-    def __init__(self, conn: NetConnectivity, name_kid: np.ndarray,
-                 base_fx: np.ndarray, base_fy: np.ndarray,
-                 width: float, height: float):
-        self.pair_a = conn.pair_a
-        self.pair_b = conn.pair_b
-        self.pair_w = conn.pair_w
-        self.star_kid = conn.star_kid
-        self.star_vid = conn.star_vid
-        self.star_w = conn.star_w
-        self.star_ptr = conn.star_ptr
-        self.n_stars = conn.n_stars
-        self.pair_inc = conn.pair_incidence()
-        self.star_inc = conn.star_incidence()
-        self.n_keys = conn.n_keys
-        self.name_kid = name_kid        # cell index -> key id (or -1)
-        self.base_fx = base_fx          # key id -> fixed x (NaN if none)
-        self.base_fy = base_fy
-        self.width = width
-        self.height = height
-
-
-def _solve_regions_chunk(state: _RegionState, extra, chunk: list[int]
-                         ) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """Solve a chunk of region subsystems (block-Jacobi step).
-
-    ``extra`` carries the level's current positions, the anchor weight
-    and the region table; each region is solved with every other
-    region's cells pinned at their current positions, so the result
-    depends only on the level inputs — never on how regions were
-    chunked or which worker ran them.
-    """
-    xs, ys, weight, table = extra
-    kfx = state.base_fx.copy()
-    kfy = state.base_fy.copy()
-    valid = state.name_kid >= 0
-    kfx[state.name_kid[valid]] = xs[valid]
-    kfy[state.name_kid[valid]] = ys[valid]
-    kid_mov = np.full(state.n_keys, -1, dtype=np.int64)
-    pptr, pids = state.pair_inc
-    sptr, sids = state.star_inc
-    empty = np.empty(0, dtype=np.int64)
-    out = []
-    for ridx in chunk:
-        cells, cx, cy = table[ridx]
-        m = len(cells)
-        memkids = state.name_kid[cells]
-        vkids = memkids[memkids >= 0]
-        kid_mov[vkids] = np.flatnonzero(memkids >= 0)
-        if len(vkids):
-            pair_sel = np.unique(np.concatenate(
-                [pids[pptr[k]:pptr[k + 1]] for k in vkids]))
-            stars = np.unique(np.concatenate(
-                [sids[sptr[k]:sptr[k + 1]] for k in vkids]))
-            star_edge_sel = np.concatenate(
-                [np.arange(state.star_ptr[v], state.star_ptr[v + 1])
-                 for v in stars]) if len(stars) else empty
-        else:
-            pair_sel = star_edge_sel = empty
-        asm = assemble_system(state, kid_mov, kfx, kfy, m,
-                              state.width, state.height,
-                              pair_sel=pair_sel,
-                              star_edge_sel=star_edge_sel,
-                              star_vid_compress=True)
-        rx, ry = solve_assembled(asm, np.arange(m), np.full(m, cx),
-                                 np.full(m, cy), weight)
-        kid_mov[vkids] = -1
-        out.append((ridx, rx, ry))
-    return out
-
-
-class _RegionLevelRunner:
-    """Persistent pool for the region-parallel levels of one
-    ``bisection_place`` call: the heavy static state ships once, each
-    level forwards only the current positions and region table."""
-
-    def __init__(self, conn: NetConnectivity, names: list[str],
-                 fixed: dict[str, tuple[float, float]], fp: Floorplan,
-                 parallel: ParallelConfig | None):
-        name_kid = np.full(len(names), -1, dtype=np.int64)
-        for i, name in enumerate(names):
-            kid = conn.vocab.get(name)
-            if kid is not None:
-                name_kid[i] = kid
-        base_fx = np.full(conn.n_keys, np.nan)
-        base_fy = np.full(conn.n_keys, np.nan)
-        for key, pos in fixed.items():
-            kid = conn.vocab.get(key)
-            if kid is not None:
-                base_fx[kid] = pos[0]
-                base_fy[kid] = pos[1]
-        state = _RegionState(conn, name_kid, base_fx, base_fy,
-                             fp.width, fp.core_height)
-        config = parallel if parallel is not None else ParallelConfig()
-        if config.enabled and _parallel_config.usable_cores() <= 1:
-            # Same single-core degradation as ParallelConfig
-            # .should_parallelize: extra processes would time-slice one
-            # CPU.  The block-Jacobi math is identical either way.
-            config = ParallelConfig(workers=1)
-        self.pool = SnapshotPool(state, config)
-
-    def solve_level(self, regions: list[_Region], xs: np.ndarray,
-                    ys: np.ndarray, weight: float,
-                    sweeps: int = REGION_JACOBI_SWEEPS
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        table = [(r.cells,) + r.center for r in regions]
-        indices = list(range(len(table)))
-        for _ in range(sweeps):
-            results = self.pool.map(_solve_regions_chunk, indices,
-                                    extra=(xs, ys, weight, table))
-            new_x = np.empty_like(xs)
-            new_y = np.empty_like(ys)
-            for ridx, rx, ry in results:  # regions partition the cells
-                new_x[regions[ridx].cells] = rx
-                new_y[regions[ridx].cells] = ry
-            xs, ys = new_x, new_y
-        return xs, ys
-
-    def close(self) -> None:
-        self.pool.close()
-
-
 def bisection_place(netlist: Netlist, fixed: dict[str, tuple[float, float]],
                     fp: Floorplan, movable: list[str],
                     leaf_cells: int = DEFAULT_LEAF_CELLS,
                     base_anchor: float = DEFAULT_BASE_ANCHOR,
                     conn: NetConnectivity | None = None,
-                    parallel: ParallelConfig | None = None,
-                    region_parallel: bool = False,
-                    reuse_system: bool = True,
-                    solver: str = "direct"
+                    reuse_system: bool = True
                     ) -> dict[str, tuple[float, float]]:
     """Place *movable* instances inside the core area.
 
@@ -273,11 +120,7 @@ def bisection_place(netlist: Netlist, fixed: dict[str, tuple[float, float]],
     key convention as :func:`~repro.place.quadratic.quadratic_solve`).
     ``conn`` optionally shares a pre-built connectivity with the
     caller; ``reuse_system=False`` rebuilds the placement system at
-    every level (bit-identical, for verification).  ``solver`` picks
-    the per-level backend (see :data:`~repro.place.system.SOLVERS`) —
-    the factor-reuse ``cg`` backend is where the level structure pays
-    off, since each level's system differs only in the anchor terms.
-    See the module docstring for ``region_parallel``.
+    every level (bit-identical, for verification).
     """
     if not movable:
         return {}
@@ -287,8 +130,7 @@ def bisection_place(netlist: Netlist, fixed: dict[str, tuple[float, float]],
         conn = NetConnectivity.from_netlist(netlist)
 
     def fresh_system() -> PlacementSystem:
-        return PlacementSystem(netlist, fixed, fp, movable=names, conn=conn,
-                               solver=solver)
+        return PlacementSystem(netlist, fixed, fp, movable=names, conn=conn)
 
     system = fresh_system()
     areas = np.array([max(netlist.instance(name).cell.area_um2, 0.1)
@@ -302,78 +144,58 @@ def bisection_place(netlist: Netlist, fixed: dict[str, tuple[float, float]],
     regions = [_Region(0.0, 0.0, fp.width, fp.core_height,
                        np.arange(n, dtype=np.int64))]
     weight = base_anchor
-    runner: _RegionLevelRunner | None = None
     all_idx = np.arange(n, dtype=np.int64)
     level = 0
-    try:
-        while max(len(r.cells) for r in regions) > leaf_cells:
-            level += 1
-            next_regions: list[_Region] = []
-            for region in regions:
-                if len(region.cells) <= leaf_cells:
-                    next_regions.append(region)
-                    continue
-                a, b = _split(region, xs, ys, areas, name_rank)
-                next_regions.extend((a, b))
-            regions = next_regions
-            region_level = (region_parallel and
-                            len(regions) >= REGION_PARALLEL_MIN_REGIONS)
-            if not region_level and max(len(r.cells) for r in regions) \
-                    <= leaf_cells * SOLVE_STOP_MULT:
-                # Regions are within a level or two of leaf size: at
-                # this depth the anchor weight dominates connectivity,
-                # so another full factorization would barely move cells
-                # inside their (tiny) regions before the leaf grid
-                # quantizes them anyway.  Keep splitting on the last
-                # solved coordinates and skip the remaining solves —
-                # measured HPWL impact is under 1% on every fabric.
-                # Region-parallel levels are exempt: their late-level
-                # block-Jacobi sweeps are per-region (cheap) and are
-                # what pulls boundary cells back under the 2% HPWL
-                # contract.
-                metrics.inc("place.levels")
-                metrics.inc("place.solves_skipped")
-                weight *= 2.0
+    while max(len(r.cells) for r in regions) > leaf_cells:
+        level += 1
+        next_regions: list[_Region] = []
+        for region in regions:
+            if len(region.cells) <= leaf_cells:
+                next_regions.append(region)
                 continue
-            # Terminal propagation: anchor every cell to its region
-            # center and re-solve so connectivity optimizes within
-            # commitments.
-            cx = np.empty(n)
-            cy = np.empty(n)
-            lo_x = np.empty(n)
-            hi_x = np.empty(n)
-            lo_y = np.empty(n)
-            hi_y = np.empty(n)
-            for region in regions:
-                cells = region.cells
-                ccx, ccy = region.center
-                cx[cells] = ccx
-                cy[cells] = ccy
-                lo_x[cells] = region.x0
-                hi_x[cells] = region.x1
-                lo_y[cells] = region.y0
-                hi_y[cells] = region.y1
+            a, b = _split(region, xs, ys, areas, name_rank)
+            next_regions.extend((a, b))
+        regions = next_regions
+        if max(len(r.cells) for r in regions) \
+                <= leaf_cells * SOLVE_STOP_MULT:
+            # Regions are within a level or two of leaf size: at this
+            # depth the anchor weight dominates connectivity, so
+            # another full factorization would barely move cells
+            # inside their (tiny) regions before the leaf grid
+            # quantizes them anyway.  Keep splitting on the last
+            # solved coordinates and skip the remaining solves —
+            # measured HPWL impact is under 1% on every fabric.
             metrics.inc("place.levels")
-            metrics.inc("place.level_solves")
-            with trace.span("place.solve", level=level,
-                            regions=len(regions),
-                            region_parallel=region_level):
-                if region_level:
-                    if runner is None:
-                        runner = _RegionLevelRunner(conn, names, fixed,
-                                                    fp, parallel)
-                    xs, ys = runner.solve_level(regions, xs, ys, weight)
-                else:
-                    if not reuse_system:
-                        system = fresh_system()
-                    xs, ys = system.solve_arrays(all_idx, cx, cy, weight)
-            # Clamp each cell into its region so the next split is local.
-            np.clip(xs, lo_x, hi_x, out=xs)
-            np.clip(ys, lo_y, hi_y, out=ys)
+            metrics.inc("place.solves_skipped")
             weight *= 2.0
-    finally:
-        if runner is not None:
-            runner.close()
+            continue
+        # Terminal propagation: anchor every cell to its region center
+        # and re-solve so connectivity optimizes within commitments.
+        cx = np.empty(n)
+        cy = np.empty(n)
+        lo_x = np.empty(n)
+        hi_x = np.empty(n)
+        lo_y = np.empty(n)
+        hi_y = np.empty(n)
+        for region in regions:
+            cells = region.cells
+            ccx, ccy = region.center
+            cx[cells] = ccx
+            cy[cells] = ccy
+            lo_x[cells] = region.x0
+            hi_x[cells] = region.x1
+            lo_y[cells] = region.y0
+            hi_y[cells] = region.y1
+        metrics.inc("place.levels")
+        metrics.inc("place.level_solves")
+        with trace.span("place.solve", level=level, regions=len(regions)):
+            if not reuse_system:
+                system = fresh_system()
+            xs, ys = system.solve_arrays(all_idx, cx, cy, weight)
+        # Clamp each cell into its region so the next split is local.
+        np.clip(xs, lo_x, hi_x, out=xs)
+        np.clip(ys, lo_y, hi_y, out=ys)
+        weight *= 2.0
 
     placed = np.zeros(n, dtype=bool)
     count = 0

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.netlist.netlist import Netlist
 from repro.obs import trace
-from repro.parallel import ParallelConfig
 from repro.partition.tier import TIER_LOGIC, TIER_MEMORY, TierAssignment
 from repro.place.floorplan import Floorplan, make_floorplan
 from repro.place.legalize import legalize_macros, legalize_tier
@@ -63,25 +62,9 @@ def _pin_ports(netlist: Netlist, tiers: TierAssignment, fp: Floorplan,
 def place_design(netlist: Netlist, tiers: TierAssignment,
                  seeds: SeedBundle,
                  fp: Floorplan | None = None,
-                 utilization: float = 0.45,
-                 parallel: ParallelConfig | None = None,
-                 region_parallel: bool = False,
-                 solver: str = "direct"
+                 utilization: float = 0.45
                  ) -> tuple[Placement, Floorplan]:
-    """Place *netlist* per *tiers*; returns (placement, floorplan).
-
-    ``region_parallel=True`` opts the bisection refinement into the
-    block-Jacobi region mode (see :mod:`repro.place.bisection`), fanned
-    out over *parallel* when it allows — placements differ slightly
-    from the serial joint solve but are deterministic at any worker
-    count.
-
-    ``solver`` selects the per-level solve backend for the bisection
-    pass (``"auto"``/``"direct"``/``"cg"`` — see
-    :mod:`repro.place.system`).  The macro-seeding quadratic pass
-    always solves direct: it is a single solve of a different
-    movable split, so there is no factorization to reuse.
-    """
+    """Place *netlist* per *tiers*; returns (placement, floorplan)."""
     if fp is None:
         fp = make_floorplan(netlist, utilization=utilization)
     placement = Placement(netlist, tiers)
@@ -104,12 +87,9 @@ def place_design(netlist: Netlist, tiers: TierAssignment,
     # Pass 2: standard cells against fixed ports + macros via
     # recursive bisection (the pure quadratic solution collapses
     # interchangeable clusters onto one point — see bisection.py).
-    with trace.span("place.bisection", cells=len(std_names),
-                    region_parallel=region_parallel, solver=solver):
+    with trace.span("place.bisection", cells=len(std_names)):
         spread_pos = bisection_place(netlist, fixed, fp, movable=std_names,
-                                     conn=conn, parallel=parallel,
-                                     region_parallel=region_parallel,
-                                     solver=solver)
+                                     conn=conn)
 
     with trace.span("place.legalize"):
         for tier in (TIER_LOGIC, TIER_MEMORY):

@@ -45,9 +45,8 @@ def quadratic_solve(netlist: Netlist, fixed: dict[str, tuple[float, float]],
         *fixed*.
     anchors / anchor_weight:
         SimPL-style pseudo-anchors: each movable instance present in
-        *anchors* is pulled toward that position with *anchor_weight*.
-        Used by the iterative global placer to blend spreading back
-        into the connectivity optimum.
+        *anchors* is pulled toward that position with *anchor_weight*
+        (the terminal-propagation pull bisection applies per level).
     conn:
         Optional pre-built :class:`NetConnectivity` for *netlist*,
         shared across solves to skip the per-call net walk.

@@ -25,21 +25,6 @@ Contract: a reused ``PlacementSystem`` produces positions bit-identical
 to rebuilding the system from scratch for every solve — the cache only
 skips redundant work, it never changes the arithmetic.  This is locked
 by ``tests/test_place_system.py`` and the ``bench_place.py`` gate.
-
-Solver backends.  SuperLU factorization dominates the solve (~27x the
-back-substitution it enables — EXPERIMENTS.md), yet between adjacent
-bisection levels only the anchor diagonal and RHS change.
-:class:`FactorReuseSolver` exploits that: it keeps ONE SuperLU
-factorization and serves subsequent anchored solves with
-preconditioned conjugate gradients (the stale factorization as the
-preconditioner, the previous level's positions as the warm start),
-refactorizing only when the anchor perturbation outgrows the
-preconditioner (weight-ratio bound + iteration-count feedback).
-``solver="direct"`` (the default) keeps the factorize-every-solve
-path bit-identical to the pre-backend engine; ``solver="cg"`` opts
-into factor reuse (positions agree with direct to the CG residual
-tolerance — equivalence-gated, not bit-identical); ``solver="auto"``
-picks cg for systems large enough to amortize the bookkeeping.
 """
 
 from __future__ import annotations
@@ -61,49 +46,12 @@ CLIQUE_LIMIT = 4
 #: Tiny pull to die center so fully floating components stay solvable.
 CENTER_REG = 1e-6
 
-#: Solver backends ``PlacementSystem``/``FlowConfig`` understand.
-SOLVERS = ("auto", "direct", "cg")
-#: ``auto`` stays direct below this many unknowns — factorizing a tiny
-#: system is cheaper than any preconditioner bookkeeping.  1000 puts
-#: the MAERI-16 hetero fabric (~1.9k unknowns per region) on the cg
-#: backend alongside A7 (~3.7k), where factor reuse across the anchor
-#: bisection already wins; toy designs stay direct.
-AUTO_CG_MIN_UNKNOWNS = 1000
-#: PCG convergence target, relative to ``||b||``.  Positions land
-#: within ~1e-4 um of the direct solve — far inside the 2% HPWL
-#: equivalence tolerance the quality gates check, and measured HPWL
-#: stays within 0.1% of direct on every fabric.
-CG_RTOL = 1e-6
-#: Hard PCG iteration cap; hitting it falls back to refactor + direct
-#: back-substitution, so a pathological system still solves exactly.
-CG_MAXITER = 400
-#: Proactively refactorize once the uniform anchor weight drifts this
-#: far (ratio) from the factorized one.  Bisection doubles the anchor
-#: weight per level, so 4 means one fresh factorization every ~3
-#: levels; the preconditioned condition number stays <= the ratio, so
-#: in-between solves converge in ~a dozen block iterations, each
-#: costing ~1/25 of a factorization (one triangular sweep + spmv).
-CG_REFACTOR_RATIO = 4.0
-#: ...or once a PCG solve needed this many (block) iterations —
-#: feedback for perturbations the ratio rule cannot see, e.g. changed
-#: anchor sets.
-CG_REFACTOR_ITERS = 16
-
 #: (i, j) index pairs of the clique model, per net degree.
 _PAIR_TEMPLATES = {
     d: np.array([(i, j) for i in range(d) for j in range(i + 1, d)],
                 dtype=np.int64)
     for d in range(2, CLIQUE_LIMIT + 1)
 }
-
-
-def _csr_groups(values: np.ndarray, ids: np.ndarray,
-                n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group *ids* by *values* (a key per id); returns (indptr, ids)."""
-    order = np.argsort(values, kind="stable")
-    counts = np.bincount(values, minlength=n_groups)
-    indptr = np.concatenate([[0], np.cumsum(counts)])
-    return indptr.astype(np.int64), ids[order]
 
 
 class NetConnectivity:
@@ -131,11 +79,6 @@ class NetConnectivity:
         self.star_kid = star_kid
         self.star_w = star_w
         self.star_sizes = star_sizes
-        #: Edge range of star v is star_ptr[v]:star_ptr[v+1].
-        self.star_ptr = np.concatenate(
-            [[0], np.cumsum(star_sizes)]).astype(np.int64)
-        self._pair_incidence: tuple[np.ndarray, np.ndarray] | None = None
-        self._star_incidence: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def n_keys(self) -> int:
@@ -197,23 +140,6 @@ class NetConnectivity:
         return cls(vocab, list(vocab), pair_a, pair_b, pair_w,
                    star_vid, star_kid, star_w, sizes)
 
-    def pair_incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Key id -> clique pair ids touching it, as (indptr, ids)."""
-        if self._pair_incidence is None:
-            n_pairs = len(self.pair_a)
-            ids = np.concatenate([np.arange(n_pairs, dtype=np.int64)] * 2) \
-                if n_pairs else np.empty(0, dtype=np.int64)
-            endpoints = np.concatenate([self.pair_a, self.pair_b])
-            self._pair_incidence = _csr_groups(endpoints, ids, self.n_keys)
-        return self._pair_incidence
-
-    def star_incidence(self) -> tuple[np.ndarray, np.ndarray]:
-        """Key id -> star (virtual node) ids touching it."""
-        if self._star_incidence is None:
-            self._star_incidence = _csr_groups(
-                self.star_kid, self.star_vid.copy(), self.n_keys)
-        return self._star_incidence
-
 
 @dataclass
 class AssembledSystem:
@@ -238,23 +164,15 @@ class AssembledSystem:
 
 def assemble_system(conn: NetConnectivity, kid_mov: np.ndarray,
                     kid_fx: np.ndarray, kid_fy: np.ndarray,
-                    n_movable: int, width: float, height: float,
-                    pair_sel: np.ndarray | None = None,
-                    star_edge_sel: np.ndarray | None = None,
-                    star_vid_compress: bool = False) -> AssembledSystem:
+                    n_movable: int, width: float,
+                    height: float) -> AssembledSystem:
     """Vectorized assembly of the quadratic system.
 
     ``kid_mov`` maps key id -> movable index (or -1); ``kid_fx`` /
     ``kid_fy`` hold fixed positions (NaN where the key has none, in
     which case the term is dropped — same as the seed ``add_edge``).
-    ``pair_sel`` / ``star_edge_sel`` restrict assembly to a subset of
-    the connectivity rows (region subsolves); with
-    ``star_vid_compress`` the touched stars get dense local virtual
-    ids instead of one node per star net in the whole design.
     """
-    pa = conn.pair_a if pair_sel is None else conn.pair_a[pair_sel]
-    pb = conn.pair_b if pair_sel is None else conn.pair_b[pair_sel]
-    pw = conn.pair_w if pair_sel is None else conn.pair_w[pair_sel]
+    pa, pb, pw = conn.pair_a, conn.pair_b, conn.pair_w
     am, bm = kid_mov[pa], kid_mov[pb]
     both = (am >= 0) & (bm >= 0)
     a_only = (am >= 0) & (bm < 0) & ~np.isnan(kid_fx[pb])
@@ -272,19 +190,8 @@ def assemble_system(conn: NetConnectivity, kid_mov: np.ndarray,
     np.add.at(bx, bm[b_only], pw[b_only] * kid_fx[pa][b_only])
     np.add.at(by, bm[b_only], pw[b_only] * kid_fy[pa][b_only])
 
-    if star_edge_sel is None:
-        sk, sw = conn.star_kid, conn.star_w
-        svid = conn.star_vid
-        n_virtual = conn.n_stars
-    else:
-        sk, sw = conn.star_kid[star_edge_sel], conn.star_w[star_edge_sel]
-        svid = conn.star_vid[star_edge_sel]
-        n_virtual = conn.n_stars
-    if star_vid_compress and len(svid):
-        uniq, svid = np.unique(svid, return_inverse=True)
-        n_virtual = len(uniq)
-    elif star_vid_compress:
-        n_virtual = 0
+    sk, sw, svid = conn.star_kid, conn.star_w, conn.star_vid
+    n_virtual = conn.n_stars
     sm = kid_mov[sk]
     s_mov = sm >= 0
     s_fix = ~s_mov & ~np.isnan(kid_fx[sk])
@@ -323,49 +230,6 @@ def assemble_system(conn: NetConnectivity, kid_mov: np.ndarray,
                            n_movable=n_movable, n_total=n_total)
 
 
-def _anchored_arrays(asm: AssembledSystem,
-                     anchor_idx: np.ndarray | None,
-                     anchor_x: np.ndarray | None,
-                     anchor_y: np.ndarray | None,
-                     anchor_weight: float
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(data, bx, by) with the anchor terms applied; base never mutated."""
-    data, bx, by = asm.data, asm.bx, asm.by
-    if anchor_idx is not None and len(anchor_idx) and anchor_weight > 0.0:
-        data = data.copy()
-        bx = bx.copy()
-        by = by.copy()
-        data[asm.diag_pos[anchor_idx]] += anchor_weight
-        bx[anchor_idx] += anchor_weight * anchor_x
-        by[anchor_idx] += anchor_weight * anchor_y
-    return data, bx, by
-
-
-def _factorize(lap: sp.csc_matrix, n_total: int) -> spla.SuperLU:
-    # The system is a symmetric diagonally-dominant Laplacian:
-    # SymmetricMode (COLAMD on A+A', tiny pivot threshold) cuts
-    # SuperLU fill ~20% vs the unsymmetric default, small panels
-    # suit its thin supernodes, and both RHS solve in one
-    # triangular sweep.
-    metrics.inc("place.factorizations")
-    t0 = time.perf_counter()
-    with trace.span("place.factor", n=n_total):
-        lu = spla.splu(lap, options=dict(SymmetricMode=True,
-                                         DiagPivotThresh=0.001,
-                                         PanelSize=1, Relax=12))
-    metrics.add_time("place.factor_s", time.perf_counter() - t0)
-    return lu
-
-
-def _back_solve(lu: spla.SuperLU, bx: np.ndarray, by: np.ndarray,
-                n_total: int) -> np.ndarray:
-    t0 = time.perf_counter()
-    with trace.span("place.back_solve", n=n_total):
-        xy = lu.solve(np.stack([bx, by], axis=1))
-    metrics.add_time("place.back_solve_s", time.perf_counter() - t0)
-    return xy
-
-
 def solve_assembled(asm: AssembledSystem,
                     anchor_idx: np.ndarray | None = None,
                     anchor_x: np.ndarray | None = None,
@@ -377,168 +241,39 @@ def solve_assembled(asm: AssembledSystem,
     ``anchor_idx`` must hold *unique* movable indices (an instance
     carries at most one pseudo-anchor, as in SimPL).  The base arrays
     are never mutated, so any number of solves can share one assembly.
-    This is the ``direct`` backend: every call factorizes.
+    Every call factorizes.
     """
-    data, bx, by = _anchored_arrays(asm, anchor_idx, anchor_x, anchor_y,
-                                    anchor_weight)
-    lap = sp.csc_matrix((data, asm.indices, asm.indptr),
-                        shape=(asm.n_total, asm.n_total))
+    data, bx, by = asm.data, asm.bx, asm.by
+    if anchor_idx is not None and len(anchor_idx) and anchor_weight > 0.0:
+        data = data.copy()
+        bx = bx.copy()
+        by = by.copy()
+        data[asm.diag_pos[anchor_idx]] += anchor_weight
+        bx[anchor_idx] += anchor_weight * anchor_x
+        by[anchor_idx] += anchor_weight * anchor_y
+    n = asm.n_total
+    lap = sp.csc_matrix((data, asm.indices, asm.indptr), shape=(n, n))
     try:
-        lu = _factorize(lap, asm.n_total)
-        xy = _back_solve(lu, bx, by, asm.n_total)
+        # The system is a symmetric diagonally-dominant Laplacian:
+        # SymmetricMode (COLAMD on A+A', tiny pivot threshold) cuts
+        # SuperLU fill ~20% vs the unsymmetric default, small panels
+        # suit its thin supernodes, and both RHS solve in one
+        # triangular sweep.
+        metrics.inc("place.factorizations")
+        t0 = time.perf_counter()
+        with trace.span("place.factor", n=n):
+            lu = spla.splu(lap, options=dict(SymmetricMode=True,
+                                             DiagPivotThresh=0.001,
+                                             PanelSize=1, Relax=12))
+        t1 = time.perf_counter()
+        metrics.add_time("place.factor_s", t1 - t0)
+        with trace.span("place.back_solve", n=n):
+            xy = lu.solve(np.stack([bx, by], axis=1))
+        metrics.add_time("place.back_solve_s", time.perf_counter() - t1)
     except RuntimeError as exc:  # pragma: no cover - singular fallback
         raise PlacementError(f"quadratic system solve failed: {exc}") from exc
     return (np.ascontiguousarray(xy[:asm.n_movable, 0]),
             np.ascontiguousarray(xy[:asm.n_movable, 1]))
-
-
-class FactorReuseSolver:
-    """Anchored solves of one assembly with SuperLU factor reuse.
-
-    The first solve factorizes its (anchored) system and keeps the
-    SuperLU object.  Later solves of a *perturbed* system — same
-    sparsity pattern, different anchor diagonal/RHS — run
-    preconditioned CG with the stale factorization as the
-    preconditioner and the previous solution as the warm start.  The
-    preconditioned spectrum is clustered as long as the anchor
-    perturbation stays small relative to the factorized system, so
-    solves converge in a handful of iterations; the solver
-    refactorizes when the anchor-weight ratio passes
-    :data:`CG_REFACTOR_RATIO`, when a solve needed more than
-    :data:`CG_REFACTOR_ITERS` iterations, or when PCG fails outright
-    (exactness fallback: refactor + direct back-substitution, so a
-    result is *never* worse than CG_RTOL away from the direct answer).
-
-    A solve whose anchor set and weight exactly match the cached
-    factorization skips CG entirely: the LU is exact for that system
-    and the back-substitution is bit-identical to the direct backend.
-    """
-
-    def __init__(self, asm: AssembledSystem):
-        self.asm = asm
-        self._lu: spla.SuperLU | None = None
-        #: (anchor-idx digest, weight) of the factorized system.
-        self._lu_key: tuple[bytes, float] | None = None
-        self._refactor_next = False
-        self._warm: np.ndarray | None = None    # last (n_total, 2) solution
-
-    @staticmethod
-    def _key(anchor_idx: np.ndarray | None,
-             anchor_weight: float) -> tuple[bytes, float]:
-        if anchor_idx is None or not len(anchor_idx) or anchor_weight <= 0.0:
-            return b"", 0.0
-        return anchor_idx.tobytes(), float(anchor_weight)
-
-    def _should_refactor(self, key: tuple[bytes, float]) -> bool:
-        if self._lu is None or self._refactor_next:
-            return True
-        lu_sig, lu_w = self._lu_key
-        sig, w = key
-        if sig == lu_sig and lu_w > 0.0 and w > 0.0:
-            ratio = max(w, lu_w) / min(w, lu_w)
-            return ratio > CG_REFACTOR_RATIO
-        # Changed anchor set (or anchored <-> unanchored): no cheap
-        # conditioning estimate — try CG, let iteration feedback and
-        # the non-convergence fallback decide.
-        return False
-
-    def solve(self, anchor_idx: np.ndarray | None = None,
-              anchor_x: np.ndarray | None = None,
-              anchor_y: np.ndarray | None = None,
-              anchor_weight: float = 0.0
-              ) -> tuple[np.ndarray, np.ndarray]:
-        asm = self.asm
-        data, bx, by = _anchored_arrays(asm, anchor_idx, anchor_x,
-                                        anchor_y, anchor_weight)
-        lap = sp.csc_matrix((data, asm.indices, asm.indptr),
-                            shape=(asm.n_total, asm.n_total))
-        key = self._key(anchor_idx, anchor_weight)
-        try:
-            if self._should_refactor(key):
-                self._lu = _factorize(lap, asm.n_total)
-                self._lu_key = key
-                self._refactor_next = False
-                xy = _back_solve(self._lu, bx, by, asm.n_total)
-            elif key == self._lu_key:
-                # Exact cache hit: the LU *is* this system's
-                # factorization — bit-identical direct back-solve.
-                metrics.inc("place.factor_reuse")
-                xy = _back_solve(self._lu, bx, by, asm.n_total)
-            else:
-                xy = self._pcg_solve(lap, bx, by)
-                if xy is None:      # non-convergence: exact fallback
-                    metrics.inc("place.cg_fallbacks")
-                    self._lu = _factorize(lap, asm.n_total)
-                    self._lu_key = key
-                    self._refactor_next = False
-                    xy = _back_solve(self._lu, bx, by, asm.n_total)
-        except RuntimeError as exc:  # pragma: no cover - singular fallback
-            raise PlacementError(
-                f"quadratic system solve failed: {exc}") from exc
-        self._warm = xy
-        return (np.ascontiguousarray(xy[:asm.n_movable, 0]),
-                np.ascontiguousarray(xy[:asm.n_movable, 1]))
-
-    def _pcg_solve(self, lap: sp.csc_matrix, bx: np.ndarray,
-                   by: np.ndarray) -> np.ndarray | None:
-        """Both axes via block preconditioned CG; None on failure.
-
-        Hand-rolled rather than ``scipy.sparse.linalg.cg`` so the two
-        independent RHS columns advance in lockstep: each iteration
-        does ONE spmv and ONE triangular ``lu.solve`` sweep on the
-        ``(n, 2)`` block (per-column step lengths), roughly halving
-        per-iteration cost versus two scalar CG runs and dodging
-        scipy's per-iteration Python overhead — which is what makes
-        reuse actually beat refactorization at this system size.
-        """
-        n = self.asm.n_total
-        lu = self._lu
-        iters = 0
-        t0 = time.perf_counter()
-        with trace.span("place.cg_solve", n=n) as span:
-            B = np.stack([bx, by], axis=1)
-            X = self._warm.copy() if self._warm is not None \
-                else np.zeros_like(B)
-            R = B - lap @ X
-            tol_sq = CG_RTOL ** 2 * np.einsum("ij,ij->j", B, B)
-            converged = bool(np.all(
-                np.einsum("ij,ij->j", R, R) <= tol_sq))
-            if not converged:
-                Z = lu.solve(R)
-                P = Z.copy()
-                rz = np.einsum("ij,ij->j", R, Z)
-                zeros = np.zeros_like(rz)
-                for _ in range(CG_MAXITER):
-                    AP = lap @ P
-                    pap = np.einsum("ij,ij->j", P, AP)
-                    # A converged column has P ~ 0: freeze it (alpha=0)
-                    # while the other column keeps iterating.
-                    alpha = np.divide(rz, pap, out=zeros.copy(),
-                                      where=pap > 0.0)
-                    X += alpha * P
-                    R -= alpha * AP
-                    iters += 1
-                    if np.all(np.einsum("ij,ij->j", R, R) <= tol_sq):
-                        converged = True
-                        break
-                    Z = lu.solve(R)
-                    rz_new = np.einsum("ij,ij->j", R, Z)
-                    beta = np.divide(rz_new, rz, out=zeros.copy(),
-                                     where=rz != 0.0)
-                    P = Z + beta * P
-                    rz = rz_new
-            span.set(converged=converged, iters=iters)
-            if not converged:
-                return None
-        metrics.add_time("place.cg_solve_s", time.perf_counter() - t0)
-        metrics.inc("place.factor_reuse")
-        metrics.observe("place.cg_iters", iters)
-        if iters > CG_REFACTOR_ITERS:
-            # The preconditioner is going stale; refresh it on the
-            # next solve rather than grinding through longer and
-            # longer CG runs.
-            self._refactor_next = True
-        return X
 
 
 class PlacementSystem:
@@ -546,24 +281,15 @@ class PlacementSystem:
 
     Assembles the connectivity Laplacian once (vectorized over the
     :class:`NetConnectivity` arrays) and serves per-level anchored
-    solves that only add the anchor diagonal and RHS.  With the
-    default ``solver="direct"`` every solve factorizes and results are
-    bit-identical to constructing a fresh system per call; ``"cg"``
-    routes repeat solves through :class:`FactorReuseSolver` (equal to
-    direct within :data:`CG_RTOL`); ``"auto"`` picks cg when the
-    system clears :data:`AUTO_CG_MIN_UNKNOWNS`.
+    solves that only add the anchor diagonal and RHS.  Every solve
+    factorizes, and results are bit-identical to constructing a fresh
+    system per call.
     """
 
     def __init__(self, netlist: Netlist,
                  fixed: dict[str, tuple[float, float]], fp: Floorplan,
                  movable: list[str] | None = None,
-                 conn: NetConnectivity | None = None,
-                 solver: str = "direct"):
-        if solver not in SOLVERS:
-            raise PlacementError(
-                f"unknown solver {solver!r}; expected one of {SOLVERS}")
-        self.solver = solver
-        self._reuse: FactorReuseSolver | None = None
+                 conn: NetConnectivity | None = None):
         if movable is None:
             movable = [n for n in netlist.instances if n not in fixed]
         self.movable = list(movable)
@@ -598,14 +324,6 @@ class PlacementSystem:
     def n_movable(self) -> int:
         return len(self.movable)
 
-    def resolved_solver(self) -> str:
-        """The backend solves actually use (``auto`` resolved by size)."""
-        if self.solver != "auto":
-            return self.solver
-        if self._asm is not None and self._asm.n_total >= AUTO_CG_MIN_UNKNOWNS:
-            return "cg"
-        return "direct"
-
     def solve_arrays(self, anchor_idx: np.ndarray | None = None,
                      anchor_x: np.ndarray | None = None,
                      anchor_y: np.ndarray | None = None,
@@ -615,11 +333,6 @@ class PlacementSystem:
         if self._asm is None:
             empty = np.empty(0)
             return empty, empty
-        if self.resolved_solver() == "cg":
-            if self._reuse is None:
-                self._reuse = FactorReuseSolver(self._asm)
-            return self._reuse.solve(anchor_idx, anchor_x, anchor_y,
-                                     anchor_weight)
         return solve_assembled(self._asm, anchor_idx, anchor_x, anchor_y,
                                anchor_weight)
 

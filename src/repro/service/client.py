@@ -92,7 +92,6 @@ class ServiceClient:
                     dft_strategy: Optional[str] = None,
                     freq_mhz: Optional[float] = None,
                     workers: int = 1,
-                    place_region_parallel: bool = False,
                     save_report: bool = False,
                     **extra: Any) -> dict:
         payload = {"op": "flow", "benchmark": benchmark,
@@ -100,7 +99,6 @@ class ServiceClient:
                    "with_scan": with_scan,
                    "dft_strategy": dft_strategy,
                    "freq_mhz": freq_mhz, "workers": workers,
-                   "place_region_parallel": place_region_parallel,
                    "save_report": save_report}
         payload.update(extra)
         return self.request(payload)

@@ -15,7 +15,9 @@ per line in both directions; ops:
 ``flow``      run (or replay) one benchmark flow; responds with the
               table row, the report digest, timing breakdown and —
               on request — the on-disk paths of the pickled
-              :class:`FlowReport` artifacts;
+              :class:`FlowReport` artifacts.  A request with an
+              unknown field or a non-positive ``freq_mhz`` is
+              refused before dedup or queueing;
 ``shutdown``  drain nothing, stop now (the store is crash-safe:
               every artifact write is atomic).
 
@@ -79,8 +81,13 @@ PROTOCOL_VERSION = 2
 #: event loop); content-level equivalence across differently-phrased
 #: requests is still caught by the store's content keys.
 _FLOW_REQUEST_FIELDS = ("benchmark", "selector", "seed", "with_scan",
-                        "dft_strategy", "freq_mhz",
-                        "place_region_parallel", "workers")
+                        "dft_strategy", "freq_mhz", "workers")
+
+#: Every field a ``flow`` request may carry; anything else is refused
+#: rather than silently dropped (a typo or a stale client's knob would
+#: otherwise run — and cache — a different flow than the one asked for).
+_FLOW_REQUEST_ALLOWED = frozenset(("op", "save_report")
+                                  + _FLOW_REQUEST_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -104,6 +111,19 @@ def _flow_dedup_key(request: dict) -> tuple:
     return tuple(request.get(f) for f in _FLOW_REQUEST_FIELDS)
 
 
+def _check_flow_request(request: dict) -> None:
+    """Raise :class:`ServiceError` for a ``flow`` request with an
+    unknown field or a non-positive explicit ``freq_mhz``."""
+    unknown = sorted(set(request) - _FLOW_REQUEST_ALLOWED)
+    if unknown:
+        raise ServiceError(
+            f"unknown flow request field(s) {', '.join(unknown)}; "
+            f"allowed: {', '.join(sorted(_FLOW_REQUEST_ALLOWED))}")
+    freq = request.get("freq_mhz")
+    if freq is not None and not float(freq) > 0.0:
+        raise ServiceError(f"freq_mhz must be > 0, got {freq!r}")
+
+
 def build_flow_config(request: dict):
     """(spec, FlowConfig, SeedBundle) for one ``flow`` request."""
     from repro.core.flow import FlowConfig
@@ -111,22 +131,23 @@ def build_flow_config(request: dict):
                                        get_benchmark)
     from repro.parallel import ParallelConfig
 
+    _check_flow_request(request)
     spec = get_benchmark(request.get("benchmark", "maeri16_hetero"))
-    # `or` would swallow an explicit seed=0; only None means "default".
+    # `or` would swallow an explicit seed=0 or freq_mhz=0; only None
+    # means "default".
     seed = request.get("seed")
     seed = DEFAULT_EXPERIMENT_SEED if seed is None else int(seed)
+    freq = request.get("freq_mhz")
+    freq = spec.target_freq_mhz if freq is None else float(freq)
     config = FlowConfig(
         selector=request.get("selector", "gnn"),
-        target_freq_mhz=float(request.get("freq_mhz")
-                              or spec.target_freq_mhz),
+        target_freq_mhz=freq,
         num_paths=spec.num_paths,
         num_labeled=spec.num_labeled,
         with_scan=bool(request.get("with_scan", False)),
         dft_strategy=request.get("dft_strategy"),
         activity=spec.activity,
         parallel=ParallelConfig(workers=int(request.get("workers") or 1)),
-        place_region_parallel=bool(request.get("place_region_parallel",
-                                               False)),
     )
     return spec, config, spec.seeds(seed)
 
@@ -296,6 +317,7 @@ class FlowService:
     # -- the flow op ---------------------------------------------------------
 
     async def _op_flow(self, request: dict) -> dict:
+        _check_flow_request(request)
         key = _flow_dedup_key(request)
         t0 = time.perf_counter()
         future = self._inflight.get(key)

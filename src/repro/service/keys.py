@@ -12,15 +12,12 @@ constant pool, names and nested code objects), a SHA-256 over the
 pickled :class:`~repro.design.TechSetup`, the experiment seed, and the
 flow-config fields that can change results.  ``ParallelConfig`` is
 deliberately excluded — worker counts change wall-clock, never output
-(the equivalence suites lock that) — while ``place_region_parallel``
-*is* keyed because region-parallel placement legitimately differs from
-the serial joint solve.
+(the equivalence suites lock that).
 
-Stage keys are prefix-shaped on purpose: ``generate``/``partition``
-depend only on (factory, tech, seed), ``place`` adds the
-region-parallel flag, and ``prepared`` adds target frequency + scan.
-A frequency or scan sweep therefore shares the expensive placement
-artifact across every cell of the sweep.
+Stage keys are prefix-shaped on purpose: ``generate``/``partition``/
+``place`` depend only on (factory, tech, seed), and ``prepared`` adds
+target frequency + scan.  A frequency or scan sweep therefore shares
+the expensive placement artifact across every cell of the sweep.
 
 Objects the canonicalizer cannot fingerprint (ad-hoc test stand-ins,
 closures over live designs) degrade to *unstable* keys: still unique
@@ -49,8 +46,11 @@ from repro.parallel import dumps_snapshot
 #: edit used to leave co_code byte-identical).  3: the place stage key
 #: covers the solver backend (cg placements differ within tolerance,
 #: not bit-exactly), and the route ``batch_ms`` dispatch-sizing knob
-#: is excluded as result-neutral.
-KEY_SCHEMA_VERSION = 3
+#: is excluded as result-neutral.  4: the place stage key lost its
+#: solver and region-parallel fields — the cg/auto backends and the
+#: region-parallel mode were deleted, so placement depends on
+#: (factory, tech, seed) alone.
+KEY_SCHEMA_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -237,16 +237,13 @@ def prepare_stage_keys(factory, tech, seeds, config) -> PrepareKeys:
     actually consumes participate — see the module docstring.
     """
     base = _base(factory, tech, seeds)
-    place = dict(base,
-                 region_parallel=bool(config.place_region_parallel),
-                 solver=str(getattr(config, "place_solver", "direct")))
-    prepared = dict(place,
+    prepared = dict(base,
                     freq_mhz=float(config.target_freq_mhz),
                     scan=bool(config.with_scan))
     return PrepareKeys(
         generate=digest_key("prepare.generate", base),
         partition=digest_key("prepare.partition", base),
-        place=digest_key("prepare.place", place),
+        place=digest_key("prepare.place", base),
         prepared=digest_key("prepare.design", prepared),
     )
 

@@ -114,7 +114,7 @@ def _build_prepared(factory: NetlistFactory, tech: TechSetup,
                 store.put(keys.generate, netlist)
             tiers = stage_partition(netlist)
             store.put(keys.partition, tiers)
-        placement, floorplan = stage_place(netlist, tiers, seeds, config)
+        placement, floorplan = stage_place(netlist, tiers, seeds)
         store.put(keys.place, (placement, floorplan))
     design = Design(netlist, tech, config.target_freq_mhz)
     design.tiers = tiers

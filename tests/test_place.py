@@ -8,9 +8,8 @@ from repro.errors import PlacementError
 from repro.netlist import Netlist, NetlistBuilder
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.partition import partition_memory_on_logic
-from repro.place import (Floorplan, bin_spread, bisection_place,
-                         legalize_tier, make_floorplan, place_design,
-                         quadratic_solve)
+from repro.place import (Floorplan, legalize_tier, make_floorplan,
+                         place_design, quadratic_solve)
 from repro.place.floorplan import ROW_HEIGHT_UM
 from repro.place.legalize import legalize_macros
 from repro.rng import SeedBundle
@@ -257,33 +256,3 @@ class TestHpwlQualityRegression:
         assert hpwl <= ref * (1.0 + HPWL_TOL), \
             f"HPWL {hpwl:.1f} regressed more than {HPWL_TOL:.0%} " \
             f"vs seed placer {ref:.1f}"
-
-
-class TestBinSpread:
-    def test_relieves_overfull_bin(self):
-        nl = Netlist("dense")
-        names = []
-        for i in range(120):
-            nl.add_instance(f"g{i}", LIB.get("BUF_X4"))
-            names.append(f"g{i}")
-        fp = Floorplan(width=60, height=60)
-        pos = {n: (30.0, 30.0) for n in names}
-        spread = bin_spread(nl, pos, fp, bin_um=6.0, fill=0.5)
-        xs = {round(p[0], 3) for p in spread.values()}
-        assert len(xs) > 3        # cells fanned out of the hot bin
-
-    def test_capacity_check(self):
-        nl = Netlist("over")
-        pos = {}
-        for i in range(400):
-            nl.add_instance(f"g{i}", LIB.get("SRAM_1KX32"))
-            pos[f"g{i}"] = (1.0, 1.0)
-        fp = Floorplan(width=20, height=20)
-        with pytest.raises(PlacementError, match="exceeds spread capacity"):
-            bin_spread(nl, pos, fp)
-
-    def test_param_validation(self):
-        nl = Netlist("x")
-        fp = Floorplan(width=20, height=20)
-        with pytest.raises(PlacementError):
-            bin_spread(nl, {}, fp, bin_um=-1)

@@ -1,16 +1,10 @@
-"""Cached-Laplacian placement system contracts.
+"""Cached-Laplacian placement system contract.
 
-Locks the two guarantees the placement engine rework makes
-(see repro.place.system / repro.place.bisection):
-
-* **Bit-identity** — serving every bisection level from one cached
-  :class:`PlacementSystem` returns exactly the positions a fresh
-  per-level rebuild would (same assembly, same factorization), across
-  arbitrary anchor sets and weights.
-* **Region-parallel mode** — opt-in block-Jacobi refinement is
-  deterministic at any worker count, legalizes cleanly, and stays
-  within 2% HPWL of the serial joint solve.  It is *not* bit-identical
-  to the joint solve, by contract.
+Locks the guarantee the placement engine rework makes (see
+repro.place.system / repro.place.bisection): serving every bisection
+level from one cached :class:`PlacementSystem` returns exactly the
+positions a fresh per-level rebuild would (same assembly, same
+factorization), across arbitrary anchor sets and weights.
 """
 
 from __future__ import annotations
@@ -20,32 +14,14 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-import pytest
-
 from repro.design import TechSetup
 from repro.netlist.generators import MaeriConfig, generate_maeri
-from repro.obs import metrics
-from repro.parallel import ParallelConfig
 from repro.partition import partition_memory_on_logic
 from repro.place import (NetConnectivity, Placement, PlacementSystem,
-                         bisection_place, make_floorplan, place_design,
-                         quadratic_solve)
+                         bisection_place, make_floorplan, quadratic_solve)
 from repro.place.legalize import legalize_macros
 from repro.place.placer import _pin_ports
-from repro.place.system import AUTO_CG_MIN_UNKNOWNS, PlacementError
 from repro.rng import SeedBundle
-
-#: Allowed relative HPWL delta of region-parallel vs serial placement.
-REGION_HPWL_TOL = 0.02
-
-#: Allowed absolute position delta (um) of a cg solve vs direct.  The
-#: PCG residual tolerance (CG_RTOL) translates to well under 1e-3 um of
-#: position error on the 16PE system; 0.05 um leaves headroom while
-#: staying far below a placement row height.
-CG_POS_TOL = 0.05
-
-#: Allowed relative HPWL delta of a full cg bisection placement.
-CG_HPWL_TOL = 0.02
 
 
 @lru_cache(maxsize=1)
@@ -67,12 +43,12 @@ def _small_setup():
     rough = quadratic_solve(nl, fixed, fp, conn=conn)
     fixed = dict(fixed)
     fixed.update(legalize_macros(nl, macros, rough, fp))
-    return nl, tiers, fp, fixed, std, conn
+    return nl, fp, fixed, std, conn
 
 
 @lru_cache(maxsize=1)
 def _shared_system() -> PlacementSystem:
-    nl, _, fp, fixed, std, conn = _small_setup()
+    nl, fp, fixed, std, conn = _small_setup()
     return PlacementSystem(nl, fixed, fp, movable=std, conn=conn)
 
 
@@ -88,7 +64,7 @@ class TestCachedSystemBitIdentity:
         connectivity, assembly and factorization from the netlist.
         Positions must agree bit-for-bit (== on floats, no tolerance).
         """
-        nl, _, fp, fixed, std, _ = _small_setup()
+        nl, fp, fixed, std, _ = _small_setup()
         system = _shared_system()
         rng = np.random.default_rng(seed)
         count = int(rng.integers(0, 24))
@@ -103,203 +79,16 @@ class TestCachedSystemBitIdentity:
 
     def test_shared_connectivity_matches_fresh(self):
         """Passing a prebuilt NetConnectivity never changes results."""
-        nl, _, fp, fixed, std, conn = _small_setup()
+        nl, fp, fixed, std, conn = _small_setup()
         shared = quadratic_solve(nl, fixed, fp, movable=std, conn=conn)
         fresh = quadratic_solve(nl, fixed, fp, movable=std)
         assert shared == fresh
 
     def test_bisection_reuse_flag_is_inert(self):
         """reuse_system=True (cached) == False (rebuild per level)."""
-        nl, _, fp, fixed, std, conn = _small_setup()
+        nl, fp, fixed, std, conn = _small_setup()
         cached = bisection_place(nl, fixed, fp, movable=std, conn=conn,
                                  reuse_system=True)
         rebuilt = bisection_place(nl, fixed, fp, movable=std, conn=conn,
                                   reuse_system=False)
         assert cached == rebuilt
-
-
-@lru_cache(maxsize=1)
-def _cg_system() -> PlacementSystem:
-    """One stateful cg system shared across hypothesis examples, so
-    successive solves exercise factor reuse, refactor-on-perturbation
-    and warm starts — not just the first factorization."""
-    nl, _, fp, fixed, std, conn = _small_setup()
-    return PlacementSystem(nl, fixed, fp, movable=std, conn=conn,
-                           solver="cg")
-
-
-class TestSolverBackends:
-    """The cg backend is equivalent to direct within tolerance; the
-    direct backend stays the bit-identical default."""
-
-    def test_invalid_solver_rejected(self):
-        nl, _, fp, fixed, std, conn = _small_setup()
-        with pytest.raises(PlacementError):
-            PlacementSystem(nl, fixed, fp, movable=std, conn=conn,
-                            solver="jacobi")
-
-    def test_auto_resolves_by_system_size(self):
-        nl, _, fp, fixed, std, conn = _small_setup()
-        system = PlacementSystem(nl, fixed, fp, movable=std, conn=conn,
-                                 solver="auto")
-        expect = "cg" if system._asm.n_total >= AUTO_CG_MIN_UNKNOWNS \
-            else "direct"
-        assert system.resolved_solver() == expect
-        assert PlacementSystem(nl, fixed, fp, movable=std, conn=conn,
-                               solver="direct").resolved_solver() == "direct"
-
-    @given(seed=st.integers(0, 2**32 - 1),
-           weight=st.floats(0.001, 50.0))
-    @settings(max_examples=12, deadline=None)
-    def test_cg_matches_direct_within_tolerance(self, seed, weight):
-        """Random anchor sets and weights: cg positions track the
-        direct factorization to within CG_POS_TOL um.
-
-        The cg system is shared across examples, so anchor sets and
-        weights *change* between solves — exactly the perturbation
-        sequence bisection produces — exercising preconditioner reuse,
-        the refactor policy and the non-convergence fallback.
-        """
-        nl, _, fp, fixed, std, _ = _small_setup()
-        direct = _shared_system()
-        cg = _cg_system()
-        rng = np.random.default_rng(seed)
-        count = int(rng.integers(0, 24))
-        picked = rng.choice(len(std), size=count, replace=False)
-        anchors = {std[i]: (float(rng.uniform(0, fp.width)),
-                            float(rng.uniform(0, fp.core_height)))
-                   for i in picked}
-        want = direct.solve(anchors, anchor_weight=weight)
-        got = cg.solve(anchors, anchor_weight=weight)
-        assert want.keys() == got.keys()
-        worst = max(max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-                    for a, b in ((want[n], got[n]) for n in want))
-        assert worst <= CG_POS_TOL
-
-    def test_exact_anchor_repeat_is_bit_identical(self):
-        """Re-solving the same anchored system reuses the cached LU
-        (no new factorization) and returns bit-identical positions."""
-        nl, _, fp, fixed, std, conn = _small_setup()
-        system = PlacementSystem(nl, fixed, fp, movable=std, conn=conn,
-                                 solver="cg")
-        anchors = {std[0]: (1.0, 2.0), std[7]: (30.0, 4.0)}
-        first = system.solve(anchors, anchor_weight=0.5)
-        factored = metrics.counter("place.factorizations")
-        reused = metrics.counter("place.factor_reuse")
-        second = system.solve(anchors, anchor_weight=0.5)
-        assert second == first
-        assert metrics.counter("place.factorizations") == factored
-        assert metrics.counter("place.factor_reuse") == reused + 1
-
-    def test_bisection_cg_hpwl_within_tolerance(self):
-        """Full bisection with solver="cg" lands within CG_HPWL_TOL of
-        the direct placement (both legalized)."""
-        nl, tiers, *_ = _small_setup()
-        direct, _ = place_design(nl, tiers, SeedBundle(1234))
-        cg, _ = place_design(nl, tiers, SeedBundle(1234), solver="cg")
-        cg.validate()
-        assert cg.hpwl() <= direct.hpwl() * (1.0 + CG_HPWL_TOL)
-
-    def test_direct_default_unchanged(self):
-        """solver="direct" is the constructor default and the seed
-        behavior: explicit and implicit spellings agree bit-for-bit."""
-        nl, _, fp, fixed, std, conn = _small_setup()
-        implicit = PlacementSystem(nl, fixed, fp, movable=std, conn=conn)
-        explicit = PlacementSystem(nl, fixed, fp, movable=std, conn=conn,
-                                   solver="direct")
-        anchors = {std[3]: (5.0, 6.0)}
-        assert implicit.solve(anchors, anchor_weight=2.0) \
-            == explicit.solve(anchors, anchor_weight=2.0)
-
-
-@lru_cache(maxsize=4)
-def _placed(region_parallel: bool, workers: int):
-    nl, tiers, *_ = _small_setup()
-    placement, fp = place_design(
-        nl, tiers, SeedBundle(1234),
-        parallel=ParallelConfig(workers=workers),
-        region_parallel=region_parallel)
-    return nl, placement, fp
-
-
-class TestRegionParallel:
-    def test_deterministic_at_any_worker_count(self):
-        nl, serial, _ = _placed(True, 1)
-        _, two, _ = _placed(True, 2)
-        _, four, _ = _placed(True, 4)
-        for name in nl.instances:
-            assert serial.of_instance(name) == two.of_instance(name)
-            assert serial.of_instance(name) == four.of_instance(name)
-
-    def test_legal_placement(self):
-        nl, placement, fp = _placed(True, 2)
-        placement.validate()
-        for name in nl.instances:
-            loc = placement.of_instance(name)
-            assert -1e-6 <= loc.x <= fp.width + 1e-6
-            assert -1e-6 <= loc.y <= fp.height + 1e-6
-
-    def test_hpwl_within_tolerance_of_serial(self):
-        _, joint, _ = _placed(False, 1)
-        _, region, _ = _placed(True, 2)
-        assert region.hpwl() <= joint.hpwl() * (1.0 + REGION_HPWL_TOL)
-
-    def test_not_bit_identical_to_joint_solve(self):
-        """Documents the contract: region mode is a different placement."""
-        nl, joint, _ = _placed(False, 1)
-        _, region, _ = _placed(True, 1)
-        assert any(joint.of_instance(n) != region.of_instance(n)
-                   for n in nl.instances)
-
-
-class TestAutoBackendByFamily:
-    """Pins which backend ``auto`` resolves to per design family.
-
-    AUTO_CG_MIN_UNKNOWNS = 1000 deliberately places both hetero
-    benchmark families on the factor-reuse cg backend (~1.9k unknowns
-    per MAERI-16 region, ~3.7k per A7 region) while toy systems like
-    the fixtures above stay on the bit-identical direct factorization.
-    Changing the threshold must update this table consciously.
-    """
-
-    @staticmethod
-    def _auto_backends(benchmark_key: str) -> list[str]:
-        """Backends every bisection-level system of one benchmark's
-        auto-solver placement actually resolves to."""
-        import repro.place.bisection as bisection
-        from repro.core.flow import stage_generate, stage_partition
-        from repro.harness.designs import get_benchmark
-
-        spec = get_benchmark(benchmark_key)
-        netlist = stage_generate(spec.factory, spec.tech(), spec.seeds())
-        tiers = stage_partition(netlist)
-        recorded: list[str] = []
-        real = bisection.PlacementSystem
-
-        class Recording(real):
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                recorded.append(self.resolved_solver())
-
-        bisection.PlacementSystem = Recording
-        try:
-            place_design(netlist, tiers, spec.seeds(), solver="auto")
-        finally:
-            bisection.PlacementSystem = real
-        assert recorded, "bisection built no placement systems"
-        return recorded
-
-    def test_maeri_family_resolves_cg(self):
-        assert set(self._auto_backends("maeri16_hetero")) == {"cg"}
-
-    def test_a7_family_resolves_cg(self):
-        assert set(self._auto_backends("a7_hetero")) == {"cg"}
-
-    def test_tiny_system_stays_direct(self):
-        """A sub-threshold region (e.g. a deep bisection level) still
-        resolves to the direct factorization."""
-        nl, _, fp, fixed, std, conn = _small_setup()
-        system = PlacementSystem(nl, fixed, fp, movable=std[:200],
-                                 conn=conn, solver="auto")
-        assert system._asm.n_total < AUTO_CG_MIN_UNKNOWNS
-        assert system.resolved_solver() == "direct"

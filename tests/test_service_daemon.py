@@ -18,7 +18,10 @@ Contracts locked here:
   artifacts are fine — they are whole), clears the in-flight table,
   and the daemon keeps serving;
 * socket hygiene — a stale socket file is reclaimed, a live one
-  refuses a second daemon.
+  refuses a second daemon;
+* a flow request with an unknown field or an explicit ``freq_mhz``
+  <= 0 is refused with a :class:`ServiceError` before dedup or
+  queueing.
 """
 
 from __future__ import annotations
@@ -131,6 +134,35 @@ class TestRequestParsing:
         _, _, defaulted = build_flow_config({"benchmark": BENCH})
         assert defaulted.seed == DEFAULT_EXPERIMENT_SEED
 
+    @pytest.mark.parametrize("field", ["select_batch", "selecter"])
+    def test_unknown_field_is_refused(self, field):
+        """Regression: unknown fields were silently dropped and the
+        default flow ran instead — a knob the daemon cannot express
+        (``select_batch``), a removed one from a stale client, or a
+        typo."""
+        from repro.service.daemon import build_flow_config
+
+        with pytest.raises(ServiceError, match=field):
+            build_flow_config({"op": "flow", "benchmark": BENCH,
+                               field: True})
+
+    @pytest.mark.parametrize("freq", [0, 0.0, -100.0])
+    def test_non_positive_freq_is_refused(self, freq):
+        """Regression: ``or``-defaulting served the benchmark clock for
+        an explicit freq_mhz=0; only None means "default"."""
+        from repro.harness.designs import get_benchmark
+        from repro.service.daemon import build_flow_config
+
+        with pytest.raises(ServiceError, match="freq_mhz"):
+            build_flow_config({"benchmark": BENCH, "freq_mhz": freq})
+        _, config, _ = build_flow_config({"benchmark": BENCH,
+                                          "freq_mhz": None})
+        assert config.target_freq_mhz == \
+            get_benchmark(BENCH).target_freq_mhz
+        _, config, _ = build_flow_config({"benchmark": BENCH,
+                                          "freq_mhz": 777.0})
+        assert config.target_freq_mhz == 777.0
+
 
 class TestProtocol:
     def test_ping_status_shutdown(self, daemon):
@@ -160,6 +192,24 @@ class TestProtocol:
         assert not response["ok"]
         assert "no_such_benchmark" in response["error"]
         assert client.ping()["ok"]
+
+    @pytest.mark.parametrize("extra", [{"selecter": "none"},
+                                       {"select_batch": 4},
+                                       {"freq_mhz": 0}])
+    def test_invalid_flow_request_refused_before_queueing(self, daemon,
+                                                          extra):
+        """An unknown field or an explicit freq_mhz <= 0 fails the
+        request at the boundary: no compute, no dedup entry."""
+        client = daemon.client()
+        counters = _Counters()
+        payload = {"benchmark": BENCH, "selector": "none", **extra}
+        response = client.submit_flow(**payload)
+        assert not response["ok"]
+        assert "ServiceError" in response["error"]
+        assert next(iter(extra)) in response["error"]
+        assert counters.delta("service.errors") == 1
+        assert counters.delta("service.flow_computes") == 0
+        assert client.status()["inflight"] == 0
 
 
 class TestDedup:

@@ -8,8 +8,9 @@ Locks the flow-as-a-service storage contract:
   result-neutral ``parallel`` field never does.  The perturbation
   table is exhaustiveness-checked against ``dataclasses.fields`` so a
   newly-added config field fails loudly until it is classified;
-* stage keys are prefix-shaped (frequency/scan sweeps share the
-  placement artifact);
+* stage keys are prefix-shaped: no config field moves the
+  generate/partition/place keys, so frequency/scan sweeps share the
+  placement artifact;
 * unstable (identity-fingerprinted) keys are usable in-process but
   refused by the persistent store on both paths;
 * blob round trips are bit-identical (pickle-bytes compare, plus the
@@ -90,8 +91,8 @@ def _nested_literal_factory(wide: bool):
 
 BASE_CONFIG = FlowConfig(selector="none", target_freq_mhz=1500.0)
 
-#: field name -> perturbed value.  ``None`` marks result-neutral
-#: fields whose perturbation must NOT move the key.
+#: field name -> perturbed value.  Perturbing a field in
+#: ``_RESULT_NEUTRAL`` must NOT move the flow key.
 _PERTURBATIONS = {
     "selector": "gnn",
     "target_freq_mhz": 1600.0,
@@ -108,12 +109,21 @@ _PERTURBATIONS = {
     "gnn_refine_iters": BASE_CONFIG.gnn_refine_iters + 1,
     "pdn": False,
     "activity": BASE_CONFIG.activity + 0.01,
-    "parallel": None,
-    "place_region_parallel": True,
-    "place_solver": "cg",
+    "parallel": ParallelConfig(workers=8, chunk_size=17),
 }
 
 _RESULT_NEUTRAL = {"parallel"}
+
+
+def _perturbed(field_name: str) -> tuple[FlowConfig, FlowConfig]:
+    """(baseline, baseline with *field_name* perturbed)."""
+    base_cfg = BASE_CONFIG
+    if field_name == "dft_strategy":
+        # FlowConfig validates dft_strategy => with_scan, so the
+        # strategy perturbation is measured on a scanned baseline.
+        base_cfg = dataclasses.replace(BASE_CONFIG, with_scan=True)
+    return base_cfg, dataclasses.replace(
+        base_cfg, **{field_name: _PERTURBATIONS[field_name]})
 
 
 @pytest.fixture(scope="module")
@@ -154,14 +164,8 @@ class TestKeyDerivation:
                              sorted(set(_PERTURBATIONS)
                                     - _RESULT_NEUTRAL))
     def test_each_config_field_changes_key(self, tech, field_name):
-        base_cfg = BASE_CONFIG
-        if field_name == "dft_strategy":
-            # FlowConfig validates dft_strategy => with_scan, so the
-            # strategy perturbation is measured on a scanned baseline.
-            base_cfg = dataclasses.replace(BASE_CONFIG, with_scan=True)
+        base_cfg, changed = _perturbed(field_name)
         base = flow_key(_maeri_factory, tech, _seeds(), base_cfg)
-        changed = dataclasses.replace(
-            base_cfg, **{field_name: _PERTURBATIONS[field_name]})
         assert flow_key(_maeri_factory, tech, _seeds(),
                         changed).hexdigest != base.hexdigest
 
@@ -183,19 +187,6 @@ class TestKeyDerivation:
             route=dataclasses.replace(BASE_CONFIG.route, batch_ms=997.0))
         assert flow_key(_maeri_factory, tech, _seeds(),
                         batched).hexdigest == base.hexdigest
-
-    def test_place_solver_changes_prepare_keys(self, tech):
-        """cg placements differ within tolerance, not bit-exactly, so
-        the place and prepared stage keys must cover the backend."""
-        base = prepare_stage_keys(_maeri_factory, tech, _seeds(),
-                                  BASE_CONFIG)
-        cg = prepare_stage_keys(
-            _maeri_factory, tech, _seeds(),
-            dataclasses.replace(BASE_CONFIG, place_solver="cg"))
-        assert base.generate == cg.generate
-        assert base.partition == cg.partition
-        assert base.place != cg.place
-        assert base.prepared != cg.prepared
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -271,24 +262,22 @@ class TestKeyDerivation:
         assert ka.hexdigest != kb.hexdigest
 
     def test_stage_keys_are_prefix_shaped(self, tech):
-        """Frequency/scan sweeps share generate/partition/place."""
+        """No config field moves generate/partition/place: frequency
+        and scan sweeps — or any other perturbation — share the
+        placement artifact."""
         base = prepare_stage_keys(_maeri_factory, tech, _seeds(),
                                   BASE_CONFIG)
         swept = prepare_stage_keys(
             _maeri_factory, tech, _seeds(),
             dataclasses.replace(BASE_CONFIG, target_freq_mhz=1700.0,
                                 with_scan=True))
-        assert swept.generate == base.generate
-        assert swept.partition == base.partition
-        assert swept.place == base.place
         assert swept.prepared != base.prepared
-        regioned = prepare_stage_keys(
-            _maeri_factory, tech, _seeds(),
-            dataclasses.replace(BASE_CONFIG, place_region_parallel=True))
-        assert regioned.generate == base.generate
-        assert regioned.partition == base.partition
-        assert regioned.place != base.place
-        assert regioned.prepared != base.prepared
+        for field_name in sorted(_PERTURBATIONS):
+            _, changed = _perturbed(field_name)
+            keys = prepare_stage_keys(_maeri_factory, tech, _seeds(),
+                                      changed)
+            assert (keys.generate, keys.partition, keys.place) == \
+                (base.generate, base.partition, base.place), field_name
 
     def test_unfingerprintable_factory_degrades_to_unstable(self, tech):
         opaque = object()
