@@ -301,11 +301,16 @@ def prepare_design_cached(factory: NetlistFactory, tech: TechSetup,
         _PREPARE_CACHE.move_to_end(key)
     else:
         metrics.inc("prepare.cache_misses")
-        _PREPARE_CACHE[key] = dumps_snapshot(
-            prepare_design(factory, tech, seeds, config))
+        prepared = prepare_design(factory, tech, seeds, config)
+        with trace.span("prepare.cache_store") as span:
+            blob = _PREPARE_CACHE[key] = dumps_snapshot(prepared)
+            span.set(bytes=len(blob))
+        del prepared
         while len(_PREPARE_CACHE) > PREPARE_CACHE_MAX_ENTRIES:
             _PREPARE_CACHE.popitem(last=False)
-    design = loads_snapshot(_PREPARE_CACHE[key])
+    blob = _PREPARE_CACHE[key]
+    with trace.span("prepare.cache_copy", bytes=len(blob)):
+        design = loads_snapshot(blob)
     # What *this* call paid — an unpickle on a hit, build + pickle +
     # unpickle on a miss.
     _note_prepare_runtime(design, time.perf_counter() - t0)

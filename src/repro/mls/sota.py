@@ -55,7 +55,7 @@ def sota_select(design: Design, routing: RoutingResult | None = None,
         grid = routing.grid
         cx0, cy0 = grid.clamp_cell(x0, y0)
         cx1, cy1 = grid.clamp_cell(x1, y1)
-        cells = [(ix, iy) for ix in range(cx0, cx1 + 1)
+        cells = [ix * grid.ny + iy for ix in range(cx0, cx1 + 1)
                  for iy in range(cy0, cy1 + 1)]
         # Congestion of the pair the net would normally use.
         load = max(grid.path_load(tier, pair, cells)

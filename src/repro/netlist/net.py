@@ -150,6 +150,8 @@ class Net:
         else:
             self.sinks.append(pin)
         pin.net = self
+        if self._netlist is not None:
+            self._netlist.edits += 1
 
     def detach(self, pin: Pin) -> None:
         """Disconnect *pin* (used by DFT net splitting)."""
@@ -160,6 +162,8 @@ class Net:
         else:
             self.sinks.remove(pin)
         pin.net = None
+        if self._netlist is not None:
+            self._netlist.edits += 1
 
     def pins(self) -> list[Pin]:
         """Driver first (when present), then sinks."""

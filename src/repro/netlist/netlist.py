@@ -35,6 +35,12 @@ class Netlist:
         self.nets: dict[str, Net] = {}
         self.ports: dict[str, Port] = {}
         self._uid = 0
+        #: Structural edit counter: every instance/net/port added, pin
+        #: attached or detached and cell swapped bumps it.  Derived
+        #: state keyed on the netlist's structure (a routing result's
+        #: replay basis, the route topology) compares it.  It is not
+        #: part of the pickled state: an unpickled netlist starts at 0.
+        self.edits = 0
 
     # -- construction --------------------------------------------------------
 
@@ -44,6 +50,7 @@ class Netlist:
         inst = Instance(name, cell)
         inst._netlist = self
         self.instances[name] = inst
+        self.edits += 1
         return inst
 
     def add_net(self, name: str, is_clock: bool = False) -> Net:
@@ -52,6 +59,7 @@ class Netlist:
         net = Net(name, is_clock=is_clock)
         net._netlist = self
         self.nets[name] = net
+        self.edits += 1
         return net
 
     def add_port(self, name: str, direction: str, cap_ff: float = 2.0,
@@ -62,6 +70,7 @@ class Netlist:
                     false_path=false_path)
         port._netlist = self
         self.ports[name] = port
+        self.edits += 1
         return port
 
     # -- serialization ---------------------------------------------------------
@@ -156,6 +165,7 @@ class Netlist:
                     f"cannot swap {inst.name}: connected pin {name} has no "
                     f"counterpart in {new_cell.name}")
         inst.cell = new_cell
+        self.edits += 1
         rebuilt: dict[str, Pin] = {}
         for name, spec in new_specs.items():
             old = old_pins.get(name)

@@ -207,6 +207,7 @@ class NetlistSoA:
 
         netlist.name = self.name
         netlist._uid = self.uid
+        netlist.edits = 0
         netlist.instances = {}
         netlist.nets = {}
         netlist.ports = {}

@@ -62,6 +62,18 @@ class Placement:
         self.tiers = tiers
         self._loc: dict[str, Location] = {}
         self._port_loc: dict[str, Location] = {}
+        self._init_derived()
+
+    def _init_derived(self) -> None:
+        #: Location edit counter, bumped by every ``set_*`` call; like
+        #: :attr:`Netlist.edits` it keys derived routing state and is
+        #: not pickled.
+        self.edits = 0
+        #: The :class:`~repro.route.steiner.RouteTopology` routers of
+        #: this placement share (see :meth:`GlobalRouter.topology
+        #: <repro.route.router.GlobalRouter.topology>`).  Derived data,
+        #: never pickled.
+        self.route_topology = None
 
     def __getstate__(self) -> dict:
         # Locations flatten to coordinate arrays (plus a name table
@@ -83,9 +95,11 @@ class Placement:
                                       list(self.netlist.instances))
         self._port_loc = _unpack_locations(state["port_loc"],
                                            list(self.netlist.ports))
+        self._init_derived()
 
     def set_instance(self, name: str, x: float, y: float) -> None:
         self._loc[name] = Location(x, y, self.tiers.of_instance(name))
+        self.edits += 1
 
     def set_instances(self,
                       positions: dict[str, tuple[float, float]]) -> None:
@@ -94,9 +108,11 @@ class Placement:
         self._loc.update(
             (name, Location(x, y, of_tier(name)))
             for name, (x, y) in positions.items())
+        self.edits += 1
 
     def set_port(self, name: str, x: float, y: float) -> None:
         self._port_loc[name] = Location(x, y, self.tiers.of_port(name))
+        self.edits += 1
 
     def of_instance(self, name: str) -> Location:
         try:

@@ -9,7 +9,7 @@ through a pair of F2F vias (Figure 1's "2d-shared net").
 """
 
 from repro.route.tree import RouteNode, RouteEdge, RouteTree
-from repro.route.steiner import mst_parents, build_route_points
+from repro.route.steiner import RouteTopology, build_route_topology
 from repro.route.grid import CongestionGrid
 from repro.route.rc import NetRC, extract_rc
 from repro.route.router import GlobalRouter, RouteConfig, RoutingResult
@@ -18,8 +18,8 @@ __all__ = [
     "RouteNode",
     "RouteEdge",
     "RouteTree",
-    "mst_parents",
-    "build_route_points",
+    "RouteTopology",
+    "build_route_topology",
     "CongestionGrid",
     "NetRC",
     "extract_rc",

@@ -32,19 +32,18 @@ class UsageDelta:
     """
 
     def __init__(self) -> None:
-        #: (tier, pair) -> {(ix, iy) -> accumulated delta}
-        self.paths: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
-        #: (ix, iy) -> accumulated F2F pad delta
-        self.f2f: dict[tuple[int, int], float] = {}
+        #: (tier, pair) -> {flat gcell -> accumulated delta}
+        self.paths: dict[tuple[int, int], dict[int, float]] = {}
+        #: flat gcell -> accumulated F2F pad delta
+        self.f2f: dict[int, float] = {}
 
-    def add_path(self, tier: int, pair: int,
-                 cells: list[tuple[int, int]], delta: float = 1.0) -> None:
+    def add_path(self, tier: int, pair: int, cells, delta: float = 1.0
+                 ) -> None:
         plane = self.paths.setdefault((tier, pair), {})
         for cell in cells:
             plane[cell] = plane.get(cell, 0.0) + delta
 
-    def add_f2f(self, ix: int, iy: int, delta: float = 1.0) -> None:
-        cell = (ix, iy)
+    def add_f2f(self, cell: int, delta: float = 1.0) -> None:
         self.f2f[cell] = self.f2f.get(cell, 0.0) + delta
 
     def merge(self, other: "UsageDelta") -> None:
@@ -108,40 +107,45 @@ class CongestionGrid:
         iy = min(max(int(y / self.gcell), 0), self.ny - 1)
         return ix, iy
 
+    # Every query and mutation takes gcells as flat indices
+    # ``ix * ny + iy`` into the row-major (nx, ny) usage planes, the
+    # form :class:`~repro.route.steiner.RouteTopology` stores.
+
     # -- demand queries ------------------------------------------------------
 
-    def path_load(self, tier: int, pair: int,
-                  cells: list[tuple[int, int]]) -> float:
+    def path_load(self, tier: int, pair: int, cells) -> float:
         """Mean usage/capacity ratio along *cells* for (tier, pair).
 
         Mean (not max): a detailed router weaves around single hot
         gcells, so a path is only "full" at global-routing abstraction
         when congestion is sustained along it.
         """
-        if not cells:
+        if not len(cells):
             return 0.0
-        grid = self.usage[tier][pair]
+        plane = self.usage[tier][pair].reshape(-1)
         cap = self.capacity[tier][pair]
-        total = sum(grid[ix, iy] for ix, iy in cells)
+        total = sum(map(plane.__getitem__, cells))
         return total / (cap * len(cells))
 
-    def f2f_load(self, ix: int, iy: int) -> float:
-        return float(self.f2f_usage[ix, iy]) / self.f2f_cap
+    def f2f_load(self, cell: int) -> float:
+        return self.f2f_usage.item(cell) / self.f2f_cap
 
     # -- mutation ---------------------------------------------------------------
 
-    def add_path(self, tier: int, pair: int,
-                 cells: list[tuple[int, int]], delta: float = 1.0) -> None:
+    def add_path(self, tier: int, pair: int, cells,
+                 delta: float = 1.0) -> None:
         grid = self.usage[tier][pair]
-        for ix, iy in cells:
-            grid[ix, iy] += delta
+        plane = grid.reshape(-1)
+        for cell in cells:
+            plane[cell] += delta
         if delta < 0:
             np.clip(grid, 0.0, None, out=grid)
 
-    def add_f2f(self, ix: int, iy: int, delta: float = 1.0) -> None:
-        self.f2f_usage[ix, iy] += delta
-        if self.f2f_usage[ix, iy] < 0:
-            self.f2f_usage[ix, iy] = 0.0
+    def add_f2f(self, cell: int, delta: float = 1.0) -> None:
+        plane = self.f2f_usage.reshape(-1)
+        plane[cell] += delta
+        if plane[cell] < 0:
+            plane[cell] = 0.0
 
     def export_state(self) -> tuple[list[list[np.ndarray]], np.ndarray]:
         """Copy of every usage array — the grid's full mutable state.
@@ -164,16 +168,17 @@ class CongestionGrid:
 
     def apply_delta(self, delta: UsageDelta) -> None:
         """Commit an accumulated :class:`UsageDelta` to the live grid."""
-        for (tier, pair), plane in delta.paths.items():
+        for (tier, pair), cells in delta.paths.items():
             grid = self.usage[tier][pair]
+            plane = grid.reshape(-1)
             clip = False
-            for (ix, iy), d in plane.items():
-                grid[ix, iy] += d
+            for cell, d in cells.items():
+                plane[cell] += d
                 clip = clip or d < 0
             if clip:
                 np.clip(grid, 0.0, None, out=grid)
-        for (ix, iy), d in delta.f2f.items():
-            self.add_f2f(ix, iy, d)
+        for cell, d in delta.f2f.items():
+            self.add_f2f(cell, d)
 
     # -- reporting ---------------------------------------------------------------
 

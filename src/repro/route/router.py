@@ -2,7 +2,10 @@
 
 Routing policy per net (long nets first, as commercial routers prioritize):
 
-1. Build a rectilinear MST over pin locations, rooted at the driver.
+1. Take the net's rectilinear MST over pin locations, rooted at the
+   driver, from the placement's route topology
+   (:mod:`repro.route.steiner`), which every route of the placement
+   shares.
 2. For each tree edge, pick a layer pair by length, falling back to a
    less-congested pair (or taking a detour penalty) when the bbox path
    is full — the top pair shares capacity with the PDN.
@@ -29,8 +32,8 @@ from repro.obs import metrics, trace
 from repro.parallel import ParallelConfig, SnapshotPool
 from repro.route.grid import CongestionGrid, UsageDelta
 from repro.route.rc import NetRC, extract_rc
-from repro.route.steiner import (build_route_points, footprint_gcells,
-                                 l_path_gcells, mst_parents)
+from repro.route.steiner import (RouteTopology, build_route_topology,
+                                 tree_edge_cells)
 from repro.route.tree import RouteEdge, RouteTree
 
 import numpy as np
@@ -82,10 +85,9 @@ class RoutingResult:
 
     A result that :meth:`GlobalRouter.route_all` produced also records
     what a later differential route needs to replay it: the requested
-    MLS set, the (design, placement, netlist size) it was routed for,
-    and the ECO edits made to it since.  Per-net gcell footprints are
-    a derived cache shared along a chain of differential routes; like
-    the link to the diffed-against result they are dropped on pickling.
+    MLS set, the design, placement and structure edit counts it was
+    routed for, and the ECO edits made to it since.  The link to the
+    diffed-against result is dropped on pickling.
     """
 
     def __init__(self, grid: CongestionGrid, config: RouteConfig):
@@ -95,7 +97,8 @@ class RoutingResult:
         self.rc: dict[str, NetRC] = {}
         #: MLS nets requested of route_all; None for any other result.
         self.mls_request: frozenset | None = None
-        #: (design, placement, (#instances, #nets)) routed for.
+        #: (design, placement, netlist, netlist edits, placement
+        #: edits) routed for; see :meth:`GlobalRouter._structure`.
         self.basis: tuple | None = None
         #: Nets with an outstanding ECO edit (reroute/unroute, not yet
         #: undone by restore_net).  A result with edits cannot be
@@ -109,14 +112,10 @@ class RoutingResult:
         #: against (serial route order); None after a from-scratch route.
         self.changed_nets: tuple[str, ...] | None = None
         self._diffed_from: weakref.ref | None = None
-        #: net name -> flat gcell indices (``ix * ny + iy``) of its
-        #: footprint, filled lazily by differential routes.
-        self.footprints: dict[str, np.ndarray] = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state["_diffed_from"] = None
-        state["footprints"] = {}
         return state
 
     def diffed_from(self) -> "RoutingResult | None":
@@ -191,11 +190,14 @@ def _route_wave_chunk(state, grid_state,
     """
     router, mls_names = state
     router.grid.load_state(grid_state)
+    topo = router.topology()
     out = []
     for name in names:
-        net = router.design.netlist.net(name)
-        tree = router._route_net(net, mls=name in mls_names, commit=True)
-        router._apply_tree_usage(tree, -1.0)
+        row = topo.rows[name]
+        tree = router._route_net(topo.nets[row], mls=name in mls_names,
+                                 commit=True, topo=topo, row=row)
+        router._apply_tree_usage(tree, -1.0,
+                                 edge_cells=topo.edge_cells(row))
         out.append((name, tree.edges))
     return out
 
@@ -241,8 +243,8 @@ class GlobalRouter:
         cannot have changed replay their previous tree, the rest route
         against the live grid — still bit-identical to a from-scratch
         route.  A *previous* that cannot be replayed exactly (another
-        design, placement or config, or outstanding ECO edits) is
-        ignored and counted in ``route.diff_fallbacks``.
+        design, placement, netlist structure or config, or outstanding
+        ECO edits) is ignored and counted in ``route.diff_fallbacks``.
         """
         mls_nets = frozenset(mls_nets)
         result = RoutingResult(self.grid, self.cfg)
@@ -251,46 +253,129 @@ class GlobalRouter:
         diff = previous is not None and self._replayable(previous)
         if previous is not None and not diff:
             metrics.inc("route.diff_fallbacks")
-        # Long nets first: they claim upper layers before congestion.
-        # A replay walks this order too, never *previous*'s trees
-        # order, which ECO probes (reroute_net/restore_net) shuffle.
-        ordered = sorted(self.design.netlist.signal_nets(),
-                         key=lambda n: (-self._est_len(n), n.name))
+        # Long nets first (the topology's order): they claim upper
+        # layers before congestion.  A replay walks this order too,
+        # never *previous*'s trees order, which ECO probes
+        # (reroute_net/restore_net) shuffle.
+        topo = self.topology()
+        nets = len(topo.nets)
         wavefront = not diff and parallel is not None \
             and parallel.should_parallelize(
-                len(ordered), est_item_cost_s=INIT_NET_COST_S)
-        with trace.span("route.all", nets=len(ordered),
+                nets, est_item_cost_s=INIT_NET_COST_S)
+        with trace.span("route.all", nets=nets,
                         mls_nets=len(mls_nets), wavefront=wavefront,
                         diff=diff) as span:
             if diff:
-                reused = self._route_all_diff(result, ordered, previous)
-                span.set(reused=reused, rerouted=len(ordered) - reused,
+                reused = self._route_all_diff(result, topo, previous)
+                span.set(reused=reused, rerouted=nets - reused,
                          changed=len(result.changed_nets))
             elif wavefront:
-                self._route_all_wavefront(result, ordered, mls_nets,
+                self._route_all_wavefront(result, topo, mls_nets,
                                           parallel)
             else:
-                for net in ordered:
-                    self._commit_net(result, net,
-                                     mls=net.name in mls_nets)
+                for row in topo.order.tolist():
+                    net = topo.nets[row]
+                    self._commit_net(result, net, net.name in mls_nets,
+                                     topo, row)
         metrics.inc("route.full_routes")
-        metrics.inc("route.nets_routed", len(ordered))
+        metrics.inc("route.nets_routed", nets)
         metrics.inc("route.overflow_nets", result.overflow_nets())
         self.design.routing = result
         self.design.mls_nets = set(mls_nets)
         return result
 
-    def _basis(self) -> tuple:
+    def _structure(self) -> tuple:
+        """(netlist, netlist edits, placement edits) routes depend on.
+
+        Together with the placement object itself, this is the one
+        definition of "the same routing input" that both a replayable
+        :attr:`RoutingResult.basis` and a current route topology
+        compare against.
+        """
         netlist = self.design.netlist
-        return (self.design, self.placement,
-                (len(netlist.instances), len(netlist.nets)))
+        return (netlist, netlist.edits, self.placement.edits)
+
+    def _basis(self) -> tuple:
+        return (self.design, self.placement) + self._structure()
+
+    def _topology_key(self) -> tuple:
+        grid = self.grid
+        return self._structure() + (grid.gcell, grid.nx, grid.ny)
+
+    def _current_topology(self) -> RouteTopology | None:
+        """The placement's topology if it was built for this exact
+        netlist structure, placement and grid; otherwise None."""
+        topo = self.placement.route_topology
+        if topo is not None and topo.key == self._topology_key():
+            return topo
+        return None
+
+    def topology(self) -> RouteTopology:
+        """Every signal net's route topology, rebuilt when stale.
+
+        Cached on the placement, so every router and every route of
+        one placement share it until the netlist structure, the
+        placement or the grid geometry changes.
+        """
+        topo = self._current_topology()
+        if topo is None:
+            grid = self.grid
+            nets = self.design.netlist.signal_nets()
+            with trace.span("route.topology", nets=len(nets)):
+                topo = build_route_topology(
+                    nets, self.placement, grid.gcell, grid.nx, grid.ny,
+                    key=self._topology_key())
+            metrics.inc("route.topology_builds")
+            self.placement.route_topology = topo
+        return topo
+
+    def _net_row(self, net: Net) -> tuple[RouteTopology, int]:
+        """(topology, row) of *net*: the shared topology when current,
+        otherwise a topology of this one net (an ECO after a netlist
+        edit never rebuilds the whole design)."""
+        topo = self._current_topology()
+        if topo is not None:
+            row = topo.rows.get(net.name)
+            if row is not None:
+                return topo, row
+        grid = self.grid
+        return build_route_topology([net], self.placement, grid.gcell,
+                                    grid.nx, grid.ny), 0
+
+    def _tree_cells(self, tree: RouteTree) -> tuple[list[int], list[int]]:
+        """L-path cells of a routed tree, laid out as
+        :meth:`RouteTopology.edge_cells`.
+
+        Read from the current topology when the tree's nodes sit on
+        its net's row; a tree routed before a netlist or placement
+        edit computes them from its own nodes.
+        """
+        nodes = tree.nodes
+        parents = [-1] * len(nodes)
+        for edge in tree.edges:
+            parents[edge.child] = edge.parent
+        topo = self._current_topology()
+        row = None if topo is None else topo.rows.get(tree.net_name)
+        if row is not None:
+            lo, hi = topo.pin_ptr[row], topo.pin_ptr[row + 1]
+            if parents == topo.parent[lo:hi].tolist() \
+                    and [n.x for n in nodes] == topo.x[lo:hi].tolist() \
+                    and [n.y for n in nodes] == topo.y[lo:hi].tolist():
+                return topo.edge_cells(row)
+        grid = self.grid
+        return tree_edge_cells([n.x for n in tree.nodes],
+                               [n.y for n in tree.nodes], parents,
+                               grid.gcell, grid.nx, grid.ny)
 
     def _replayable(self, previous: RoutingResult) -> bool:
         """Whether *previous* is a clean full route of this exact input.
 
-        Design and placement compare by identity (neither defines
-        ``__eq__``).  *previous* also started from an empty grid; a
-        router that already holds usage would route differently.
+        Design, placement and netlist compare by identity (none
+        defines ``__eq__``) and the structure by edit counts, so a
+        connectivity edit that keeps every count the same still
+        refuses the replay.  *previous* also started from an empty
+        grid; a router that already holds usage would route
+        differently.
         """
         grid = self.grid
         return (previous.basis == self._basis()
@@ -300,55 +385,49 @@ class GlobalRouter:
                 and not any(plane.any() for tier in grid.usage
                             for plane in tier))
 
-    def _route_all_diff(self, result: RoutingResult, ordered: list[Net],
+    def _route_all_diff(self, result: RoutingResult, topo: RouteTopology,
                         previous: RoutingResult) -> int:
         """Replay *previous* in serial order; returns #nets reused.
 
         The serial router routes net *i* against the usage of nets
         ``0..i-1`` and reads and writes only net *i*'s gcell footprint
-        (see :func:`~repro.route.steiner.footprint_gcells`).  So if a
-        net keeps its MLS flag and no earlier net's tree changed
-        anywhere on its footprint, it sees exactly the grid it saw in
-        *previous* and routes to exactly the same tree: its previous
-        tree and RC are reused and only its usage is re-applied.
-        Every other net routes against the live grid; if its edges
-        differ from the previous tree, its footprint joins the *dirty*
-        set (old and new trees share one footprint — it depends only
-        on pin locations).  Usage values are integer-valued, so the
-        grid is bit-identical to a from-scratch route's.
+        (see :meth:`RouteTopology.footprint`).  So if a net keeps its
+        MLS flag and no earlier net's tree changed anywhere on its
+        footprint, it sees exactly the grid it saw in *previous* and
+        routes to exactly the same tree: its previous tree and RC are
+        reused and only its usage is re-applied.  Every other net
+        routes against the live grid; if its edges differ from the
+        previous tree, its footprint joins the *dirty* set (old and new
+        trees share one footprint — it depends only on pin locations).
+        Usage values are integer-valued, so the grid is bit-identical
+        to a from-scratch route's.
 
         A re-routed net whose edges come out unchanged keeps the
-        previous tree and RC objects (no ``extract_rc``).  Footprints
-        are computed only once the dirty set is non-empty and are
-        cached on the results.
+        previous tree and RC objects (no ``extract_rc``).  *previous*
+        was routed for the same structure (see :meth:`_replayable`),
+        so every one of its trees sits on its row of *topo*.
         """
         stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
         old_trees, old_rc = previous.trees, previous.rc
         old_mls, new_mls = previous.mls_request, result.mls_request
-        footprints = result.footprints = previous.footprints
         dirty = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
         any_dirty = False
         changed: list[str] = []
         reused = 0
-
-        def footprint(name: str, tree: RouteTree) -> np.ndarray:
-            fp = footprints.get(name)
-            if fp is None:
-                fp = footprints[name] = self._tree_footprint(tree)
-            return fp
-
-        for net in ordered:
+        for row in topo.order.tolist():
+            net = topo.nets[row]
             name = net.name
             old = old_trees.get(name)
             mls = name in new_mls
             if old is not None and mls == (name in old_mls) \
-                    and not (any_dirty and dirty[footprint(name, old)].any()):
-                self._apply_tree_usage(old, +1.0)
+                    and not (any_dirty and dirty[topo.footprint(row)].any()):
+                self._apply_tree_usage(old, +1.0,
+                                       edge_cells=topo.edge_cells(row))
                 result.trees[old.net_name] = old
                 result.rc[old.net_name] = old_rc[name]
                 reused += 1
                 continue
-            tree = self._route_net(net, mls=mls, commit=True)
+            tree = self._route_net(net, mls, True, topo, row)
             if old is not None and tree.edges == old.edges:
                 result.trees[old.net_name] = old
                 result.rc[old.net_name] = old_rc[name]
@@ -356,38 +435,19 @@ class GlobalRouter:
             result.trees[name] = tree
             result.rc[name] = extract_rc(tree, stacks, f2f)
             changed.append(name)
-            dirty[footprint(name, tree)] = True
+            dirty[topo.footprint(row)] = True
             any_dirty = True
         result.changed_nets = tuple(changed)
         result._diffed_from = weakref.ref(previous)
         metrics.inc("route.nets_reused", reused)
-        metrics.inc("route.nets_rerouted", len(ordered) - reused)
+        metrics.inc("route.nets_rerouted", len(topo.nets) - reused)
         metrics.inc("route.nets_changed", len(changed))
         return reused
 
-    def _tree_footprint(self, tree: RouteTree) -> np.ndarray:
-        """:func:`footprint_gcells` of a routed net, as an index array.
-
-        A tree's edges are its net's MST edges, so its nodes and edge
-        parents give the footprint without rebuilding the MST.
-        """
-        grid, nodes = self.grid, tree.nodes
-        parents = [-1] * len(nodes)
-        for edge in tree.edges:
-            parents[edge.child] = edge.parent
-        cells = footprint_gcells([n.x for n in nodes], [n.y for n in nodes],
-                                 parents, grid.gcell, grid.nx, grid.ny)
-        return np.fromiter((ix * grid.ny + iy for ix, iy in cells),
-                           dtype=np.int32, count=len(cells))
-
-    def _est_len(self, net: Net) -> float:
-        x0, y0, x1, y1 = self.placement.net_bbox(net)
-        return (x1 - x0) + (y1 - y0)
-
-    def _commit_net(self, result: RoutingResult, net: Net,
-                    mls: bool) -> None:
+    def _commit_net(self, result: RoutingResult, net: Net, mls: bool,
+                    topo: RouteTopology, row: int) -> None:
         """Serial inner loop: route one net and record tree + RC."""
-        tree = self._route_net(net, mls=mls, commit=True)
+        tree = self._route_net(net, mls, True, topo, row)
         result.trees[net.name] = tree
         result.rc[net.name] = extract_rc(
             tree, self.design.tech.stacks, self.design.tech.f2f)
@@ -395,9 +455,9 @@ class GlobalRouter:
     # -- wavefront scheduling ------------------------------------------------
 
     def _route_all_wavefront(self, result: RoutingResult,
-                             ordered: list[Net], mls_nets: frozenset,
+                             topo: RouteTopology, mls_nets: frozenset,
                              parallel: ParallelConfig) -> None:
-        """Route *ordered* as a sequence of disjoint-footprint waves.
+        """Route *topo*'s nets as a sequence of disjoint-footprint waves.
 
         A wave is a maximal run of **consecutive** nets (in the serial
         long-nets-first order) whose gcell footprints are pairwise
@@ -431,13 +491,12 @@ class GlobalRouter:
         once, and each batch forwards only the current congestion-grid
         arrays, which workers load before routing their chunk.
         """
-        footprints = {
-            net.name: self._net_footprint(net) for net in ordered}
         est = INIT_NET_COST_S
         target_s = max(self.cfg.batch_ms, 0.0) * 1e-3
+        order = topo.order.tolist()
 
         with SnapshotPool((self, mls_nets), parallel) as pool:
-            batch: list[list[Net]] = []
+            batch: list[list[int]] = []
             batch_nets = 0
 
             def flush() -> None:
@@ -450,36 +509,38 @@ class GlobalRouter:
                     metrics.inc("route.wave_nets_parallel", n)
                     with trace.span("route.batch", waves=len(batch),
                                     nets=n):
-                        self._route_batch(result, batch, pool,
-                                          footprints, mls_nets)
+                        self._route_batch(result, topo, batch, pool,
+                                          mls_nets)
                 else:
                     metrics.inc("route.wave_nets_serial", n)
                     with trace.span("route.batch", waves=len(batch),
                                     nets=n, serial=True):
                         for wave in batch:
-                            for net in wave:
+                            for row in wave:
+                                net = topo.nets[row]
                                 self._commit_net(
-                                    result, net,
-                                    mls=net.name in mls_nets)
+                                    result, net, net.name in mls_nets,
+                                    topo, row)
                 est = (1.0 - COST_EWMA) * est \
                     + COST_EWMA * (time.perf_counter() - t0) / n
                 batch = []
                 batch_nets = 0
 
             index = 0
-            while index < len(ordered):
-                wave = self._pack_wave(ordered, index, mls_nets,
-                                       footprints)
+            while index < len(order):
+                wave = self._pack_wave(topo, order, index, mls_nets)
                 index += len(wave)
                 metrics.inc("route.waves")
                 metrics.observe("route.wave_size", len(wave))
-                if wave[0].name in mls_nets:
+                net = topo.nets[wave[0]]
+                if net.name in mls_nets:
                     # MLS singleton: flush so it sees every earlier
                     # net's usage, then route at the live boundary.
                     flush()
                     metrics.inc("route.wave_nets_serial")
                     with trace.span("route.wave", size=1, serial=True):
-                        self._commit_net(result, wave[0], mls=True)
+                        self._commit_net(result, net, True, topo,
+                                         wave[0])
                     continue
                 batch.append(wave)
                 batch_nets += len(wave)
@@ -487,39 +548,32 @@ class GlobalRouter:
                     flush()
             flush()
 
-    def _net_footprint(self, net: Net) -> frozenset:
-        """Gcells this net's routing may read or write (pre-routing)."""
-        points = build_route_points(net, self.placement)
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
-        parents = mst_parents(xs, ys)
-        return footprint_gcells(xs, ys, parents, self.grid.gcell,
-                                self.grid.nx, self.grid.ny)
-
-    @staticmethod
-    def _pack_wave(ordered: list[Net], start: int, mls_nets: frozenset,
-                   footprints: dict[str, frozenset]) -> list[Net]:
-        """Greedy maximal disjoint run of *ordered* beginning at *start*.
+    def _pack_wave(self, topo: RouteTopology, order: list[int],
+                   start: int, mls_nets: frozenset) -> list[int]:
+        """Greedy maximal disjoint run of *order* beginning at *start*.
 
         MLS candidates are unpackable: one at *start* forms a singleton
         wave, one later stops the packing (serial fallback at the wave
         boundary).
         """
-        first = ordered[start]
+        first = order[start]
         wave = [first]
-        if first.name in mls_nets:
+        if topo.nets[first].name in mls_nets:
             return wave
-        occupied = set(footprints[first.name])
-        for net in ordered[start + 1:]:
-            footprint = footprints[net.name]
-            if net.name in mls_nets or not occupied.isdisjoint(footprint):
+        occupied = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
+        occupied[topo.footprint(first)] = True
+        for index in range(start + 1, len(order)):
+            row = order[index]
+            footprint = topo.footprint(row)
+            if topo.nets[row].name in mls_nets \
+                    or occupied[footprint].any():
                 break
-            wave.append(net)
-            occupied.update(footprint)
+            wave.append(row)
+            occupied[footprint] = True
         return wave
 
-    def _route_batch(self, result: RoutingResult, waves: list[list[Net]],
-                     pool: SnapshotPool, footprints: dict[str, frozenset],
+    def _route_batch(self, result: RoutingResult, topo: RouteTopology,
+                     waves: list[list[int]], pool: SnapshotPool,
                      mls_nets: frozenset) -> None:
         """Fan a batch of consecutive waves out in ONE pool dispatch.
 
@@ -543,54 +597,38 @@ class GlobalRouter:
         ordering, float bit patterns and stats all match the serial
         router.
         """
-        names = [net.name for wave in waves for net in wave]
+        names = [topo.nets[row].name for wave in waves for row in wave]
         metrics.inc("route.dispatches")
         metrics.inc("route.batches")
         metrics.observe("route.batch_waves", len(waves))
         rows = pool.map(_route_wave_chunk, names,
                         extra=self.grid.export_state())
         stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
-        written: set = set()
-        row = 0
+        written = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
+        index = 0
         for wave in waves:
             delta = UsageDelta()
-            for net in wave:
-                name, edges = rows[row]
-                row += 1
-                if written.isdisjoint(footprints[name]):
-                    tree = self._rebuild_tree(name, edges)
-                    self._apply_tree_usage(tree, +1.0, sink=delta)
+            for row in wave:
+                _, edges = rows[index]
+                index += 1
+                net = topo.nets[row]
+                if not written[topo.footprint(row)].any():
+                    tree = self._new_tree(net, topo, row)
+                    for edge in edges:
+                        tree.add_edge(edge)
+                    self._apply_tree_usage(
+                        tree, +1.0, sink=delta,
+                        edge_cells=topo.edge_cells(row))
                     metrics.inc("route.speculative_nets")
                 else:
                     metrics.inc("route.replayed_nets")
-                    tree = self._route_net(net, mls=name in mls_nets,
-                                           commit=True)
-                # Key with the tree's own name string: dict key and
-                # ``NetRC.net_name`` must stay the *same object*, as
-                # in the serial path, so snapshot pickles (which memo
-                # shared strings) stay byte-identical.
-                result.trees[tree.net_name] = tree
-                result.rc[tree.net_name] = extract_rc(tree, stacks, f2f)
+                    tree = self._route_net(net, net.name in mls_nets,
+                                           True, topo, row)
+                result.trees[net.name] = tree
+                result.rc[net.name] = extract_rc(tree, stacks, f2f)
             self.grid.apply_delta(delta)
-            for net in wave:
-                written.update(footprints[net.name])
-
-    def _rebuild_tree(self, net_name: str,
-                      edges: list[RouteEdge]) -> RouteTree:
-        """Reattach worker-routed edges to locally-built nodes.
-
-        Workers ship edges only — nodes hold :class:`Pin` references
-        whose object graph must stay the caller's.  Node construction
-        is deterministic in the placement, so worker and caller agree
-        on node indices.
-        """
-        net = self.design.netlist.net(net_name)
-        tree = RouteTree(net_name)
-        for x, y, tier, pin in build_route_points(net, self.placement):
-            tree.add_node(x, y, tier, pin)
-        for edge in edges:
-            tree.add_edge(edge)
-        return tree
+            for row in wave:
+                written[topo.footprint(row)] = True
 
     def reroute_net(self, result: RoutingResult, net: Net,
                     mls: bool) -> NetRC:
@@ -651,69 +689,84 @@ class GlobalRouter:
         """
         metrics.inc("route.probes")
         committed = result.tree(net.name)
-        self._apply_tree_usage(committed, -1.0)
+        cells = self._tree_cells(committed)
+        topo, row = self._net_row(net)
+        self._apply_tree_usage(committed, -1.0, edge_cells=cells)
         try:
-            tree_off = self._route_net(net, mls=False, commit=False)
-            tree_on = self._route_net(net, mls=True, commit=False)
+            tree_off = self._route_net(net, False, False, topo, row)
+            tree_on = self._route_net(net, True, False, topo, row)
         finally:
-            self._apply_tree_usage(committed, +1.0)
+            self._apply_tree_usage(committed, +1.0, edge_cells=cells)
         stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
         return (extract_rc(tree_off, stacks, f2f),
                 extract_rc(tree_on, stacks, f2f),
                 tree_on.num_shared_edges() > 0)
 
     def _apply_tree_usage(self, tree: RouteTree, sign: float,
-                          sink: CongestionGrid | UsageDelta | None = None
-                          ) -> None:
+                          sink: CongestionGrid | UsageDelta | None = None,
+                          edge_cells: tuple[list[int], list[int]]
+                          | None = None) -> None:
         """Add (+1) or release (-1) a tree's grid resources.
 
         *sink* defaults to the live grid; the wavefront merge passes a
         :class:`UsageDelta` instead to batch a whole wave's usage into
-        one commit.
+        one commit.  *edge_cells* are the tree's L-path cells when the
+        caller already has them (see :meth:`_tree_cells`).
         """
         if sink is None:
             sink = self.grid
+        cells, ptr = edge_cells if edge_cells is not None \
+            else self._tree_cells(tree)
         for edge in tree.edges:
-            pnode = tree.nodes[edge.parent]
-            cnode = tree.nodes[edge.child]
-            cells = l_path_gcells(pnode.x, pnode.y, cnode.x, cnode.y,
-                                  self.grid.gcell, self.grid.nx, self.grid.ny)
-            sink.add_path(edge.tier, edge.pair, cells, sign)
+            child = edge.child
+            path = cells[ptr[child]:ptr[child + 1]]
+            sink.add_path(edge.tier, edge.pair, path, sign)
             if edge.shared:
-                sink.add_f2f(*cells[0], sign)
-                sink.add_f2f(*cells[-1], sign)
+                sink.add_f2f(path[0], sign)
+                sink.add_f2f(path[-1], sign)
             elif edge.n_f2f:
-                sink.add_f2f(*cells[0], sign * float(edge.n_f2f))
+                sink.add_f2f(path[0], sign * float(edge.n_f2f))
 
     # -- internals ----------------------------------------------------------------
 
-    def _route_net(self, net: Net, mls: bool, commit: bool) -> RouteTree:
-        points = build_route_points(net, self.placement)
+    def _new_tree(self, net: Net, topo: RouteTopology,
+                  row: int) -> RouteTree:
+        """A tree holding *net*'s pin nodes from its topology row."""
+        lo, hi = topo.pin_ptr[row], topo.pin_ptr[row + 1]
         tree = RouteTree(net.name)
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
-        for x, y, tier, pin in points:
+        for x, y, tier, pin in zip(topo.x[lo:hi].tolist(),
+                                   topo.y[lo:hi].tolist(),
+                                   topo.tier[lo:hi].tolist(), net.pins()):
             tree.add_node(x, y, tier, pin)
-        parents = mst_parents(xs, ys)
+        return tree
 
-        tiers_touched = {p[2] for p in points}
-        home_tier = points[0][2]
-        is_2d = len(tiers_touched) == 1
+    def _route_net(self, net: Net, mls: bool, commit: bool,
+                   topo: RouteTopology | None = None,
+                   row: int = 0) -> RouteTree:
+        if topo is None:
+            topo, row = self._net_row(net)
+        tree = self._new_tree(net, topo, row)
+        lo, hi = topo.pin_ptr[row], topo.pin_ptr[row + 1]
+        parents = topo.parent[lo:hi].tolist()
+        lengths = topo.length[lo:hi].tolist()
+        cells, ptr = topo.edge_cells(row)
+        nodes = tree.nodes
+        home_tier = nodes[0].tier
+        is_2d = all(node.tier == home_tier for node in nodes)
+        min_edge = self.cfg.min_edge_um
 
-        for child in range(1, len(points)):
+        for child in range(1, len(nodes)):
             parent = parents[child]
-            pnode, cnode = tree.nodes[parent], tree.nodes[child]
-            length = max(self.cfg.min_edge_um,
-                         abs(pnode.x - cnode.x) + abs(pnode.y - cnode.y))
-            cells = l_path_gcells(pnode.x, pnode.y, cnode.x, cnode.y,
-                                  self.grid.gcell, self.grid.nx, self.grid.ny)
+            length = max(min_edge, lengths[child])
+            path = cells[ptr[child]:ptr[child + 1]]
             edge = None
             if mls and is_2d and length >= self.cfg.mls_min_edge_um:
                 edge = self._try_shared_edge(parent, child, length,
-                                             cells, home_tier, commit)
+                                             path, home_tier, commit)
             if edge is None:
-                edge = self._normal_edge(parent, child, length, cells,
-                                         pnode.tier, cnode.tier, commit)
+                edge = self._normal_edge(parent, child, length, path,
+                                         nodes[parent].tier,
+                                         nodes[child].tier, commit)
             tree.add_edge(edge)
         return tree
 
@@ -726,8 +779,8 @@ class GlobalRouter:
         if self.grid.path_load(other, top_other, cells) >= 1.0:
             return None
         start, end = cells[0], cells[-1]
-        if (self.grid.f2f_load(*start) >= 1.0
-                or self.grid.f2f_load(*end) >= 1.0):
+        if (self.grid.f2f_load(start) >= 1.0
+                or self.grid.f2f_load(end) >= 1.0):
             return None
         top_own = self.grid.top_pair(home_tier)
         # Climb our own stack to the bond interface at both ends; the
@@ -739,8 +792,8 @@ class GlobalRouter:
                          escape_um=2.0 * self.cfg.mls_escape_um)
         if commit:
             self.grid.add_path(other, top_other, cells, 1.0)
-            self.grid.add_f2f(*start, 1.0)
-            self.grid.add_f2f(*end, 1.0)
+            self.grid.add_f2f(start, 1.0)
+            self.grid.add_f2f(end, 1.0)
         return edge
 
     def _normal_edge(self, parent: int, child: int, length: float,
@@ -775,5 +828,5 @@ class GlobalRouter:
         if commit:
             self.grid.add_path(tier, chosen, cells, 1.0)
             if n_f2f:
-                self.grid.add_f2f(*cells[0], float(n_f2f))
+                self.grid.add_f2f(cells[0], float(n_f2f))
         return edge

@@ -12,8 +12,8 @@ consume it, exactly as the paper's flow consumes commercial STA.
 """
 
 from repro.timing.delay import cell_output_delay, setup_time, PORT_DRIVE_RES
-from repro.timing.graph import TimingCsr, TimingGraph, build_timing_graph
-from repro.timing.sta import KERNELS, TimingReport, run_sta
+from repro.timing.graph import TimingGraph, build_timing_graph
+from repro.timing.sta import TimingReport, run_sta
 from repro.timing.paths import TimingPath, extract_worst_paths
 from repro.timing.incremental import (IncrementalSta, WhatIfDelta,
                                       net_whatif_delta)
@@ -22,8 +22,6 @@ __all__ = [
     "cell_output_delay",
     "setup_time",
     "PORT_DRIVE_RES",
-    "KERNELS",
-    "TimingCsr",
     "TimingGraph",
     "build_timing_graph",
     "TimingReport",

@@ -1,4 +1,4 @@
-"""Pin-level timing graph construction.
+"""Pin-level timing graph, built straight into levelized CSR arrays.
 
 Nodes are pins (instance pins + port pins).  Arcs:
 
@@ -13,11 +13,19 @@ Nodes are pins (instance pins + port pins).  Arcs:
 
 Clock pins / nets are ideal (zero skew) and never propagate.  Scan-
 enable pins are false paths.
+
+:func:`build_timing_graph` walks the netlist once, appending every arc
+to three flat lists.  A stable argsort by source gives each pin's
+fanout (its net arcs in signal-net and sink order, then its cell arcs
+in instance and input-pin order), a FIFO Kahn pass over integer lists
+gives the topological order and longest-path levels, and a stable
+argsort by the source's topological rank gives the serial edge order
+the STA kernels and their ``worst_pred`` tie-breaks are defined on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,155 +37,64 @@ from repro.timing.delay import (cell_output_delay, port_drive_delay,
 
 
 @dataclass
-class TimingCsr:
-    """Flat levelized edge arrays for vectorized STA.
+class TimingGraph:
+    """Levelized CSR timing graph over pin indices.
 
-    Edges are stored in **serial order** — the exact order the
-    reference Python loop visits them (topological order of the source
-    pin, then fanout-list position) — so the edge index doubles as the
-    serial tie-break key for ``worst_pred`` reconstruction.
+    Edges are stored in **serial order** — topological rank of the
+    source pin, then the arc's position in that pin's fanout — so the
+    edge index doubles as the tie-break key for ``worst_pred``
+    reconstruction.  The edges leaving pin ``topo[r]`` are therefore
+    the contiguous run ``out_ptr[r]:out_ptr[r + 1]``; the edges
+    entering pin ``v`` are ``in_edges[in_ptr[v]:in_ptr[v + 1]]``, in
+    ascending edge order.
 
     ``fwd_perm``/``fwd_starts`` group edges by the *destination* pin's
     level for the forward (arrival) sweep; ``bwd_perm``/``bwd_starts``
     group them by the *source* pin's level, highest first, for the
     backward (required) sweep.  Because STA is a pure max/min semiring
     over float64 (no order-dependent sums), per-level
-    ``np.maximum.at`` / ``np.minimum.at`` scatters reproduce the
-    serial loop bit-for-bit.
+    ``np.maximum.at`` / ``np.minimum.at`` scatters reproduce a serial
+    edge-by-edge loop bit for bit.
+
+    ``edge_delay`` and ``src_launch`` are the only mutable arrays:
+    :class:`repro.timing.incremental.IncrementalSta` patches them
+    after reroutes.
     """
 
-    n: int                          # pin count
+    pins: list[Pin]
+    pin_index: dict[str, int]       # pin full_name -> idx
+    topo: np.ndarray                # int32 [n], FIFO Kahn order
+    rank: np.ndarray                # int32 [n], position in topo
+    level: np.ndarray               # int32 [n], longest-path depth
+    num_levels: int
     edge_src: np.ndarray            # int32 [E], serial edge order
     edge_dst: np.ndarray            # int32 [E]
     edge_delay: np.ndarray          # float64 [E], patched on reroute
-    #: Position of each edge inside fanout[src] / fanin[dst] — lets a
-    #: delay patch keep the list-of-lists graph consistent too.
-    edge_fout_pos: np.ndarray       # int32 [E]
-    edge_fin_pos: np.ndarray        # int32 [E]
-    level: np.ndarray               # int32 [n], longest-path depth
-    num_levels: int
+    out_ptr: np.ndarray             # int64 [n + 1], by topo rank
+    in_ptr: np.ndarray              # int64 [n + 1], by pin
+    in_edges: np.ndarray            # int32 [E], grouped by edge_dst
     fwd_perm: np.ndarray            # int32 [E] grouped by level[dst]
     fwd_starts: np.ndarray          # int64 [num_levels + 1]
     bwd_perm: np.ndarray            # int32 [E] grouped by -level[src]
     bwd_starts: np.ndarray          # int64 [num_levels + 1]
     src_idx: np.ndarray             # int32 [S] launch pins
-    src_launch: np.ndarray          # float64 [S]
+    src_launch: np.ndarray          # float64 [S], patched on reroute
     ep_idx: np.ndarray              # int32 [P] endpoint pins
     ep_setup: np.ndarray            # float64 [P]
 
     @property
+    def n(self) -> int:
+        return len(self.pins)
+
+    @property
     def num_edges(self) -> int:
         return int(self.edge_src.shape[0])
-
-    def edge_lookup(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """(src, dst) -> serial edge ids (lazily built, then cached)."""
-        table = getattr(self, "_edge_lookup", None)
-        if table is None:
-            table = {}
-            for eid in range(self.num_edges):
-                key = (int(self.edge_src[eid]), int(self.edge_dst[eid]))
-                table.setdefault(key, []).append(eid)
-            table = {k: tuple(v) for k, v in table.items()}
-            self._edge_lookup = table
-        return table
-
-
-@dataclass
-class TimingGraph:
-    """Arrays-of-lists timing graph over pin indices."""
-
-    pins: list[Pin]
-    pin_index: dict[str, int]             # pin full_name -> idx
-    fanout: list[list[tuple[int, float]]]   # idx -> [(to, delay)]
-    fanin: list[list[tuple[int, float]]]    # idx -> [(from, delay)]
-    sources: list[tuple[int, float]]        # (idx, launch delay)
-    endpoints: list[tuple[int, float]]      # (idx, setup requirement)
-    topo: list[int]                        # topological pin order
-    _csr: TimingCsr | None = field(default=None, init=False, repr=False,
-                                   compare=False)
 
     def index_of(self, pin: Pin) -> int:
         try:
             return self.pin_index[pin.full_name]
         except KeyError:
             raise TimingError(f"pin {pin.full_name} not in graph") from None
-
-    def csr(self) -> TimingCsr:
-        """The levelized CSR view (built on first use, then cached).
-
-        The CSR arrays alias the graph's *current* arc delays; holders
-        that patch delays (:class:`repro.timing.incremental.
-        IncrementalSta`) keep both representations in sync.
-        """
-        if self._csr is None:
-            self._csr = _build_csr(self)
-        return self._csr
-
-    def invalidate_csr(self) -> None:
-        """Drop the cached CSR view (after out-of-band arc edits)."""
-        self._csr = None
-
-
-def _build_csr(graph: TimingGraph) -> TimingCsr:
-    """Flatten the list-of-lists graph into levelized numpy arrays."""
-    n = len(graph.pins)
-    num_edges = sum(len(out) for out in graph.fanout)
-
-    # Longest-path level per pin: every edge goes level[u] -> > level[u].
-    level = np.zeros(n, dtype=np.int32)
-    for u in graph.topo:
-        lu = level[u] + 1
-        for v, _ in graph.fanout[u]:
-            if level[v] < lu:
-                level[v] = lu
-
-    # fanin positions: the k-th (u -> v) arc in fanout[u] is also the
-    # k-th (u -> v) arc in fanin[v] (add_arc appends to both at once).
-    fin_pos_map: dict[tuple[int, int], list[int]] = {}
-    for v in range(n):
-        for pos, (u, _) in enumerate(graph.fanin[v]):
-            fin_pos_map.setdefault((u, v), []).append(pos)
-
-    edge_src = np.empty(num_edges, dtype=np.int32)
-    edge_dst = np.empty(num_edges, dtype=np.int32)
-    edge_delay = np.empty(num_edges, dtype=np.float64)
-    edge_fout_pos = np.empty(num_edges, dtype=np.int32)
-    edge_fin_pos = np.empty(num_edges, dtype=np.int32)
-    seen: dict[tuple[int, int], int] = {}
-    eid = 0
-    for u in graph.topo:
-        for pos, (v, delay) in enumerate(graph.fanout[u]):
-            edge_src[eid] = u
-            edge_dst[eid] = v
-            edge_delay[eid] = delay
-            edge_fout_pos[eid] = pos
-            k = seen.get((u, v), 0)
-            seen[(u, v)] = k + 1
-            edge_fin_pos[eid] = fin_pos_map[(u, v)][k]
-            eid += 1
-
-    num_levels = int(level.max()) + 1 if n else 1
-    lev_dst = level[edge_dst]
-    fwd_perm = np.argsort(lev_dst, kind="stable").astype(np.int32)
-    counts = np.bincount(lev_dst, minlength=num_levels)
-    fwd_starts = np.concatenate(([0], np.cumsum(counts)))
-    lev_src = level[edge_src]
-    bwd_perm = np.argsort(-lev_src, kind="stable").astype(np.int32)
-    bcounts = np.bincount((num_levels - 1) - lev_src, minlength=num_levels)
-    bwd_starts = np.concatenate(([0], np.cumsum(bcounts)))
-
-    src_idx = np.array([i for i, _ in graph.sources], dtype=np.int32)
-    src_launch = np.array([d for _, d in graph.sources], dtype=np.float64)
-    ep_idx = np.array([i for i, _ in graph.endpoints], dtype=np.int32)
-    ep_setup = np.array([s for _, s in graph.endpoints], dtype=np.float64)
-    return TimingCsr(n=n, edge_src=edge_src, edge_dst=edge_dst,
-                     edge_delay=edge_delay, edge_fout_pos=edge_fout_pos,
-                     edge_fin_pos=edge_fin_pos, level=level,
-                     num_levels=num_levels, fwd_perm=fwd_perm,
-                     fwd_starts=fwd_starts, bwd_perm=bwd_perm,
-                     bwd_starts=bwd_starts, src_idx=src_idx,
-                     src_launch=src_launch, ep_idx=ep_idx,
-                     ep_setup=ep_setup)
 
 
 def _is_false_path_pin(pin: Pin) -> bool:
@@ -188,110 +105,155 @@ def _is_false_path_pin(pin: Pin) -> bool:
 def build_timing_graph(design: Design) -> TimingGraph:
     """Build the graph from the design's netlist + routing parasitics."""
     netlist = design.netlist
-    routing = design.require_routing()
+    rc_of = design.require_routing().rc.get
 
+    # Pins in instance order, then inst.pins order, then port order.
     pins: list[Pin] = []
-    pin_index: dict[str, int] = {}
-
-    def register(pin: Pin) -> int:
-        idx = pin_index.get(pin.full_name)
-        if idx is None:
-            idx = len(pins)
-            pins.append(pin)
-            pin_index[pin.full_name] = idx
-        return idx
-
     for inst in netlist.instances.values():
-        for pin in inst.pins.values():
-            register(pin)
-    for port in netlist.ports.values():
-        register(port.pin)
+        pins.extend(inst.pins.values())
+    pins.extend(port.pin for port in netlist.ports.values())
+    names = [pin.full_name for pin in pins]
+    pin_index = dict(zip(names, range(len(pins))))
+    idx_of = {pin: idx for idx, pin in enumerate(pins)}
 
-    fanout: list[list[tuple[int, float]]] = [[] for _ in pins]
-    fanin: list[list[tuple[int, float]]] = [[] for _ in pins]
-
-    def add_arc(src: int, dst: int, delay: float) -> None:
-        fanout[src].append((dst, delay))
-        fanin[dst].append((src, delay))
+    arc_src: list[int] = []
+    arc_dst: list[int] = []
+    arc_delay: list[float] = []
 
     # Net arcs.
     for net in netlist.signal_nets():
         if net.driver is None:
             continue
-        rc = routing.rc.get(net.name)
-        src = pin_index[net.driver.full_name]
+        rc = rc_of(net.name)
+        wires = rc.sink_delay_ps if rc is not None else None
+        src = idx_of[net.driver]
         for sink in net.sinks:
             if _is_false_path_pin(sink):
                 continue
-            wire = 0.0
-            if rc is not None:
-                wire = rc.sink_delay_ps.get(sink.full_name, 0.0)
-            add_arc(src, pin_index[sink.full_name], wire)
+            dst = idx_of[sink]
+            arc_src.append(src)
+            arc_dst.append(dst)
+            arc_delay.append(0.0 if wires is None
+                             else wires.get(names[dst], 0.0))
 
-    # Cell arcs for combinational cells.
-    sources: list[tuple[int, float]] = []
-    endpoints: list[tuple[int, float]] = []
+    # Cell arcs for combinational cells; launch and capture points.
+    src_idx: list[int] = []
+    src_launch: list[float] = []
+    ep_idx: list[int] = []
+    ep_setup: list[float] = []
     for inst in netlist.instances.values():
         out_pin = inst.output_pin
         out_net = out_pin.net
         load = 0.0
         if out_net is not None:
-            rc = routing.rc.get(out_net.name)
+            rc = rc_of(out_net.name)
             load = rc.load_ff if rc is not None else out_net.sink_cap_ff()
         delay = cell_output_delay(inst.cell, load)
-        out_idx = pin_index[out_pin.full_name]
+        out_idx = idx_of[out_pin]
         if inst.is_sequential:
-            sources.append((out_idx, delay))    # clk->q launch
+            src_idx.append(out_idx)             # clk->q launch
+            src_launch.append(delay)
             req = setup_time(inst.cell)
             for pin in inst.input_pins():
                 if _is_false_path_pin(pin) or pin.name == "SI":
                     continue    # scan shift is checked at scan speed
-                endpoints.append((pin_index[pin.full_name], req))
+                ep_idx.append(idx_of[pin])
+                ep_setup.append(req)
         else:
             for pin in inst.input_pins():
                 if _is_false_path_pin(pin):
                     continue
-                add_arc(pin_index[pin.full_name], out_idx, delay)
+                arc_src.append(idx_of[pin])
+                arc_dst.append(out_idx)
+                arc_delay.append(delay)
 
     # Ports.
     for port in netlist.ports.values():
-        idx = pin_index[port.pin.full_name]
         if port.false_path:
             continue
+        idx = idx_of[port.pin]
+        net = port.pin.net
         if port.direction == "in":
-            if port.pin.net is not None and port.pin.net.is_clock:
+            if net is not None and net.is_clock:
                 continue    # ideal clock source: not a data source
-            net = port.pin.net
             load = 0.0
             if net is not None:
-                rc = routing.rc.get(net.name)
+                rc = rc_of(net.name)
                 load = rc.load_ff if rc is not None else 0.0
-            sources.append((idx, port_drive_delay(load)))
+            src_idx.append(idx)
+            src_launch.append(port_drive_delay(load))
         else:
-            endpoints.append((idx, 0.0))
+            ep_idx.append(idx)
+            ep_setup.append(0.0)
 
-    topo = _topological_pins(pins, fanin, fanout)
-    return TimingGraph(pins=pins, pin_index=pin_index, fanout=fanout,
-                       fanin=fanin, sources=sources, endpoints=endpoints,
-                       topo=topo)
-
-
-def _topological_pins(pins, fanin, fanout) -> list[int]:
-    """Kahn's algorithm over pin arcs; raises on cycles."""
     n = len(pins)
-    indeg = [len(fanin[i]) for i in range(n)]
-    ready = [i for i in range(n) if indeg[i] == 0]
-    order: list[int] = []
+    a_src = np.asarray(arc_src, dtype=np.int32)
+    a_dst = np.asarray(arc_dst, dtype=np.int32)
+    topo, level = _levelize(n, a_src, a_dst)
+    rank = np.empty(n, dtype=np.int32)
+    rank[topo] = np.arange(n, dtype=np.int32)
+
+    # Serial order: topo rank of the source, then fanout position
+    # (arc order within one source, which the stable sort keeps).
+    order = np.argsort(rank[a_src], kind="stable")
+    edge_src = a_src[order]
+    edge_dst = a_dst[order]
+    edge_delay = np.asarray(arc_delay, dtype=np.float64)[order]
+    out_ptr = _offsets(np.bincount(a_src, minlength=n)[topo])
+    in_ptr = _offsets(np.bincount(edge_dst, minlength=n))
+    in_edges = np.argsort(edge_dst, kind="stable").astype(np.int32)
+
+    num_levels = int(level.max()) + 1 if n else 1
+    lev_dst = level[edge_dst]
+    fwd_perm = np.argsort(lev_dst, kind="stable").astype(np.int32)
+    fwd_starts = _offsets(np.bincount(lev_dst, minlength=num_levels))
+    lev_src = level[edge_src]
+    bwd_perm = np.argsort(-lev_src, kind="stable").astype(np.int32)
+    bwd_starts = _offsets(np.bincount((num_levels - 1) - lev_src,
+                                      minlength=num_levels))
+    return TimingGraph(
+        pins=pins, pin_index=pin_index, topo=topo, rank=rank,
+        level=level, num_levels=num_levels, edge_src=edge_src,
+        edge_dst=edge_dst, edge_delay=edge_delay, out_ptr=out_ptr,
+        in_ptr=in_ptr, in_edges=in_edges, fwd_perm=fwd_perm,
+        fwd_starts=fwd_starts, bwd_perm=bwd_perm, bwd_starts=bwd_starts,
+        src_idx=np.asarray(src_idx, dtype=np.int32),
+        src_launch=np.asarray(src_launch, dtype=np.float64),
+        ep_idx=np.asarray(ep_idx, dtype=np.int32),
+        ep_setup=np.asarray(ep_setup, dtype=np.float64))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _levelize(n: int, a_src: np.ndarray, a_dst: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(topo, level): FIFO Kahn order over the arcs, each pin's fanout
+    visited in arc order, and longest-path depth; raises on cycles."""
+    by_src = np.argsort(a_src, kind="stable")
+    ptr = _offsets(np.bincount(a_src, minlength=n)).tolist()
+    fanout = a_dst[by_src].tolist()
+    indeg = np.bincount(a_dst, minlength=n)
+    order = np.flatnonzero(indeg == 0).tolist()
+    indeg = indeg.tolist()
+    level = [0] * n
     head = 0
-    while head < len(ready):
-        u = ready[head]
+    while head < len(order):
+        u = order[head]
         head += 1
-        order.append(u)
-        for v, _ in fanout[u]:
+        lu = level[u] + 1
+        for k in range(ptr[u], ptr[u + 1]):
+            v = fanout[k]
+            if level[v] < lu:
+                level[v] = lu
             indeg[v] -= 1
             if indeg[v] == 0:
-                ready.append(v)
+                order.append(v)
     if len(order) != n:
         raise TimingError(
             f"timing graph has a cycle: ordered {len(order)}/{n} pins")
-    return order
+    return (np.asarray(order, dtype=np.int32),
+            np.asarray(level, dtype=np.int32))

@@ -9,13 +9,14 @@ Two engines live here:
   this primitive.
 
 * :class:`IncrementalSta` — an **exact** incremental STA over the
-  levelized CSR timing graph.  ``update(changed_nets)`` patches only
-  the arc delays the reroutes actually touched (net arcs + the driver
-  cell's load-dependent arcs + load-dependent launch delays), seeds a
-  frontier from those pins, and re-propagates forward/backward only
-  while values change.  The resulting :class:`TimingReport` is equal
-  — arrivals, requireds, endpoint slacks and ``worst_pred``
-  tie-breaks — to a from-scratch :func:`repro.timing.sta.run_sta`.
+  levelized CSR timing graph, whose arrays it patches in place.
+  ``update(changed_nets)`` patches only the arc delays the reroutes
+  actually touched (net arcs + the driver cell's load-dependent arcs
+  + load-dependent launch delays), seeds a frontier from those pins,
+  and re-propagates forward/backward only while values change.  The
+  resulting :class:`TimingReport` is equal — arrivals, requireds,
+  endpoint slacks and ``worst_pred`` tie-breaks — to a from-scratch
+  :func:`repro.timing.sta.run_sta`.
 
   The incremental contract covers *routing* changes only: the pin
   graph's structure is routing-invariant, so reroutes are pure delay
@@ -116,52 +117,43 @@ class IncrementalSta:
     parasitics and patches only real changes).  Both return a report
     equal to a from-scratch :func:`run_sta`.
 
-    The engine keeps the shared :class:`TimingGraph` (list-of-lists
-    *and* CSR views) consistent with every patch, so the graph can
-    still be handed to :func:`run_sta` directly at any time.
+    The engine patches the shared :class:`TimingGraph`'s
+    ``edge_delay`` and ``src_launch`` arrays in place and walks its
+    CSR fanin/fanout runs, so the graph can still be handed to
+    :func:`run_sta` directly at any time.
     """
 
     def __init__(self, design: Design, graph: TimingGraph | None = None):
         self.design = design
         self.graph = graph if graph is not None else \
             build_timing_graph(design)
-        self.csr = self.graph.csr()
         self.period = design.clock_period_ps
+        g = self.graph
+        # Zero-copy scalar views of the CSR arrays for the frontier
+        # loops: a memoryview read returns a plain int or float, and a
+        # delay patch writes straight through into graph.edge_delay.
+        self._delay = memoryview(g.edge_delay)
+        self._edge_dst = memoryview(g.edge_dst)
+        self._rank = memoryview(g.rank)
+        self._out_ptr = memoryview(g.out_ptr)
+        self._in_ptr = memoryview(g.in_ptr)
+        self._in_edges = memoryview(g.in_edges)
+        self._in_src = memoryview(g.edge_src[g.in_edges])
 
-        n = self.csr.n
-        # Serial-order edge adjacency (eid lists ascending == the
-        # order the reference loop visits arcs into/out of each pin).
-        self._fanin_e: list[list[int]] = [[] for _ in range(n)]
-        self._fanout_e: list[list[int]] = [[] for _ in range(n)]
-        edge_src, edge_dst = self.csr.edge_src, self.csr.edge_dst
-        for eid in range(self.csr.num_edges):
-            self._fanout_e[edge_src[eid]].append(eid)
-            self._fanin_e[edge_dst[eid]].append(eid)
-        self._edge_ids = self.csr.edge_lookup()
-        #: Plain-float shadow of csr.edge_delay for fast scalar reads.
-        self._delay: list[float] = self.csr.edge_delay.tolist()
-
-        self._rank = [0] * n
-        for r, u in enumerate(self.graph.topo):
-            self._rank[u] = r
-
-        # Launch and endpoint constraints, replicating run_sta's init.
+        # Launch constraints, replicating run_sta's init.
         self._launch: dict[int, float] = {}
         self._src_pos: dict[int, int] = {}
-        for pos, (idx, launch) in enumerate(self.graph.sources):
+        for pos, (idx, launch) in enumerate(zip(g.src_idx.tolist(),
+                                                g.src_launch.tolist())):
             if launch > self._launch.get(idx, _NEG_INF):
                 self._launch[idx] = launch
             self._src_pos[idx] = pos
         self._req_init: dict[int, float] = {}
         self._ep_entry: dict[int, tuple[str, float]] = {}
-        for idx, setup in self.graph.endpoints:
-            req = self.period - setup
-            self._req_init[idx] = min(self._req_init.get(idx, _POS_INF),
-                                      req)
-            self._ep_entry[idx] = (self.graph.pins[idx].full_name, req)
+        self._bind_endpoints()
 
         arrival, required, endpoint_slack, worst_pred = \
-            _propagate_csr(self.graph, self.period)
+            _propagate_csr(g, self.period)
         self._arrival = arrival
         self._required = required
         self._worst_pred = worst_pred
@@ -171,6 +163,18 @@ class IncrementalSta:
         self._synced: tuple[RoutingResult, int] | None = None
         if graph is None and design.routing is not None:
             self._synced = (design.routing, design.routing.eco_epoch)
+
+    def _bind_endpoints(self) -> None:
+        """Required-time seeds of every endpoint at the current period."""
+        self._req_init.clear()
+        self._ep_entry.clear()
+        pins = self.graph.pins
+        for idx, setup in zip(self.graph.ep_idx.tolist(),
+                              self.graph.ep_setup.tolist()):
+            req = self.period - setup
+            self._req_init[idx] = min(self._req_init.get(idx, _POS_INF),
+                                      req)
+            self._ep_entry[idx] = (pins[idx].full_name, req)
 
     def _is_synced_to(self, routing: RoutingResult | None) -> bool:
         return (routing is not None and self._synced is not None
@@ -189,29 +193,36 @@ class IncrementalSta:
             ) from None
 
     def _net_arc_updates(self, net: Net
-                         ) -> tuple[list[tuple[int, int, float]],
+                         ) -> tuple[list[tuple[int, list[int],
+                                               list[float]]],
                                     tuple[int, float] | None]:
         """(arc updates, launch update) implied by *net*'s current RC.
 
         Mirrors ``build_timing_graph`` exactly: the net's wire arcs,
         the driver cell's load-dependent arcs (combinational) or
-        launch delay (sequential / input port).
+        launch delay (sequential / input port).  Arc updates come as
+        ``(src, dsts, delays)`` per source pin, in the pin's fanout
+        order.
         """
         routing = self.design.require_routing()
         rc = routing.rc.get(net.name)
-        updates: list[tuple[int, int, float]] = []
+        updates: list[tuple[int, list[int], list[float]]] = []
         launch: tuple[int, float] | None = None
         driver = net.driver
         if driver is None or net.is_clock:
             return updates, launch
         src = self._pin_idx(driver.full_name)
+        dsts: list[int] = []
+        wires: list[float] = []
         for sink in net.sinks:
             if _is_false_path_pin(sink):
                 continue
             wire = 0.0
             if rc is not None:
                 wire = rc.sink_delay_ps.get(sink.full_name, 0.0)
-            updates.append((src, self._pin_idx(sink.full_name), wire))
+            dsts.append(self._pin_idx(sink.full_name))
+            wires.append(wire)
+        updates.append((src, dsts, wires))
 
         inst = driver.owner
         if inst is None:                     # input-port pad driver
@@ -228,42 +239,52 @@ class IncrementalSta:
                 for pin in inst.input_pins():
                     if _is_false_path_pin(pin):
                         continue
-                    updates.append((self._pin_idx(pin.full_name), src,
-                                    delay))
+                    updates.append((self._pin_idx(pin.full_name), [src],
+                                    [delay]))
         return updates, launch
 
+    def _arc_edges(self, src: int, dsts: list[int]) -> list[list[int]]:
+        """Serial edge ids of every (src, dst) arc, per dst.
+
+        A source pin's fanout run holds exactly its arcs, so on an
+        unchanged structure the run lines up with *dsts* one to one.
+        """
+        lo, hi = self._fanout_run(src)
+        run = self._edge_dst[lo:hi].tolist()
+        if run == dsts:
+            return [[lo + k] for k in range(len(dsts))]
+        out = []
+        for dst in dsts:
+            eids = [lo + k for k, v in enumerate(run) if v == dst]
+            if not eids:
+                pins = self.graph.pins
+                raise TimingError(
+                    f"arc {pins[src].full_name} -> {pins[dst].full_name} "
+                    f"not in timing graph — the netlist changed "
+                    f"structurally; rebuild the IncrementalSta")
+            out.append(eids)
+        return out
+
     def _patch_edge(self, eid: int, delay: float) -> None:
-        """Set one arc's delay in every view of the graph."""
+        """Set one arc's delay in the shared graph."""
         metrics.inc("sta.inc.arcs_patched")
         self._delay[eid] = delay
-        self.csr.edge_delay[eid] = delay
-        src = int(self.csr.edge_src[eid])
-        dst = int(self.csr.edge_dst[eid])
-        self.graph.fanout[src][self.csr.edge_fout_pos[eid]] = (dst, delay)
-        self.graph.fanin[dst][self.csr.edge_fin_pos[eid]] = (src, delay)
 
     def _apply_net(self, net: Net, fwd: set[int], bwd: set[int]) -> None:
         updates, launch = self._net_arc_updates(net)
-        for src, dst, delay in updates:
-            eids = self._edge_ids.get((src, dst))
-            if eids is None:
-                raise TimingError(
-                    f"arc {self.graph.pins[src].full_name} -> "
-                    f"{self.graph.pins[dst].full_name} not in timing "
-                    f"graph — the netlist changed structurally; "
-                    f"rebuild the IncrementalSta")
-            for eid in eids:
-                if self._delay[eid] != delay:
-                    self._patch_edge(eid, delay)
-                    fwd.add(dst)
-                    bwd.add(src)
+        for src, dsts, delays in updates:
+            for dst, delay, eids in zip(dsts, delays,
+                                        self._arc_edges(src, dsts)):
+                for eid in eids:
+                    if self._delay[eid] != delay:
+                        self._patch_edge(eid, delay)
+                        fwd.add(dst)
+                        bwd.add(src)
         if launch is not None:
             idx, value = launch
             if self._launch.get(idx, _NEG_INF) != value:
                 self._launch[idx] = value
-                pos = self._src_pos[idx]
-                self.graph.sources[pos] = (idx, value)
-                self.csr.src_launch[pos] = value
+                self.graph.src_launch[self._src_pos[idx]] = value
                 fwd.add(idx)
 
     # -- frontier re-propagation ---------------------------------------------
@@ -274,24 +295,28 @@ class IncrementalSta:
         pred = -1
         arrival = self._arrival
         delay = self._delay
-        edge_src = self.csr.edge_src
-        for eid in self._fanin_e[v]:
-            u = edge_src[eid]
+        in_edges, in_src = self._in_edges, self._in_src
+        for k in range(self._in_ptr[v], self._in_ptr[v + 1]):
+            u = in_src[k]
             au = arrival[u]
             if au == _NEG_INF:
                 continue
-            cand = au + delay[eid]
+            cand = au + delay[in_edges[k]]
             if cand > best:
                 best = cand
-                pred = int(u)
+                pred = u
         return best, pred
+
+    def _fanout_run(self, u: int) -> tuple[int, int]:
+        r = self._rank[u]
+        return self._out_ptr[r], self._out_ptr[r + 1]
 
     def _recompute_required(self, u: int) -> float:
         best = self._req_init.get(u, _POS_INF)
         required = self._required
         delay = self._delay
-        edge_dst = self.csr.edge_dst
-        for eid in self._fanout_e[u]:
+        edge_dst = self._edge_dst
+        for eid in range(*self._fanout_run(u)):
             cand = required[edge_dst[eid]] - delay[eid]
             if cand < best:
                 best = cand
@@ -321,8 +346,8 @@ class IncrementalSta:
             if new_a != self._arrival[v]:
                 self._arrival[v] = new_a
                 self._update_endpoint(v)
-                for eid in self._fanout_e[v]:
-                    d = int(self.csr.edge_dst[eid])
+                lo, hi = self._fanout_run(v)
+                for d in self._edge_dst[lo:hi]:
                     if d not in queued:
                         queued.add(d)
                         heapq.heappush(heap, (rank[d], d))
@@ -336,8 +361,7 @@ class IncrementalSta:
             new_r = self._recompute_required(u)
             if new_r != self._required[u]:
                 self._required[u] = new_r
-                for eid in self._fanin_e[u]:
-                    s = int(self.csr.edge_src[eid])
+                for s in self._in_src[self._in_ptr[u]:self._in_ptr[u + 1]]:
                     if s not in queued:
                         queued.add(s)
                         heapq.heappush(heap, (-rank[s], s))
@@ -403,13 +427,7 @@ class IncrementalSta:
     def _rebind_period(self, changed_nets: Iterable[str]) -> TimingReport:
         """Clock constraint changed: refresh constraints, full pass."""
         self.period = self.design.clock_period_ps
-        self._req_init.clear()
-        self._ep_entry.clear()
-        for idx, setup in self.graph.endpoints:
-            req = self.period - setup
-            self._req_init[idx] = min(self._req_init.get(idx, _POS_INF),
-                                      req)
-            self._ep_entry[idx] = (self.graph.pins[idx].full_name, req)
+        self._bind_endpoints()
         netlist = self.design.netlist
         fwd: set[int] = set()
         bwd: set[int] = set()

@@ -1,20 +1,17 @@
 """Arrival/required propagation and slack reporting.
 
-Two interchangeable propagation kernels back :func:`run_sta`:
-
-* ``serial`` — the reference pure-Python loop over the list-of-lists
-  graph (the seed implementation, kept as the executable spec);
-* ``csr`` — per-level ``np.maximum.at`` / ``np.minimum.at`` scatter
-  passes over the graph's levelized CSR arrays
-  (:meth:`repro.timing.graph.TimingGraph.csr`).
+One kernel backs :func:`run_sta`: per-level ``np.maximum.at`` /
+``np.minimum.at`` scatter passes over the levelized CSR arrays of
+:class:`repro.timing.graph.TimingGraph`.
 
 STA is a pure max/min semiring over float64 — there are no
-order-dependent floating-point sums — so the two kernels produce
-**bit-identical** arrivals, requireds, endpoint slacks and
-``worst_pred`` tie-breaks (the CSR kernel reconstructs the serial
-first-edge-to-reach-the-max winner from the serial edge order).  The
-equivalence is asserted by the test suite and by
-``benchmarks/bench_sta.py --smoke`` in CI.
+order-dependent floating-point sums — so the kernel produces arrivals,
+requireds, endpoint slacks and ``worst_pred`` tie-breaks
+**bit-identical** to a serial edge-by-edge loop (it reconstructs the
+loop's first-edge-to-reach-the-max winner from the serial edge order).
+That loop lives on as the test oracle ``tests/sta_oracle.py``; the
+test suite and ``benchmarks/bench_sta.py --smoke`` assert the
+equivalence.
 """
 
 from __future__ import annotations
@@ -26,16 +23,12 @@ import math
 import numpy as np
 
 from repro.design import Design
-from repro.errors import TimingError
 from repro.obs import metrics, trace
 from repro.timing.graph import TimingGraph, build_timing_graph
 from repro.units import ps_to_ns
 
 _NEG_INF = -math.inf
 _POS_INF = math.inf
-
-#: Propagation kernels accepted by :func:`run_sta`.
-KERNELS = ("csr", "serial")
 
 
 @dataclass
@@ -126,49 +119,7 @@ class TimingReport:
         }
 
 
-def _propagate_serial(graph: TimingGraph, period: float
-                      ) -> tuple[list[float], list[float],
-                                 dict[str, float], list[int]]:
-    """Reference Python-loop propagation (the executable spec)."""
-    n = len(graph.pins)
-    arrival = [_NEG_INF] * n
-    worst_pred = [-1] * n
-    for idx, launch in graph.sources:
-        if launch > arrival[idx]:
-            arrival[idx] = launch
-
-    for u in graph.topo:
-        au = arrival[u]
-        if au == _NEG_INF:
-            continue
-        for v, delay in graph.fanout[u]:
-            cand = au + delay
-            if cand > arrival[v]:
-                arrival[v] = cand
-                worst_pred[v] = u
-
-    required = [_POS_INF] * n
-    endpoint_slack: dict[str, float] = {}
-    for idx, setup in graph.endpoints:
-        req = period - setup
-        required[idx] = min(required[idx], req)
-        at = arrival[idx]
-        if at == _NEG_INF:
-            continue    # unreachable endpoint (e.g. tied-off logic)
-        endpoint_slack[graph.pins[idx].full_name] = req - at
-
-    for u in reversed(graph.topo):
-        ru = required[u]
-        for v, delay in graph.fanout[u]:
-            cand = required[v] - delay
-            if cand < ru:
-                ru = cand
-        required[u] = ru
-
-    return arrival, required, endpoint_slack, worst_pred
-
-
-def _forward_csr(csr) -> np.ndarray:
+def _forward_csr(csr: TimingGraph) -> np.ndarray:
     """Vectorized arrival sweep: one maximum-scatter per level."""
     arrival = np.full(csr.n, _NEG_INF, dtype=np.float64)
     if csr.src_idx.size:
@@ -182,7 +133,7 @@ def _forward_csr(csr) -> np.ndarray:
     return arrival
 
 
-def _backward_csr(csr, period: float) -> np.ndarray:
+def _backward_csr(csr: TimingGraph, period: float) -> np.ndarray:
     """Vectorized required sweep: one minimum-scatter per level."""
     required = np.full(csr.n, _POS_INF, dtype=np.float64)
     if csr.ep_idx.size:
@@ -196,7 +147,7 @@ def _backward_csr(csr, period: float) -> np.ndarray:
     return required
 
 
-def _worst_pred_csr(csr, arrival: np.ndarray) -> np.ndarray:
+def _worst_pred_csr(csr: TimingGraph, arrival: np.ndarray) -> np.ndarray:
     """Reconstruct the serial loop's worst-arrival predecessors.
 
     The serial loop visits edges in ascending edge-id order and only
@@ -228,25 +179,25 @@ def _propagate_csr(graph: TimingGraph, period: float
                    ) -> tuple[list[float], list[float],
                               dict[str, float], list[int]]:
     """Levelized numpy propagation — bit-identical to the serial loop."""
-    csr = graph.csr()
-    arrival = _forward_csr(csr)
-    required = _backward_csr(csr, period)
-    worst_pred = _worst_pred_csr(csr, arrival)
+    arrival = _forward_csr(graph)
+    required = _backward_csr(graph, period)
+    worst_pred = _worst_pred_csr(graph, arrival)
+    arrival = arrival.tolist()
 
     endpoint_slack: dict[str, float] = {}
     pins = graph.pins
-    for idx, setup in graph.endpoints:
+    for idx, setup in zip(graph.ep_idx.tolist(), graph.ep_setup.tolist()):
         at = arrival[idx]
         if at == _NEG_INF:
             continue
-        endpoint_slack[pins[idx].full_name] = (period - setup) - float(at)
+        endpoint_slack[pins[idx].full_name] = (period - setup) - at
 
-    return (arrival.tolist(), required.tolist(), endpoint_slack,
+    return (arrival, required.tolist(), endpoint_slack,
             worst_pred.tolist())
 
 
-def run_sta(design: Design, graph: TimingGraph | None = None,
-            kernel: str = "csr") -> TimingReport:
+def run_sta(design: Design, graph: TimingGraph | None = None
+            ) -> TimingReport:
     """Full STA at the design's clock constraint.
 
     Pass a prebuilt *graph* to skip reconstruction when the netlist
@@ -254,27 +205,15 @@ def run_sta(design: Design, graph: TimingGraph | None = None,
     arc delays do change with routing, so rebuild — or patch through
     :class:`repro.timing.incremental.IncrementalSta` — after
     reroutes).
-
-    *kernel* selects the propagation engine: ``"csr"`` (default, the
-    vectorized levelized kernel) or ``"serial"`` (the reference
-    Python loop).  Both produce bit-identical reports.
     """
-    if kernel not in KERNELS:
-        raise TimingError(f"unknown STA kernel {kernel!r}; "
-                          f"choose from {KERNELS}")
-    with trace.span("sta.full", kernel=kernel) as span:
+    with trace.span("sta.full") as span:
         if graph is None:
             with trace.span("sta.build_graph"):
                 graph = build_timing_graph(design)
         period = design.clock_period_ps
-        if kernel == "serial":
-            arrival, required, endpoint_slack, worst_pred = \
-                _propagate_serial(graph, period)
-            n_arcs = 2 * sum(len(out) for out in graph.fanout)
-        else:
-            arrival, required, endpoint_slack, worst_pred = \
-                _propagate_csr(graph, period)
-            n_arcs = 2 * graph.csr().num_edges
+        arrival, required, endpoint_slack, worst_pred = \
+            _propagate_csr(graph, period)
+        n_arcs = 2 * graph.num_edges
         metrics.inc("sta.full_runs")
         # Forward + backward pass each visit every arc once.
         metrics.inc("sta.arc_propagations", n_arcs)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from tests.golden_util import (GOLDEN_FAMILIES, design_digests,
@@ -73,7 +74,7 @@ class TestRoundTripEquivalence:
         g1 = build_timing_graph(routed_small_design)
         g2 = build_timing_graph(restored)
         assert [p.full_name for p in g1.pins] == [p.full_name for p in g2.pins]
-        assert g1.topo == g2.topo
+        assert np.array_equal(g1.topo, g2.topo)
 
     def test_signal_net_order_after_roundtrip(self, hetero_tech):
         from tests.conftest import make_chain_netlist

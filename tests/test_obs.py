@@ -200,6 +200,35 @@ class TestWorkerSpanMerge:
         assert validate_chrome_trace(chrome)["events"] == summary["spans"]
 
 
+class TestPrepareCacheSpans:
+    def test_miss_stores_and_copies_hit_only_copies(self, monkeypatch,
+                                                    hetero_tech):
+        """The prepare cache's pickle round trip is attributed: a miss
+        pickles into the cache and unpickles a copy, a hit only
+        unpickles; both spans carry the snapshot size."""
+        import repro.core.flow as flow_mod
+        flow_mod.clear_prepare_cache()
+        monkeypatch.setattr(
+            flow_mod, "prepare_design",
+            lambda factory, tech, seeds, config: ("stub", seeds.seed))
+        config = FlowConfig(selector="none")
+        trace.enable()
+        trace.reset()
+        try:
+            for _ in range(2):
+                flow_mod.prepare_design_cached(
+                    tiny_factory, hetero_tech, SeedBundle(TEST_SEED),
+                    config)
+            records = list(trace.records)
+        finally:
+            flow_mod.clear_prepare_cache()
+        names = [rec["name"] for rec in records]
+        assert names == ["prepare.cache_store", "prepare.cache_copy",
+                         "prepare.cache_copy"]
+        sizes = {rec["attrs"]["bytes"] for rec in records}
+        assert len(sizes) == 1 and sizes.pop() > 0
+
+
 class TestMetricsRegistry:
     def test_counter_gauge_stat_families(self):
         reg = MetricsRegistry()

@@ -7,16 +7,41 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
+from repro.place.placement import Location
 from repro.route import (CongestionGrid, GlobalRouter, RouteConfig,
-                         RouteEdge, RouteTree, extract_rc, mst_parents)
+                         RouteEdge, RouteTree, build_route_topology,
+                         extract_rc)
 from repro.route.router import desired_pair
-from repro.route.steiner import l_path_gcells
 from repro.place.floorplan import Floorplan
 from repro.tech import F2FVia, NODE_16NM, NODE_28NM, default_stack
 from repro.timing import run_sta
 
 STACKS = (default_stack(NODE_16NM, 6), default_stack(NODE_28NM, 6))
 F2F = F2FVia()
+
+
+class _Net:
+    def __init__(self, pins):
+        self.name = "n"
+        self.driver, self.sinks = pins[0], pins[1:]
+
+    def pins(self):
+        return [self.driver, *self.sinks]
+
+
+class _Placement:
+    def __init__(self, points):
+        self.points = points
+
+    def of_pin(self, pin):
+        x, y = self.points[pin]
+        return Location(float(x), float(y), 0)
+
+
+def _topology(points, gcell=5.0, nx=100, ny=100):
+    """Route topology of one net whose pins sit at *points*."""
+    return build_route_topology([_Net(list(range(len(points))))],
+                                _Placement(points), gcell, nx, ny)
 
 
 def _mst_length(xs, ys, parents):
@@ -26,11 +51,14 @@ def _mst_length(xs, ys, parents):
 
 class TestSteiner:
     def test_single_point(self):
-        assert mst_parents(np.array([1.0]), np.array([1.0])) == [-1]
+        topo = _topology([(1.0, 1.0)])
+        assert topo.parent.tolist() == [-1]
+        assert topo.cells.size == 0
 
     def test_two_points(self):
-        parents = mst_parents(np.array([0.0, 3.0]), np.array([0.0, 4.0]))
-        assert parents == [-1, 0]
+        topo = _topology([(0.0, 0.0), (3.0, 4.0)])
+        assert topo.parent.tolist() == [-1, 0]
+        assert topo.length.tolist() == [0.0, 7.0]
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50)),
                     min_size=2, max_size=7, unique=True))
@@ -38,10 +66,9 @@ class TestSteiner:
     def test_mst_is_minimal_vs_bruteforce(self, points):
         xs = np.array([p[0] for p in points], dtype=float)
         ys = np.array([p[1] for p in points], dtype=float)
-        ours = _mst_length(xs, ys, mst_parents(xs, ys))
-        # Brute force over all spanning trees via Prim from each root
-        # is unnecessary: MST length is unique; compare against
-        # networkx for ground truth.
+        ours = _mst_length(xs, ys, _topology(points).parent.tolist())
+        # MST length is unique; compare against networkx for ground
+        # truth.
         import networkx as nx
         g = nx.Graph()
         for i in range(len(points)):
@@ -53,15 +80,16 @@ class TestSteiner:
         assert ours == pytest.approx(best)
 
     def test_l_path_cells_connected(self):
-        cells = l_path_gcells(0, 0, 22, 13, 5.0, 10, 10)
+        topo = _topology([(0, 0), (22, 13)], nx=10, ny=10)
+        cells = [(c // 10, c % 10) for c in topo.cells.tolist()]
         assert cells[0] == (0, 0)
         assert cells[-1] == (4, 2)
         for (a, b), (c, d) in zip(cells, cells[1:]):
             assert abs(a - c) + abs(b - d) == 1
 
     def test_l_path_clamps(self):
-        cells = l_path_gcells(-10, -10, 999, 999, 5.0, 4, 4)
-        assert all(0 <= ix < 4 and 0 <= iy < 4 for ix, iy in cells)
+        topo = _topology([(-10, -10), (999, 999)], nx=4, ny=4)
+        assert topo.cells.tolist() == [0, 4, 8, 12, 13, 14, 15]
 
 
 class TestRouteTree:
@@ -104,18 +132,21 @@ class TestCongestionGrid:
 
     def test_add_release_symmetric(self):
         grid = self.make_grid()
-        cells = [(1, 1), (2, 1), (3, 1)]
+        cells = [1 * grid.ny + 1, 2 * grid.ny + 1, 3 * grid.ny + 1]
         grid.add_path(0, 1, cells, 1.0)
         assert grid.path_load(0, 1, cells) > 0
+        assert grid.usage[0][1][2, 1] == 1.0     # flat ix * ny + iy
         grid.add_path(0, 1, cells, -1.0)
         assert grid.path_load(0, 1, cells) == 0.0
 
     def test_f2f_accounting(self):
         grid = self.make_grid()
-        grid.add_f2f(2, 2, 3.0)
-        assert grid.f2f_load(2, 2) == pytest.approx(3.0 / grid.f2f_cap)
-        grid.add_f2f(2, 2, -5.0)
-        assert grid.f2f_load(2, 2) == 0.0      # clamped at zero
+        cell = 2 * grid.ny + 2
+        grid.add_f2f(cell, 3.0)
+        assert grid.f2f_load(cell) == pytest.approx(3.0 / grid.f2f_cap)
+        assert grid.f2f_usage[2, 2] == 3.0
+        grid.add_f2f(cell, -5.0)
+        assert grid.f2f_load(cell) == 0.0      # clamped at zero
 
     def test_pdn_reservation_cuts_top_pair(self):
         fp = Floorplan(width=50, height=50)

@@ -158,6 +158,25 @@ class TestPreviousKinds:
         assert got.changed_nets is None
         _assert_routing_identical(got, from_scratch(design, frozenset()))
 
+    def test_connectivity_edit_falls_back(self, hetero_tech):
+        """Moving a sink onto another existing net keeps every instance
+        and net count, but both nets' old trees no longer match their
+        pins: the netlist's edit counter must refuse the replay."""
+        design = build_small_design(hetero_tech, routed=False)
+        previous = GlobalRouter(design).route_all()
+        nets = design.netlist.signal_nets()
+        donor = next(n for n in nets if len(n.sinks) == 2)
+        taker = next(n for n in nets if n is not donor)
+        sink = donor.sinks[-1]
+        donor.detach(sink)
+        taker.attach(sink)
+        before = metrics.counter("route.diff_fallbacks")
+        got = GlobalRouter(design).route_all(previous=previous)
+        assert metrics.counter("route.diff_fallbacks") == before + 1
+        assert got.changed_nets is None
+        assert len(got.trees[donor.name].sink_nodes()) == 1
+        _assert_routing_identical(got, from_scratch(design, frozenset()))
+
 
 @pytest.fixture()
 def patched_nets(monkeypatch) -> list[list[str]]:

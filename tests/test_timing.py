@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.design import Design
@@ -17,6 +18,7 @@ from repro.timing.delay import cell_output_delay
 from repro.units import mhz_to_period_ps
 
 from tests.conftest import TEST_SEED, make_chain_netlist
+from tests.test_sta_oracle import fanout_edges
 
 
 @pytest.fixture()
@@ -115,26 +117,34 @@ class TestGraphStructure:
         for inst in routed_small_design.netlist.sequential_instances():
             ck = inst.clock_pin
             idx = graph.pin_index[ck.full_name]
-            assert not graph.fanout[idx]
-            assert not graph.fanin[idx]
+            lo, hi = fanout_edges(graph, idx)
+            assert lo == hi
+            assert graph.in_ptr[idx] == graph.in_ptr[idx + 1]
 
     def test_sequential_outputs_are_sources(self, routed_small_design):
         graph = build_timing_graph(routed_small_design)
-        source_idx = {i for i, _ in graph.sources}
+        source_idx = set(graph.src_idx.tolist())
         for inst in routed_small_design.netlist.sequential_instances():
             q = graph.pin_index[inst.output_pin.full_name]
             assert q in source_idx
 
     def test_endpoints_have_setup(self, routed_small_design):
         graph = build_timing_graph(routed_small_design)
-        setups = dict(graph.endpoints)
+        setups = dict(zip(graph.ep_idx.tolist(), graph.ep_setup.tolist()))
         for inst in routed_small_design.netlist.sequential_instances():
             d_idx = graph.pin_index[inst.pin("D").full_name]
             assert setups[d_idx] == pytest.approx(setup_time(inst.cell))
 
     def test_topological_order_complete(self, routed_small_design):
         graph = build_timing_graph(routed_small_design)
-        assert len(graph.topo) == len(graph.pins)
+        assert sorted(graph.topo.tolist()) == list(range(len(graph.pins)))
+        # Every edge runs from a lower to a higher topological rank
+        # and level, and edges sit in serial (source-rank) order.
+        src_rank = graph.rank[graph.edge_src]
+        assert np.all(src_rank < graph.rank[graph.edge_dst])
+        assert np.all(graph.level[graph.edge_src]
+                      < graph.level[graph.edge_dst])
+        assert np.all(np.diff(src_rank) >= 0)
 
     def test_false_path_port_excluded(self, hetero_tech):
         from tests.conftest import build_small_design
@@ -146,10 +156,17 @@ class TestGraphStructure:
         route_with_mls(d, set())
         graph = build_timing_graph(d)
         se_idx = graph.pin_index["port:scan_enable"]
-        assert se_idx not in {i for i, _ in graph.sources}
-        out_eps = {i for i, _ in graph.endpoints}
+        assert se_idx not in set(graph.src_idx.tolist())
+        out_eps = set(graph.ep_idx.tolist())
         so_idx = graph.pin_index["port:scan_out"]
         assert so_idx not in out_eps
+
+    def test_cycle_rejected(self, routed_small_design):
+        from repro.timing.graph import _levelize
+        src = np.array([0, 1, 2], dtype=np.int32)
+        dst = np.array([1, 2, 1], dtype=np.int32)
+        with pytest.raises(TimingError, match="cycle"):
+            _levelize(3, src, dst)
 
 
 class TestWhatIf:

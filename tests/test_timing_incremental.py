@@ -3,8 +3,9 @@
 The contract under test: the vectorized CSR kernel and the frontier
 incremental engine are not approximations — every float they produce
 (arrivals, requireds, endpoint slacks, worst-predecessor tie-breaks)
-is **exactly** equal to the reference serial loop, on real routed
-designs, through arbitrary MLS add/remove churn.
+is **exactly** equal to the reference serial loop
+(``tests/sta_oracle.py``), on real routed designs, through arbitrary
+MLS add/remove churn.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.timing import IncrementalSta, run_sta
 from repro.timing.sta import TimingReport
 
 from tests.conftest import TEST_SEED, build_small_design, make_chain_netlist
+from tests.sta_oracle import serial_sta
 
 
 def build_small_a7(tech, seed: int = TEST_SEED) -> Design:
@@ -58,9 +60,7 @@ def assert_reports_identical(got: TimingReport, want: TimingReport) -> None:
 class TestCsrKernel:
     def test_bit_identical_on_routed_design(self, routed_small_design):
         d = routed_small_design
-        serial = run_sta(d, kernel="serial")
-        csr = run_sta(d, kernel="csr")
-        assert_reports_identical(csr, serial)
+        assert_reports_identical(run_sta(d), serial_sta(d))
 
     def test_bit_identical_on_chain(self, hetero_tech):
         nl = make_chain_netlist(hetero_tech, stages=4)
@@ -69,16 +69,7 @@ class TestCsrKernel:
         d.placement, d.floorplan = place_design(
             nl, d.tiers, SeedBundle(TEST_SEED))
         route_with_mls(d, set())
-        assert_reports_identical(run_sta(d, kernel="csr"),
-                                 run_sta(d, kernel="serial"))
-
-    def test_csr_is_the_default(self, routed_small_design):
-        d = routed_small_design
-        assert_reports_identical(run_sta(d), run_sta(d, kernel="csr"))
-
-    def test_unknown_kernel_rejected(self, routed_small_design):
-        with pytest.raises(TimingError, match="kernel"):
-            run_sta(routed_small_design, kernel="vectorised")
+        assert_reports_identical(run_sta(d), serial_sta(d))
 
     def test_prebuilt_graph_csr_view_reusable(self, routed_small_design):
         from repro.timing import build_timing_graph
@@ -139,9 +130,9 @@ class TestIncrementalSta:
 
     def test_serial_kernel_agrees_on_patched_shared_graph(
             self, fresh_small_design):
-        # The engine keeps the list-of-lists view in sync with every
-        # patch, so the reference loop over the *shared* graph must
-        # agree with the incremental state.
+        # The engine patches the shared graph's arrays in place, so a
+        # full pass over that *same* graph must agree with the
+        # incremental state, and so must the serial oracle.
         d = fresh_small_design
         router = GlobalRouter(d)
         routing = router.route_all()
@@ -149,8 +140,8 @@ class TestIncrementalSta:
         net = candidate_nets(d)[3]
         router.reroute_net(routing, net, mls=True)
         rep = inc.update([net.name])
-        assert_reports_identical(
-            rep, run_sta(d, graph=inc.graph, kernel="serial"))
+        assert_reports_identical(rep, run_sta(d, graph=inc.graph))
+        assert_reports_identical(rep, serial_sta(d))
 
     def test_clock_period_change_rebinds(self, fresh_small_design):
         d = fresh_small_design
