@@ -2,7 +2,7 @@
 
 Prepares each design through the shared flow front-end
 (:func:`repro.core.flow.prepare_design`) and measures the snapshot
-payload every prepare-cache entry and SnapshotPool fan-out actually
+payload every prepare-cache entry and ``snapshot_map`` fan-out actually
 ships: ``dumps_snapshot(design)`` bytes plus dump/load wall-clock.
 Writes ``BENCH_netlist.json`` at the repo root.
 

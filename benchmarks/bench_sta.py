@@ -17,6 +17,10 @@ no-MLS MAERI fabrics and writes ``BENCH_sta.json`` at the repo root:
                     full pass, which is what the flow's STA baseline
                     pays.
 
+The no-MLS route that feeds them is timed once, on the freshly
+prepared design (so it includes the route topology build), and goes
+to the ledger as the ``route.<key>.serial_s`` leg.
+
 Every timed variant is also checked for **bit-identical** reports
 (arrival, required, endpoint slack, worst_pred) — the script exits
 non-zero on any divergence, which is what the CI smoke job gates on.
@@ -78,7 +82,9 @@ def bench_design(key: str, repeats: int) -> dict:
                         target_freq_mhz=spec.target_freq_mhz)
     design = prepare_design(spec.factory, spec.tech(), spec.seeds(),
                             config)
+    t0 = time.perf_counter()
     router, routing = route_with_mls(design, set())
+    t_route = time.perf_counter() - t0
     # Build both graphs outside the timers.
     graph = build_timing_graph(design)
     ref_graph = build_list_graph(design)
@@ -110,6 +116,7 @@ def bench_design(key: str, repeats: int) -> dict:
         "pins": len(graph.pins),
         "edges": graph.num_edges,
         "endpoints": len(ref.endpoint_slack),
+        "route_ms": round(t_route * 1e3, 3),
         "seed_full_sta_ms": round(t_seed * 1e3, 3),
         "serial_kernel_ms": round(t_serial * 1e3, 3),
         "csr_kernel_ms": round(t_csr * 1e3, 3),
@@ -161,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
             legs[f"sta.{row['key']}.{name}"] = row[leg] / 1e3
     append_trend(TREND_JSONL, "sta", legs, smoke=args.smoke,
                  meta={"repeats": repeats})
+    append_trend(TREND_JSONL, "route",
+                 {f"route.{row['key']}.serial_s": row["route_ms"] / 1e3
+                  for row in rows}, smoke=args.smoke)
 
     ok = all(r["csr_bit_identical"] and r["incremental_bit_identical"]
              for r in rows)

@@ -84,13 +84,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--selector", default="gnn",
                         choices=list(SELECTORS))
     _add_parallel(parser)
-    parser.add_argument("--route-batch", type=float, default=None,
-                        metavar="MS",
-                        help="target milliseconds of routing work per "
-                             "wavefront pool dispatch (speculative "
-                             "multi-wave batching; 0 = one wave per "
-                             "dispatch; default: RouteConfig.batch_ms). "
-                             "Scheduling only — results are identical")
     parser.add_argument("--select-batch", type=_positive_int,
                         default=None,
                         metavar="N",
@@ -124,8 +117,8 @@ def _positive_int(text: str) -> int:
 def _add_parallel(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=_positive_int, default=1,
                         help="worker processes for the what-if oracle, "
-                             "dataset build, fault simulation and "
-                             "wavefront global routing "
+                             "dataset build and fault simulation; "
+                             "global routing is always serial "
                              "(1 = serial; results are identical)")
     parser.add_argument("--chunk-size", type=_positive_int, default=None,
                         help="items per worker task (default: auto)")
@@ -190,7 +183,6 @@ def _cmd_flow(args) -> int:
     store = _store(args)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
                                 parallel=_parallel_config(args),
-                                route_batch_ms=args.route_batch,
                                 select_batch=args.select_batch,
                                 store=store)
     if store is not None:
@@ -238,7 +230,6 @@ def _cmd_timing(args) -> int:
     store = _store(args)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
                                 parallel=_parallel_config(args),
-                                route_batch_ms=args.route_batch,
                                 select_batch=args.select_batch,
                                 store=store)
     if store is not None:
@@ -253,7 +244,6 @@ def _cmd_congestion(args) -> int:
     store = _store(args)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
                                 parallel=_parallel_config(args),
-                                route_batch_ms=args.route_batch,
                                 select_batch=args.select_batch,
                                 store=store)
     if store is not None:

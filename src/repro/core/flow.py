@@ -73,10 +73,10 @@ class FlowConfig:
     gnn_refine_iters: int = 2
     pdn: bool = True
     activity: float = 0.15
-    #: Worker fan-out for the what-if oracle, the dataset build, the
-    #: die-test fault simulation and wavefront global routing.  The
-    #: default (workers=1) runs every stage serially, bit-identical to
-    #: the parallel paths.
+    #: Worker fan-out for the what-if oracle, the dataset build and the
+    #: die-test fault simulation.  Global routing always runs serially.
+    #: The default (workers=1) runs every stage serially, bit-identical
+    #: to the parallel paths.
     parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
     def __post_init__(self) -> None:
@@ -380,8 +380,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
             stages["flow.prepare"] = prepare_runtime_s(design)
 
         with _stage("flow.route_baseline", stages):
-            router, baseline = route_with_mls(design, set(), config.route,
-                                              parallel=config.parallel)
+            router, baseline = route_with_mls(design, set(), config.route)
         # The pin graph's structure is routing-invariant: build it once,
         # then patch arc delays incrementally after every reroute instead
         # of re-running full STA (the refine loop's former hot spot).
@@ -399,7 +398,6 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
         with _stage("flow.route_mls", stages, nets=len(requested)):
             router, routing = route_with_mls(design, requested,
                                              config.route,
-                                             parallel=config.parallel,
                                              previous=baseline)
             final_report = timing.update_routing()
 
@@ -421,7 +419,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                     requested |= new
                     router, routing = route_with_mls(
                         design, requested, config.route,
-                        parallel=config.parallel, previous=routing)
+                        previous=routing)
                     final_report = timing.update_routing()
                 runtime_s += time.perf_counter() - start
 

@@ -18,7 +18,6 @@ from repro.harness.designs import (BenchmarkSpec, get_benchmark,
                                    DEFAULT_EXPERIMENT_SEED)
 from repro.mls import route_with_mls
 from repro.parallel import ParallelConfig
-from repro.route.router import RouteConfig
 from repro.service.keys import flow_key
 from repro.timing import (IncrementalSta, extract_worst_paths,
                           net_whatif_delta)
@@ -32,7 +31,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        dft_strategy: str | None = None,
                        seed: int = DEFAULT_EXPERIMENT_SEED,
                        parallel: ParallelConfig | None = None,
-                       route_batch_ms: float | None = None,
                        select_batch: int | None = None,
                        store=None) -> FlowReport:
     """Run (or fetch) one cached flow.
@@ -51,8 +49,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
     the whole stored report.
     """
     parallel = parallel or ParallelConfig()
-    route = RouteConfig() if route_batch_ms is None \
-        else RouteConfig(batch_ms=route_batch_ms)
     train = TrainConfig() if select_batch is None \
         else TrainConfig(batch_size=select_batch,
                          vectorized=select_batch > 1)
@@ -65,7 +61,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
         dft_strategy=dft_strategy,
         activity=spec.activity,
         parallel=parallel,
-        route=route,
         train=train,
     )
     content = flow_key(spec.factory, spec.tech(), spec.seeds(seed),

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.design import Design
-from repro.parallel import ParallelConfig
 from repro.route.router import GlobalRouter, RouteConfig, RoutingResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
@@ -14,7 +13,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
 
 def route_with_mls(design: Design, mls_nets: set[str],
                    config: RouteConfig | None = None,
-                   parallel: ParallelConfig | None = None,
                    previous: RoutingResult | None = None
                    ) -> tuple[GlobalRouter, RoutingResult]:
     """Route the whole design with *mls_nets* shared.
@@ -25,20 +23,18 @@ def route_with_mls(design: Design, mls_nets: set[str],
     pressure they put on the other tier — how SOTA's over-application
     backfires).
 
-    Without *previous* the design routes from scratch; a multi-worker
-    *parallel* config routes in wavefront order, bit-identical to the
-    serial schedule.  With *previous* — the design's last full-route
-    result — the route is differential: it replays *previous* and
-    re-routes only the nets whose inputs could have changed, again
-    bit-identical to a from-scratch route.  The new result's
-    ``changed_nets`` then lists the nets whose tree moved, which
-    :meth:`IncrementalSta.update_routing
+    Without *previous* the design routes from scratch, one net at a
+    time in the serial long-nets-first order.  With *previous* — the
+    design's last full-route result — the route is differential: it
+    replays *previous* and re-routes only the nets whose inputs could
+    have changed, bit-identical to a from-scratch route.  The new
+    result's ``changed_nets`` then lists the nets whose tree moved,
+    which :meth:`IncrementalSta.update_routing
     <repro.timing.incremental.IncrementalSta.update_routing>` patches
     alone.  See :meth:`GlobalRouter.route_all`.
     """
     router = GlobalRouter(design, config)
-    result = router.route_all(mls_nets=mls_nets, parallel=parallel,
-                              previous=previous)
+    result = router.route_all(mls_nets=mls_nets, previous=previous)
     return router, result
 
 

@@ -1,9 +1,9 @@
 """Zero-dependency observability: spans, counters, structured logs.
 
-The flow is performance-engineered end to end (process pool, wavefront
-router, incremental STA, cached-Laplacian placer) but was a black box
-at runtime — two ad-hoc ``perf_counter`` windows in ``run_flow`` and
-nothing else.  This package is the measurement substrate:
+The flow is performance-engineered end to end (process pool,
+differential router, incremental STA, cached-Laplacian placer) but
+was a black box at runtime — two ad-hoc ``perf_counter`` windows in
+``run_flow`` and nothing else.  This package is the measurement substrate:
 
 * :mod:`repro.obs.tracer` — hierarchical **spans**
   (``with trace.span("place.solve", level=k):``) that nest, carry
@@ -14,7 +14,7 @@ nothing else.  This package is the measurement substrate:
   processes stream spans through a size-capped
   :class:`RotatingTraceSink` instead of buffering forever.
 * :mod:`repro.obs.metrics` — process-wide **counters / gauges /
-  stats / histograms** (nets routed, wave packing sizes, STA arc
+  stats / histograms** (nets routed and reused, STA arc
   propagations, service request latencies) aggregated into one
   run-level dict and renderable as Prometheus text exposition
   (:func:`render_prometheus`).

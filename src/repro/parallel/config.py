@@ -13,20 +13,6 @@ logger = get_logger("repro.parallel")
 #: sweep with thousands of should_parallelize calls logs it one time.
 _DEGRADE_LOGGED = False
 
-#: Wall seconds one pool dispatch costs end-to-end on a warm
-#: persistent pool: submitting the chunk futures, pickling the small
-#: extra payload, and draining the results.  Measured on the wavefront
-#: router (``pool.task_latency_s`` over MAERI-class designs); the
-#: exact value only needs the right order of magnitude — it gates
-#: whether a workload's *estimated* serial cost can amortize a
-#: round-trip at all.
-DISPATCH_OVERHEAD_S = 1.5e-3
-
-#: A dispatch must be worth at least this multiple of its own overhead
-#: before fanning out — below that the parallel path is guaranteed
-#: slower than the serial loop even with free workers.
-DISPATCH_PAYOFF = 2.0
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
@@ -82,29 +68,15 @@ class ParallelConfig:
     def enabled(self) -> bool:
         return self.workers > 1
 
-    def should_parallelize(self, n_items: int,
-                           est_item_cost_s: float | None = None) -> bool:
+    def should_parallelize(self, n_items: int) -> bool:
         """True when *n_items* is worth shipping to a pool.
 
         On a single-core host (affinity-aware) a multi-worker config
         degrades to the serial loop: extra processes would only time-
         slice one CPU while paying spawn + snapshot costs.  The
         degradation is logged once per process so sweeps stay quiet.
-
-        *est_item_cost_s* — a measured per-item serial cost estimate —
-        additionally gates on dispatch overhead: a workload whose
-        total serial cost cannot pay :data:`DISPATCH_PAYOFF` pool
-        round-trips (:data:`DISPATCH_OVERHEAD_S`) stays serial no
-        matter how many items it has.  This is what keeps
-        microsecond-sized routing waves off the (slower) parallel
-        path; callers without a cost model keep the pure
-        ``min_items`` behavior.
         """
         if not (self.enabled and n_items >= max(self.min_items, 2)):
-            return False
-        if est_item_cost_s is not None and n_items * est_item_cost_s \
-                < DISPATCH_PAYOFF * DISPATCH_OVERHEAD_S:
-            metrics.inc("pool.dispatch_overhead_skips")
             return False
         if usable_cores() <= 1:
             global _DEGRADE_LOGGED

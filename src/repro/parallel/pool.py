@@ -136,21 +136,6 @@ def _serial_run(fn: Callable[[Any, list], list], state: Any,
     return out
 
 
-def _run_chunk_extra(fn: Callable[[Any, Any, list], list], extra: Any,
-                     chunk: list, trace_parent: str | None = None):
-    """Persistent-pool sibling of :func:`_run_chunk`."""
-    try:
-        if trace_parent is None:
-            return fn(_WORKER_STATE, extra, chunk)
-        with trace.collect_worker(trace_parent) as records:
-            with trace.span("pool.chunk", items=len(chunk)):
-                out = fn(_WORKER_STATE, extra, chunk)
-        return out, records
-    except Exception as exc:
-        flight.crash_dump("pool.chunk", exc)
-        raise
-
-
 def _drain_futures(futures: list, traced: bool, t_dispatch: float) -> list:
     """Collect chunk results in submission order, merging worker span
     payloads and recording dispatch->drain latency per task."""
@@ -164,113 +149,6 @@ def _drain_futures(futures: list, traced: bool, t_dispatch: float) -> list:
             trace.merge(records)
         out.extend(result)
     return out
-
-
-class SnapshotPool:
-    """Persistent worker pool over one snapshot, for many small maps.
-
-    :func:`snapshot_map` pays pool startup (process spawn + snapshot
-    shipping) on every call, which only amortizes over one large
-    workload.  Loops that issue *many small* maps against
-    slowly-evolving state — the wavefront router dispatches one map
-    per wave — instead keep the pool alive: the heavy snapshot ships
-    once, and each ``map`` call forwards a small per-call ``extra``
-    payload (e.g. the current congestion-grid arrays) that the worker
-    function receives alongside every chunk:
-    ``fn(state, extra, chunk) -> [result per item]``.
-
-    Results are order-preserving.  If the pool cannot be created or
-    breaks, the instance degrades *permanently* to in-process serial
-    execution against the original snapshot object, so worker
-    functions must be restore-style (the same contract as
-    :func:`snapshot_map`).  Under a fork start method the snapshot is
-    parked in the module-level fork slot for the pool's lifetime —
-    keep at most one fork-context pool open at a time and do not
-    interleave parent-side :func:`snapshot_map` calls while it is.
-    """
-
-    def __init__(self, snapshot: Any, config: ParallelConfig):
-        self.snapshot = snapshot
-        self.config = config
-        self._pool: ProcessPoolExecutor | None = None
-        self._broken = not config.enabled
-        self._owns_fork_slot = False
-
-    def __enter__(self) -> "SnapshotPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _mark_broken(self, exc: BaseException, n_items: int) -> None:
-        metrics.inc("pool.degrade_events")
-        warnings.warn(f"process pool unavailable ({exc!r}); running "
-                      f"{n_items} items (and all later maps) serially",
-                      RuntimeWarning, stacklevel=3)
-        self.close()
-        self._broken = True
-
-    def _ensure_pool(self, n_items: int) -> None:
-        global _FORK_SNAPSHOT
-        if self._pool is not None or self._broken:
-            return
-        ctx = mp.get_context(self.config.start_method)  # bad -> ValueError
-        try:
-            if ctx.get_start_method() == "fork":
-                # Workers spawn lazily on submit, so the fork slot must
-                # stay populated for the pool's whole lifetime.
-                _FORK_SNAPSHOT = self.snapshot
-                self._owns_fork_slot = True
-                init, initargs = _init_fork_worker, ()
-            else:
-                init, initargs = _init_worker, (dumps_snapshot(self.snapshot),)
-            self._pool = ProcessPoolExecutor(max_workers=self.config.workers,
-                                             mp_context=ctx,
-                                             initializer=init,
-                                             initargs=initargs)
-            metrics.inc("pool.pools_started")
-            metrics.set_gauge("pool.workers", self.config.workers)
-        except (BrokenExecutor, OSError) as exc:
-            self._mark_broken(exc, n_items)
-
-    def map(self, fn: Callable[[Any, Any, list], list], items: Iterable,
-            extra: Any = None) -> list:
-        """Map ``fn(state, extra, chunk)`` over *items*, in order."""
-        work = list(items)
-        if not work:
-            return []
-        chunks = chunked(work, self.config.resolve_chunk_size(len(work)))
-        metrics.inc("pool.maps")
-        metrics.inc("pool.items", len(work))
-        metrics.inc("pool.tasks", len(chunks))
-        self._ensure_pool(len(work))
-        if self._pool is not None:
-            tparent = trace.export_parent()
-            t_dispatch = time.perf_counter()
-            try:
-                futures = [self._pool.submit(_run_chunk_extra, fn, extra,
-                                             chunk, tparent)
-                           for chunk in chunks]
-                return _drain_futures(futures, tparent is not None,
-                                      t_dispatch)
-            except (BrokenExecutor, OSError) as exc:
-                self._mark_broken(exc, len(work))
-        metrics.inc("pool.serial_tasks", len(chunks))
-        out = []
-        for chunk in chunks:
-            with trace.span("pool.chunk", items=len(chunk), serial=True):
-                out.extend(fn(self.snapshot, extra, chunk))
-        return out
-
-    def close(self) -> None:
-        """Shut the pool down and release the fork slot."""
-        global _FORK_SNAPSHOT
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        if self._owns_fork_slot:
-            _FORK_SNAPSHOT = None
-            self._owns_fork_slot = False
 
 
 def snapshot_map(fn: Callable[[Any, list], list], items: Iterable,

@@ -18,48 +18,6 @@ from repro.place.floorplan import Floorplan
 from repro.tech.layers import F2FVia, MetalStack
 
 
-class UsageDelta:
-    """Accumulated grid mutations, mergeable and appliable in one shot.
-
-    Mirrors the :class:`CongestionGrid` mutation interface
-    (``add_path``/``add_f2f``) so tree-usage walks can target either a
-    live grid or a pending delta.  The wavefront router accumulates one
-    delta per wave (committed wave-by-wave even inside a speculative
-    multi-wave batch, so each wave's validation sees its predecessors'
-    usage) — all contributions are integer-valued track/pad counts, so
-    summing them here and adding once is bit-identical to the serial
-    router's cell-by-cell increments.
-    """
-
-    def __init__(self) -> None:
-        #: (tier, pair) -> {flat gcell -> accumulated delta}
-        self.paths: dict[tuple[int, int], dict[int, float]] = {}
-        #: flat gcell -> accumulated F2F pad delta
-        self.f2f: dict[int, float] = {}
-
-    def add_path(self, tier: int, pair: int, cells, delta: float = 1.0
-                 ) -> None:
-        plane = self.paths.setdefault((tier, pair), {})
-        for cell in cells:
-            plane[cell] = plane.get(cell, 0.0) + delta
-
-    def add_f2f(self, cell: int, delta: float = 1.0) -> None:
-        self.f2f[cell] = self.f2f.get(cell, 0.0) + delta
-
-    def merge(self, other: "UsageDelta") -> None:
-        """Fold *other* into this delta (order-independent for the
-        integer-valued contributions the router produces)."""
-        for key, plane in other.paths.items():
-            mine = self.paths.setdefault(key, {})
-            for cell, delta in plane.items():
-                mine[cell] = mine.get(cell, 0.0) + delta
-        for cell, delta in other.f2f.items():
-            self.f2f[cell] = self.f2f.get(cell, 0.0) + delta
-
-    def is_empty(self) -> bool:
-        return not any(self.paths.values()) and not self.f2f
-
-
 class CongestionGrid:
     """Per-tier, per-pair track usage plus F2F pad usage."""
 
@@ -146,39 +104,6 @@ class CongestionGrid:
         plane[cell] += delta
         if plane[cell] < 0:
             plane[cell] = 0.0
-
-    def export_state(self) -> tuple[list[list[np.ndarray]], np.ndarray]:
-        """Copy of every usage array — the grid's full mutable state.
-
-        Small (gcell counts × float32), so the wavefront router ships
-        one per dispatched batch to its persistent workers; also handy
-        for tests that byte-compare grid state around probe operations.
-        """
-        return ([[plane.copy() for plane in tier] for tier in self.usage],
-                self.f2f_usage.copy())
-
-    def load_state(self,
-                   state: tuple[list[list[np.ndarray]], np.ndarray]) -> None:
-        """Overwrite usage arrays with an :meth:`export_state` copy."""
-        planes, f2f = state
-        for tier_dst, tier_src in zip(self.usage, planes):
-            for dst, src in zip(tier_dst, tier_src):
-                dst[:] = src
-        self.f2f_usage[:] = f2f
-
-    def apply_delta(self, delta: UsageDelta) -> None:
-        """Commit an accumulated :class:`UsageDelta` to the live grid."""
-        for (tier, pair), cells in delta.paths.items():
-            grid = self.usage[tier][pair]
-            plane = grid.reshape(-1)
-            clip = False
-            for cell, d in cells.items():
-                plane[cell] += d
-                clip = clip or d < 0
-            if clip:
-                np.clip(grid, 0.0, None, out=grid)
-        for cell, d in delta.f2f.items():
-            self.add_f2f(cell, d)
 
     # -- reporting ---------------------------------------------------------------
 

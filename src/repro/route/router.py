@@ -21,7 +21,6 @@ Routing policy per net (long nets first, as commercial routers prioritize):
 
 from __future__ import annotations
 
-import time
 import weakref
 from dataclasses import dataclass
 
@@ -29,8 +28,7 @@ from repro.design import Design
 from repro.errors import RoutingError
 from repro.netlist.net import Net
 from repro.obs import metrics, trace
-from repro.parallel import ParallelConfig, SnapshotPool
-from repro.route.grid import CongestionGrid, UsageDelta
+from repro.route.grid import CongestionGrid
 from repro.route.rc import NetRC, extract_rc
 from repro.route.steiner import (RouteTopology, build_route_topology,
                                  tree_edge_cells)
@@ -59,25 +57,6 @@ class RouteConfig:
     #: reaching its F2F pad — the fixed cost that makes MLS a net
     #: *loss* for short nets (Table I's degraded net).
     mls_escape_um: float = 2.5
-    #: Target milliseconds of estimated routing work per pool dispatch
-    #: in wavefront mode.  Consecutive waves batch into one dispatch
-    #: until they carry this much work (measured per-net cost, EWMA);
-    #: nets in waves beyond the first route *speculatively* against
-    #: the batch-boundary grid, and only footprint-conflicted nets
-    #: replay serially (see ``_route_batch`` — results stay
-    #: bit-identical to the serial schedule).  ``0`` disables
-    #: batching: every wave is its own dispatch, as before.  Purely a
-    #: scheduling knob — it never changes routing results.
-    #: 16 ms balances dispatch amortization against replay waste: the
-    #: bigger the batch, the more of it later waves invalidate.
-    batch_ms: float = 16.0
-
-
-#: Starting per-net routing cost estimate (seconds) before any
-#: measurement; ~what a MAERI-class net costs on one core.
-INIT_NET_COST_S = 1e-4
-#: EWMA smoothing for the measured per-net cost.
-COST_EWMA = 0.3
 
 
 class RoutingResult:
@@ -167,41 +146,6 @@ class RoutingResult:
         return out
 
 
-def _route_wave_chunk(state, grid_state,
-                      names: list[str]) -> list[tuple[str, list]]:
-    """Worker: route one chunk of a wave against the wave-boundary grid.
-
-    ``grid_state`` is the caller's grid at the wave boundary; loading
-    it first makes the worker's view exact regardless of which waves
-    this process served before.  Each net then routes with
-    ``commit=True`` so later edges of the *same* net see earlier
-    edges' usage exactly as the serial router does, and releases its
-    usage afterwards — every net of the wave thus observes the
-    pristine wave-boundary grid (their footprints are disjoint, making
-    that view identical to the serial schedule's).  Usage values are
-    integer-valued, so the add/release round-trip restores the float32
-    arrays bit-exactly; the in-process serial fallback of
-    :class:`~repro.parallel.pool.SnapshotPool`, which runs against the
-    caller's live router, relies on this restore.
-
-    Only edges travel back: they are flat dataclasses, while nodes
-    reference :class:`~repro.netlist.net.Pin` objects whose graph must
-    not be re-pickled per result (the caller rebuilds nodes).
-    """
-    router, mls_names = state
-    router.grid.load_state(grid_state)
-    topo = router.topology()
-    out = []
-    for name in names:
-        row = topo.rows[name]
-        tree = router._route_net(topo.nets[row], mls=name in mls_names,
-                                 commit=True, topo=topo, row=row)
-        router._apply_tree_usage(tree, -1.0,
-                                 edge_cells=topo.edge_cells(row))
-        out.append((name, tree.edges))
-    return out
-
-
 def desired_pair(length_um: float, n_pairs: int,
                  thresholds: tuple[float, ...]) -> int:
     """Length-based preferred layer pair (0 = lowest metals)."""
@@ -228,15 +172,13 @@ class GlobalRouter:
     # -- public API -----------------------------------------------------------
 
     def route_all(self, mls_nets: set[str] | frozenset = frozenset(),
-                  parallel: ParallelConfig | None = None,
                   previous: RoutingResult | None = None) -> RoutingResult:
         """Route every signal net; attach the result to the design.
 
-        With a multi-worker *parallel* config the nets are routed in
-        wavefront order (see :meth:`_route_all_wavefront`); the trees,
-        parasitics, congestion arrays and :meth:`RoutingResult.stats`
-        are bit-identical to the serial long-nets-first schedule at any
-        worker count.
+        Nets route one at a time in the topology's long-nets-first
+        order; that serial order is the router's contract, since every
+        net's layer-pair choice reads the congestion the nets before it
+        left.
 
         Pass the design's last full-route result as *previous* to route
         differentially (see :meth:`_route_all_diff`): nets whose inputs
@@ -259,19 +201,12 @@ class GlobalRouter:
         # (reroute_net/restore_net) shuffle.
         topo = self.topology()
         nets = len(topo.nets)
-        wavefront = not diff and parallel is not None \
-            and parallel.should_parallelize(
-                nets, est_item_cost_s=INIT_NET_COST_S)
         with trace.span("route.all", nets=nets,
-                        mls_nets=len(mls_nets), wavefront=wavefront,
-                        diff=diff) as span:
+                        mls_nets=len(mls_nets), diff=diff) as span:
             if diff:
                 reused = self._route_all_diff(result, topo, previous)
                 span.set(reused=reused, rerouted=nets - reused,
                          changed=len(result.changed_nets))
-            elif wavefront:
-                self._route_all_wavefront(result, topo, mls_nets,
-                                          parallel)
             else:
                 for row in topo.order.tolist():
                     net = topo.nets[row]
@@ -452,184 +387,6 @@ class GlobalRouter:
         result.rc[net.name] = extract_rc(
             tree, self.design.tech.stacks, self.design.tech.f2f)
 
-    # -- wavefront scheduling ------------------------------------------------
-
-    def _route_all_wavefront(self, result: RoutingResult,
-                             topo: RouteTopology, mls_nets: frozenset,
-                             parallel: ParallelConfig) -> None:
-        """Route *topo*'s nets as a sequence of disjoint-footprint waves.
-
-        A wave is a maximal run of **consecutive** nets (in the serial
-        long-nets-first order) whose gcell footprints are pairwise
-        disjoint.  Within such a run, net *m*'s congestion queries only
-        touch its own footprint, which no earlier net of the run
-        writes — so routing every net of the wave against the grid
-        state at the wave boundary reproduces the serial result
-        exactly.  Waves route concurrently via
-        :func:`repro.parallel.snapshot_map` against a read-only
-        snapshot; usage and RC merge back in canonical (serial) net
-        order, keeping dict ordering, float bit patterns and
-        :meth:`RoutingResult.stats` identical to the serial router.
-
-        MLS-requested nets contend for the other tier's top pair and
-        its F2F pads — the shared resource every other MLS net also
-        wants — so they are never packed with other nets: each one
-        flushes the current batch and routes serially at the boundary.
-
-        One wave per dispatch ships only microseconds of work, so
-        consecutive waves accumulate into a **speculative batch** (see
-        :meth:`_route_batch`) until the batch carries
-        ``cfg.batch_ms`` of estimated routing work; the per-net cost
-        estimate is an EWMA of measured batch/serial segment times, so
-        batch sizing adapts to the design.  A batch whose estimated
-        work cannot amortize a pool round-trip (the
-        ``should_parallelize`` dispatch-overhead gate) routes serially
-        instead — tiny fabrics never take a slower parallel path.
-
-        One :class:`~repro.parallel.pool.SnapshotPool` serves the whole
-        route: the heavy (router, mls set) snapshot ships to workers
-        once, and each batch forwards only the current congestion-grid
-        arrays, which workers load before routing their chunk.
-        """
-        est = INIT_NET_COST_S
-        target_s = max(self.cfg.batch_ms, 0.0) * 1e-3
-        order = topo.order.tolist()
-
-        with SnapshotPool((self, mls_nets), parallel) as pool:
-            batch: list[list[int]] = []
-            batch_nets = 0
-
-            def flush() -> None:
-                nonlocal batch, batch_nets, est
-                if not batch:
-                    return
-                n = batch_nets
-                t0 = time.perf_counter()
-                if parallel.should_parallelize(n, est_item_cost_s=est):
-                    metrics.inc("route.wave_nets_parallel", n)
-                    with trace.span("route.batch", waves=len(batch),
-                                    nets=n):
-                        self._route_batch(result, topo, batch, pool,
-                                          mls_nets)
-                else:
-                    metrics.inc("route.wave_nets_serial", n)
-                    with trace.span("route.batch", waves=len(batch),
-                                    nets=n, serial=True):
-                        for wave in batch:
-                            for row in wave:
-                                net = topo.nets[row]
-                                self._commit_net(
-                                    result, net, net.name in mls_nets,
-                                    topo, row)
-                est = (1.0 - COST_EWMA) * est \
-                    + COST_EWMA * (time.perf_counter() - t0) / n
-                batch = []
-                batch_nets = 0
-
-            index = 0
-            while index < len(order):
-                wave = self._pack_wave(topo, order, index, mls_nets)
-                index += len(wave)
-                metrics.inc("route.waves")
-                metrics.observe("route.wave_size", len(wave))
-                net = topo.nets[wave[0]]
-                if net.name in mls_nets:
-                    # MLS singleton: flush so it sees every earlier
-                    # net's usage, then route at the live boundary.
-                    flush()
-                    metrics.inc("route.wave_nets_serial")
-                    with trace.span("route.wave", size=1, serial=True):
-                        self._commit_net(result, net, True, topo,
-                                         wave[0])
-                    continue
-                batch.append(wave)
-                batch_nets += len(wave)
-                if batch_nets * est >= target_s:
-                    flush()
-            flush()
-
-    def _pack_wave(self, topo: RouteTopology, order: list[int],
-                   start: int, mls_nets: frozenset) -> list[int]:
-        """Greedy maximal disjoint run of *order* beginning at *start*.
-
-        MLS candidates are unpackable: one at *start* forms a singleton
-        wave, one later stops the packing (serial fallback at the wave
-        boundary).
-        """
-        first = order[start]
-        wave = [first]
-        if topo.nets[first].name in mls_nets:
-            return wave
-        occupied = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
-        occupied[topo.footprint(first)] = True
-        for index in range(start + 1, len(order)):
-            row = order[index]
-            footprint = topo.footprint(row)
-            if topo.nets[row].name in mls_nets \
-                    or occupied[footprint].any():
-                break
-            wave.append(row)
-            occupied[footprint] = True
-        return wave
-
-    def _route_batch(self, result: RoutingResult, topo: RouteTopology,
-                     waves: list[list[int]], pool: SnapshotPool,
-                     mls_nets: frozenset) -> None:
-        """Fan a batch of consecutive waves out in ONE pool dispatch.
-
-        Workers route every net of the batch against the
-        batch-boundary grid (releasing each net's usage after routing,
-        as in single-wave mode), so nets in waves beyond the first are
-        *speculative*: they did not see the usage earlier batch waves
-        will commit before them in the serial schedule.  The merge
-        walks waves in serial order and validates each speculative
-        net: its (conservative, superset-of-reads-and-writes) gcell
-        footprint must be disjoint from every cell the earlier waves
-        of this batch touched — then the batch-boundary grid and the
-        serial-schedule grid agree on everything the net read, and the
-        speculative tree is exactly the serial tree.  Conflicted nets
-        replay serially against the live grid; replay mid-wave is
-        exact because same-wave footprints are pairwise disjoint, so a
-        replayed net's reads are untouched by same-wave usage whether
-        or not it is committed yet.  Each wave's accepted usage is
-        committed (one :class:`UsageDelta`) before the next wave is
-        validated, and trees/RC insert in serial net order — dict
-        ordering, float bit patterns and stats all match the serial
-        router.
-        """
-        names = [topo.nets[row].name for wave in waves for row in wave]
-        metrics.inc("route.dispatches")
-        metrics.inc("route.batches")
-        metrics.observe("route.batch_waves", len(waves))
-        rows = pool.map(_route_wave_chunk, names,
-                        extra=self.grid.export_state())
-        stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
-        written = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
-        index = 0
-        for wave in waves:
-            delta = UsageDelta()
-            for row in wave:
-                _, edges = rows[index]
-                index += 1
-                net = topo.nets[row]
-                if not written[topo.footprint(row)].any():
-                    tree = self._new_tree(net, topo, row)
-                    for edge in edges:
-                        tree.add_edge(edge)
-                    self._apply_tree_usage(
-                        tree, +1.0, sink=delta,
-                        edge_cells=topo.edge_cells(row))
-                    metrics.inc("route.speculative_nets")
-                else:
-                    metrics.inc("route.replayed_nets")
-                    tree = self._route_net(net, net.name in mls_nets,
-                                           True, topo, row)
-                result.trees[net.name] = tree
-                result.rc[net.name] = extract_rc(tree, stacks, f2f)
-            self.grid.apply_delta(delta)
-            for row in wave:
-                written[topo.footprint(row)] = True
-
     def reroute_net(self, result: RoutingResult, net: Net,
                     mls: bool) -> NetRC:
         """Re-route one net with/without MLS; updates *result* in place
@@ -703,29 +460,25 @@ class GlobalRouter:
                 tree_on.num_shared_edges() > 0)
 
     def _apply_tree_usage(self, tree: RouteTree, sign: float,
-                          sink: CongestionGrid | UsageDelta | None = None,
                           edge_cells: tuple[list[int], list[int]]
                           | None = None) -> None:
         """Add (+1) or release (-1) a tree's grid resources.
 
-        *sink* defaults to the live grid; the wavefront merge passes a
-        :class:`UsageDelta` instead to batch a whole wave's usage into
-        one commit.  *edge_cells* are the tree's L-path cells when the
-        caller already has them (see :meth:`_tree_cells`).
+        *edge_cells* are the tree's L-path cells when the caller
+        already has them (see :meth:`_tree_cells`).
         """
-        if sink is None:
-            sink = self.grid
+        grid = self.grid
         cells, ptr = edge_cells if edge_cells is not None \
             else self._tree_cells(tree)
         for edge in tree.edges:
             child = edge.child
             path = cells[ptr[child]:ptr[child + 1]]
-            sink.add_path(edge.tier, edge.pair, path, sign)
+            grid.add_path(edge.tier, edge.pair, path, sign)
             if edge.shared:
-                sink.add_f2f(path[0], sign)
-                sink.add_f2f(path[-1], sign)
+                grid.add_f2f(path[0], sign)
+                grid.add_f2f(path[-1], sign)
             elif edge.n_f2f:
-                sink.add_f2f(path[0], sign * float(edge.n_f2f))
+                grid.add_f2f(path[0], sign * float(edge.n_f2f))
 
     # -- internals ----------------------------------------------------------------
 

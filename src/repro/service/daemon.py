@@ -16,8 +16,9 @@ per line in both directions; ops:
               table row, the report digest, timing breakdown and —
               on request — the on-disk paths of the pickled
               :class:`FlowReport` artifacts.  A request with an
-              unknown field or a non-positive ``freq_mhz`` is
-              refused before dedup or queueing;
+              unknown field, a ``workers`` that is not an int >= 1,
+              a non-int ``seed`` or a ``freq_mhz`` that is not a
+              number > 0 is refused before dedup or queueing;
 ``shutdown``  drain nothing, stop now (the store is crash-safe:
               every artifact write is atomic).
 
@@ -111,17 +112,31 @@ def _flow_dedup_key(request: dict) -> tuple:
     return tuple(request.get(f) for f in _FLOW_REQUEST_FIELDS)
 
 
+def _typed(value, kinds) -> bool:
+    """*value* is an instance of *kinds* but not a bool (JSON ``true``
+    would otherwise pass as the int 1)."""
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
 def _check_flow_request(request: dict) -> None:
     """Raise :class:`ServiceError` for a ``flow`` request with an
-    unknown field or a non-positive explicit ``freq_mhz``."""
+    unknown field, a ``workers`` that is not an int >= 1, a ``seed``
+    that is not an int, or a ``freq_mhz`` that is not a number > 0.
+    ``bool`` is refused for all three; ``None`` means the default."""
     unknown = sorted(set(request) - _FLOW_REQUEST_ALLOWED)
     if unknown:
         raise ServiceError(
             f"unknown flow request field(s) {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(_FLOW_REQUEST_ALLOWED))}")
+    workers = request.get("workers")
+    if workers is not None and not (_typed(workers, int) and workers >= 1):
+        raise ServiceError(f"workers must be an int >= 1, got {workers!r}")
+    seed = request.get("seed")
+    if seed is not None and not _typed(seed, int):
+        raise ServiceError(f"seed must be an int, got {seed!r}")
     freq = request.get("freq_mhz")
-    if freq is not None and not float(freq) > 0.0:
-        raise ServiceError(f"freq_mhz must be > 0, got {freq!r}")
+    if freq is not None and not (_typed(freq, (int, float)) and freq > 0.0):
+        raise ServiceError(f"freq_mhz must be a number > 0, got {freq!r}")
 
 
 def build_flow_config(request: dict):

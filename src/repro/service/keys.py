@@ -49,8 +49,10 @@ from repro.parallel import dumps_snapshot
 #: is excluded as result-neutral.  4: the place stage key lost its
 #: solver and region-parallel fields — the cg/auto backends and the
 #: region-parallel mode were deleted, so placement depends on
-#: (factory, tech, seed) alone.
-KEY_SCHEMA_VERSION = 4
+#: (factory, tech, seed) alone.  5: flow keys cover the whole
+#: ``RouteConfig`` — the wavefront router and its ``batch_ms`` knob
+#: were deleted, so every route field is result-relevant.
+KEY_SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -257,25 +259,12 @@ def prepare_key(factory, tech, seeds, config) -> ContentKey:
 #: wall-clock only (locked by the equivalence suites), never results.
 _RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"parallel"})
 
-#: RouteConfig fields excluded for the same reason: ``batch_ms`` only
-#: sizes wavefront pool dispatches — the routing-invariant suite locks
-#: trees/grid/stats bit-identical at any batch size.
-_RESULT_NEUTRAL_ROUTE_FIELDS = frozenset({"batch_ms"})
-
 
 def config_fingerprint(config) -> Any:
     """Canonical form of every result-relevant flow-config field."""
-    out = {}
-    for field in dataclasses.fields(config):
-        if field.name in _RESULT_NEUTRAL_CONFIG_FIELDS:
-            continue
-        value = getattr(config, field.name)
-        if field.name == "route" and dataclasses.is_dataclass(value):
-            value = {f.name: getattr(value, f.name)
-                     for f in dataclasses.fields(value)
-                     if f.name not in _RESULT_NEUTRAL_ROUTE_FIELDS}
-        out[field.name] = value
-    return out
+    return {field.name: getattr(config, field.name)
+            for field in dataclasses.fields(config)
+            if field.name not in _RESULT_NEUTRAL_CONFIG_FIELDS}
 
 
 def flow_key(factory, tech, seeds, config) -> ContentKey:

@@ -105,9 +105,9 @@ def routing_digest(design) -> dict:
         rc_lines.append(
             f"{name}|{_f(rc.wire_cap_ff)}|{_f(rc.wire_res_ohm)}|"
             f"{_f(rc.load_ff)}|{_f(rc.wirelength_um)}|{sinks}")
-    usage, f2f = routing.grid.export_state()
-    grid_lines = [f"f2f|{f2f.tobytes().hex()}"]
-    for tier, pairs in enumerate(usage):
+    grid = routing.grid
+    grid_lines = [f"f2f|{grid.f2f_usage.tobytes().hex()}"]
+    for tier, pairs in enumerate(grid.usage):
         for pair, arr in enumerate(pairs):
             grid_lines.append(f"{tier}|{pair}|{arr.tobytes().hex()}")
     stats = {k: _f(v) for k, v in sorted(routing.stats().items())}

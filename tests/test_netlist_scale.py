@@ -37,7 +37,7 @@ def maeri128_prepared():
 
 class TestMaeri128Snapshot:
     def test_prepare_and_pickle_roundtrip(self, maeri128_prepared):
-        """The exact payload SnapshotPool ships: no segfault, and the
+        """The exact payload snapshot_map ships: no segfault, and the
         restored design is digest-identical."""
         design = maeri128_prepared
         assert len(design.netlist.instances) > 10_000

@@ -1,10 +1,10 @@
 """Equivalence suite for the process-pool engine.
 
 The contract under test: every parallelized hot loop — the what-if
-oracle, the die-test fault simulation, the dataset build and the
-wavefront global route — returns results *identical* to its serial
-twin under the same seeds, for any worker count.  Plus unit coverage
-of the pool plumbing itself and the prepare-design memo cache.
+oracle, the die-test fault simulation and the dataset build — returns
+results *identical* to its serial twin under the same seeds, for any
+worker count, and so does a whole flow.  Plus unit coverage of the
+pool plumbing itself and the prepare-design memo cache.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from repro.dft.mls_dft import die_test_fault_sim, untestable_fault_fraction
 from repro.mls import route_with_mls
 from repro.mls.oracle import candidate_nets, oracle_labels, oracle_select
 from repro.netlist.generators import MaeriConfig, generate_maeri
-from repro.parallel import (ParallelConfig, SnapshotPool, chunked,
-                            dumps_snapshot, loads_snapshot, snapshot_map)
+from repro.parallel import (ParallelConfig, chunked, dumps_snapshot,
+                            loads_snapshot, snapshot_map)
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle, stream
 from repro.timing import run_sta
@@ -167,6 +167,29 @@ class TestSnapshotMap:
                      config=ParallelConfig(workers=4, min_items=100))
         assert sink   # mutated in place -> serial path taken
 
+    def test_pool_start_failure_degrades_to_serial(self, monkeypatch):
+        import repro.parallel.pool as pool_mod
+        from repro.obs import metrics
+
+        class Boom:
+            def __init__(self, *args, **kwargs):
+                raise OSError("no pool for you")
+
+        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Boom)
+        sink: list[int] = []
+        before = metrics.counter("pool.degrade_events")
+        with pytest.warns(RuntimeWarning,
+                          match="pool unavailable") as caught:
+            got = snapshot_map(_mutate_chunk, range(10), snapshot=sink,
+                               config=ParallelConfig(workers=4,
+                                                     min_items=2,
+                                                     chunk_size=3))
+        assert got == list(range(10))
+        assert sink == [3, 3, 3, 1]   # every chunk ran on the caller's list
+        assert len(caught) == 1
+        assert metrics.counter("pool.degrade_events") == before + 1
+        assert pool_mod._FORK_SNAPSHOT is None
+
     def test_design_snapshot_roundtrip(self, probe_setup):
         # The deep pin<->net<->instance graph needs the raised
         # recursion limits; the round-trip must preserve the design.
@@ -178,69 +201,6 @@ class TestSnapshotMap:
         name = next(iter(routing.trees))
         assert copy_routing.tree(name).wirelength() == \
             routing.tree(name).wirelength()
-
-
-def _scale_extra_chunk(state, extra, chunk):
-    return [state * item + extra for item in chunk]
-
-
-def _mutate_extra_chunk(state, extra, chunk):
-    state.append(extra)
-    return list(chunk)
-
-
-class TestSnapshotPool:
-    def test_map_matches_serial_and_preserves_order(self):
-        items = list(range(40))
-        with SnapshotPool(3, ParallelConfig(workers=4, min_items=2,
-                                            chunk_size=3)) as pool:
-            assert pool.map(_scale_extra_chunk, items, extra=7) == \
-                [3 * x + 7 for x in items]
-
-    def test_extra_changes_per_call(self):
-        with SnapshotPool(2, ParallelConfig(workers=2,
-                                            min_items=2)) as pool:
-            assert pool.map(_scale_extra_chunk, [1, 2], extra=0) == [2, 4]
-            assert pool.map(_scale_extra_chunk, [1, 2], extra=10) == \
-                [12, 14]
-
-    def test_empty_items(self):
-        with SnapshotPool(1, POOL4) as pool:
-            assert pool.map(_scale_extra_chunk, [], extra=0) == []
-
-    def test_disabled_config_runs_serially_on_caller_object(self):
-        sink: list[int] = []
-        with SnapshotPool(sink, ParallelConfig(workers=1)) as pool:
-            pool.map(_mutate_extra_chunk, range(4), extra="tag")
-        assert sink  # mutated in place -> no pool was used
-
-    def test_broken_pool_degrades_permanently_to_serial(self, monkeypatch):
-        import repro.parallel.pool as pool_mod
-
-        class Boom:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no pool for you")
-
-        monkeypatch.setattr(pool_mod, "ProcessPoolExecutor", Boom)
-        sink: list[int] = []
-        with SnapshotPool(sink, ParallelConfig(workers=4, min_items=2,
-                                               chunk_size=8)) as pool:
-            with pytest.warns(RuntimeWarning, match="pool unavailable"):
-                assert pool.map(_mutate_extra_chunk, [1, 2, 3],
-                                extra="a") == [1, 2, 3]
-            # Second map: already degraded, no new warning machinery —
-            # still serial against the caller's object.
-            assert pool.map(_mutate_extra_chunk, [4], extra="b") == [4]
-        assert sink == ["a", "b"]
-
-    def test_close_releases_fork_slot(self):
-        import repro.parallel.pool as pool_mod
-        pool = SnapshotPool(5, ParallelConfig(workers=2, min_items=2))
-        assert pool.map(_scale_extra_chunk, [1, 2], extra=0) == [5, 10]
-        if pool._owns_fork_slot:
-            assert pool_mod._FORK_SNAPSHOT is not None
-        pool.close()
-        assert pool_mod._FORK_SNAPSHOT is None
 
 
 # -- hot-loop equivalence ----------------------------------------------------
@@ -407,153 +367,19 @@ class TestPrepareCache:
         assert dumps_snapshot(a) != dumps_snapshot(b)
 
 
-def _route_both_ways(tech, mls_nets, workers: int):
-    """Route the same design serially and wavefront; return results."""
-    serial_design = build_small_design(tech, routed=False)
-    serial = GlobalRouter(serial_design).route_all(mls_nets=mls_nets)
-    wave_design = build_small_design(tech, routed=False)
-    wavefront = GlobalRouter(wave_design).route_all(
-        mls_nets=mls_nets,
-        parallel=ParallelConfig(workers=workers, min_items=2))
-    return serial, wavefront
-
-
-def _assert_routing_identical(serial, wavefront):
-    assert list(serial.trees) == list(wavefront.trees)
-    for name in serial.trees:
-        assert serial.trees[name].edges == wavefront.trees[name].edges
-    assert dumps_snapshot(serial.rc) == dumps_snapshot(wavefront.rc)
-    for tier in range(len(serial.grid.usage)):
-        for pair in range(serial.grid.num_pairs(tier)):
-            assert np.array_equal(serial.grid.usage[tier][pair],
-                                  wavefront.grid.usage[tier][pair])
-    assert np.array_equal(serial.grid.f2f_usage,
-                          wavefront.grid.f2f_usage)
-    assert serial.stats() == wavefront.stats()
-
-
-class TestWavefrontEquivalence:
-    """Wavefront route_all is bit-identical to the serial schedule."""
-
-    def test_workers_1_is_the_serial_path(self, hetero_tech):
-        design = build_small_design(hetero_tech, routed=False)
-        serial = GlobalRouter(design).route_all()
-        design2 = build_small_design(hetero_tech, routed=False)
-        one = GlobalRouter(design2).route_all(
-            parallel=ParallelConfig(workers=1))
-        _assert_routing_identical(serial, one)
-
-    def test_wavefront_identical_4_workers(self, hetero_tech):
-        serial, wavefront = _route_both_ways(hetero_tech, frozenset(), 4)
-        _assert_routing_identical(serial, wavefront)
-
-    @pytest.mark.slow
-    def test_wavefront_identical_8_workers(self, hetero_tech):
-        serial, wavefront = _route_both_ways(hetero_tech, frozenset(), 8)
-        _assert_routing_identical(serial, wavefront)
-
-    def test_mls_nets_force_serial_fallback_within_wave(self, hetero_tech):
-        """MLS candidates break waves (serial fallback) yet the merged
-        result — shared trunks, F2F pads, fallbacks — stays exact."""
-        design = build_small_design(hetero_tech, routed=False)
-        names = sorted(n.name for n in candidate_nets(design))
-        mls = frozenset(names[::5])
-        serial, wavefront = _route_both_ways(hetero_tech, mls, 4)
-        assert serial.mls_applied_nets()  # scenario actually bites
-        _assert_routing_identical(serial, wavefront)
-
-    @pytest.mark.slow
-    def test_flow_rows_byte_identical(self, hetero_tech):
-        """Full FlowReport rows agree between serial and wavefront
-        routing, MLS selection (sota) included."""
-        rows = []
-        for parallel in (ParallelConfig(),
-                         ParallelConfig(workers=4, min_items=8)):
-            clear_prepare_cache()
-            cfg = FlowConfig(selector="sota", target_freq_mhz=1500.0,
-                             pdn=False, parallel=parallel)
-            report = run_flow(_tiny_factory, hetero_tech,
-                              SeedBundle(TEST_SEED), cfg)
-            assert report.requested_mls  # sota actually requested MLS
-            row = report.result_row()
-            rows.append(json.dumps(row, sort_keys=True))
-        assert rows[0] == rows[1]
-
-
-class TestSpeculativeBatching:
-    """Multi-wave speculative batches replay conflicts exactly.
-
-    The batch merge accepts speculatively-routed nets only when their
-    footprint is untouched by earlier batch waves; everything else
-    replays serially.  These tests force both outcomes and assert the
-    result never drifts from the serial schedule.
-    """
-
-    def _route(self, tech, mls, parallel=None, batch_ms=None):
-        from repro.route.router import RouteConfig
-        design = build_small_design(tech, routed=False)
-        cfg = RouteConfig() if batch_ms is None \
-            else RouteConfig(batch_ms=batch_ms)
-        router = GlobalRouter(design, cfg)
-        return router.route_all(mls_nets=mls, parallel=parallel)
-
-    def test_forced_conflicts_replay_to_serial_result(self, hetero_tech):
-        """One giant batch (huge batch_ms) maximizes speculation, so
-        later waves conflict with earlier ones and must replay; grid,
-        trees and RC still match the serial route bit-for-bit."""
-        from repro.obs import metrics
-        serial = self._route(hetero_tech, frozenset())
-        replayed0 = metrics.counter("route.replayed_nets")
-        speculative0 = metrics.counter("route.speculative_nets")
-        wavefront = self._route(
-            hetero_tech, frozenset(),
-            parallel=ParallelConfig(workers=4, min_items=2),
-            batch_ms=10_000.0)
-        assert metrics.counter("route.replayed_nets") > replayed0
-        assert metrics.counter("route.speculative_nets") > speculative0
-        _assert_routing_identical(serial, wavefront)
-
-    def test_batching_disabled_matches_serial(self, hetero_tech):
-        """batch_ms=0 degrades to one dispatch per wave (the old
-        granularity) without changing any result."""
-        serial = self._route(hetero_tech, frozenset())
-        wavefront = self._route(
-            hetero_tech, frozenset(),
-            parallel=ParallelConfig(workers=4, min_items=2),
-            batch_ms=0.0)
-        _assert_routing_identical(serial, wavefront)
-
-    def test_batches_cut_dispatch_count(self, hetero_tech):
-        """Default batching needs far fewer pool dispatches than the
-        one-dispatch-per-wave schedule it replaces.
-
-        The 16PE fabric's waves are tiny, so the EWMA-adaptive batch
-        sizing lands around 4x here; 2x is the robust floor.  The >=5x
-        acceptance gate on MAERI-128 lives in bench_parallel_route.
-        """
-        from repro.obs import metrics
-        d0, w0 = (metrics.counter("route.dispatches"),
-                  metrics.counter("route.waves"))
-        self._route(hetero_tech, frozenset(),
-                    parallel=ParallelConfig(workers=4, min_items=2))
-        dispatches = metrics.counter("route.dispatches") - d0
-        waves = metrics.counter("route.waves") - w0
-        assert dispatches > 0
-        assert dispatches * 2 <= waves
-
-    def test_mls_with_forced_conflicts(self, hetero_tech):
-        """MLS singletons flush batches; conflict replay around them
-        still reproduces the serial MLS routing exactly."""
-        design = build_small_design(hetero_tech, routed=False)
-        names = sorted(n.name for n in candidate_nets(design))
-        mls = frozenset(names[::5])
-        serial = self._route(hetero_tech, mls)
-        wavefront = self._route(
-            hetero_tech, mls,
-            parallel=ParallelConfig(workers=4, min_items=2),
-            batch_ms=10_000.0)
-        assert serial.mls_applied_nets()
-        _assert_routing_identical(serial, wavefront)
+def _assert_routing_identical(got, want):
+    """Trees, parasitics, dict order, every congestion array and
+    ``stats()`` of two routing results agree bit for bit."""
+    assert list(got.trees) == list(want.trees)
+    for name in got.trees:
+        assert got.trees[name].edges == want.trees[name].edges
+    assert dumps_snapshot(got.rc) == dumps_snapshot(want.rc)
+    for tier in range(len(got.grid.usage)):
+        for pair in range(got.grid.num_pairs(tier)):
+            assert np.array_equal(got.grid.usage[tier][pair],
+                                  want.grid.usage[tier][pair])
+    assert np.array_equal(got.grid.f2f_usage, want.grid.f2f_usage)
+    assert got.stats() == want.stats()
 
 
 class TestGoldenDeterminism:
@@ -569,6 +395,23 @@ class TestGoldenDeterminism:
                                            SeedBundle(TEST_SEED), cfg)
             report = run_flow(_tiny_factory, hetero_tech,
                               SeedBundle(TEST_SEED), cfg, design=design)
+            row = report.result_row()
+            rows.append(json.dumps(row, sort_keys=True))
+        assert rows[0] == rows[1]
+
+    @pytest.mark.slow
+    def test_flow_rows_byte_identical(self, hetero_tech):
+        """Full FlowReport rows agree between one and four workers, with
+        the oracle's what-if labels fanned out over the pool."""
+        rows = []
+        for parallel in (ParallelConfig(),
+                         ParallelConfig(workers=4, min_items=8)):
+            clear_prepare_cache()
+            cfg = FlowConfig(selector="oracle", target_freq_mhz=1500.0,
+                             pdn=False, parallel=parallel)
+            report = run_flow(_tiny_factory, hetero_tech,
+                              SeedBundle(TEST_SEED), cfg)
+            assert report.requested_mls  # the oracle actually requested MLS
             row = report.result_row()
             rows.append(json.dumps(row, sort_keys=True))
         assert rows[0] == rows[1]

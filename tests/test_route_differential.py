@@ -19,7 +19,6 @@ from repro.mls import apply_mls_incremental, route_with_mls
 from repro.mls.oracle import candidate_nets, oracle_slack_labels
 from repro.obs import metrics
 from repro.opt import insert_buffers
-from repro.parallel import ParallelConfig
 from repro.route import GlobalRouter, RouteConfig
 from repro.timing import IncrementalSta, run_sta
 
@@ -92,16 +91,6 @@ class TestChainEquivalence:
 
 
 class TestPreviousKinds:
-    def test_wavefront_baseline_as_previous(self, maeri):
-        parallel = ParallelConfig(workers=2, min_items=2)
-        previous = GlobalRouter(maeri).route_all(parallel=parallel)
-        mls = mls_subset(maeri, 20, 7)
-        got = GlobalRouter(maeri).route_all(mls_nets=mls,
-                                            parallel=parallel,
-                                            previous=previous)
-        assert got.changed_nets is not None
-        _assert_routing_identical(got, from_scratch(maeri, mls))
-
     def test_probed_previous_stays_exact(self, hetero_tech):
         design = build_small_design(hetero_tech, routed=False)
         router = GlobalRouter(design)

@@ -1,7 +1,6 @@
 """Routing-invariant suite: locks router semantics bit-for-bit.
 
-Three families of invariants, checked against both the serial and the
-wavefront code paths:
+Three families of invariants of the serial router:
 
 * **Conservation** — committing then releasing every net leaves every
   congestion array exactly zero, so ``_apply_tree_usage`` and the
@@ -12,8 +11,7 @@ wavefront code paths:
   enforced contract.
 * **Golden regression** — ``tests/data/golden_routing.json`` pins
   ``RoutingResult.stats()`` and per-net (wirelength, shared_edges,
-  n_f2f) for two seeded designs; serial and wavefront routing at any
-  worker count must reproduce it exactly.
+  n_f2f) for two seeded designs; routing must reproduce it exactly.
 
 Regenerate the golden fixture (only after an *intentional* router
 semantics change) with::
@@ -31,16 +29,15 @@ import numpy as np
 import pytest
 
 from repro.mls.oracle import candidate_nets
-from repro.parallel import ParallelConfig, dumps_snapshot
+from repro.parallel import dumps_snapshot
 from repro.route import GlobalRouter
-from repro.route.grid import UsageDelta
 
 from tests.conftest import build_small_design
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_routing.json"
 
 #: Every 5th candidate net goes MLS — enough shared trunks to exercise
-#: the F2F bookkeeping and the wavefront serial fallback.
+#: the F2F bookkeeping.
 MLS_EVERY = 5
 
 #: The two golden designs: (key, logic node, memory node).
@@ -61,12 +58,11 @@ def _mls_selection(design) -> frozenset:
     return frozenset(names[::MLS_EVERY])
 
 
-def _route_golden(key: str, parallel: ParallelConfig | None = None):
+def _route_golden(key: str):
     """Build + route one golden design; returns (design, result)."""
     design = build_small_design(_tech_for(key), routed=False)
     router = GlobalRouter(design)
-    result = router.route_all(mls_nets=_mls_selection(design),
-                              parallel=parallel)
+    result = router.route_all(mls_nets=_mls_selection(design))
     return design, router, result
 
 
@@ -116,18 +112,6 @@ class TestConservation:
         for plane in _grid_planes(router.grid):
             assert not plane.any(), "usage survived a full unroute"
 
-    def test_usage_delta_roundtrip_is_exact(self, hetero_tech):
-        """Releasing through a UsageDelta matches direct releases."""
-        design = build_small_design(hetero_tech, routed=False)
-        router = GlobalRouter(design)
-        result = router.route_all(mls_nets=_mls_selection(design))
-        delta = UsageDelta()
-        for tree in result.trees.values():
-            router._apply_tree_usage(tree, -1.0, sink=delta)
-        router.grid.apply_delta(delta)
-        for plane in _grid_planes(router.grid):
-            assert not plane.any()
-
 
 # -- probe purity -------------------------------------------------------------
 
@@ -173,17 +157,6 @@ class TestGoldenRouting:
     def test_serial_matches_golden(self, key):
         golden = _load_golden()
         _, _, result = _route_golden(key)
-        got = json.loads(json.dumps(_golden_record(result)))
-        assert got["stats"] == golden[key]["stats"]
-        assert got["nets"] == golden[key]["nets"]
-
-    @pytest.mark.slow
-    @pytest.mark.parametrize("workers", [1, 4, 8])
-    @pytest.mark.parametrize("key", [d[0] for d in GOLDEN_DESIGNS])
-    def test_wavefront_matches_golden(self, key, workers):
-        golden = _load_golden()
-        parallel = ParallelConfig(workers=workers, min_items=2)
-        _, _, result = _route_golden(key, parallel=parallel)
         got = json.loads(json.dumps(_golden_record(result)))
         assert got["stats"] == golden[key]["stats"]
         assert got["nets"] == golden[key]["nets"]

@@ -19,8 +19,9 @@ Contracts locked here:
   and the daemon keeps serving;
 * socket hygiene — a stale socket file is reclaimed, a live one
   refuses a second daemon;
-* a flow request with an unknown field or an explicit ``freq_mhz``
-  <= 0 is refused with a :class:`ServiceError` before dedup or
+* a flow request with an unknown field, a ``workers`` that is not an
+  int >= 1, a non-int ``seed`` or a ``freq_mhz`` that is not a number
+  > 0 is refused with a :class:`ServiceError` before dedup or
   queueing.
 """
 
@@ -162,6 +163,25 @@ class TestRequestParsing:
         _, config, _ = build_flow_config({"benchmark": BENCH,
                                           "freq_mhz": 777.0})
         assert config.target_freq_mhz == 777.0
+        _, config, _ = build_flow_config({"benchmark": BENCH,
+                                          "freq_mhz": 900})
+        assert config.target_freq_mhz == 900.0
+
+    @pytest.mark.parametrize("field,value", [
+        ("workers", 0), ("workers", -1), ("workers", True),
+        ("workers", 2.7), ("workers", "2"),
+        ("seed", 1.9), ("seed", True), ("seed", "7"),
+        ("freq_mhz", True), ("freq_mhz", "abc"), ("freq_mhz", "900"),
+    ])
+    def test_mistyped_number_is_refused(self, field, value):
+        """Regression: numeric fields were coerced silently — workers 0
+        or true ran one worker and 2.7 ran two, seed 1.9 ran seed 1,
+        freq_mhz true ran a 1 MHz flow and "abc" raised a bare
+        ValueError."""
+        from repro.service.daemon import build_flow_config
+
+        with pytest.raises(ServiceError, match=field):
+            build_flow_config({"benchmark": BENCH, field: value})
 
 
 class TestProtocol:

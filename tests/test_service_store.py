@@ -177,16 +177,23 @@ class TestKeyDerivation:
         assert flow_key(_maeri_factory, tech, _seeds(),
                         wide).hexdigest == base.hexdigest
 
-    def test_route_batch_ms_never_changes_key(self, tech):
-        """``batch_ms`` only sizes wavefront dispatches (the routing
-        invariant suite locks results identical at any batch size), so
-        it must not move flow keys — unlike the rest of RouteConfig."""
+    @pytest.mark.parametrize(
+        "field_name", [f.name for f in dataclasses.fields(RouteConfig)])
+    def test_each_route_field_changes_key(self, tech, field_name):
+        """Every RouteConfig field can change the routes, so each one
+        must move the flow key."""
+        def bump(value):
+            if isinstance(value, tuple):
+                return tuple(bump(item) for item in value)
+            return value + 0.5
+
+        route = BASE_CONFIG.route
+        changed = dataclasses.replace(
+            BASE_CONFIG, route=dataclasses.replace(
+                route, **{field_name: bump(getattr(route, field_name))}))
         base = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        batched = dataclasses.replace(
-            BASE_CONFIG,
-            route=dataclasses.replace(BASE_CONFIG.route, batch_ms=997.0))
         assert flow_key(_maeri_factory, tech, _seeds(),
-                        batched).hexdigest == base.hexdigest
+                        changed).hexdigest != base.hexdigest
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
