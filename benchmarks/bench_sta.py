@@ -19,11 +19,15 @@ no-MLS MAERI fabrics and writes ``BENCH_sta.json`` at the repo root:
 
 The no-MLS route that feeds them is timed once, on the freshly
 prepared design (so it includes the route topology build), and goes
-to the ledger as the ``route.<key>.serial_s`` leg.
+to the ledger as the ``route.<key>.serial_s`` leg.  The router's RC
+walker is then timed over every routed tree (``rc_extract``, the
+``route.<key>.rc_extract_s`` leg), and each of its results is checked
+against the per-edge extractor in ``tests/route_oracle.py``.
 
 Every timed variant is also checked for **bit-identical** reports
-(arrival, required, endpoint slack, worst_pred) — the script exits
-non-zero on any divergence, which is what the CI smoke job gates on.
+(arrival, required, endpoint slack, worst_pred) and parasitics — the
+script exits non-zero on any divergence, which is what the CI smoke
+job gates on.
 
 Run directly::
 
@@ -49,6 +53,7 @@ from repro.mls import route_with_mls                            # noqa: E402
 from repro.mls.oracle import candidate_nets                     # noqa: E402
 from repro.timing import (IncrementalSta, build_timing_graph,   # noqa: E402
                           run_sta)
+from tests.route_oracle import extract_rc                       # noqa: E402
 from tests.sta_oracle import build_list_graph, serial_sta       # noqa: E402
 
 BENCH_JSON = REPO_ROOT / "BENCH_sta.json"
@@ -76,6 +81,23 @@ def _reports_identical(a, b) -> bool:
             and list(a.endpoint_slack) == list(b.endpoint_slack))
 
 
+def _rc_extract(router, routing, design, repeats: int
+                ) -> tuple[float, bool]:
+    """(best seconds, bit-identical) of the router's RC walker over
+    every routed tree, checked against the per-edge oracle."""
+    trees = list(routing.trees.values())
+    extract = router.rc_tables.extract
+    t_rc, got = _best_of(lambda: [extract(tree) for tree in trees],
+                         repeats)
+    stacks, f2f = design.tech.stacks, design.tech.f2f
+    ok = True
+    for tree, rc in zip(trees, got):
+        want = extract_rc(tree, stacks, f2f)
+        ok = ok and rc == want \
+            and list(rc.sink_delay_ps) == list(want.sink_delay_ps)
+    return t_rc, ok
+
+
 def bench_design(key: str, repeats: int) -> dict:
     spec = get_benchmark(key)
     config = FlowConfig(selector="none",
@@ -85,6 +107,7 @@ def bench_design(key: str, repeats: int) -> dict:
     t0 = time.perf_counter()
     router, routing = route_with_mls(design, set())
     t_route = time.perf_counter() - t0
+    t_rc, rc_ok = _rc_extract(router, routing, design, repeats)
     # Build both graphs outside the timers.
     graph = build_timing_graph(design)
     ref_graph = build_list_graph(design)
@@ -117,6 +140,8 @@ def bench_design(key: str, repeats: int) -> dict:
         "edges": graph.num_edges,
         "endpoints": len(ref.endpoint_slack),
         "route_ms": round(t_route * 1e3, 3),
+        "rc_trees": len(routing.trees),
+        "rc_extract_ms": round(t_rc * 1e3, 3),
         "seed_full_sta_ms": round(t_seed * 1e3, 3),
         "serial_kernel_ms": round(t_serial * 1e3, 3),
         "csr_kernel_ms": round(t_csr * 1e3, 3),
@@ -128,6 +153,7 @@ def bench_design(key: str, repeats: int) -> dict:
         "speedup_incremental_vs_seed": round(t_seed / t_incr, 2),
         "csr_bit_identical": csr_ok,
         "incremental_bit_identical": incr_ok,
+        "rc_bit_identical": rc_ok,
     }
 
 
@@ -168,15 +194,18 @@ def main(argv: list[str] | None = None) -> int:
             legs[f"sta.{row['key']}.{name}"] = row[leg] / 1e3
     append_trend(TREND_JSONL, "sta", legs, smoke=args.smoke,
                  meta={"repeats": repeats})
-    append_trend(TREND_JSONL, "route",
-                 {f"route.{row['key']}.serial_s": row["route_ms"] / 1e3
-                  for row in rows}, smoke=args.smoke)
+    route_legs = {}
+    for row in rows:
+        route_legs[f"route.{row['key']}.serial_s"] = row["route_ms"] / 1e3
+        route_legs[f"route.{row['key']}.rc_extract_s"] = \
+            row["rc_extract_ms"] / 1e3
+    append_trend(TREND_JSONL, "route", route_legs, smoke=args.smoke)
 
     ok = all(r["csr_bit_identical"] and r["incremental_bit_identical"]
-             for r in rows)
+             and r["rc_bit_identical"] for r in rows)
     if not ok:
-        print("FAIL: kernel divergence — reports are not bit-identical",
-              file=sys.stderr)
+        print("FAIL: kernel divergence — reports or parasitics are not "
+              "bit-identical", file=sys.stderr)
         return 1
     return 0
 

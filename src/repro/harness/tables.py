@@ -5,7 +5,9 @@ the process, so Figure 8 (which replots Tables IV/V data) and repeated
 bench invocations don't pay twice.  One level below, the prepared
 (partitioned/placed/buffered) design is memoized per benchmark by
 :func:`repro.core.flow.prepare_design_cached`, so the per-*selector*
-runs of one table only pay routing + selection + signoff.
+runs of one table only pay routing + selection + signoff: the first
+selector flows the design it built, every later one its own unpickled
+copy.
 """
 
 from __future__ import annotations

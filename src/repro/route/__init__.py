@@ -11,7 +11,7 @@ through a pair of F2F vias (Figure 1's "2d-shared net").
 from repro.route.tree import RouteNode, RouteEdge, RouteTree
 from repro.route.steiner import RouteTopology, build_route_topology
 from repro.route.grid import CongestionGrid
-from repro.route.rc import NetRC, extract_rc
+from repro.route.rc import NetRC, RcTables
 from repro.route.router import GlobalRouter, RouteConfig, RoutingResult
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "build_route_topology",
     "CongestionGrid",
     "NetRC",
-    "extract_rc",
+    "RcTables",
     "GlobalRouter",
     "RouteConfig",
     "RoutingResult",

@@ -5,6 +5,13 @@ features), and per-sink Elmore delays.  Edge electricals come from the
 assigned layer pair (mean of the two layers), intra-tier via stacks,
 and F2F hybrid-bond vias — so the timing cost/benefit of MLS falls out
 of the same model as ordinary routing.
+
+Every per-layer number an edge needs is looked up by index in
+:class:`RcTables`, built once per technology (each
+:class:`~repro.route.router.GlobalRouter` holds one), and
+:meth:`RcTables.extract` walks a tree with flat index lists.  The seed's
+per-edge extractor is kept in ``tests/route_oracle.py``, and the walker
+must reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -37,81 +44,102 @@ class NetRC:
         return max(self.sink_delay_ps.values(), default=0.0)
 
 
-def _edge_rc(edge, stacks: tuple[MetalStack, MetalStack],
-             f2f: F2FVia) -> tuple[float, float]:
-    """(R_ohm, C_ff) of one route edge."""
-    stack = stacks[edge.tier]
-    pairs = stack.pairs()
-    if not 0 <= edge.pair < len(pairs):
-        raise RoutingError(
-            f"net {edge.parent}->{edge.child}: pair {edge.pair} out of "
-            f"range for tier {edge.tier}")
-    la, lb = pairs[edge.pair]
-    r_um = (la.r_per_um + lb.r_per_um) / 2.0
-    c_um = (la.c_per_um + lb.c_per_um) / 2.0
-    r = r_um * edge.length + edge.via_hops * stack.via_r \
-        + edge.n_f2f * f2f.resistance
-    c = c_um * edge.length + edge.via_hops * stack.via_c \
-        + edge.n_f2f * f2f.capacitance
-    if edge.escape_um > 0.0:
-        # MLS escape stubs run on the *home* tier's lowest pair.
-        home = stacks[1 - edge.tier]
-        ea, eb = home.pairs()[0]
-        r += (ea.r_per_um + eb.r_per_um) / 2.0 * edge.escape_um
-        c += (ea.c_per_um + eb.c_per_um) / 2.0 * edge.escape_um
-    return r, c
+class RcTables:
+    """One technology's edge electricals, indexed by tier and pair.
 
-
-def extract_rc(tree: RouteTree, stacks: tuple[MetalStack, MetalStack],
-               f2f: F2FVia) -> NetRC:
-    """Extract parasitics and per-sink Elmore delays for *tree*.
-
-    Sink pin capacitances are read from the tree's pin-bearing nodes.
+    ``wire[tier][pair]`` is the pair's mean (R, C) per um, ``via[tier]``
+    the tier's per-hop via (R, C), ``escape[tier]`` the per-um (R, C) of
+    an MLS escape stub on an edge routed on *tier* (the other, home
+    tier's pair 0), and ``f2f`` the bond via's (R, C).
     """
-    children = tree.children()
-    n = len(tree.nodes)
-    edge_rc = {(e.parent, e.child): _edge_rc(e, stacks, f2f)
-               for e in tree.edges}
 
-    # Post-order subtree capacitance (iterative to handle deep trees).
-    subtree_cap = [0.0] * n
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for e in children.get(u, ()):
-            stack.append(e.child)
-    for u in reversed(order):
-        cap = 0.0
-        node = tree.nodes[u]
-        if u != 0 and node.pin is not None:
-            cap += node.pin.cap_ff
-        for e in children.get(u, ()):
-            cap += edge_rc[(u, e.child)][1] + subtree_cap[e.child]
-        subtree_cap[u] = cap
+    def __init__(self, stacks: tuple[MetalStack, MetalStack],
+                 f2f: F2FVia):
+        self.wire = tuple(
+            tuple(((la.r_per_um + lb.r_per_um) / 2.0,
+                   (la.c_per_um + lb.c_per_um) / 2.0)
+                  for la, lb in stack.pairs())
+            for stack in stacks)
+        self.via = tuple((stack.via_r, stack.via_c) for stack in stacks)
+        self.escape = tuple(self.wire[1 - tier][0]
+                            for tier in range(len(stacks)))
+        self.f2f = (f2f.resistance, f2f.capacitance)
 
-    # Pre-order Elmore accumulation.
-    delay = [0.0] * n
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for e in children.get(u, ()):
-            r, c = edge_rc[(u, e.child)]
-            delay[e.child] = delay[u] + rc_to_ps(
-                r, c / 2.0 + subtree_cap[e.child])
-            stack.append(e.child)
+    def extract(self, tree: RouteTree) -> NetRC:
+        """Parasitics and per-sink Elmore delays of *tree*.
 
-    total_r = sum(rc[0] for rc in edge_rc.values())
-    total_c = sum(rc[1] for rc in edge_rc.values())
-    sink_caps = sum(node.pin.cap_ff for node in tree.sink_nodes())
-    sink_delays = {node.pin.full_name: delay[node.idx]
-                   for node in tree.sink_nodes()}
-    return NetRC(
-        net_name=tree.net_name,
-        wire_cap_ff=total_c,
-        wire_res_ohm=total_r,
-        load_ff=total_c + sink_caps,
-        wirelength_um=tree.wirelength(),
-        sink_delay_ps=sink_delays,
-    )
+        Sink pin capacitances are read from the tree's pin-bearing
+        nodes.  Every sum runs over the same values in the same order
+        as the per-edge reference, so the result is bit-identical.
+        """
+        nodes, edges = tree.nodes, tree.edges
+        wire, via, escape = self.wire, self.via, self.escape
+        f2f_r, f2f_c = self.f2f
+        n = len(nodes)
+        kids: list[list[int]] = [[] for _ in nodes]   # edge indices
+        child: list[int] = []
+        rs: list[float] = []
+        cs: list[float] = []
+        for i, edge in enumerate(edges):
+            tier, pair = edge.tier, edge.pair
+            pairs = wire[tier]
+            if not 0 <= pair < len(pairs):
+                raise RoutingError(
+                    f"net {tree.net_name}: edge {edge.parent}->{edge.child}"
+                    f" uses pair {pair}, out of range for tier {tier} "
+                    f"({len(pairs)} pairs)")
+            r_um, c_um = pairs[pair]
+            via_r, via_c = via[tier]
+            length, hops, n_f2f = edge.length, edge.via_hops, edge.n_f2f
+            r = r_um * length + hops * via_r + n_f2f * f2f_r
+            c = c_um * length + hops * via_c + n_f2f * f2f_c
+            if edge.escape_um > 0.0:
+                # MLS escape stubs run on the *home* tier's lowest pair.
+                esc_r, esc_c = escape[tier]
+                r += esc_r * edge.escape_um
+                c += esc_c * edge.escape_um
+            rs.append(r)
+            cs.append(c)
+            child.append(edge.child)
+            kids[edge.parent].append(i)
+
+        # Parents before children (breadth-first from the driver); a
+        # parent may carry a higher node index than its children.
+        order = [0]
+        for u in order:
+            for i in kids[u]:
+                order.append(child[i])
+
+        subtree_cap = [0.0] * n
+        for u in reversed(order):
+            cap = 0.0
+            if u != 0:
+                pin = nodes[u].pin
+                if pin is not None:
+                    cap += pin.cap_ff
+            for i in kids[u]:
+                cap += cs[i] + subtree_cap[child[i]]
+            subtree_cap[u] = cap
+
+        delay = [0.0] * n
+        for u in order:
+            base = delay[u]
+            for i in kids[u]:
+                v = child[i]
+                delay[v] = base + rc_to_ps(rs[i],
+                                           cs[i] / 2.0 + subtree_cap[v])
+
+        # Builtin sum(), never a += loop: from Python 3.12 sum()
+        # compensates float rounding, so a loop would match only 3.11.
+        total_c = sum(cs)
+        sinks = tree.sink_nodes()
+        sink_caps = sum(node.pin.cap_ff for node in sinks)
+        return NetRC(
+            net_name=tree.net_name,
+            wire_cap_ff=total_c,
+            wire_res_ohm=sum(rs),
+            load_ff=total_c + sink_caps,
+            wirelength_um=tree.wirelength(),
+            sink_delay_ps={node.pin.full_name: delay[node.idx]
+                           for node in sinks},
+        )

@@ -29,7 +29,7 @@ from repro.errors import RoutingError
 from repro.netlist.net import Net
 from repro.obs import metrics, trace
 from repro.route.grid import CongestionGrid
-from repro.route.rc import NetRC, extract_rc
+from repro.route.rc import NetRC, RcTables
 from repro.route.steiner import (RouteTopology, build_route_topology,
                                  tree_edge_cells)
 from repro.route.tree import RouteEdge, RouteTree
@@ -168,6 +168,8 @@ class GlobalRouter:
             fp, design.tech.stacks, design.tech.f2f,
             gcell_um=self.cfg.gcell_um, track_util=self.cfg.track_util,
             pdn_reserved=self.cfg.pdn_reserved)
+        #: Per-layer electricals every extraction reads (see rc.py).
+        self.rc_tables = RcTables(design.tech.stacks, design.tech.f2f)
 
     # -- public API -----------------------------------------------------------
 
@@ -338,11 +340,11 @@ class GlobalRouter:
         to a from-scratch route's.
 
         A re-routed net whose edges come out unchanged keeps the
-        previous tree and RC objects (no ``extract_rc``).  *previous*
+        previous tree and RC objects (no extraction).  *previous*
         was routed for the same structure (see :meth:`_replayable`),
         so every one of its trees sits on its row of *topo*.
         """
-        stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
+        extract = self.rc_tables.extract
         old_trees, old_rc = previous.trees, previous.rc
         old_mls, new_mls = previous.mls_request, result.mls_request
         dirty = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
@@ -368,7 +370,7 @@ class GlobalRouter:
                 result.rc[old.net_name] = old_rc[name]
                 continue
             result.trees[name] = tree
-            result.rc[name] = extract_rc(tree, stacks, f2f)
+            result.rc[name] = extract(tree)
             changed.append(name)
             dirty[topo.footprint(row)] = True
             any_dirty = True
@@ -384,8 +386,7 @@ class GlobalRouter:
         """Serial inner loop: route one net and record tree + RC."""
         tree = self._route_net(net, mls, True, topo, row)
         result.trees[net.name] = tree
-        result.rc[net.name] = extract_rc(
-            tree, self.design.tech.stacks, self.design.tech.f2f)
+        result.rc[net.name] = self.rc_tables.extract(tree)
 
     def reroute_net(self, result: RoutingResult, net: Net,
                     mls: bool) -> NetRC:
@@ -396,7 +397,7 @@ class GlobalRouter:
         self.unroute_net(result, net)
         tree = self._route_net(net, mls=mls, commit=True)
         result.trees[net.name] = tree
-        rc = extract_rc(tree, self.design.tech.stacks, self.design.tech.f2f)
+        rc = self.rc_tables.extract(tree)
         result.rc[net.name] = rc
         if mls and tree.num_shared_edges() > 0:
             self.design.mls_nets.add(net.name)
@@ -454,9 +455,8 @@ class GlobalRouter:
             tree_on = self._route_net(net, True, False, topo, row)
         finally:
             self._apply_tree_usage(committed, +1.0, edge_cells=cells)
-        stacks, f2f = self.design.tech.stacks, self.design.tech.f2f
-        return (extract_rc(tree_off, stacks, f2f),
-                extract_rc(tree_on, stacks, f2f),
+        extract = self.rc_tables.extract
+        return (extract(tree_off), extract(tree_on),
                 tree_on.num_shared_edges() > 0)
 
     def _apply_tree_usage(self, tree: RouteTree, sign: float,

@@ -80,13 +80,6 @@ class RouteTree:
     def sink_nodes(self) -> list[RouteNode]:
         return [n for n in self.nodes[1:] if n.pin is not None]
 
-    def children(self) -> dict[int, list[RouteEdge]]:
-        """parent idx -> outgoing edges."""
-        out: dict[int, list[RouteEdge]] = {}
-        for edge in self.edges:
-            out.setdefault(edge.parent, []).append(edge)
-        return out
-
     def wirelength(self) -> float:
         """Total routed wire length in um (vias excluded)."""
         return sum(e.length for e in self.edges)

@@ -1,9 +1,10 @@
-"""Per-net reference implementations of the route topology.
+"""Per-net reference implementations of the route topology and RC.
 
 The router reads each net's pin points, Prim MST parents, L-path
 gcells and footprint from one batched, array-native pass
-(:func:`repro.route.steiner.build_route_topology`).  These are the
-scalar, one-net-at-a-time definitions that pass must reproduce
+(:func:`repro.route.steiner.build_route_topology`), and extracts each
+tree's parasitics with :meth:`repro.route.rc.RcTables.extract`.  These
+are the scalar, one-net-at-a-time definitions both must reproduce
 exactly — the seed router's own code, kept as the executable spec.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import RoutingError
+from repro.route.rc import NetRC
+from repro.units import rc_to_ps
 
 
 def build_route_points(net, placement) -> list[tuple[float, float, int,
@@ -113,3 +116,81 @@ def long_nets_first(nets, placement) -> list[str]:
 
     return [net.name
             for net in sorted(nets, key=lambda n: (-est_len(n), n.name))]
+
+
+def _edge_rc(edge, stacks, f2f) -> tuple[float, float]:
+    """(R_ohm, C_ff) of one route edge."""
+    stack = stacks[edge.tier]
+    pairs = stack.pairs()
+    if not 0 <= edge.pair < len(pairs):
+        raise RoutingError(
+            f"net {edge.parent}->{edge.child}: pair {edge.pair} out of "
+            f"range for tier {edge.tier}")
+    la, lb = pairs[edge.pair]
+    r_um = (la.r_per_um + lb.r_per_um) / 2.0
+    c_um = (la.c_per_um + lb.c_per_um) / 2.0
+    r = r_um * edge.length + edge.via_hops * stack.via_r \
+        + edge.n_f2f * f2f.resistance
+    c = c_um * edge.length + edge.via_hops * stack.via_c \
+        + edge.n_f2f * f2f.capacitance
+    if edge.escape_um > 0.0:
+        # MLS escape stubs run on the *home* tier's lowest pair.
+        home = stacks[1 - edge.tier]
+        ea, eb = home.pairs()[0]
+        r += (ea.r_per_um + eb.r_per_um) / 2.0 * edge.escape_um
+        c += (ea.c_per_um + eb.c_per_um) / 2.0 * edge.escape_um
+    return r, c
+
+
+def extract_rc(tree, stacks, f2f) -> NetRC:
+    """Parasitics and per-sink Elmore delays of *tree*, one edge and
+    one ``(parent, child)`` dict entry at a time."""
+    children: dict[int, list] = {}
+    for edge in tree.edges:
+        children.setdefault(edge.parent, []).append(edge)
+    n = len(tree.nodes)
+    edge_rc = {(e.parent, e.child): _edge_rc(e, stacks, f2f)
+               for e in tree.edges}
+
+    # Post-order subtree capacitance (iterative to handle deep trees).
+    subtree_cap = [0.0] * n
+    order: list[int] = []
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        order.append(u)
+        for e in children.get(u, ()):
+            stack.append(e.child)
+    for u in reversed(order):
+        cap = 0.0
+        node = tree.nodes[u]
+        if u != 0 and node.pin is not None:
+            cap += node.pin.cap_ff
+        for e in children.get(u, ()):
+            cap += edge_rc[(u, e.child)][1] + subtree_cap[e.child]
+        subtree_cap[u] = cap
+
+    # Pre-order Elmore accumulation.
+    delay = [0.0] * n
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for e in children.get(u, ()):
+            r, c = edge_rc[(u, e.child)]
+            delay[e.child] = delay[u] + rc_to_ps(
+                r, c / 2.0 + subtree_cap[e.child])
+            stack.append(e.child)
+
+    total_r = sum(rc[0] for rc in edge_rc.values())
+    total_c = sum(rc[1] for rc in edge_rc.values())
+    sink_caps = sum(node.pin.cap_ff for node in tree.sink_nodes())
+    sink_delays = {node.pin.full_name: delay[node.idx]
+                   for node in tree.sink_nodes()}
+    return NetRC(
+        net_name=tree.net_name,
+        wire_cap_ff=total_c,
+        wire_res_ohm=total_r,
+        load_ff=total_c + sink_caps,
+        wirelength_um=tree.wirelength(),
+        sink_delay_ps=sink_delays,
+    )

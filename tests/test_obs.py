@@ -201,11 +201,10 @@ class TestWorkerSpanMerge:
 
 
 class TestPrepareCacheSpans:
-    def test_miss_stores_and_copies_hit_only_copies(self, monkeypatch,
-                                                    hetero_tech):
-        """The prepare cache's pickle round trip is attributed: a miss
-        pickles into the cache and unpickles a copy, a hit only
-        unpickles; both spans carry the snapshot size."""
+    def test_miss_stores_hit_copies(self, monkeypatch, hetero_tech):
+        """The prepare cache's pickle work is attributed: a miss only
+        pickles into the cache (it returns the design it built), a hit
+        only unpickles; both spans carry the snapshot size."""
         import repro.core.flow as flow_mod
         flow_mod.clear_prepare_cache()
         monkeypatch.setattr(
@@ -223,8 +222,7 @@ class TestPrepareCacheSpans:
         finally:
             flow_mod.clear_prepare_cache()
         names = [rec["name"] for rec in records]
-        assert names == ["prepare.cache_store", "prepare.cache_copy",
-                         "prepare.cache_copy"]
+        assert names == ["prepare.cache_store", "prepare.cache_copy"]
         sizes = {rec["attrs"]["bytes"] for rec in records}
         assert len(sizes) == 1 and sizes.pop() > 0
 

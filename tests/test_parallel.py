@@ -29,9 +29,11 @@ from repro.parallel import (ParallelConfig, chunked, dumps_snapshot,
                             loads_snapshot, snapshot_map)
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle, stream
+from repro.service.stages import report_digest
 from repro.timing import run_sta
 
 from tests.conftest import TEST_SEED, build_small_design
+from tests.golden_util import netlist_digest, placement_digest
 
 #: Fan out over 4 workers; min_items low enough that the small test
 #: fabric's workloads actually hit the pool.
@@ -332,19 +334,46 @@ def _fast_config(**kwargs) -> FlowConfig:
 
 class TestPrepareCache:
     def test_hit_returns_equal_but_distinct_designs(self, hetero_tech):
+        """A miss returns the design it built and every hit its own
+        unpickled copy: equal in content, and they flow identically.
+
+        Only two copies of one blob are compared by pickle bytes: the
+        built design memoizes shared objects differently from a copy,
+        so its pickle may differ slightly while its content does not.
+        """
         clear_prepare_cache()
         cfg = _fast_config()
-        first = prepare_design_cached(_tiny_factory, hetero_tech,
-                                      SeedBundle(TEST_SEED), cfg)
-        second = prepare_design_cached(_tiny_factory, hetero_tech,
-                                       SeedBundle(TEST_SEED), cfg)
-        assert first is not second
+        first, second, third = (
+            prepare_design_cached(_tiny_factory, hetero_tech,
+                                  SeedBundle(TEST_SEED), cfg)
+            for _ in range(3))
+        assert first is not second and second is not third
         assert first.netlist is not second.netlist
-        assert first.netlist.stats() == second.netlist.stats()
-        assert dumps_snapshot(first) == dumps_snapshot(second)
+        assert netlist_digest(first.netlist) \
+            == netlist_digest(second.netlist)
+        assert placement_digest(first) == placement_digest(second)
+        assert dumps_snapshot(second) == dumps_snapshot(third)
+        built, copied = (run_flow(_tiny_factory, hetero_tech,
+                                  SeedBundle(TEST_SEED), cfg, design=d)
+                         for d in (first, second))
+        assert built.result_row() == copied.result_row()
+        assert report_digest(built) == report_digest(copied)
+
+    def test_zero_capacity_miss_returns_design(self, hetero_tech,
+                                               monkeypatch):
+        """With no room in the cache a miss still returns the design it
+        built, and keeps nothing."""
+        import repro.core.flow as flow_mod
+        clear_prepare_cache()
+        monkeypatch.setattr(flow_mod, "PREPARE_CACHE_MAX_ENTRIES", 0)
+        design = prepare_design_cached(_tiny_factory, hetero_tech,
+                                       SeedBundle(TEST_SEED),
+                                       _fast_config())
+        assert design.placement is not None
+        assert not flow_mod._PREPARE_CACHE
 
     def test_matches_uncached_prepare(self, hetero_tech):
-        # Routing + STA on the cached copy must land exactly where a
+        # Routing + STA on the cached design must land exactly where a
         # from-scratch prepare does.
         clear_prepare_cache()
         cfg = _fast_config()

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dft.logic3 import eval_gate, truth_table
 from repro.nn import Tensor
-from repro.route import RouteEdge, RouteTree, extract_rc
+from repro.route import RcTables, RouteEdge, RouteTree
 from repro.tech import F2FVia, NODE_28NM, build_library, default_stack
 
 LIB = build_library(NODE_28NM)
 STACKS = (default_stack(NODE_28NM, 6), default_stack(NODE_28NM, 6))
 F2F = F2FVia()
+RC = RcTables(STACKS, F2F)
 _GATES = ["INV", "NAND2", "NOR2", "XOR2", "AND2", "OR2", "MUX2",
           "AOI21", "OAI21", "MAJ3", "XOR3"]
 
@@ -92,7 +93,7 @@ class TestElmoreInvariants:
             tree.add_edge(edge)
             la, lb = STACKS[0].pairs()[pair]
             expected_c += (la.c_per_um + lb.c_per_um) / 2 * length
-        rc = extract_rc(tree, STACKS, F2F)
+        rc = RC.extract(tree)
         assert rc.wire_cap_ff == pytest.approx(expected_c)
         delays = [rc.sink_delay_ps[f"s{i}/A"]
                   for i in range(len(segments))]
@@ -119,7 +120,7 @@ class TestElmoreInvariants:
                                         escape_um=5.0))
             else:
                 tree.add_edge(RouteEdge(0, 1, length, tier=0, pair=top))
-            return extract_rc(tree, STACKS, F2F)
+            return RC.extract(tree)
         assert rc_for(True).wire_cap_ff > rc_for(False).wire_cap_ff
 
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
 from repro.place.placement import Location
-from repro.route import (CongestionGrid, GlobalRouter, RouteConfig,
-                         RouteEdge, RouteTree, build_route_topology,
-                         extract_rc)
+from repro.route import (CongestionGrid, GlobalRouter, RcTables,
+                         RouteConfig, RouteEdge, RouteTree,
+                         build_route_topology)
 from repro.route.router import desired_pair
 from repro.place.floorplan import Floorplan
 from repro.tech import F2FVia, NODE_16NM, NODE_28NM, default_stack
@@ -18,6 +18,7 @@ from repro.timing import run_sta
 
 STACKS = (default_stack(NODE_16NM, 6), default_stack(NODE_28NM, 6))
 F2F = F2FVia()
+RC = RcTables(STACKS, F2F)
 
 
 class _Net:
@@ -191,7 +192,7 @@ class TestExtractRC:
         tree.add_node(0, 0, 1, pin=g0.output_pin)
         tree.add_node(10, 0, 1, pin=g1.pin("A"))
         tree.add_edge(RouteEdge(0, 1, 10.0, tier=1, pair=0))
-        rc = extract_rc(tree, STACKS, F2F)
+        rc = RC.extract(tree)
 
         la, lb = STACKS[1].pairs()[0]
         r = (la.r_per_um + lb.r_per_um) / 2 * 10.0
@@ -221,7 +222,7 @@ class TestExtractRC:
             tree.add_node(10, 0, 0, pin=g1.pin("A"))
             tree.add_edge(RouteEdge(0, 1, 10.0, tier=0, pair=0,
                                     n_f2f=n_f2f))
-            return extract_rc(tree, STACKS, F2F)
+            return RC.extract(tree)
         plain = build(0)
         shared = build(2)
         assert shared.wire_res_ohm == pytest.approx(
@@ -248,7 +249,7 @@ class TestExtractRC:
         tree.add_node(30, 0, 1, pin=g2.pin("A"))
         tree.add_edge(RouteEdge(0, 1, 10.0, tier=1, pair=0))
         tree.add_edge(RouteEdge(1, 2, 20.0, tier=1, pair=0))
-        rc = extract_rc(tree, STACKS, F2F)
+        rc = RC.extract(tree)
         assert rc.sink_delay_ps[g2.pin("A").full_name] > \
             rc.sink_delay_ps[g1.pin("A").full_name]
 
