@@ -4,14 +4,14 @@ Times the select leg (DGI pretraining, fine-tuning, inference) of the
 GNN-MLS selector two ways on the routed no-MLS fabrics and writes
 ``BENCH_select.json`` at the repo root:
 
-* ``batched``             — the padded (B, L, D) path
-  (``TrainConfig.vectorized=True``): one forward/backward and
-  optimizer step per length-bucketed minibatch, each encoder forward
-  one fused autograd node (``repro.nn.fused``; DGI stacks its clean
-  and corrupted batches into one pass);
+* ``batched``             — the production padded (B, L, D) path: one
+  forward/backward and optimizer step per length-bucketed minibatch,
+  each encoder forward one fused autograd node (``repro.nn.fused``;
+  DGI stacks its clean and corrupted batches into one pass);
 * ``per_graph_reference`` — the same minibatch schedule computed with
-  per-graph op-by-op forwards and gradient accumulation
-  (``vectorized=False``), i.e. the historical per-graph kernels.
+  per-graph op-by-op forwards and gradient accumulation: the oracle
+  in ``tests/select_oracle.py``, installed by its
+  ``per_graph_reference()`` context manager.
 
 Both legs share one dataset (and its cached normalized features) and
 the same seeds, so they see identical minibatches and must select the
@@ -29,6 +29,7 @@ Run directly::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -37,6 +38,7 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))      # the oracle lives in tests/
 
 from repro.core import (TrainConfig, build_dataset,             # noqa: E402
                         decide_mls_nets, train_gnn_mls)
@@ -44,6 +46,7 @@ from repro.core.flow import FlowConfig, prepare_design          # noqa: E402
 from repro.harness.designs import get_benchmark                 # noqa: E402
 from repro.mls import route_with_mls                            # noqa: E402
 from repro.timing import run_sta                                # noqa: E402
+from tests.select_oracle import per_graph_reference             # noqa: E402
 
 BENCH_JSON = REPO_ROOT / "BENCH_select.json"
 TREND_JSONL = REPO_ROOT / "benchmarks" / "results" / "trend.jsonl"
@@ -86,20 +89,20 @@ def bench_design(key: str, batch_size: int,
         "finetune_epochs": ft_epochs,
         "dataset_s": round(dataset_s, 3),
     }
+    cfg = TrainConfig(dgi_epochs=dgi_epochs, finetune_epochs=ft_epochs,
+                      batch_size=batch_size)
     selections = {}
-    for leg, vectorized in (("batched", True),
-                            ("per_graph_reference", False)):
-        cfg = TrainConfig(dgi_epochs=dgi_epochs,
-                          finetune_epochs=ft_epochs,
-                          batch_size=batch_size, vectorized=vectorized)
-        # Fine-tune leg in isolation (the acceptance gate's metric).
-        ft_s, _ = _time(lambda: train_gnn_mls(
-            dataset, spec.seeds(),
-            dataclasses.replace(cfg, use_dgi=False)))
-        # Whole select leg: DGI + fine-tune + batched inference.
-        select_s, model = _time(
-            lambda: train_gnn_mls(dataset, spec.seeds(), cfg))
-        infer_s, nets = _time(lambda: decide_mls_nets(model))
+    for leg, math in (("batched", contextlib.nullcontext),
+                      ("per_graph_reference", per_graph_reference)):
+        with math():
+            # Fine-tune leg in isolation (the acceptance gate's metric).
+            ft_s, _ = _time(lambda: train_gnn_mls(
+                dataset, spec.seeds(),
+                dataclasses.replace(cfg, use_dgi=False)))
+            # Whole select leg: DGI + fine-tune + inference.
+            select_s, model = _time(
+                lambda: train_gnn_mls(dataset, spec.seeds(), cfg))
+            infer_s, nets = _time(lambda: decide_mls_nets(model))
         selections[leg] = nets
         visits = ft_epochs * len(dataset.labeled_graphs)
         row[leg] = {

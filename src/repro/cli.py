@@ -51,6 +51,7 @@ python -m repro trace gate --update-budgets
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -84,27 +85,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--selector", default="gnn",
                         choices=list(SELECTORS))
     _add_parallel(parser)
-    parser.add_argument("--select-batch", type=_positive_int,
-                        default=None,
-                        metavar="N",
-                        help="graphs per padded minibatch in the GNN "
-                             "selector leg (DGI, fine-tune, and "
-                             "inference share the setting); 1 runs "
-                             "the per-graph reference schedule "
-                             "(default: TrainConfig.batch_size)")
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="persistent content-addressed artifact "
                              "store to read through / write back "
                              "(warm runs skip prepare or replay the "
                              "stored report)")
-
-
-def _store(args):
-    path = getattr(args, "store", None)
-    if not path:
-        return None
-    from repro.service.store import ArtifactStore
-    return ArtifactStore(path)
 
 
 def _positive_int(text: str) -> int:
@@ -159,34 +144,65 @@ def _cmd_list(_args) -> int:
     return 0
 
 
-def _verilog_spec(spec, path):
-    """A copy of *spec* whose factory imports *path* instead of
-    generating — the tech/freq/activity context stays the benchmark's.
+def _verilog_source(path: str) -> tuple[str, str, str]:
+    """``--verilog``'s type: read FILE once, as (path, text, SHA-256 of
+    its bytes); an unreadable file is a usage error."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(
+            f"cannot read {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise argparse.ArgumentTypeError(
+            f"{path} is not UTF-8 text") from None
+    return path, text, hashlib.sha256(data).hexdigest()
+
+
+def _verilog_spec(spec, source: tuple[str, str, str]):
+    """A copy of *spec* whose factory parses the ``--verilog`` *source*
+    instead of generating — the tech/freq/activity context stays the
+    benchmark's.  Its content token is the file's SHA-256, so the
+    store's keys follow the file's bytes, not its path.
     """
     import dataclasses
 
-    from repro.netlist.verilog import read_verilog
+    from repro.netlist.verilog import loads
+
+    path, text, digest = source
 
     def factory(libraries, seeds):
         del seeds                       # import is seed-independent
-        return read_verilog(path, libraries)
+        return loads(text, libraries)
 
+    factory.__content_token__ = digest
     return dataclasses.replace(
         spec, key=f"{spec.key}+verilog",
         paper_name=f"{spec.paper_name} [import {path}]", factory=factory)
+
+
+def _run_flow(args, spec=None):
+    """Run the command's flow on *spec* (default: ``--benchmark``),
+    reading through and writing back ``--store`` when given."""
+    spec = spec or get_benchmark(args.benchmark)
+    store = None
+    if args.store:
+        from repro.service.store import ArtifactStore
+        store = ArtifactStore(args.store)
+    report = run_benchmark_flow(spec, args.selector, seed=args.seed,
+                                parallel=_parallel_config(args),
+                                store=store)
+    if store is not None:
+        store.flush()           # persist batched recency updates
+    return report
 
 
 def _cmd_flow(args) -> int:
     spec = get_benchmark(args.benchmark)
     if args.verilog:
         spec = _verilog_spec(spec, args.verilog)
-    store = _store(args)
-    report = run_benchmark_flow(spec, args.selector, seed=args.seed,
-                                parallel=_parallel_config(args),
-                                select_batch=args.select_batch,
-                                store=store)
-    if store is not None:
-        store.flush()           # persist batched recency updates
+    report = _run_flow(args, spec)
     log.info(f"{spec.paper_name} — selector {args.selector}")
     for key, value in report.row().items():
         log.info(f"  {key:<18} {value:>12.3f}" if isinstance(value, float)
@@ -226,29 +242,14 @@ def _cmd_table(args) -> int:
 
 def _cmd_timing(args) -> int:
     from repro.timing.report import render_summary
-    spec = get_benchmark(args.benchmark)
-    store = _store(args)
-    report = run_benchmark_flow(spec, args.selector, seed=args.seed,
-                                parallel=_parallel_config(args),
-                                select_batch=args.select_batch,
-                                store=store)
-    if store is not None:
-        store.flush()
+    report = _run_flow(args)
     log.info(render_summary(report.final_sta, num_paths=args.paths))
     return 0
 
 
 def _cmd_congestion(args) -> int:
     from repro.route.report import render_heatmap, render_utilization
-    spec = get_benchmark(args.benchmark)
-    store = _store(args)
-    report = run_benchmark_flow(spec, args.selector, seed=args.seed,
-                                parallel=_parallel_config(args),
-                                select_batch=args.select_batch,
-                                store=store)
-    if store is not None:
-        store.flush()
-    routing = report.design.require_routing()
+    routing = _run_flow(args).design.require_routing()
     log.info(render_utilization(routing))
     log.info("")
     top = routing.grid.top_pair(0)
@@ -454,6 +455,7 @@ def main(argv: list[str] | None = None) -> int:
     flow = sub.add_parser("flow", help="run one flow, print its row")
     _add_common(flow)
     flow.add_argument("--verilog", metavar="FILE", default=None,
+                      type=_verilog_source,
                       help="import FILE (structural Verilog, e.g. from "
                            "'repro export') as the design instead of "
                            "generating the benchmark netlist; tech and "

@@ -1,11 +1,12 @@
 """Padded-batch assembly for the selector leg.
 
-The trainer and inference paths process path graphs as zero-padded
-(B, L, D) batches with boolean (B, L) key-padding masks instead of one
-(N, D) matrix at a time.  Everything here is deterministic plain
-NumPy: bucketing depends only on the lengths and the visit order the
-caller drew from its :class:`~repro.rng.SeedBundle` stream, so two
-runs with the same seeds build identical batches.
+DGI pretraining, fine-tuning and inference process path graphs only
+as zero-padded (B, L, D) batches with boolean (B, L) key-padding
+masks, for every batch size (a batch of one included).  Everything
+here is deterministic plain NumPy: bucketing depends only on the
+lengths and the visit order the caller drew from its
+:class:`~repro.rng.SeedBundle` stream, so two runs with the same seeds
+build identical batches.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ def pad_batch(mats: list[np.ndarray]
 
     Padding rows are exactly zero; combined with the mask-aware
     softmax/reductions downstream they contribute exact zeros to every
-    cross-row sum, which is what keeps per-row math equal to the
-    per-graph path.
+    cross-row sum, which is what keeps each real row's math equal to
+    that graph's alone.
     """
     if not mats:
         raise ValueError("cannot pad an empty batch")
@@ -56,7 +57,7 @@ def length_bucketed_batches(lengths: np.ndarray, order: np.ndarray,
     padding waste to the within-bucket length spread.  With *rng* the
     bucket visit order is reshuffled (one extra deterministic draw);
     with ``batch_size == 1`` the order is returned as singleton
-    batches untouched, preserving the per-graph reference schedule.
+    batches untouched.
     """
     order = np.asarray(order, dtype=np.int64)
     if batch_size <= 1:

@@ -7,13 +7,11 @@ perturbing node features).  A bilinear discriminator scores <v, W g>;
 the loss pushes true node/summary pairs toward 1 and corrupted pairs
 toward 0 through the sigmoid of Eq. 3.
 
-Training runs over zero-padded (B, L, D) minibatches by default —
-corruption is still drawn per graph in visit order, the clean and
-corrupted batches share one stacked forward through the fused encoder
-kernel, the summary readout and score means are masked so padding
-contributes exact zeros, and one optimizer step covers the batch.
-``batch_size=1`` with ``vectorized=False`` retains the per-graph
-reference loop unchanged (same math, same RNG draw sequence).
+Training runs over zero-padded (B, L, D) minibatches — corruption is
+drawn per graph in visit order, the clean and corrupted batches share
+one stacked forward through the fused encoder kernel, the summary
+readout and score means are masked so padding contributes exact
+zeros, and one optimizer step covers the batch.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 from repro.core.batching import (length_bucketed_batches, pad_batch)
 from repro.core.encoder import GraphTransformer
 from repro.core.hypergraph import PathGraph
-from repro.nn.functional import dgi_loss, masked_dgi_loss, masked_mean
+from repro.nn.functional import masked_dgi_loss, masked_mean
 from repro.nn.fused import split_rows
 from repro.nn.init import xavier_uniform
 from repro.nn.layers import Module
@@ -50,20 +48,10 @@ class DGIPretrainer(Module):
         noisy += self._rng.normal(scale=0.1, size=noisy.shape)
         return noisy
 
-    def loss_for(self, normalized: np.ndarray) -> Tensor:
-        """DGI loss of one path graph's normalized feature matrix."""
-        pos = self.encoder(Tensor(normalized))
-        summary = pos.mean(axis=0, keepdims=True).tanh()    # (1, D)
-        neg = self.encoder(Tensor(self.corrupt(normalized)))
-        pos_scores = (pos @ self.discriminator) @ summary.transpose(1, 0)
-        neg_scores = (neg @ self.discriminator) @ summary.transpose(1, 0)
-        return dgi_loss(pos_scores, neg_scores)
-
     def loss_for_batch(self, mats: list[np.ndarray]) -> Tensor:
         """DGI loss of one padded minibatch of feature matrices.
 
-        Corruption draws per graph in list order — the same RNG call
-        sequence the per-graph path consumes — before any forward.
+        Corruption draws per graph in list order before any forward.
         The clean and corrupted batches then run as one stacked
         (2B, L, D) forward whose two halves reduce their parameter
         gradients separately, so the loss and every gradient equal
@@ -84,24 +72,19 @@ class DGIPretrainer(Module):
     def pretrain(self, graphs: list[PathGraph], normalize,
                  epochs: int = 5, lr: float = 1e-3,
                  log=None, batch_size: int = 1,
-                 vectorized: bool = True,
                  mats: list[np.ndarray] | None = None) -> list[float]:
         """Run DGI over *graphs*; returns per-epoch mean losses.
 
         *normalize* maps a raw feature matrix to model inputs (the
         dataset extractor's transform); pass *mats* to reuse matrices
         the caller already normalized.  ``batch_size`` graphs share
-        one forward/backward and optimizer step; ``vectorized=False``
-        computes the identical minibatch loss with per-graph forwards
-        and gradient accumulation (the reference implementation —
-        with ``batch_size=1`` exactly the historical per-graph loop).
+        one forward/backward and optimizer step.
         """
         optimizer = Adam(self.parameters(), lr=lr)
         history: list[float] = []
         if mats is None:
             mats = [normalize(g.features) for g in graphs]
         lengths = np.array([m.shape[0] for m in mats], dtype=np.int64)
-        use_padded = vectorized and batch_size > 1
         for epoch in range(epochs):
             order = self._rng.permutation(len(mats))
             batches = length_bucketed_batches(
@@ -111,22 +94,12 @@ class DGIPretrainer(Module):
             with trace.span("select.dgi.epoch", epoch=epoch,
                             batches=len(batches)) as span:
                 for batch_idx in batches:
-                    if use_padded:
-                        loss = self.loss_for_batch(
-                            [mats[int(i)] for i in batch_idx])
-                        optimizer.zero_grad()
-                        loss.backward()
-                        optimizer.step()
-                        total += float(loss.data) * len(batch_idx)
-                    else:
-                        optimizer.zero_grad()
-                        seed = 1.0 / len(batch_idx)
-                        for idx in batch_idx:
-                            loss = self.loss_for(mats[int(idx)])
-                            loss.backward(
-                                np.full_like(loss.data, seed))
-                            total += float(loss.data)
-                        optimizer.step()
+                    loss = self.loss_for_batch(
+                        [mats[int(i)] for i in batch_idx])
+                    optimizer.zero_grad()
+                    loss.backward()
+                    optimizer.step()
+                    total += float(loss.data) * len(batch_idx)
                 mean = total / max(len(mats), 1)
                 span.set(loss=round(mean, 6))
             metrics.observe("select.dgi.epoch_loss", mean)

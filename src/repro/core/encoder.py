@@ -4,7 +4,9 @@ Three encoder layers with three-head self-attention over one timing
 path's node sequence — "the proposed Transformer architecture has
 three layers; each layer consists of a three-head self-attention
 mechanism" — with sinusoidal positional encodings preserving the
-path's signal-flow order.
+path's signal-flow order.  Paths arrive as zero-padded (B, L, in_dim)
+batches and every forward runs through the fused kernel
+(:mod:`repro.nn.fused`).
 """
 
 from __future__ import annotations
@@ -49,26 +51,22 @@ class GraphTransformer(Module):
     def __call__(self, features: Tensor,
                  key_padding_mask: np.ndarray | None = None,
                  groups: int = 1) -> Tensor:
-        """Encode path features to node embeddings.
+        """Encode a zero-padded (B, L, in_dim) batch of path features
+        to (B, L, d_model) node embeddings.
 
-        Accepts one path's (N, in_dim) matrix — the per-graph
-        reference, evaluated op by op on the autograd engine — or a
-        zero-padded (B, L, in_dim) batch with a boolean (B, L)
-        *key_padding_mask* marking real nodes.  A batch runs through
-        the fused kernel (:func:`repro.nn.fused.encode`) as one
-        autograd node, bit-identical to the op-by-op graph: the
-        positional encoding broadcasts per row, and the mask keeps
-        padded nodes out of every attention softmax so real rows
-        encode exactly as they would alone.  *groups* > 1 treats the
-        batch as that many stacked batches whose parameter gradients
-        are reduced separately (DGI's clean + corrupted pass).
+        The boolean (B, L) *key_padding_mask* marks real nodes.  The
+        batch runs through the fused kernel
+        (:func:`repro.nn.fused.encode`) as one autograd node,
+        bit-identical to the op-by-op graph: the positional encoding
+        broadcasts per row, and the mask keeps padded nodes out of
+        every attention softmax so real rows encode exactly as they
+        would alone.  *groups* > 1 treats the batch as that many
+        stacked batches whose parameter gradients are reduced
+        separately (DGI's clean + corrupted pass).
         """
         n = self._check_length(features.shape[-2])
-        if features.ndim == 3:
-            return fused.encode(self.proj, self.encoder, self._posenc[:n],
-                                features, key_padding_mask, groups)
-        h = self.proj(features) + Tensor(self._posenc[:n])
-        return self.encoder(h)
+        return fused.encode(self.proj, self.encoder, self._posenc[:n],
+                            features, key_padding_mask, groups)
 
     def infer(self, features: np.ndarray,
               key_padding_mask: np.ndarray | None = None) -> np.ndarray:

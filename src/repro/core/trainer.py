@@ -7,18 +7,16 @@ oracle-labeled paths.  Loss is masked to *decidable* nodes (2-D nets)
 and positively re-weighted for the label imbalance.
 
 Both stages and inference run over zero-padded (B, L, D) minibatches
-by default (``TrainConfig.batch_size``): graphs are length-bucketed
+(``TrainConfig.batch_size``, 1 included): graphs are length-bucketed
 per epoch from the shuffle the ``finetune``/``dgi`` seed streams draw,
 padding rows contribute exact zeros through the masked attention/
 reduction stack, and one optimizer step covers each batch.  Each
 batched encoder forward is one fused autograd node
 (:mod:`repro.nn.fused`), bit-identical to the op-by-op graph;
-inference uses its forward-only entry.  Two escape hatches recover
-the historical behavior: ``batch_size=1`` reproduces the per-graph
-schedule exactly, and ``vectorized=False`` computes the *same*
-minibatch loss with per-graph op-by-op forwards and gradient
-accumulation — the reference implementation the equivalence tests
-and ``benchmarks/bench_select.py`` gate against.
+inference uses its forward-only entry.  One minibatch's loss is
+:func:`finetune_loss_for_batch` (fine-tuning) or
+:meth:`DGIPretrainer.loss_for_batch` (pretraining), and one batch's
+probabilities :meth:`GnnMlsModel.batch_probabilities`.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from repro.core.encoder import EncoderConfig, GraphTransformer
 from repro.core.hypergraph import PathGraph
 from repro.core.pathset import PathDataset
 from repro.errors import TrainingError
-from repro.nn.functional import (binary_cross_entropy_with_logits,
-                                 masked_bce_with_logits)
+from repro.nn.functional import masked_bce_with_logits
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.obs import metrics, trace
@@ -57,13 +54,8 @@ class TrainConfig:
     encoder_finetune_lr: float = 2e-4
     use_dgi: bool = True           # ablation knob
     #: Graphs per padded minibatch (forward/backward/optimizer step).
-    #: 1 retains the per-graph reference schedule exactly.
+    #: 1 keeps the epoch's shuffled visit order, one graph per step.
     batch_size: int = 16
-    #: False routes every minibatch through per-graph op-by-op
-    #: forwards with gradient accumulation instead of the fused padded
-    #: (B, L, D) kernel — same math within float tolerance, the
-    #: benchmark's reference leg.
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -81,18 +73,16 @@ class GnnMlsModel:
         self.config = config
         self.history: dict[str, list[float]] = {}
 
-    def node_probabilities(self, graph: PathGraph) -> np.ndarray:
-        """Per-node MLS probability for one path graph."""
-        normalized = self.dataset.extractor.normalize(graph.features)
-        embeddings = self.encoder(Tensor(normalized))
-        return self.head.probabilities(embeddings)
+    def batch_probabilities(self, batch: np.ndarray,
+                            mask: np.ndarray) -> np.ndarray:
+        """(B, L) MLS probabilities of a padded, normalized batch."""
+        logits = self.head(Tensor(self.encoder.infer(batch, mask)))
+        return logits.sigmoid().data[:, :, 0]
 
     def _node_probabilities_all(self, graphs: list[PathGraph]
                                 ) -> list[np.ndarray]:
-        """Per-node probabilities for every graph, batched when the
-        config allows; the returned list aligns with *graphs*."""
-        if not (self.config.vectorized and self.config.batch_size > 1):
-            return [self.node_probabilities(g) for g in graphs]
+        """Per-node probabilities for every graph over length-bucketed
+        batches; the returned list aligns with *graphs*."""
         mats = self.dataset.normalized(graphs)
         lengths = np.array([m.shape[0] for m in mats], dtype=np.int64)
         batches = length_bucketed_batches(
@@ -100,9 +90,8 @@ class GnnMlsModel:
             self.config.batch_size)
         out: list[np.ndarray | None] = [None] * len(mats)
         for batch_idx in batches:
-            batch, mask = pad_batch([mats[int(i)] for i in batch_idx])
-            logits = self.head(Tensor(self.encoder.infer(batch, mask)))
-            probs = logits.sigmoid().data[:, :, 0]
+            probs = self.batch_probabilities(
+                *pad_batch([mats[int(i)] for i in batch_idx]))
             for row, idx in enumerate(batch_idx):
                 out[int(idx)] = probs[row, : lengths[int(idx)]]
         return out
@@ -142,6 +131,22 @@ class GnnMlsModel:
                     for name, i in index.items() if counts[i]}
 
 
+def finetune_loss_for_batch(encoder: GraphTransformer,
+                            head: DecisionHead, mats: list[np.ndarray],
+                            graphs: list[PathGraph],
+                            pos_weight: float) -> Tensor:
+    """Masked BCE of one padded minibatch: each graph's mean over its
+    decidable nodes, averaged over graphs that have any."""
+    batch, mask = pad_batch(mats)
+    length = batch.shape[1]
+    labels = pad_rows([g.labels for g in graphs], length)
+    dec = pad_rows([g.decidable for g in graphs], length, dtype=bool)
+    logits = head(encoder(Tensor(batch), mask)).reshape(len(graphs),
+                                                        length)
+    return masked_bce_with_logits(logits, labels, dec & mask,
+                                  pos_weight=pos_weight)
+
+
 def _finetune(dataset: PathDataset, encoder: GraphTransformer,
               head: DecisionHead, config: TrainConfig,
               rng_ft: np.random.Generator, pos_weight: float,
@@ -152,7 +157,6 @@ def _finetune(dataset: PathDataset, encoder: GraphTransformer,
     graphs = dataset.labeled_graphs
     mats = dataset.normalized(graphs)
     lengths = np.array([m.shape[0] for m in mats], dtype=np.int64)
-    use_padded = config.vectorized and config.batch_size > 1
     losses: list[float] = []
     for epoch in range(config.finetune_epochs):
         order = rng_ft.permutation(len(mats))
@@ -165,43 +169,19 @@ def _finetune(dataset: PathDataset, encoder: GraphTransformer,
                         batches=len(batches)) as span:
             for batch_idx in batches:
                 picked = [graphs[int(i)] for i in batch_idx]
-                valid = [g for g in picked if g.decidable.any()]
+                valid = sum(bool(g.decidable.any()) for g in picked)
                 if not valid:
                     continue
                 head_opt.zero_grad()
                 enc_opt.zero_grad()
-                if use_padded:
-                    feats = [mats[int(i)] for i in batch_idx]
-                    batch, mask = pad_batch(feats)
-                    length = batch.shape[1]
-                    labels = pad_rows([g.labels for g in picked], length)
-                    dec = pad_rows([g.decidable for g in picked],
-                                   length, dtype=bool)
-                    emb = encoder(Tensor(batch), mask)
-                    logits = head(emb).reshape(len(picked), length)
-                    loss = masked_bce_with_logits(
-                        logits, labels, dec & mask,
-                        pos_weight=pos_weight)
-                    loss.backward()
-                    total += float(loss.data) * len(valid)
-                else:
-                    seed = 1.0 / len(valid)
-                    for idx in batch_idx:
-                        graph = graphs[int(idx)]
-                        assert graph.labels is not None
-                        gmask = graph.decidable
-                        if not gmask.any():
-                            continue
-                        embeddings = encoder(Tensor(mats[int(idx)]))
-                        logits = head(embeddings)[gmask]
-                        targets = Tensor(graph.labels[gmask][:, None])
-                        loss = binary_cross_entropy_with_logits(
-                            logits, targets, pos_weight=pos_weight)
-                        loss.backward(np.full_like(loss.data, seed))
-                        total += float(loss.data)
+                loss = finetune_loss_for_batch(
+                    encoder, head, [mats[int(i)] for i in batch_idx],
+                    picked, pos_weight)
+                loss.backward()
+                total += float(loss.data) * valid
                 head_opt.step()
                 enc_opt.step()
-                used += len(valid)
+                used += valid
             mean = total / max(used, 1)
             span.set(loss=round(mean, 6))
         metrics.observe("select.finetune.epoch_loss", mean)
@@ -234,7 +214,6 @@ def train_gnn_mls(dataset: PathDataset, seeds: SeedBundle,
             dataset.graphs, dataset.extractor.normalize,
             epochs=config.dgi_epochs, lr=config.dgi_lr, log=log,
             batch_size=config.batch_size,
-            vectorized=config.vectorized,
             mats=dataset.normalized())
 
     # Fine-tune: head at full LR, encoder at a reduced LR.

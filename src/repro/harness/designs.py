@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core.flow import FlowConfig
 from repro.design import TechSetup
 from repro.errors import FlowError
 from repro.netlist.generators import (A7Config, MaeriConfig,
                                       generate_a7_dual_core, generate_maeri)
+from repro.parallel import ParallelConfig
 from repro.rng import SeedBundle
 
 #: Default experiment seed — every table reproduces bit-identically.
@@ -44,6 +46,26 @@ class BenchmarkSpec:
 
     def seeds(self, seed: int = DEFAULT_EXPERIMENT_SEED) -> SeedBundle:
         return SeedBundle(seed)
+
+    def flow_config(self, selector: str, with_scan: bool = False,
+                    dft_strategy: str | None = None,
+                    parallel: ParallelConfig | None = None,
+                    freq_mhz: float | None = None) -> FlowConfig:
+        """The :class:`FlowConfig` of one flow on this benchmark — the
+        one builder behind CLI runs, table rows and daemon requests, so
+        equal requests share content keys.  *freq_mhz* overrides the
+        calibrated target clock."""
+        return FlowConfig(
+            selector=selector,
+            target_freq_mhz=self.target_freq_mhz if freq_mhz is None
+            else freq_mhz,
+            num_paths=self.num_paths,
+            num_labeled=self.num_labeled,
+            with_scan=with_scan,
+            dft_strategy=dft_strategy,
+            activity=self.activity,
+            parallel=parallel or ParallelConfig(),
+        )
 
     @property
     def is_heterogeneous(self) -> bool:

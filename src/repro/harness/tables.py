@@ -12,8 +12,6 @@ copy.
 
 from __future__ import annotations
 
-
-from repro.core.trainer import TrainConfig
 from repro.core.flow import (FlowConfig, FlowReport, run_flow,
                              prepare_design_cached)
 from repro.harness.designs import (BenchmarkSpec, get_benchmark,
@@ -33,7 +31,6 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        dft_strategy: str | None = None,
                        seed: int = DEFAULT_EXPERIMENT_SEED,
                        parallel: ParallelConfig | None = None,
-                       select_batch: int | None = None,
                        store=None) -> FlowReport:
     """Run (or fetch) one cached flow.
 
@@ -50,24 +47,12 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
     invocations then skip generate/partition/place/buffer or replay
     the whole stored report.
     """
-    parallel = parallel or ParallelConfig()
-    train = TrainConfig() if select_batch is None \
-        else TrainConfig(batch_size=select_batch,
-                         vectorized=select_batch > 1)
-    config = FlowConfig(
-        selector=selector,
-        target_freq_mhz=spec.target_freq_mhz,
-        num_paths=spec.num_paths,
-        num_labeled=spec.num_labeled,
-        with_scan=with_scan,
-        dft_strategy=dft_strategy,
-        activity=spec.activity,
-        parallel=parallel,
-        train=train,
-    )
+    config = spec.flow_config(selector, with_scan=with_scan,
+                              dft_strategy=dft_strategy,
+                              parallel=parallel)
     content = flow_key(spec.factory, spec.tech(), spec.seeds(seed),
                        config)
-    key: tuple = (content.hexdigest, parallel.workers)
+    key: tuple = (content.hexdigest, config.parallel.workers)
     if not content.stable:
         key += (spec.factory,)
     if key not in _FLOW_CACHE:

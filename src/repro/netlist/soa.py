@@ -21,7 +21,7 @@ itself, and serves two roles:
    congestion/ordering predictors on the roadmap (DE-HNN encodes
    directed hyperedges exactly this way): ``fanouts()``,
    ``degrees()``, ``cell_areas()`` and the raw CSR members give
-   vectorized whole-design queries without touching a Python object
+   whole-array design queries without touching a Python object
    per pin.
 
 Pin references are encoded as ``(owner, slot)`` pairs: ``owner >= 0``
@@ -277,7 +277,7 @@ class NetlistSoA:
                    + np.count_nonzero(self.net_driver_owner != _NO_DRIVER))
 
     def fanouts(self) -> np.ndarray:
-        """Sink count per net, in net order (vectorized CSR diff)."""
+        """Sink count per net, in net order (one CSR diff)."""
         return np.diff(self.sink_offsets)
 
     def degrees(self) -> np.ndarray:

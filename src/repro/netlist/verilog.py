@@ -280,7 +280,12 @@ def read_verilog(path: str | Path,
     same-named cells at different nodes.  Unknown cells raise
     :class:`~repro.errors.TechError`.
     """
-    text = Path(path).read_text()
+    return loads(Path(path).read_text(), library)
+
+
+def loads(text: str,
+          library: CellLibrary | dict[str, CellLibrary]) -> Netlist:
+    """Parse structural Verilog source *text*; see :func:`read_verilog`."""
     parser = _Parser(_tokenize(text), _as_library_map(library))
     netlist = parser.parse()
     netlist.validate()

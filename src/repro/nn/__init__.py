@@ -3,8 +3,9 @@
 Replaces PyTorch/PyG for this reproduction (no network access, no GPU
 needed at our scale).  Provides the pieces GNN-MLS requires: a
 :class:`~repro.nn.tensor.Tensor` with broadcasting-aware backprop,
-Linear/LayerNorm/multi-head-attention/Transformer layers, the fused
-batched encoder kernel (:mod:`repro.nn.fused`), Adam, and
+Linear/LayerNorm/MLP layers, attention and Transformer layers whose
+one forward is the fused padded-batch encoder kernel
+(:mod:`repro.nn.fused`), the masked batch losses, Adam, and
 deterministic parameter (de)serialization.  The model is tiny (3
 layers x 3 heads on <=64-dim embeddings), so NumPy trains it in
 seconds, bit-reproducibly.
@@ -22,7 +23,7 @@ from repro.nn.layers import (
     TransformerEncoder,
     positional_encoding,
 )
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.init import xavier_uniform
 from repro.nn.serialize import save_params, load_params
 
@@ -37,7 +38,6 @@ __all__ = [
     "TransformerEncoderLayer",
     "TransformerEncoder",
     "positional_encoding",
-    "SGD",
     "Adam",
     "xavier_uniform",
     "save_params",

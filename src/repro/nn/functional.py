@@ -1,42 +1,14 @@
-"""Loss functions and stateless helpers."""
+"""Masked reductions and losses over padded batches.
+
+Each takes the batch's boolean mask, so padding rows contribute exact
+zeros and every real row's term is the one its graph alone would give.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
-
-
-def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor,
-                                     pos_weight: float = 1.0) -> Tensor:
-    """Numerically-stable BCE on raw logits.
-
-    ``pos_weight`` scales the positive-class term, the standard recipe
-    for the imbalanced MLS labels (most nets should not share).
-    """
-    # log(1 + exp(x)) == softplus(x); build it stably from primitives.
-    probs = logits.sigmoid()
-    eps = 1e-7
-    p = probs * (1.0 - 2 * eps) + eps
-    loss = -(targets * p.log() * pos_weight
-             + (1.0 - targets) * (1.0 - p).log())
-    return loss.mean()
-
-
-def dgi_loss(pos_scores: Tensor, neg_scores: Tensor) -> Tensor:
-    """Deep Graph Infomax objective (paper Eq. 3, standard BCE form).
-
-    Positive node/summary scores are pushed toward 1, corrupted-node
-    scores toward 0; both passed through the sigmoid that the paper
-    adopts "to map inner product to probability and aid training
-    stability".
-    """
-    eps = 1e-7
-    pos = pos_scores.sigmoid() * (1.0 - 2 * eps) + eps
-    neg = neg_scores.sigmoid() * (1.0 - 2 * eps) + eps
-    pos_term = pos.log().mean()
-    neg_term = (1.0 - neg).log().mean()
-    return -(pos_term + neg_term)
 
 
 def masked_mean(x: Tensor, mask: np.ndarray, axis: int = 1) -> Tensor:
@@ -62,13 +34,13 @@ def masked_bce_with_logits(logits: Tensor, targets: np.ndarray,
     """Batched BCE over a padded (B, L) logit matrix with per-row masks.
 
     Per row the loss is the mean over that row's *mask* (decidable,
-    non-padding) entries — the same scalar
-    :func:`binary_cross_entropy_with_logits` computes for one graph's
-    selected nodes — and the batch loss is the mean over rows that
-    have at least one masked-in entry.  Rows with none (all-padding,
-    or no decidable nodes) contribute exact zeros and are excluded
-    from the row count, so a batch of one reproduces the per-graph
-    loss and its gradients.
+    non-padding) entries of ``-(t * log p * pos_weight + (1 - t) *
+    log(1 - p))``, with ``p`` the sigmoid squeezed into
+    ``[1e-7, 1 - 1e-7]``; ``pos_weight`` scales the positive-class
+    term for the imbalanced MLS labels.  The batch loss is the mean
+    over rows that have at least one masked-in entry.  Rows with none
+    (all-padding, or no decidable nodes) contribute exact zeros and
+    are excluded from the row count.
     """
     weights = np.asarray(mask, dtype=np.float64)
     probs = logits.sigmoid()
@@ -88,11 +60,14 @@ def masked_bce_with_logits(logits: Tensor, targets: np.ndarray,
 
 def masked_dgi_loss(pos_scores: Tensor, neg_scores: Tensor,
                     mask: np.ndarray) -> Tensor:
-    """Batched DGI objective over padded (B, L) score matrices.
+    """Batched Deep Graph Infomax objective (paper Eq. 3, BCE form)
+    over padded (B, L) score matrices.
 
-    Each row's positive/negative terms are masked means over its real
-    nodes — exactly :func:`dgi_loss` on that graph alone — and the
-    batch loss is the mean of the per-row losses.
+    Positive node/summary scores are pushed toward 1 and corrupted-node
+    scores toward 0, both through the sigmoid the paper adopts "to map
+    inner product to probability and aid training stability".  Each
+    row's positive/negative terms are masked means over its real
+    nodes, and the batch loss is the mean of the per-row losses.
     """
     weights = np.asarray(mask, dtype=np.float64)
     eps = 1e-7
@@ -106,9 +81,3 @@ def masked_dgi_loss(pos_scores: Tensor, neg_scores: Tensor,
         * Tensor(row_scale)
     per_row = -(pos_term + neg_term)
     return per_row.sum() * (1.0 / max(pos_scores.shape[0], 1))
-
-
-def accuracy(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Fraction of correct binary predictions at threshold 0."""
-    pred = (logits >= 0.0).astype(np.float64)
-    return float((pred == targets).mean())

@@ -8,10 +8,10 @@ arithmetic.  :func:`encode` runs the whole encoder as plain NumPy and
 records **one** autograd node whose hand-written backward repeats the
 engine's gradient arithmetic bit for bit:
 
-* every expression is the one the op-by-op layers
-  (:mod:`repro.nn.layers`) evaluate, on the same shapes and memory
-  layouts — batched (B, L, D) @ (D, D') matmuls stay 3-D, because
-  folding them into one 2-D matmul changes the rounding;
+* every expression is the one the op-by-op graph of the same layers
+  evaluates, on the same shapes and memory layouts — batched
+  (B, L, D) @ (D, D') matmuls stay 3-D, because folding them into one
+  2-D matmul changes the rounding;
 * every broadcast reduction is the engine's ``_unbroadcast``: bias and
   LayerNorm-affine gradients are ``.sum(0).sum(0)``, weight gradients
   ``.sum(0)`` of the batched product, LayerNorm's (B, L, 1) terms
@@ -28,8 +28,9 @@ engine's gradient arithmetic bit for bit:
 gradients are reduced and accumulated separately, so one stacked
 forward of two batches is exactly two forwards (DGI runs its clean
 and corrupted views this way; :func:`split_rows` hands the blocks
-back).  :func:`infer` is the forward alone, keeping no caches.  The
-per-graph (N, D) path stays on the op-by-op layers as the reference.
+back).  :func:`infer` is the forward alone, keeping no caches.  This
+kernel is the encoder's only forward; the op-by-op graphs it
+reproduces are oracles in the test suite.
 """
 
 from __future__ import annotations

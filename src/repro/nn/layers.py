@@ -5,11 +5,10 @@ MLP head, multi-head self-attention and pre-LN Transformer encoder
 layers, plus sinusoidal positional encodings (Section III-C preserves
 path order through positional encodings).
 
-The attention and encoder layers run one (N, D) sequence op by op —
-the per-graph reference.  Padded (B, L, D) batches of the whole
-encoder run through the fused kernel in :mod:`repro.nn.fused`, which
-reads these modules' parameters and reproduces their arithmetic bit
-for bit.
+Linear, LayerNorm and MLP run op by op on the autograd engine.  The
+attention and encoder layers only hold parameters: the encoder's
+forward is the fused kernel in :mod:`repro.nn.fused`, which reads
+them.
 """
 
 from __future__ import annotations
@@ -102,11 +101,8 @@ class MLP(Module):
 
 
 class MultiHeadSelfAttention(Module):
-    """Standard scaled dot-product self-attention over one (N, D)
-    sequence — the per-graph reference path.  Padded (B, L, D) batches
-    run through the fused encoder kernel (:mod:`repro.nn.fused`),
-    which reads these parameters.
-    """
+    """Parameters of scaled dot-product self-attention with *heads*
+    heads; :mod:`repro.nn.fused` computes the forward."""
 
     def __init__(self, dim: int, heads: int, rng: np.random.Generator,
                  name: str = "mha"):
@@ -119,20 +115,6 @@ class MultiHeadSelfAttention(Module):
         self.wk = Linear(dim, dim, rng, name=f"{name}.wk")
         self.wv = Linear(dim, dim, rng, name=f"{name}.wv")
         self.wo = Linear(dim, dim, rng, name=f"{name}.wo")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        n = x.shape[0]
-        q = self.wq(x).reshape(n, self.heads, self.head_dim) \
-            .transpose(1, 0, 2)
-        k = self.wk(x).reshape(n, self.heads, self.head_dim) \
-            .transpose(1, 0, 2)
-        v = self.wv(x).reshape(n, self.heads, self.head_dim) \
-            .transpose(1, 0, 2)
-        scores = (q @ k.transpose(0, 2, 1)) * (self.head_dim ** -0.5)
-        attn = scores.softmax(axis=-1)
-        mixed = attn @ v                      # (H, N, hd)
-        merged = mixed.transpose(1, 0, 2).reshape(n, self.dim)
-        return self.wo(merged)
 
 
 class TransformerEncoderLayer(Module):
@@ -147,10 +129,6 @@ class TransformerEncoderLayer(Module):
         self.ff1 = Linear(dim, dim * ff_mult, rng, name=f"{name}.ff1")
         self.ff2 = Linear(dim * ff_mult, dim, rng, name=f"{name}.ff2")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = x + self.attn(self.ln1(x))
-        return x + self.ff2(self.ff1(self.ln2(x)).relu())
-
 
 class TransformerEncoder(Module):
     """Stack of encoder layers with a final LayerNorm."""
@@ -162,11 +140,6 @@ class TransformerEncoder(Module):
                                                name=f"{name}.l{i}")
                        for i in range(layers)]
         self.final_ln = LayerNorm(dim, name=f"{name}.final_ln")
-
-    def __call__(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer(x)
-        return self.final_ln(x)
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:

@@ -1,35 +1,10 @@
-"""Optimizers."""
+"""The Adam optimizer both selector training stages step with."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
-
-
-class SGD:
-    """Plain SGD with optional momentum."""
-
-    def __init__(self, params: list[Tensor], lr: float = 1e-2,
-                 momentum: float = 0.0):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            v *= self.momentum
-            v -= self.lr * p.grad
-            p.data += v
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
 
 
 class Adam:

@@ -11,7 +11,7 @@ cells *within* their regions while anchors encode the spatial
 commitment made so far.
 
 Implementation notes: all per-level bookkeeping (area-median splits,
-region clamping, leaf grid layout) is vectorized over flat NumPy
+region clamping, leaf grid layout) runs as whole-array NumPy over flat
 arrays keyed by a stable cell index, and every level's solve is served
 by one cached :class:`~repro.place.system.PlacementSystem` (the
 connectivity Laplacian never changes between levels — only the anchor

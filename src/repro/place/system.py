@@ -12,7 +12,7 @@ work into three cacheable layers:
   ``quadratic.py``), independent of which instances are movable.  A
   ``place_design`` call builds it once and shares it between the
   macro-seeding pass and every bisection level.
-* :func:`assemble_system` — vectorized classification of those arrays
+* :func:`assemble_system` — whole-array classification of those arrays
   against a movable/fixed split, producing the base CSC Laplacian,
   the positions of its diagonal entries, and the base RHS.  No Python
   per-net loop.
@@ -279,7 +279,7 @@ def solve_assembled(asm: AssembledSystem,
 class PlacementSystem:
     """Reusable quadratic system for one (netlist, fixed, movable) split.
 
-    Assembles the connectivity Laplacian once (vectorized over the
+    Assembles the connectivity Laplacian once (whole-array over the
     :class:`NetConnectivity` arrays) and serves per-level anchored
     solves that only add the anchor diagonal and RHS.  Every solve
     factorizes, and results are bit-identical to constructing a fresh

@@ -141,7 +141,6 @@ def _check_flow_request(request: dict) -> None:
 
 def build_flow_config(request: dict):
     """(spec, FlowConfig, SeedBundle) for one ``flow`` request."""
-    from repro.core.flow import FlowConfig
     from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,
                                        get_benchmark)
     from repro.parallel import ParallelConfig
@@ -153,17 +152,12 @@ def build_flow_config(request: dict):
     seed = request.get("seed")
     seed = DEFAULT_EXPERIMENT_SEED if seed is None else int(seed)
     freq = request.get("freq_mhz")
-    freq = spec.target_freq_mhz if freq is None else float(freq)
-    config = FlowConfig(
-        selector=request.get("selector", "gnn"),
-        target_freq_mhz=freq,
-        num_paths=spec.num_paths,
-        num_labeled=spec.num_labeled,
+    config = spec.flow_config(
+        request.get("selector", "gnn"),
         with_scan=bool(request.get("with_scan", False)),
         dft_strategy=request.get("dft_strategy"),
-        activity=spec.activity,
         parallel=ParallelConfig(workers=int(request.get("workers") or 1)),
-    )
+        freq_mhz=None if freq is None else float(freq))
     return spec, config, spec.seeds(seed)
 
 

@@ -51,8 +51,12 @@ from repro.parallel import dumps_snapshot
 #: region-parallel mode were deleted, so placement depends on
 #: (factory, tech, seed) alone.  5: flow keys cover the whole
 #: ``RouteConfig`` — the wavefront router and its ``batch_ms`` knob
-#: were deleted, so every route field is result-relevant.
-KEY_SCHEMA_VERSION = 5
+#: were deleted, so every route field is result-relevant.  6: flow
+#: keys cover a nine-field ``TrainConfig`` — the selector trains and
+#: infers on padded batches only, so the flag that switched it to
+#: per-graph op-by-op forwards was deleted (that reference now lives
+#: in the test suite).
+KEY_SCHEMA_VERSION = 6
 
 
 @dataclass(frozen=True)

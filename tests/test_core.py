@@ -187,4 +187,4 @@ class TestEncoderConfig:
         enc = GraphTransformer(EncoderConfig(in_dim=4, d_model=12,
                                              heads=3, max_len=8), rng)
         with pytest.raises(ValueError, match="exceeds max_len"):
-            enc(Tensor(np.zeros((9, 4))))
+            enc(Tensor(np.zeros((1, 9, 4))))

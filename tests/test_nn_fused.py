@@ -213,16 +213,3 @@ def test_training_through_oracle_is_bit_identical(small_dataset,
     assert kernel[1] == reference[1]
     assert kernel[2] == reference[2]
 
-
-def test_reference_paths_stay_op_by_op(small_dataset, monkeypatch):
-    """``vectorized=False`` training and per-graph inference
-    (``node_probabilities``) never reach the kernel."""
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("reference path reached the fused kernel")
-
-    monkeypatch.setattr(fused, "encode", refuse)
-    monkeypatch.setattr(fused, "infer", refuse)
-    config = TrainConfig(dgi_epochs=1, finetune_epochs=1, batch_size=4,
-                         vectorized=False)
-    model = train_gnn_mls(small_dataset, SeedBundle(TEST_SEED), config)
-    assert model.net_probabilities(small_dataset.graphs[:5])

@@ -76,16 +76,6 @@ class TestCli:
                      "--selector", "none"]) == 0
         assert "Routing utilization" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["0", "-3", "x"])
-    def test_select_batch_must_be_positive(self, value, capsys):
-        """A bad ``--select-batch`` is a usage error (exit 2), not a
-        ``TrainConfig`` traceback."""
-        with pytest.raises(SystemExit) as exc:
-            main(["flow", "--benchmark", "maeri16_hetero",
-                  "--selector", "gnn", "--select-batch", value])
-        assert exc.value.code == 2
-        assert "--select-batch" in capsys.readouterr().err
-
     def test_bad_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])

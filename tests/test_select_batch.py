@@ -1,11 +1,12 @@
 """Batched selector-leg equivalence and determinism.
 
-Locks the contract of the padded (B, L, D) rework: batched forwards
+Locks the contract of the padded (B, L, D) selector path against the
+per-graph reference in ``tests/select_oracle.py``: batched forwards
 match per-graph forwards within 1e-9 (padding rows contribute exact
 zeros), the masked losses equal their per-graph means, length
-bucketing partitions the epoch order deterministically, the
-``vectorized=False`` reference trainer tracks the padded trainer, and
-two same-seed runs select the identical net set.
+bucketing partitions the epoch order deterministically, the padded
+trainer tracks the per-graph gradient-accumulation reference, and two
+same-seed runs select the identical net set.
 """
 
 from __future__ import annotations
@@ -21,15 +22,14 @@ from repro.core import (EncoderConfig, GraphTransformer, TrainConfig,
 from repro.core.batching import (length_bucketed_batches, pad_batch,
                                  pad_rows)
 from repro.core.dgi import DGIPretrainer
-from repro.core.classifier import DecisionHead
-from repro.nn.functional import (binary_cross_entropy_with_logits,
-                                 dgi_loss, masked_bce_with_logits,
-                                 masked_dgi_loss)
+from repro.nn import fused
+from repro.nn.functional import masked_bce_with_logits
 from repro.nn.tensor import Tensor
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle
 from repro.timing import run_sta
 
+from tests import select_oracle as reference
 from tests.conftest import TEST_SEED, build_small_design
 
 #: Forward/loss equivalence tolerance the issue gates on: padding
@@ -65,7 +65,7 @@ class TestBatchedForwardEquivalence:
         batch, mask = pad_batch(mats)
         out = encoder(Tensor(batch), mask).data
         for i, m in enumerate(mats):
-            alone = encoder(Tensor(m)).data
+            alone = reference.encode(encoder, Tensor(m)).data
             np.testing.assert_allclose(out[i, : m.shape[0]], alone,
                                        rtol=0, atol=TOL)
 
@@ -81,7 +81,8 @@ class TestBatchedForwardEquivalence:
         mask[0] = True                     # row 1 is pure padding
         out = encoder(Tensor(batch), mask).data
         assert np.isfinite(out).all()
-        np.testing.assert_allclose(out[0], encoder(Tensor(m)).data,
+        np.testing.assert_allclose(out[0],
+                                   reference.encode(encoder, Tensor(m)).data,
                                    rtol=0, atol=TOL)
 
     @given(lengths=lengths_strategy, seed=st.integers(0, 2**32 - 1))
@@ -98,7 +99,7 @@ class TestBatchedForwardEquivalence:
         batched_grads = [p.grad.copy() for p in encoder.parameters()]
         encoder.zero_grad()
         for m in mats:
-            encoder(Tensor(m)).sum().backward()
+            reference.encode(encoder, Tensor(m)).sum().backward()
         for got, p in zip(batched_grads, encoder.parameters()):
             np.testing.assert_allclose(got, p.grad, rtol=0, atol=TOL)
         encoder.zero_grad()
@@ -119,7 +120,7 @@ class TestMaskedLosses:
                         dtype=bool)
         batched = masked_bce_with_logits(logits, targets, mask,
                                          pos_weight=2.5)
-        per_row = [binary_cross_entropy_with_logits(
+        per_row = [reference.bce_with_logits(
             Tensor(lo[:, None]), Tensor(t[:, None]), pos_weight=2.5)
             for lo, t in zip(logits_rows, targets_rows)]
         expect = np.mean([float(l.data) for l in per_row])
@@ -137,13 +138,14 @@ class TestMaskedLosses:
 
     def test_batched_dgi_loss_matches_per_graph(self):
         """With corruption pinned deterministic, loss_for_batch equals
-        the mean of loss_for over the same graphs."""
+        the mean of the per-graph DGI losses over the same graphs."""
         rng = np.random.default_rng(11)
         mats = _mats(rng, [4, 9, 6])
         pre = DGIPretrainer(_encoder(5), np.random.default_rng(2))
         pre.corrupt = lambda m: m[::-1].copy()
         batched = pre.loss_for_batch(mats)
-        expect = np.mean([float(pre.loss_for(m).data) for m in mats])
+        expect = np.mean([float(reference.dgi_graph_loss(pre, m).data)
+                          for m in mats])
         assert float(batched.data) == pytest.approx(expect, abs=TOL)
 
 
@@ -191,24 +193,36 @@ def trained_pair(hetero_tech):
     return dataset, config
 
 
+def _assert_tracks_reference(dataset, config) -> None:
+    """Loss histories within 1e-9 and the identical net set, padded
+    path against the per-graph reference."""
+    def train():
+        model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+        return model.history, decide_mls_nets(model)
+
+    hist_v, nets_v = train()
+    with reference.per_graph_reference():
+        hist_r, nets_r = train()
+    for key in ("dgi", "finetune"):
+        np.testing.assert_allclose(hist_v[key], hist_r[key],
+                                   rtol=0, atol=1e-9)
+    assert nets_v == nets_r
+
+
 class TestTrainerEquivalence:
     def test_vectorized_tracks_accumulation_reference(self, trained_pair):
         """The padded trainer and the per-graph gradient-accumulation
         reference see the same minibatches and produce loss
         trajectories within tolerance plus the identical net set."""
         dataset, config = trained_pair
-        runs = {}
-        for vectorized in (True, False):
-            cfg = dataclasses.replace(config, vectorized=vectorized)
-            model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), cfg)
-            runs[vectorized] = (model.history,
-                               decide_mls_nets(model))
-        hist_v, nets_v = runs[True]
-        hist_r, nets_r = runs[False]
-        for key in ("dgi", "finetune"):
-            np.testing.assert_allclose(hist_v[key], hist_r[key],
-                                       rtol=0, atol=1e-9)
-        assert nets_v == nets_r
+        _assert_tracks_reference(dataset, config)
+
+    def test_batch_size_one_tracks_the_reference(self, trained_pair):
+        """A batch of one takes the padded path too, and still tracks
+        the per-graph reference."""
+        dataset, config = trained_pair
+        _assert_tracks_reference(
+            dataset, dataclasses.replace(config, batch_size=1))
 
     def test_same_seed_selects_identical_nets(self, trained_pair):
         dataset, config = trained_pair
@@ -220,28 +234,30 @@ class TestTrainerEquivalence:
         for key in ("dgi", "finetune"):
             assert picks[0][1][key] == picks[1][1][key]
 
-    def test_batch_size_one_is_the_reference_schedule(self, trained_pair):
-        """batch_size=1 ignores ``vectorized`` — both settings run the
-        exact historical per-graph loop, bit-identically."""
-        dataset, config = trained_pair
-        hists = []
-        for vectorized in (True, False):
-            cfg = dataclasses.replace(config, batch_size=1,
-                                      vectorized=vectorized)
-            model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), cfg)
-            hists.append(model.history)
-        for key in ("dgi", "finetune"):
-            assert hists[0][key] == hists[1][key]
-
     def test_batched_inference_matches_per_graph(self, trained_pair):
         dataset, config = trained_pair
         model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
         batched = model.net_probabilities(dataset.graphs)
-        model.config = dataclasses.replace(config, batch_size=1)
-        reference = model.net_probabilities(dataset.graphs)
-        assert batched.keys() == reference.keys()
-        for name, p in reference.items():
+        with reference.per_graph_reference():
+            per_graph = model.net_probabilities(dataset.graphs)
+        assert batched.keys() == per_graph.keys()
+        for name, p in per_graph.items():
             assert batched[name] == pytest.approx(p, abs=TOL)
+
+    def test_reference_never_reaches_the_kernel(self, trained_pair,
+                                                monkeypatch):
+        """The reference trains and infers op by op, so the
+        equivalence above compares two independent computations."""
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("per-graph reference reached the "
+                                 "fused kernel")
+
+        dataset, config = trained_pair
+        monkeypatch.setattr(fused, "encode", refuse)
+        monkeypatch.setattr(fused, "infer", refuse)
+        with reference.per_graph_reference():
+            model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+            assert model.net_probabilities(dataset.graphs[:5])
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(ValueError, match="batch_size"):

@@ -138,14 +138,38 @@ class TestRequestParsing:
     @pytest.mark.parametrize("field", ["select_batch", "selecter"])
     def test_unknown_field_is_refused(self, field):
         """Regression: unknown fields were silently dropped and the
-        default flow ran instead — a knob the daemon cannot express
-        (``select_batch``), a removed one from a stale client, or a
-        typo."""
+        default flow ran instead — a removed knob from a stale client
+        (``select_batch``) or a typo."""
         from repro.service.daemon import build_flow_config
 
         with pytest.raises(ServiceError, match=field):
             build_flow_config({"op": "flow", "benchmark": BENCH,
                                field: True})
+
+    def test_cli_run_and_request_share_one_store_entry(self, tmp_path,
+                                                       monkeypatch,
+                                                       capsys):
+        """``repro flow --store S`` and a service request for the same
+        cell build one FlowConfig, so the request replays the CLI's
+        stored flow instead of computing it again."""
+        from repro.cli import main
+        from repro.harness import tables
+        from repro.service import ArtifactStore
+        from repro.service.daemon import build_flow_config
+        from repro.service.stages import run_flow_stored
+
+        # An in-process memo hit would skip the store write.
+        monkeypatch.setattr(tables, "_FLOW_CACHE", {})
+        store = tmp_path / "store"
+        assert main(["flow", "--benchmark", BENCH, "--selector", "none",
+                     "--store", str(store)]) == 0
+        capsys.readouterr()
+        spec, config, seeds = build_flow_config(
+            {"benchmark": BENCH, "selector": "none"})
+        _, _, cached = run_flow_stored(spec.factory, spec.tech(), seeds,
+                                       config, ArtifactStore(store),
+                                       need_report=False)
+        assert cached
 
     @pytest.mark.parametrize("freq", [0, 0.0, -100.0])
     def test_non_positive_freq_is_refused(self, freq):

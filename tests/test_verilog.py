@@ -115,6 +115,37 @@ class TestFlowImport:
         assert "wns_ps" in out
         assert f"import {out_file}" in out
 
+    def test_rewritten_file_is_a_new_design(self, tmp_path, capsys):
+        """Regression: the import's keys followed the path, not the
+        bytes, so rewriting the file with another seed's netlist
+        replayed the old design's flow from the store."""
+        from repro.cli import main
+        from repro.obs import metrics
+        design, store = tmp_path / "design.v", tmp_path / "store"
+        puts = metrics.counter("store.puts.flow.report")
+        rows = []
+        for seed in ("1", "2"):
+            assert main(["export", "--benchmark", "maeri16_hetero",
+                         "--seed", seed, "--out", str(design)]) == 0
+            capsys.readouterr()
+            assert main(["flow", "--benchmark", "maeri16_hetero",
+                         "--selector", "none", "--verilog", str(design),
+                         "--store", str(store)]) == 0
+            rows.append([line for line in
+                         capsys.readouterr().out.splitlines()
+                         if "runtime_min" not in line])
+        assert metrics.counter("store.puts.flow.report") - puts == 2
+        assert rows[0] != rows[1]
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+        missing = tmp_path / "missing.v"
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--benchmark", "maeri16_hetero",
+                  "--selector", "none", "--verilog", str(missing)])
+        assert exc.value.code == 2
+        assert str(missing) in capsys.readouterr().err
+
 
 class TestParserErrors:
     def test_unknown_cell_rejected(self, tmp_path):
