@@ -2,8 +2,8 @@
 
 Prepares each design through the shared flow front-end
 (:func:`repro.core.flow.prepare_design`) and measures the snapshot
-payload every prepare-cache entry and ``snapshot_map`` fan-out actually
-ships: ``dumps_snapshot(design)`` bytes plus dump/load wall-clock.
+payload every prepare-cache entry and store blob actually holds:
+``dumps_snapshot(design)`` bytes plus dump/load wall-clock.
 Writes ``BENCH_netlist.json`` at the repo root.
 
 The ``object_graph_bytes`` baseline column is frozen: it was measured
@@ -42,8 +42,8 @@ sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core.flow import FlowConfig, prepare_design        # noqa: E402
 from repro.harness.designs import get_benchmark               # noqa: E402
-from repro.parallel import usable_cores                       # noqa: E402
-from repro.parallel.pool import dumps_snapshot, loads_snapshot  # noqa: E402
+from repro.obs.trend import usable_cores                       # noqa: E402
+from repro.snapshot import dumps_snapshot, loads_snapshot     # noqa: E402
 
 from tests.golden_util import netlist_digest, placement_digest  # noqa: E402
 

@@ -48,7 +48,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.errors import PlacementError                          # noqa: E402
 from repro.harness.designs import get_benchmark                  # noqa: E402
-from repro.parallel import usable_cores                          # noqa: E402
+from repro.obs.trend import usable_cores                          # noqa: E402
 from repro.partition import partition_memory_on_logic            # noqa: E402
 from repro.partition.tier import TIER_LOGIC, TIER_MEMORY         # noqa: E402
 from repro.place import (NetConnectivity, Placement,             # noqa: E402

@@ -19,7 +19,6 @@ Public API tour:
 """
 
 from repro.design import Design, TechSetup
-from repro.parallel import ParallelConfig
 from repro.rng import SeedBundle
 from repro.core.flow import FlowConfig, FlowReport, run_flow
 
@@ -31,7 +30,6 @@ __all__ = [
     "SeedBundle",
     "FlowConfig",
     "FlowReport",
-    "ParallelConfig",
     "run_flow",
     "__version__",
 ]

@@ -63,7 +63,6 @@ from repro.harness.designs import BENCHMARKS, DEFAULT_EXPERIMENT_SEED, \
 from repro.harness.tables import run_benchmark_flow
 from repro.obs import (LEVELS, chrome_trace_path, get_logger, metrics,
                        set_log_level, trace)
-from repro.parallel import ParallelConfig
 
 log = get_logger("repro.cli")
 
@@ -84,7 +83,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     _add_design(parser)
     parser.add_argument("--selector", default="gnn",
                         choices=list(SELECTORS))
-    _add_parallel(parser)
     parser.add_argument("--store", metavar="PATH", default=None,
                         help="persistent content-addressed artifact "
                              "store to read through / write back "
@@ -97,16 +95,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
-
-
-def _add_parallel(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker processes for the what-if oracle, "
-                             "dataset build and fault simulation; "
-                             "global routing is always serial "
-                             "(1 = serial; results are identical)")
-    parser.add_argument("--chunk-size", type=_positive_int, default=None,
-                        help="items per worker task (default: auto)")
 
 
 def _add_obs(parser: argparse.ArgumentParser,
@@ -128,10 +116,6 @@ def _add_obs(parser: argparse.ArgumentParser,
                                 "/histograms to PATH as JSON")
     group.add_argument("--log-level", default="info", choices=LEVELS,
                        help="repro logger threshold (default: info)")
-
-
-def _parallel_config(args) -> ParallelConfig:
-    return ParallelConfig(workers=args.workers, chunk_size=args.chunk_size)
 
 
 def _cmd_list(_args) -> int:
@@ -191,7 +175,6 @@ def _run_flow(args, spec=None):
         from repro.service.store import ArtifactStore
         store = ArtifactStore(args.store)
     report = run_benchmark_flow(spec, args.selector, seed=args.seed,
-                                parallel=_parallel_config(args),
                                 store=store)
     if store is not None:
         store.flush()           # persist batched recency updates
@@ -217,20 +200,18 @@ def _cmd_table(args) -> int:
                                table3_dft_comparison, table4_heterogeneous,
                                table5_homogeneous, table6_testable)
     from repro.harness.tables import _PPA_METRICS
-    parallel = _parallel_config(args)
     if args.table == 1:
         for row in table1_single_net(args.seed):
             log.info("%s", row)
     elif args.table == 3:
-        for strategy, row in table3_dft_comparison(
-                args.seed, parallel=parallel).items():
+        for strategy, row in table3_dft_comparison(args.seed).items():
             log.info("%s %s", strategy, row)
     elif args.table in (4, 5, 6):
         builder = {4: table4_heterogeneous, 5: table5_homogeneous,
                    6: table6_testable}[args.table]
         columns = ["none", "gnn"] if args.table == 6 \
             else ["none", "sota", "gnn"]
-        for bench, rows in builder(args.seed, parallel=parallel).items():
+        for bench, rows in builder(args.seed).items():
             log.info(format_table(f"Table {args.table} ({bench})",
                                   columns, rows, _PPA_METRICS))
             log.info("")
@@ -360,7 +341,7 @@ def _service_submit(args) -> int:
         benchmark=args.benchmark, selector=args.selector,
         seed=args.seed, with_scan=args.with_scan,
         dft_strategy=args.dft_strategy, freq_mhz=args.freq_mhz,
-        workers=args.workers, save_report=args.save_report)
+        save_report=args.save_report)
     if args.json:
         print(json.dumps(response, indent=2, sort_keys=True))
         return 0 if response.get("ok") else 1
@@ -467,7 +448,6 @@ def main(argv: list[str] | None = None) -> int:
                        choices=(1, 3, 4, 5, 6))
     table.add_argument("--seed", type=int,
                        default=DEFAULT_EXPERIMENT_SEED)
-    _add_parallel(table)
 
     timing = sub.add_parser("timing", help="signoff-style timing report")
     _add_common(timing)
@@ -523,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
                           choices=("net-based", "wire-based"))
     s_submit.add_argument("--freq-mhz", type=float, default=None,
                           help="override the benchmark target clock")
-    s_submit.add_argument("--workers", type=_positive_int, default=1)
     s_submit.add_argument("--save-report", action="store_true",
                           help="also report the on-disk FlowReport "
                                "artifact paths")

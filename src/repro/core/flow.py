@@ -23,7 +23,6 @@ from repro.design import Design, TechSetup
 from repro.errors import FlowError
 from repro.netlist.netlist import Netlist
 from repro.opt.buffering import insert_buffers
-from repro.parallel import ParallelConfig, dumps_snapshot, loads_snapshot
 from repro.partition import partition_memory_on_logic
 from repro.place import place_design
 from repro.power import (default_power_plan, estimate_power,
@@ -35,6 +34,7 @@ from repro.mls.oracle import candidate_nets
 from repro.timing import IncrementalSta, run_sta
 from repro.timing.sta import TimingReport
 from repro.rng import SeedBundle
+from repro.snapshot import dumps_snapshot, loads_snapshot
 from repro.core.decide import decide_mls_nets
 from repro.core.pathset import build_dataset
 from repro.core.trainer import TrainConfig, train_gnn_mls
@@ -63,8 +63,8 @@ class FlowConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     route: RouteConfig = field(default_factory=RouteConfig)
     #: Oracle selector criterion: False labels nets by their local
-    #: worst-sink delay delta (parallelizable); True measures the
-    #: exact design WNS/TNS movement per net via incremental STA.
+    #: worst-sink delay delta; True measures the exact design WNS/TNS
+    #: movement per net via incremental STA.
     oracle_exact_slack: bool = False
     decision_threshold: float = 0.5
     #: After routing the first GNN selection, re-extract the now-worst
@@ -73,11 +73,6 @@ class FlowConfig:
     gnn_refine_iters: int = 2
     pdn: bool = True
     activity: float = 0.15
-    #: Worker fan-out for the what-if oracle, the dataset build and the
-    #: die-test fault simulation.  Global routing always runs serially.
-    #: The default (workers=1) runs every stage serially, bit-identical
-    #: to the parallel paths.
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
 
     def __post_init__(self) -> None:
         if self.selector not in SELECTORS:
@@ -336,7 +331,6 @@ def select_nets(design: Design, router: GlobalRouter, baseline,
         nets = sota_select(design, baseline)
     elif config.selector == "oracle":
         nets = oracle_select(design, router, baseline,
-                             parallel=config.parallel,
                              exact_slack=config.oracle_exact_slack,
                              sta=sta)
     elif config.selector == "random":
@@ -348,8 +342,7 @@ def select_nets(design: Design, router: GlobalRouter, baseline,
     else:  # gnn
         dataset = build_dataset(design, router, baseline, report,
                                 num_paths=config.num_paths,
-                                num_labeled=config.num_labeled,
-                                parallel=config.parallel)
+                                num_labeled=config.num_labeled)
         model = train_gnn_mls(dataset, seeds, config.train)
         nets = decide_mls_nets(model, threshold=config.decision_threshold)
     return nets, time.perf_counter() - start, model
@@ -374,8 +367,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
         stages["flow.prepare"] = prepare_ext_s
     t_flow = time.perf_counter()
     with trace.span("flow", selector=config.selector,
-                    scan=config.with_scan,
-                    workers=config.parallel.workers):
+                    scan=config.with_scan):
         if design is None:
             design = prepare_design(factory, tech, seeds, config)
             stages["flow.prepare"] = prepare_runtime_s(design)
@@ -437,8 +429,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                 sim = die_test_fault_sim(design, seeds.fresh("die-test"),
                                          patterns=config.dft_patterns,
                                          with_dft=True,
-                                         max_faults=config.dft_max_faults,
-                                         parallel=config.parallel)
+                                         max_faults=config.dft_max_faults)
                 coverage = sim.coverage_pct
                 total = sim.total_faults
                 detected = sim.detected_total

@@ -18,7 +18,6 @@ from repro.errors import FlowError
 from repro.core.features import NodeFeatureExtractor
 from repro.core.hypergraph import PathGraph, build_path_graph
 from repro.mls.oracle import NetLabel, oracle_labels
-from repro.parallel import ParallelConfig, snapshot_map
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.timing.paths import extract_worst_paths
 from repro.timing.sta import TimingReport
@@ -76,39 +75,21 @@ class PathDataset:
         return pos / tot if tot else 0.0
 
 
-def _graph_chunk(state, indices: list[int]) -> list[PathGraph]:
-    """Worker: convert one chunk of extracted paths to PathGraphs."""
-    extractor, paths = state
-    return [build_path_graph(paths[i], extractor) for i in indices]
-
-
 def build_dataset(design: Design, router: GlobalRouter,
                   result: RoutingResult, report: TimingReport,
                   num_paths: int = 2000, num_labeled: int = 500,
-                  extra_features: bool = True,
-                  parallel: ParallelConfig | None = None) -> PathDataset:
+                  extra_features: bool = True) -> PathDataset:
     """Extract, convert and label paths from the no-MLS baseline.
 
     The *num_labeled* worst paths get per-net oracle labels (paper:
     500 labeled paths per design); all *num_paths* feed DGI.
-
-    With a multi-worker *parallel* config both heavy stages fan out:
-    path-graph conversion over a pickled (extractor, paths) snapshot
-    and the oracle label probes over the routed design snapshot.  The
-    dataset is identical to a serial build.
     """
     if num_labeled > num_paths:
         raise FlowError("num_labeled cannot exceed num_paths")
     extractor = NodeFeatureExtractor(design, extra_features=extra_features)
     paths = extract_worst_paths(report, k=num_paths)
-    if parallel is not None and parallel.should_parallelize(len(paths)):
-        usable = [p for p in paths if len(p.stages()) >= 2]
-        graphs = snapshot_map(_graph_chunk, range(len(usable)),
-                              snapshot=(extractor, usable),
-                              config=parallel)
-    else:
-        graphs = [build_path_graph(p, extractor) for p in paths
-                  if len(p.stages()) >= 2]
+    graphs = [build_path_graph(p, extractor) for p in paths
+              if len(p.stages()) >= 2]
     if not graphs:
         raise FlowError("no usable timing paths extracted")
 
@@ -120,8 +101,7 @@ def build_dataset(design: Design, router: GlobalRouter,
             if ok:
                 wanted.add(name)
     nets = [design.netlist.net(n) for n in sorted(wanted)]
-    labels = oracle_labels(design, router, result, nets=nets,
-                           parallel=parallel)
+    labels = oracle_labels(design, router, result, nets=nets)
     for g in labeled:
         g.labels = np.array(
             [1.0 if (name in labels and labels[name].helps) else 0.0

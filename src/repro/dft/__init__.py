@@ -1,17 +1,16 @@
-"""Design-for-Test: scan, testability analysis, fault simulation,
-and the paper's two MLS DFT strategies.
+"""Design-for-Test: scan, fault simulation, and the paper's two MLS DFT
+strategies.
 
 The chain of capabilities mirrors a production test flow at simulator
 scale: full-scan insertion (DFF -> SDFF swap + placement-ordered chain
-stitching), SCOAP controllability/observability, a collapsed stuck-at
-fault universe, 64-way bit-parallel random-pattern fault simulation on
-the scan view, and the Figure 6 strategies — net-based (MUX) and
-wire-based (scan-FF) repair of the open connections MLS creates in
-hybrid-bonded dies (Table III / Table VI).
+stitching), a collapsed stuck-at fault universe, 64-way bit-parallel
+random-pattern fault simulation on the scan view, and the Figure 6
+strategies — net-based (MUX) and wire-based (scan-FF) repair of the
+open connections MLS creates in hybrid-bonded dies (Table III / Table
+VI).
 """
 
 from repro.dft.scan import ScanChain, insert_scan
-from repro.dft.scoap import ScoapResult, compute_scoap
 from repro.dft.faults import Fault, FaultUniverse, build_fault_universe
 from repro.dft.fault_sim import FaultSimResult, simulate_faults
 from repro.dft.logic3 import eval_gate, truth_table
@@ -29,8 +28,6 @@ from repro.dft.mls_dft import (
 __all__ = [
     "ScanChain",
     "insert_scan",
-    "ScoapResult",
-    "compute_scoap",
     "Fault",
     "FaultUniverse",
     "build_fault_universe",

@@ -16,7 +16,10 @@ X in die-level test mode (Figure 3).
 Detection is cone-local: each fault re-simulates only its downstream
 cone, comparing at reachable observation points — the standard
 single-fault propagation optimization that keeps simulator-scale
-designs tractable in pure Python.
+designs tractable in pure Python.  A cone is put in topological order
+by sorting its gates on their rank in the view's levelized order,
+computed once per view, so ordering a cone costs its own size, not the
+design's.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from repro.netlist.cell import Instance
 from repro.netlist.netlist import Netlist
 from repro.dft.faults import Fault, FaultUniverse, SA1
 from repro.dft.logic3 import eval_gate
-from repro.parallel import ParallelConfig, snapshot_map
 
 _ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
@@ -78,6 +80,7 @@ class _ScanView:
         self.words = words
         self.cut_nets = cut_nets
         self.order = netlist.topological_order()
+        self._rank = {inst.name: i for i, inst in enumerate(self.order)}
         self.value: dict[str, np.ndarray] = {}
         self.known: dict[str, np.ndarray] = {}
 
@@ -156,6 +159,7 @@ class _ScanView:
         if net is None:
             raise DFTError(f"unknown net {net_name}")
         hit: set[str] = set()
+        cone: list[Instance] = []
         frontier = [net]
         while frontier:
             cur = frontier.pop()
@@ -170,29 +174,18 @@ class _ScanView:
                 if owner.name in hit:
                     continue
                 hit.add(owner.name)
+                cone.append(owner)
                 out = owner.output_pin.net
                 if out is not None:
                     frontier.append(out)
-        return [inst for inst in self.order if inst.name in hit]
+        rank = self._rank
+        cone.sort(key=lambda inst: rank[inst.name])
+        return cone
 
 
 def _rand_words(rng: np.random.Generator, words: int) -> np.ndarray:
     return rng.integers(0, 2 ** 63, size=words, dtype=np.uint64) \
         ^ (rng.integers(0, 2, size=words, dtype=np.uint64) << np.uint64(63))
-
-
-def _detect_chunk(state, indices: list[int]) -> list[bool]:
-    """Worker: detect one chunk of faults against the snapshot view.
-
-    Per-fault detection only reads the good-machine view (faulty
-    values live in fault-local dicts), so any fault partition merges
-    back to exactly the serial detection set.
-    """
-    netlist, view, faults = state
-    zero = np.zeros(view.words, dtype=np.uint64)
-    obs_set = set(view.observe_nets)
-    return [_detect_one(netlist, view, faults[i], obs_set, zero)
-            for i in indices]
 
 
 def simulate_faults(netlist: Netlist, universe: FaultUniverse,
@@ -201,19 +194,15 @@ def simulate_faults(netlist: Netlist, universe: FaultUniverse,
                     cut_nets: set[str] | None = None,
                     pinned_ports: dict[str, int] | None = None,
                     extra_observe: set[str] | None = None,
-                    max_faults: int | None = None,
-                    parallel: ParallelConfig | None = None
+                    max_faults: int | None = None
                     ) -> FaultSimResult:
     """Simulate the collapsed universe under *patterns* random vectors.
 
     ``max_faults`` caps the simulated set by deterministic stride
     sampling (fault-sampled coverage, the standard practice for large
     designs); reported coverage then extrapolates from the sample.
-
-    With a multi-worker *parallel* config the fault list is chunked
-    over a process pool.  The scan view (and hence every *rng* draw)
-    is still built in this process, so the caller's generator advances
-    exactly as in a serial run and results are bit-identical.
+    Per-fault detection only reads the good-machine view (faulty values
+    live in fault-local dicts), so faults are independent of each other.
     """
     if patterns < 64 or patterns % 64:
         raise DFTError("patterns must be a positive multiple of 64")
@@ -228,18 +217,12 @@ def simulate_faults(netlist: Netlist, universe: FaultUniverse,
         stride = -(-len(faults) // max_faults)     # ceil division
         faults = faults[::stride]
 
-    if parallel is not None and parallel.should_parallelize(len(faults)):
-        hits = snapshot_map(_detect_chunk, range(len(faults)),
-                            snapshot=(netlist, view, faults),
-                            config=parallel)
-        detected = sum(1 for hit in hits if hit)
-    else:
-        detected = 0
-        zero = np.zeros(words, dtype=np.uint64)
-        obs_set = set(view.observe_nets)
-        for fault in faults:
-            if _detect_one(netlist, view, fault, obs_set, zero):
-                detected += 1
+    detected = 0
+    zero = np.zeros(words, dtype=np.uint64)
+    obs_set = set(view.observe_nets)
+    for fault in faults:
+        if _detect_one(netlist, view, fault, obs_set, zero):
+            detected += 1
     return FaultSimResult(
         total_faults=universe.total,
         simulated_faults=len(faults),

@@ -29,7 +29,6 @@ import numpy as np
 from repro.design import Design
 from repro.errors import DFTError
 from repro.netlist.net import Net
-from repro.parallel import ParallelConfig
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.dft.faults import build_fault_universe
 from repro.dft.fault_sim import FaultSimResult, simulate_faults
@@ -208,8 +207,7 @@ def apply_wire_based_dft(design: Design, router: GlobalRouter,
 def die_test_fault_sim(design: Design, rng: np.random.Generator,
                        patterns: int = 192,
                        with_dft: bool = True,
-                       max_faults: int | None = None,
-                       parallel: ParallelConfig | None = None
+                       max_faults: int | None = None
                        ) -> FaultSimResult:
     """Fault-simulate the individual-die test of *design*.
 
@@ -226,20 +224,15 @@ def die_test_fault_sim(design: Design, rng: np.random.Generator,
     extra = mls if with_dft else set()
     return simulate_faults(netlist, universe, rng, patterns=patterns,
                            cut_nets=mls, pinned_ports=pinned,
-                           extra_observe=extra, max_faults=max_faults,
-                           parallel=parallel)
+                           extra_observe=extra, max_faults=max_faults)
 
 
 def untestable_fault_fraction(design: Design, rng: np.random.Generator,
-                              patterns: int = 192,
-                              parallel: ParallelConfig | None = None
-                              ) -> float:
+                              patterns: int = 192) -> float:
     """Coverage loss (percentage points) caused by MLS opens with no
     DFT, versus the same design with its MLS nets intact."""
     netlist = design.netlist
     universe = build_fault_universe(netlist)
-    base = simulate_faults(netlist, universe, rng, patterns=patterns,
-                           parallel=parallel)
-    cut = die_test_fault_sim(design, rng, patterns=patterns, with_dft=False,
-                             parallel=parallel)
+    base = simulate_faults(netlist, universe, rng, patterns=patterns)
+    cut = die_test_fault_sim(design, rng, patterns=patterns, with_dft=False)
     return base.coverage_pct - cut.coverage_pct

@@ -17,7 +17,6 @@ from repro.design import TechSetup
 from repro.errors import FlowError
 from repro.netlist.generators import (A7Config, MaeriConfig,
                                       generate_a7_dual_core, generate_maeri)
-from repro.parallel import ParallelConfig
 from repro.rng import SeedBundle
 
 #: Default experiment seed — every table reproduces bit-identically.
@@ -49,7 +48,6 @@ class BenchmarkSpec:
 
     def flow_config(self, selector: str, with_scan: bool = False,
                     dft_strategy: str | None = None,
-                    parallel: ParallelConfig | None = None,
                     freq_mhz: float | None = None) -> FlowConfig:
         """The :class:`FlowConfig` of one flow on this benchmark — the
         one builder behind CLI runs, table rows and daemon requests, so
@@ -64,7 +62,6 @@ class BenchmarkSpec:
             with_scan=with_scan,
             dft_strategy=dft_strategy,
             activity=self.activity,
-            parallel=parallel or ParallelConfig(),
         )
 
     @property

@@ -17,12 +17,11 @@ from repro.core.flow import (FlowConfig, FlowReport, run_flow,
 from repro.harness.designs import (BenchmarkSpec, get_benchmark,
                                    DEFAULT_EXPERIMENT_SEED)
 from repro.mls import route_with_mls
-from repro.parallel import ParallelConfig
 from repro.service.keys import flow_key
 from repro.timing import (IncrementalSta, extract_worst_paths,
                           net_whatif_delta)
 
-#: (flow content key, workers[, factory]) -> FlowReport
+#: (flow content key[, factory]) -> FlowReport
 _FLOW_CACHE: dict[tuple, FlowReport] = {}
 
 
@@ -30,16 +29,12 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        with_scan: bool = False,
                        dft_strategy: str | None = None,
                        seed: int = DEFAULT_EXPERIMENT_SEED,
-                       parallel: ParallelConfig | None = None,
                        store=None) -> FlowReport:
     """Run (or fetch) one cached flow.
 
     The memo key is the shared content key from
     :mod:`repro.service.keys` — the same derivation the persistent
-    store uses — plus the worker count: *parallel* only changes
-    wall-clock, never results (the equivalence suite locks that), but
-    repeat invocations with different worker counts must measure
-    honestly.  Factories without a stable content fingerprint key by
+    store uses.  Factories without a stable content fingerprint key by
     identity, exactly like the prepare LRU.
 
     Pass *store* (an :class:`repro.service.ArtifactStore`) to read
@@ -48,11 +43,10 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
     the whole stored report.
     """
     config = spec.flow_config(selector, with_scan=with_scan,
-                              dft_strategy=dft_strategy,
-                              parallel=parallel)
+                              dft_strategy=dft_strategy)
     content = flow_key(spec.factory, spec.tech(), spec.seeds(seed),
                        config)
-    key: tuple = (content.hexdigest, config.parallel.workers)
+    key: tuple = (content.hexdigest,)
     if not content.stable:
         key += (spec.factory,)
     if key not in _FLOW_CACHE:
@@ -76,13 +70,11 @@ def clear_flow_cache() -> None:
 
 def flow_comparison_rows(benchmark_key: str,
                          selectors: tuple[str, ...] = ("none", "sota", "gnn"),
-                         seed: int = DEFAULT_EXPERIMENT_SEED,
-                         parallel: ParallelConfig | None = None
+                         seed: int = DEFAULT_EXPERIMENT_SEED
                          ) -> dict[str, dict[str, float]]:
     """selector -> metric row for one benchmark."""
     spec = get_benchmark(benchmark_key)
-    return {sel: run_benchmark_flow(spec, sel, seed=seed,
-                                    parallel=parallel).row()
+    return {sel: run_benchmark_flow(spec, sel, seed=seed).row()
             for sel in selectors}
 
 
@@ -126,32 +118,25 @@ _PPA_METRICS = [
 ]
 
 
-def table4_heterogeneous(seed: int = DEFAULT_EXPERIMENT_SEED,
-                         parallel: ParallelConfig | None = None
+def table4_heterogeneous(seed: int = DEFAULT_EXPERIMENT_SEED
                          ) -> dict[str, dict[str, dict[str, float]]]:
     """Table IV: hetero PPA for MAERI-128 and A7 x {No MLS, SOTA, Ours}."""
     return {
-        "maeri128_hetero": flow_comparison_rows("maeri128_hetero", seed=seed,
-                                                parallel=parallel),
-        "a7_hetero": flow_comparison_rows("a7_hetero", seed=seed,
-                                          parallel=parallel),
+        "maeri128_hetero": flow_comparison_rows("maeri128_hetero", seed=seed),
+        "a7_hetero": flow_comparison_rows("a7_hetero", seed=seed),
     }
 
 
-def table5_homogeneous(seed: int = DEFAULT_EXPERIMENT_SEED,
-                       parallel: ParallelConfig | None = None
+def table5_homogeneous(seed: int = DEFAULT_EXPERIMENT_SEED
                        ) -> dict[str, dict[str, dict[str, float]]]:
     """Table V: homo PPA for MAERI-256 and A7 x {No MLS, SOTA, Ours}."""
     return {
-        "maeri256_homo": flow_comparison_rows("maeri256_homo", seed=seed,
-                                              parallel=parallel),
-        "a7_homo": flow_comparison_rows("a7_homo", seed=seed,
-                                        parallel=parallel),
+        "maeri256_homo": flow_comparison_rows("maeri256_homo", seed=seed),
+        "a7_homo": flow_comparison_rows("a7_homo", seed=seed),
     }
 
 
-def table6_testable(seed: int = DEFAULT_EXPERIMENT_SEED,
-                    parallel: ParallelConfig | None = None
+def table6_testable(seed: int = DEFAULT_EXPERIMENT_SEED
                     ) -> dict[str, dict[str, dict[str, float]]]:
     """Table VI: testable designs — No-MLS+DFT vs GNN-MLS+DFT (hetero).
 
@@ -164,16 +149,15 @@ def table6_testable(seed: int = DEFAULT_EXPERIMENT_SEED,
         rows = {}
         rows["none"] = run_benchmark_flow(
             spec, "none", with_scan=True, dft_strategy="wire-based",
-            seed=seed, parallel=parallel).row()
+            seed=seed).row()
         rows["gnn"] = run_benchmark_flow(
             spec, "gnn", with_scan=True, dft_strategy="wire-based",
-            seed=seed, parallel=parallel).row()
+            seed=seed).row()
         out[key] = rows
     return out
 
 
-def table3_dft_comparison(seed: int = DEFAULT_EXPERIMENT_SEED,
-                          parallel: ParallelConfig | None = None
+def table3_dft_comparison(seed: int = DEFAULT_EXPERIMENT_SEED
                           ) -> dict[str, dict[str, float]]:
     """Table III: net-based vs wire-based DFT on the small fabric.
 
@@ -184,8 +168,7 @@ def table3_dft_comparison(seed: int = DEFAULT_EXPERIMENT_SEED,
     out: dict[str, dict[str, float]] = {}
     for strategy in ("net-based", "wire-based"):
         report = run_benchmark_flow(spec, "gnn", with_scan=True,
-                                    dft_strategy=strategy, seed=seed,
-                                    parallel=parallel)
+                                    dft_strategy=strategy, seed=seed)
         row = report.row()
         out[strategy] = {
             "total_faults": row["total_faults"],

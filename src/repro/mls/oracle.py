@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from repro.design import Design
 from repro.netlist.net import Net
-from repro.parallel import ParallelConfig, snapshot_map
 from repro.route.router import GlobalRouter, RoutingResult
 from repro.timing.incremental import IncrementalSta, net_whatif_delta
 
@@ -49,46 +48,19 @@ def candidate_nets(design: Design) -> list[Net]:
             if len(tiers.net_tiers(net)) == 1]
 
 
-def _whatif_chunk(state, names: list[str]) -> list[tuple[str, float, bool]]:
-    """Worker: probe one chunk of nets against the snapshot state.
-
-    ``probe_net`` restores the grid after each probe, so probes are
-    independent and the fan-out is bit-equivalent to the serial loop.
-    """
-    design, router, result = state
-    out = []
-    for name in names:
-        delta = net_whatif_delta(design, router, result,
-                                 design.netlist.net(name))
-        out.append((name, delta.worst_delta_ps(), delta.applied))
-    return out
-
-
 def oracle_labels(design: Design, router: GlobalRouter,
                   result: RoutingResult,
                   nets: list[Net] | None = None,
-                  gain_eps_ps: float = DEFAULT_GAIN_EPS_PS,
-                  parallel: ParallelConfig | None = None
+                  gain_eps_ps: float = DEFAULT_GAIN_EPS_PS
                   ) -> dict[str, NetLabel]:
     """Probe *nets* (default: all 2-D nets) and label each one.
 
-    With a multi-worker *parallel* config the per-net probes fan out
-    over a process pool against one pickled (design, router, result)
-    snapshot; labels are identical to the serial run.
+    ``probe_net`` restores the grid after each probe, so probes are
+    independent of their order.
     """
     if nets is None:
         nets = candidate_nets(design)
     labels: dict[str, NetLabel] = {}
-    if parallel is not None and parallel.should_parallelize(len(nets)):
-        rows = snapshot_map(_whatif_chunk, [net.name for net in nets],
-                            snapshot=(design, router, result),
-                            config=parallel)
-        for name, worst, applied in rows:
-            good = applied and worst <= -gain_eps_ps
-            labels[name] = NetLabel(net_name=name, delta_ps=worst,
-                                    applied=applied,
-                                    label=1 if good else 0)
-        return labels
     for net in nets:
         delta = net_whatif_delta(design, router, result, net)
         worst = delta.worst_delta_ps()
@@ -137,8 +109,7 @@ def oracle_slack_labels(design: Design, router: GlobalRouter,
     is what makes this tractable — each probe re-propagates only the
     fan-out cone of the toggled net rather than re-running full STA.
 
-    Serial by construction: probes share one mutable routing + STA
-    state.  For fan-out across workers use the delay-delta oracle.
+    Probes share one mutable routing + STA state, restored after each.
     """
     if nets is None:
         nets = candidate_nets(design)
@@ -173,19 +144,18 @@ def oracle_select(design: Design, router: GlobalRouter,
                   result: RoutingResult,
                   nets: list[Net] | None = None,
                   gain_eps_ps: float = DEFAULT_GAIN_EPS_PS,
-                  parallel: ParallelConfig | None = None,
                   exact_slack: bool = False,
                   sta: IncrementalSta | None = None) -> set[str]:
     """The exact policy: MLS exactly where the what-if says it helps.
 
     ``exact_slack=True`` upgrades the per-net criterion from the local
     delay delta to the design-level WNS/TNS movement measured by
-    :func:`oracle_slack_labels` (always serial; *parallel* ignored).
+    :func:`oracle_slack_labels`.
     """
     if exact_slack:
         slabels = oracle_slack_labels(design, router, result, nets=nets,
                                       gain_eps_ps=gain_eps_ps, sta=sta)
         return {name for name, lab in slabels.items() if lab.helps}
     labels = oracle_labels(design, router, result, nets=nets,
-                           gain_eps_ps=gain_eps_ps, parallel=parallel)
+                           gain_eps_ps=gain_eps_ps)
     return {name for name, lab in labels.items() if lab.helps}

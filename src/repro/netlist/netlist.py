@@ -226,9 +226,6 @@ class Netlist:
     def sequential_instances(self) -> list[Instance]:
         return [i for i in self.instances.values() if i.is_sequential]
 
-    def combinational_instances(self) -> list[Instance]:
-        return [i for i in self.instances.values() if not i.is_sequential]
-
     def topological_order(self) -> list[Instance]:
         """Combinational instances in signal-flow order.
 

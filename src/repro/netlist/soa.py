@@ -253,13 +253,6 @@ class NetlistSoA:
                 pin.net = net
             netlist.nets[name] = net
 
-    def to_netlist(self):
-        """Decode into a fresh :class:`Netlist`."""
-        from repro.netlist.netlist import Netlist
-        netlist = Netlist.__new__(Netlist)
-        self.populate(netlist)
-        return netlist
-
     # -- array views -----------------------------------------------------------
 
     @property

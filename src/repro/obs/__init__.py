@@ -1,16 +1,14 @@
 """Zero-dependency observability: spans, counters, structured logs.
 
-The flow is performance-engineered end to end (process pool,
-differential router, incremental STA, cached-Laplacian placer) but
+The flow is performance-engineered end to end (differential router,
+incremental STA, cached-Laplacian placer, fused GNN kernel) but
 was a black box at runtime — two ad-hoc ``perf_counter`` windows in
 ``run_flow`` and nothing else.  This package is the measurement substrate:
 
 * :mod:`repro.obs.tracer` — hierarchical **spans**
   (``with trace.span("place.solve", level=k):``) that nest, carry
   key=value attributes, and serialize to JSONL plus the Chrome
-  ``chrome://tracing`` / Perfetto trace-event format.  Pool workers
-  collect their spans locally and the parent merges them with correct
-  parent-span ids (see :meth:`Tracer.collect_worker`).  Long-lived
+  ``chrome://tracing`` / Perfetto trace-event format.  Long-lived
   processes stream spans through a size-capped
   :class:`RotatingTraceSink` instead of buffering forever.
 * :mod:`repro.obs.metrics` — process-wide **counters / gauges /
@@ -23,8 +21,8 @@ was a black box at runtime — two ad-hoc ``perf_counter`` windows in
   power-of-two bucket ladder shared by every histogram, so
   cross-process and cross-run merges are exact.
 * :mod:`repro.obs.recorder` — the :data:`flight` recorder: a bounded
-  ring of recent spans/samples, armed in the daemon and pool workers,
-  dumped to a timestamped file on unhandled exception or ``SIGUSR1``.
+  ring of recent spans/samples, armed in the daemon, dumped to a
+  timestamped file on unhandled exception or ``SIGUSR1``.
 * :mod:`repro.obs.analyze` — trace analysis for ``repro trace
   report`` / ``diff``: self/cumulative time per span path, critical
   paths, and aligned run-to-run deltas.
@@ -57,8 +55,7 @@ from repro.obs.histogram import Histogram
 from repro.obs.log import LEVELS, get_logger, set_log_level
 from repro.obs.metrics import (MetricsRegistry, metrics,
                                prometheus_name, render_prometheus)
-from repro.obs.recorder import (FlightRecorder, flight,
-                                maybe_arm_from_env)
+from repro.obs.recorder import FlightRecorder, flight
 from repro.obs.tracer import (RotatingTraceSink, Tracer,
                               chrome_trace_path, trace)
 
@@ -72,7 +69,6 @@ __all__ = [
     "chrome_trace_path",
     "flight",
     "get_logger",
-    "maybe_arm_from_env",
     "metrics",
     "prometheus_name",
     "render_prometheus",

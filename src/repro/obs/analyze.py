@@ -18,11 +18,8 @@ two) of those files into answers:
   with paths that appear or disappear marked as such.  This is the
   evidence format hot-path PRs cite.
 
-Worker spans merged from pool processes join the same forest (their
-parents are parent-process span ids), so cross-process time lands on
-the dispatching path.  Records whose parent id is missing from the
-file (e.g. the head of a rotated trace) are treated as roots rather
-than dropped.
+Records whose parent id is missing from the file (e.g. the head of a
+rotated trace) are treated as roots rather than dropped.
 
 Everything operates on plain record dicts, so tests can hand-build
 span forests without touching the tracer.

@@ -3,10 +3,6 @@
 One module-level :data:`metrics` registry per process.  Updates are
 plain dict operations — always on, cheap enough for the hot loops
 that feed them (one increment per routed net, one per STA update).
-Pool *workers* run in separate processes; their registries are local
-and discarded, so every wired call site counts at the parent-side
-merge point (the chunk result drain) — worker-interior timing detail
-travels through span collection instead (:mod:`repro.obs.tracer`).
 
 Four families:
 

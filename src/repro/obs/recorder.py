@@ -17,15 +17,7 @@ recorder answers it at near-zero steady-state cost:
   formatted traceback, then returns the path;
 * trigger wiring: ``SIGUSR1`` (live forensics without stopping the
   service), ``sys.excepthook`` (unhandled crashes), and explicit
-  ``crash_dump`` calls from the daemon's job runner and the pool's
-  chunk runner.
-
-Pool workers arm themselves from the environment
-(:func:`maybe_arm_from_env`): a daemon or CLI that arms its own
-recorder exports :data:`FLIGHT_DIR_ENV`, so forked/spawned workers
-inherit the dump directory and produce their own dumps when a chunk
-raises — per-process rings, per-process files, no cross-process
-coordination.
+  ``crash_dump`` calls from the daemon's job runner.
 
 The ring is determinism-safe like the rest of :mod:`repro.obs`:
 nothing in it is ever read back by a computation.
@@ -46,10 +38,6 @@ from pathlib import Path
 from repro.obs.metrics import metrics
 from repro.obs.tracer import trace
 
-#: Environment variable naming the dump directory; exported by
-#: whoever arms the recorder so pool workers arm themselves too.
-FLIGHT_DIR_ENV = "REPRO_FLIGHT_DIR"
-
 #: Default ring capacity: recent-history window, not a trace.
 DEFAULT_CAPACITY = 4096
 
@@ -68,7 +56,6 @@ class FlightRecorder:
         self._lock = threading.Lock()
         self._prev_excepthook = None
         self._prev_sigusr1 = None
-        self._env_exported = False
         self.dumps_written = 0
 
     # -- state ---------------------------------------------------------------
@@ -81,22 +68,17 @@ class FlightRecorder:
     def directory(self) -> Path | None:
         return self._dir
 
-    def arm(self, directory: str | Path, *, export_env: bool = True,
+    def arm(self, directory: str | Path, *,
             install_signal: bool = False,
             install_excepthook: bool = False) -> "FlightRecorder":
         """Start mirroring spans into the ring; dumps go to *directory*.
 
-        ``export_env`` publishes the directory so pool workers arm
-        themselves (:func:`maybe_arm_from_env`).  ``install_signal``
-        registers a ``SIGUSR1`` handler (main thread only — silently
-        skipped elsewhere); ``install_excepthook`` chains a dump in
-        front of ``sys.excepthook``.
+        ``install_signal`` registers a ``SIGUSR1`` handler (main thread
+        only — silently skipped elsewhere); ``install_excepthook``
+        chains a dump in front of ``sys.excepthook``.
         """
         self._dir = Path(directory)
         self._armed = True
-        if export_env:
-            os.environ[FLIGHT_DIR_ENV] = str(self._dir)
-            self._env_exported = True
         trace.attach_flight(self)
         if install_signal:
             try:
@@ -113,9 +95,6 @@ class FlightRecorder:
         """Stop recording and unwind the hooks (tests, daemon stop)."""
         trace.detach_flight()
         self._armed = False
-        if self._env_exported:
-            os.environ.pop(FLIGHT_DIR_ENV, None)
-            self._env_exported = False
         if self._prev_excepthook is not None:
             sys.excepthook = self._prev_excepthook
             self._prev_excepthook = None
@@ -210,15 +189,3 @@ class FlightRecorder:
 
 #: The process-wide recorder.  Import it, don't construct your own.
 flight = FlightRecorder()
-
-
-def maybe_arm_from_env() -> bool:
-    """Arm :data:`flight` from :data:`FLIGHT_DIR_ENV` if it is set and
-    the recorder is not already armed.  Called by pool-worker
-    initializers so worker processes inherit the parent's forensics
-    without any API threading."""
-    directory = os.environ.get(FLIGHT_DIR_ENV)
-    if not directory or flight.armed:
-        return flight.armed
-    flight.arm(directory, export_env=False)
-    return True

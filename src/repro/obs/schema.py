@@ -59,8 +59,8 @@ def validate_trace_jsonl(path: str | Path) -> dict:
 
     Checks per record: required keys, numeric non-negative timing,
     string ids.  Checks globally: ids unique, every non-null parent
-    resolves to a recorded span id (worker merges must re-root
-    correctly — a dangling parent means a broken merge).
+    resolves to a recorded span id (a dangling parent means a span
+    closed outside its parent, or a truncated file).
     """
     ids: set[str] = set()
     parents: list[tuple[int, str]] = []
@@ -106,7 +106,7 @@ def validate_trace_jsonl(path: str | Path) -> dict:
         if parent not in ids:
             raise ValueError(
                 f"{path}:{lineno}: parent {parent!r} references no "
-                f"recorded span (broken worker merge?)")
+                f"recorded span")
     return {"spans": len(ids), "roots": roots, "pids": len(pids)}
 
 

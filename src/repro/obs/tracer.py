@@ -12,16 +12,10 @@ accumulate as flat dict records that serialize to
   with ``parent`` the enclosing span's id (or ``None`` for roots);
 * **Chrome trace-event JSON** — complete (``"ph": "X"``) events
   loadable in ``chrome://tracing`` or https://ui.perfetto.dev, one
-  timeline row per process id, so merged pool-worker spans show up as
-  their own lanes under the parent flow.
+  timeline row per process id.
 
-Pool workers run in separate processes: the parent ships the active
-span id with each task (:meth:`Tracer.export_parent`), the worker
-wraps its chunk in :meth:`Tracer.collect_worker` — which records into
-a fresh buffer rooted at that parent id — and returns the buffer for
-the parent to :meth:`Tracer.merge`.  Span ids are ``"<pid>-<seq>"``
-so ids never collide across processes, and the in-process serial
-fallback (same pid, monotonic seq) stays collision-free too.
+Span ids are ``"<pid>-<seq>"``, so traces from different processes
+and runs never collide and stay diffable.
 
 The span *stack* is per-thread (``threading.local``): concurrent
 flows in one process — e.g. the service daemon's ``flow_workers``
@@ -29,8 +23,6 @@ executor threads — each nest under their own roots instead of
 interleaving onto one shared stack.  The record buffer stays
 process-wide (list appends are atomic under the GIL), so one
 ``write_jsonl`` still serializes every thread's spans.
-:meth:`collect_worker` parks only the calling thread's stack; it is
-meant for single-threaded pool worker processes.
 
 Long-lived processes (the service daemon) must not grow an unbounded
 in-memory record list or trace file: :class:`RotatingTraceSink`
@@ -40,11 +32,9 @@ over at a size cap (``run.jsonl`` -> ``run.jsonl.1`` ...), and
 empty in sink mode.
 
 A *request id* can be pinned to the calling thread
-(:meth:`Tracer.set_request`): every span the thread (and any pool
-worker it dispatches to — the id rides the ``export_parent`` token)
-opens while pinned carries a ``req`` attribute, so cross-process span
-merging groups by request rather than pid alone.  The service daemon
-pins one id per ``flow`` request.
+(:meth:`Tracer.set_request`): every span the thread opens while pinned
+carries a ``req`` attribute, so spans group by request.  The service
+daemon pins one id per ``flow`` request.
 
 Timestamps are wall-clock microseconds (comparable across processes);
 durations come from ``perf_counter_ns``.  Nothing here is read back
@@ -58,7 +48,6 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -78,11 +67,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-#: Separator between the parent-span id and the request id in an
-#: ``export_parent`` token.  Span ids are ``<pid hex>-<seq hex>`` and
-#: never contain it.
-_REQ_SEP = "|"
 
 
 class RotatingTraceSink:
@@ -156,7 +140,7 @@ class _Span:
         t = self._tracer
         frame = t._frame()
         stack = frame.stack
-        self.parent_id = stack[-1] if stack else frame.root_parent
+        self.parent_id = stack[-1] if stack else None
         self.span_id = t._next_id()
         stack.append(self.span_id)
         if frame.request_id is not None and "req" not in self.attrs:
@@ -187,15 +171,13 @@ class _Span:
 
 
 class _ThreadFrame:
-    """Per-thread tracer state: the span stack, the parent id grafted
-    onto its stack-root spans (worker collection), and the request id
+    """Per-thread tracer state: the span stack and the request id
     pinned to the thread's spans."""
 
-    __slots__ = ("stack", "root_parent", "request_id")
+    __slots__ = ("stack", "request_id")
 
     def __init__(self) -> None:
         self.stack: list[str] = []
-        self.root_parent: str | None = None
         self.request_id: str | None = None
 
 
@@ -241,7 +223,6 @@ class Tracer:
         self._records = []
         frame = self._frame()
         frame.stack = []
-        frame.root_parent = None
         frame.request_id = None
 
     @property
@@ -302,8 +283,7 @@ class Tracer:
 
     def set_request(self, request_id: str | None) -> None:
         """Pin *request_id* to the calling thread: every span it opens
-        (and every pool-worker span it dispatches) carries
-        ``attrs["req"]`` until cleared with ``None``."""
+        carries ``attrs["req"]`` until cleared with ``None``."""
         self._frame().request_id = request_id
 
     def current_request(self) -> str | None:
@@ -320,70 +300,6 @@ class Tracer:
         if not self._enabled and self._flight is None:
             return _NULL_SPAN
         return _Span(self, name, attrs)
-
-    # -- cross-process collection --------------------------------------------
-
-    def export_parent(self) -> str | None:
-        """Token shipped with pool tasks.
-
-        ``None`` means tracing is off (workers skip collection
-        entirely); the empty string means on-but-no-active-span.  When
-        the calling thread is pinned to a request id, the token is
-        ``"<parent-id>|<request-id>"`` so worker spans inherit the
-        request grouping across the process boundary.
-        """
-        if not self._enabled:
-            return None
-        frame = self._frame()
-        token = frame.stack[-1] if frame.stack else ""
-        if frame.request_id is not None:
-            token = f"{token}{_REQ_SEP}{frame.request_id}"
-        return token
-
-    @contextmanager
-    def collect_worker(self, parent_id: str):
-        """Record spans into a fresh buffer rooted at *parent_id*.
-
-        Used around a worker-side chunk: whatever tracer state the
-        process inherited (fork copies the parent's live tracer) is
-        parked — including the calling thread's stack frame — spans
-        collect into the yielded list with stack roots parented to
-        *parent_id*, and the prior state is restored so persistent
-        pool workers stay clean between chunks.  The seq counter is
-        never rewound — combined with the per-process pid prefix that
-        keeps ids unique in both the forked and the in-process
-        serial-fallback case.
-        """
-        parent, _, request = parent_id.partition(_REQ_SEP)
-        frame = self._frame()
-        saved = (self._enabled, self._records, self._sink,
-                 self._keep_records, frame.stack, frame.root_parent,
-                 frame.request_id, self._pid)
-        self._enabled = True
-        self._records = records = []
-        self._sink = None               # the parent owns the sink
-        self._keep_records = True
-        frame.stack = []
-        frame.root_parent = parent or None
-        frame.request_id = request or None
-        self._pid = os.getpid()
-        try:
-            yield records
-        finally:
-            (self._enabled, self._records, self._sink,
-             self._keep_records, frame.stack, frame.root_parent,
-             frame.request_id, self._pid) = saved
-
-    def merge(self, records: list[dict]) -> None:
-        """Append worker-collected span records to this tracer."""
-        if self._keep_records:
-            self._records.extend(records)
-        if self._sink is not None:
-            for rec in records:
-                self._sink.write(rec)
-        if self._flight is not None:
-            for rec in records:
-                self._flight.record_span(rec)
 
     # -- serialization -------------------------------------------------------
 

@@ -29,6 +29,7 @@ machines vary); re-baseline with ``repro trace gate
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
 
@@ -45,6 +46,19 @@ DEFAULT_HEADROOM = 2.0
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def usable_cores() -> int:
+    """Cores this process may actually run on (affinity-aware).
+
+    Benchmarks use this to gate speedup assertions — a 1-core
+    container cannot beat its own serial loop, and the honest record
+    should show that rather than a faked number.
+    """
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
 
 
 def append_trend(path: str | Path, bench: str, legs: dict[str, float],

@@ -3,9 +3,7 @@
 The paper's designs follow the Macro-3D memory-on-logic arrangement:
 SRAM macros and their interface logic on the top (memory) die, the
 compute fabric on the bottom (logic) die.  :mod:`memory_on_logic`
-implements that policy; :mod:`fm` provides a Fiduccia–Mattheyses
-min-cut refiner used to pull small logic clusters across when it
-reduces the 3D cut (and as a general-purpose bipartitioner).
+implements that policy.
 """
 
 from repro.partition.tier import (
@@ -15,7 +13,6 @@ from repro.partition.tier import (
     cross_tier_nets,
 )
 from repro.partition.memory_on_logic import partition_memory_on_logic
-from repro.partition.fm import fm_bipartition, fm_refine
 
 __all__ = [
     "TIER_LOGIC",
@@ -23,6 +20,4 @@ __all__ = [
     "TierAssignment",
     "cross_tier_nets",
     "partition_memory_on_logic",
-    "fm_bipartition",
-    "fm_refine",
 ]

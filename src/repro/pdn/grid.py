@@ -58,10 +58,6 @@ class PdnGrid:
     def node(self, ix: int, iy: int) -> int:
         return iy * self.nx + ix
 
-    def node_xy(self, idx: int) -> tuple[float, float]:
-        iy, ix = divmod(idx, self.nx)
-        return (ix + 0.5) * self.pitch, (iy + 0.5) * self.pitch
-
     @property
     def num_nodes(self) -> int:
         return self.nx * self.ny

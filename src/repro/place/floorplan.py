@@ -55,10 +55,6 @@ class Floorplan:
     def sites_per_row(self) -> int:
         return max(1, int(self.width / self.site_width))
 
-    @property
-    def area_mm2(self) -> float:
-        return (self.width * self.height) / 1e6
-
     def clamp(self, x: float, y: float) -> tuple[float, float]:
         """Clamp a point into the die outline."""
         return (min(max(x, 0.0), self.width),

@@ -40,9 +40,6 @@ class NetRC:
     wirelength_um: float
     sink_delay_ps: dict[str, float] = field(default_factory=dict)
 
-    def worst_sink_delay(self) -> float:
-        return max(self.sink_delay_ps.values(), default=0.0)
-
 
 class RcTables:
     """One technology's edge electricals, indexed by tier and pair.

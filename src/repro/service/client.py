@@ -91,15 +91,13 @@ class ServiceClient:
                     with_scan: bool = False,
                     dft_strategy: Optional[str] = None,
                     freq_mhz: Optional[float] = None,
-                    workers: int = 1,
                     save_report: bool = False,
                     **extra: Any) -> dict:
         payload = {"op": "flow", "benchmark": benchmark,
                    "selector": selector, "seed": seed,
                    "with_scan": with_scan,
                    "dft_strategy": dft_strategy,
-                   "freq_mhz": freq_mhz, "workers": workers,
-                   "save_report": save_report}
+                   "freq_mhz": freq_mhz, "save_report": save_report}
         payload.update(extra)
         return self.request(payload)
 

@@ -16,11 +16,15 @@ per line in both directions; ops:
               table row, the report digest, timing breakdown and —
               on request — the on-disk paths of the pickled
               :class:`FlowReport` artifacts.  A request with an
-              unknown field, a ``workers`` that is not an int >= 1,
-              a non-int ``seed`` or a ``freq_mhz`` that is not a
-              number > 0 is refused before dedup or queueing;
+              unknown or mistyped field (see
+              :func:`_check_flow_request`) is refused before dedup or
+              queueing;
 ``shutdown``  drain nothing, stop now (the store is crash-safe:
               every artifact write is atomic).
+
+Every line gets one answer: a line that is not JSON, not a JSON object
+or longer than the stream limit gets ``{"ok": false, "error": ...}``,
+counts in ``service.errors``, and the connection keeps serving.
 
 Scheduling is FIFO over an :class:`asyncio.Queue` with *flow_workers*
 consumer tasks, each running the (numpy-heavy, GIL-releasing) flow in
@@ -43,9 +47,8 @@ exactly this surface.  Telemetry additions on top of that:
   exported by the ``metrics`` op;
 * flow requests get a daemon-unique **request id** (``req-<seq>``)
   that is pinned onto the tracer for the job's executor thread, so
-  every span the job emits — including pool-worker spans merged back
-  from other processes — carries ``req=<id>`` and cross-process
-  traces group by request rather than pid alone;
+  every span the job emits carries ``req=<id>`` and traces group by
+  request;
 * the **flight recorder** is armed for the daemon's lifetime: a
   bounded ring of recent spans dumped to ``<store_root>/flight/`` on
   unhandled exceptions, failed flow jobs, or ``SIGUSR1``.
@@ -59,6 +62,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -74,15 +78,18 @@ from repro.service.store import (ArtifactStore, DEFAULT_BUDGET_BYTES,
 log = get_logger("repro.service.daemon")
 
 #: Protocol revision, echoed by ``ping``/``status``.  2 added the
-#: ``health``/``metrics`` ops, request ids and latency histograms.
-PROTOCOL_VERSION = 2
+#: ``health``/``metrics`` ops, request ids and latency histograms.  3
+#: removed the ``workers`` request field (the flow runs in one
+#: process), so a request that still carries it is refused as an
+#: unknown field.
+PROTOCOL_VERSION = 3
 
 #: Fields of a ``flow`` request that identify the computation.  This
 #: tuple is the *dedup* key (request-level, cheap to derive in the
 #: event loop); content-level equivalence across differently-phrased
 #: requests is still caught by the store's content keys.
 _FLOW_REQUEST_FIELDS = ("benchmark", "selector", "seed", "with_scan",
-                        "dft_strategy", "freq_mhz", "workers")
+                        "dft_strategy", "freq_mhz")
 
 #: Every field a ``flow`` request may carry; anything else is refused
 #: rather than silently dropped (a typo or a stale client's knob would
@@ -119,31 +126,73 @@ def _typed(value, kinds) -> bool:
 
 
 def _check_flow_request(request: dict) -> None:
-    """Raise :class:`ServiceError` for a ``flow`` request with an
-    unknown field, a ``workers`` that is not an int >= 1, a ``seed``
-    that is not an int, or a ``freq_mhz`` that is not a number > 0.
-    ``bool`` is refused for all three; ``None`` means the default."""
+    """Raise :class:`ServiceError`, naming the field, for a ``flow``
+    request with an unknown field, a ``benchmark``, ``selector`` or
+    ``dft_strategy`` that is not a string, a ``with_scan`` or
+    ``save_report`` that is not a boolean, a ``seed`` that is not an
+    int, or a ``freq_mhz`` that is not a finite number > 0.  ``bool``
+    is refused for the numbers; ``None`` means the default."""
     unknown = sorted(set(request) - _FLOW_REQUEST_ALLOWED)
     if unknown:
         raise ServiceError(
             f"unknown flow request field(s) {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(_FLOW_REQUEST_ALLOWED))}")
-    workers = request.get("workers")
-    if workers is not None and not (_typed(workers, int) and workers >= 1):
-        raise ServiceError(f"workers must be an int >= 1, got {workers!r}")
+    for name in ("benchmark", "selector", "dft_strategy"):
+        value = request.get(name)
+        if value is not None and not isinstance(value, str):
+            raise ServiceError(f"{name} must be a string, got {value!r}")
+    for name in ("with_scan", "save_report"):
+        value = request.get(name)
+        if value is not None and not isinstance(value, bool):
+            raise ServiceError(f"{name} must be a boolean, got {value!r}")
     seed = request.get("seed")
     if seed is not None and not _typed(seed, int):
         raise ServiceError(f"seed must be an int, got {seed!r}")
     freq = request.get("freq_mhz")
-    if freq is not None and not (_typed(freq, (int, float)) and freq > 0.0):
-        raise ServiceError(f"freq_mhz must be a number > 0, got {freq!r}")
+    if freq is not None and not (_typed(freq, (int, float))
+                                 and 0.0 < freq <= sys.float_info.max):
+        raise ServiceError(
+            f"freq_mhz must be a finite number > 0, got {freq!r}")
+
+
+def _parse_request(line: bytes) -> dict:
+    """One protocol line as a request object."""
+    request = json.loads(line)
+    if not isinstance(request, dict):
+        raise ServiceError(f"a request must be a JSON object, got "
+                           f"{type(request).__name__}")
+    return request
+
+
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next protocol line (``b""`` at EOF).
+
+    A line longer than the stream limit is drained through its newline
+    and raised as a :class:`ServiceError`, so the connection can go on
+    with the next line.
+    """
+    overlong = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            return b"" if overlong else exc.partial
+        except asyncio.LimitOverrunError as exc:
+            # Drop what is buffered and read on to the newline:
+            # ``readline`` would clear a partly-arrived line and serve
+            # its tail as the next request.
+            overlong = True
+            await reader.readexactly(exc.consumed)
+            continue
+        if overlong:
+            raise ServiceError("request line exceeds the stream limit")
+        return line
 
 
 def build_flow_config(request: dict):
     """(spec, FlowConfig, SeedBundle) for one ``flow`` request."""
     from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,
                                        get_benchmark)
-    from repro.parallel import ParallelConfig
 
     _check_flow_request(request)
     spec = get_benchmark(request.get("benchmark", "maeri16_hetero"))
@@ -156,7 +205,6 @@ def build_flow_config(request: dict):
         request.get("selector", "gnn"),
         with_scan=bool(request.get("with_scan", False)),
         dft_strategy=request.get("dft_strategy"),
-        parallel=ParallelConfig(workers=int(request.get("workers") or 1)),
         freq_mhz=None if freq is None else float(freq))
     return spec, config, spec.seeds(seed)
 
@@ -196,7 +244,7 @@ class FlowService:
                    for _ in range(self.config.flow_workers)]
         # Crash forensics for the daemon's whole lifetime: recent spans
         # ring-buffered, dumped on SIGUSR1 / unhandled exceptions /
-        # failed flow jobs.  Pool workers inherit via the environment.
+        # failed flow jobs.
         flight.arm(Path(self.store.root) / "flight",
                    install_signal=True, install_excepthook=True)
         log.info(f"repro service listening on {path} "
@@ -238,11 +286,11 @@ class FlowService:
                            writer: asyncio.StreamWriter) -> None:
         try:
             while not self._stop.is_set():
-                line = await reader.readline()
-                if not line:
-                    break
                 try:
-                    response = await self._dispatch(json.loads(line))
+                    line = await _read_line(reader)
+                    if not line:
+                        break
+                    response = await self._dispatch(_parse_request(line))
                 except (FlowError, ValueError, KeyError,
                         TypeError) as exc:
                     metrics.inc("service.errors")
@@ -398,8 +446,7 @@ class FlowService:
         spec, config, seeds = build_flow_config(request)
         want_report = bool(request.get("save_report", False))
         # Pin the request id on this executor thread: every span the
-        # job emits (and every pool-worker span merged back into it)
-        # carries req=<id>, so cross-process traces group by request.
+        # job emits carries req=<id>, so traces group by request.
         trace.set_request(request_id)
         try:
             with trace.span("service.request", op="flow",

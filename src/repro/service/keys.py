@@ -10,9 +10,7 @@ A key digests *content*, never identity: the netlist factory (module
 path + closure/default values + a code fingerprint covering bytecode,
 constant pool, names and nested code objects), a SHA-256 over the
 pickled :class:`~repro.design.TechSetup`, the experiment seed, and the
-flow-config fields that can change results.  ``ParallelConfig`` is
-deliberately excluded — worker counts change wall-clock, never output
-(the equivalence suites lock that).
+flow-config fields, every one of which can change results.
 
 Stage keys are prefix-shaped on purpose: ``generate``/``partition``/
 ``place`` depend only on (factory, tech, seed), and ``prepared`` adds
@@ -36,7 +34,7 @@ import types
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.parallel import dumps_snapshot
+from repro.snapshot import dumps_snapshot
 
 #: Bump to invalidate every previously-derived key (schema change in
 #: what a key covers, not in the artifact payload format — the store
@@ -259,16 +257,10 @@ def prepare_key(factory, tech, seeds, config) -> ContentKey:
     return prepare_stage_keys(factory, tech, seeds, config).prepared
 
 
-#: FlowConfig fields excluded from flow keys: parallelism changes
-#: wall-clock only (locked by the equivalence suites), never results.
-_RESULT_NEUTRAL_CONFIG_FIELDS = frozenset({"parallel"})
-
-
 def config_fingerprint(config) -> Any:
-    """Canonical form of every result-relevant flow-config field."""
+    """Canonical form of every flow-config field."""
     return {field.name: getattr(config, field.name)
-            for field in dataclasses.fields(config)
-            if field.name not in _RESULT_NEUTRAL_CONFIG_FIELDS}
+            for field in dataclasses.fields(config)}
 
 
 def flow_key(factory, tech, seeds, config) -> ContentKey:

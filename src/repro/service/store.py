@@ -8,13 +8,15 @@ Layout under one root directory::
 
 Each blob is a small header — magic, SHA-256 of the compressed
 payload, payload length — followed by the zlib-compressed
-:func:`repro.parallel.dumps_snapshot` pickle (the flat struct-of-arrays
+:func:`repro.snapshot.dumps_snapshot` pickle (the flat struct-of-arrays
 format from the netlist core, so prepared MAERI-128 designs are ~1 MB).
 Writes stage into ``tmp/`` and land via ``os.replace``; a crash at any
 point leaves either no file or the complete old one, never a partial
 artifact.  Reads verify the checksum and length: any corruption or
 truncation is *detected, counted and treated as a miss* — the damaged
-file is unlinked, never served.
+file is unlinked, never served.  A payload that passes its checksum
+but no longer unpickles (its pickle names a class this code no longer
+has) is a miss the same way, so the caller recomputes it.
 
 The index tracks a monotone access sequence per entry; when the byte
 budget overflows, least-recently-used artifacts are evicted.  A
@@ -56,8 +58,8 @@ except ImportError:              # pragma: no cover - non-POSIX
     fcntl = None
 
 from repro.obs import get_logger, metrics, trace
-from repro.parallel import dumps_snapshot, loads_snapshot
 from repro.service.keys import ContentKey
+from repro.snapshot import dumps_snapshot, loads_snapshot
 
 log = get_logger("repro.service.store")
 

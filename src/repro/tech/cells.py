@@ -95,10 +95,6 @@ def _xor3(a, b, c):
     return a ^ b ^ c
 
 
-def _const0():
-    return np.uint64(0)
-
-
 @dataclass(frozen=True)
 class CellPinSpec:
     """Declared pin of a cell type.

@@ -143,10 +143,6 @@ class MetalStack:
         """The top-most (thickest) layer — the paper's "M-T"."""
         return self.layers[-1]
 
-    def thick_layers(self) -> list[MetalLayer]:
-        """Layers flagged thick (PDN + MLS landing resource)."""
-        return [layer for layer in self.layers if layer.thick]
-
     def pairs(self) -> list[tuple[MetalLayer, MetalLayer]]:
         """H/V layer pairs bottom-up, used by length-based assignment.
 

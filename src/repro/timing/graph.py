@@ -90,12 +90,6 @@ class TimingGraph:
     def num_edges(self) -> int:
         return int(self.edge_src.shape[0])
 
-    def index_of(self, pin: Pin) -> int:
-        try:
-            return self.pin_index[pin.full_name]
-        except KeyError:
-            raise TimingError(f"pin {pin.full_name} not in graph") from None
-
 
 def _is_false_path_pin(pin: Pin) -> bool:
     """Scan-enable pins are static in functional mode."""

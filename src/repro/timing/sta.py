@@ -88,12 +88,6 @@ class TimingReport:
     def num_endpoints(self) -> int:
         return len(self.endpoint_slack)
 
-    def violating_endpoints(self) -> list[tuple[str, float]]:
-        """(pin, slack) for violations, worst first."""
-        out = [(p, s) for p, s in self.endpoint_slack.items() if s < 0]
-        out.sort(key=lambda t: t[1])
-        return out
-
     def effective_freq_mhz(self) -> float:
         """Highest frequency the design would close at: 1/(T - WNS).
 
@@ -105,9 +99,6 @@ class TimingReport:
         if period <= 0.0:
             return _POS_INF
         return 1e6 / period
-
-    def slack_of(self, pin_full_name: str) -> float:
-        return self.endpoint_slack[pin_full_name]
 
     def summary(self) -> dict[str, float]:
         return {

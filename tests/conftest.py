@@ -21,22 +21,6 @@ from repro.rng import SeedBundle
 TEST_SEED = 1234
 
 
-@pytest.fixture(autouse=True)
-def _pretend_multicore(monkeypatch):
-    """Bypass the single-core pool degrade for the whole suite.
-
-    Tests that construct ``workers>1`` configs mean to exercise the
-    process pool (equivalence vs serial) even on a 1-core CI box,
-    where ``should_parallelize`` would otherwise silently go serial.
-    The degrade itself has a dedicated test that re-patches
-    ``usable_cores`` back down to 1.
-    """
-    import repro.parallel.config as parallel_config
-    real = parallel_config.usable_cores
-    monkeypatch.setattr(parallel_config, "usable_cores",
-                        lambda: max(4, real()))
-
-
 @pytest.fixture(scope="session")
 def hetero_tech() -> TechSetup:
     return TechSetup.build("16nm", "28nm", 6)

@@ -150,6 +150,25 @@ def fault_digest(sim) -> dict:
     }
 
 
+def assert_routing_identical(got, want):
+    """Trees, parasitics, dict order, every congestion array and
+    ``stats()`` of two routing results agree bit for bit."""
+    import numpy as np
+
+    from repro.snapshot import dumps_snapshot
+
+    assert list(got.trees) == list(want.trees)
+    for name in got.trees:
+        assert got.trees[name].edges == want.trees[name].edges
+    assert dumps_snapshot(got.rc) == dumps_snapshot(want.rc)
+    for tier in range(len(got.grid.usage)):
+        for pair in range(got.grid.num_pairs(tier)):
+            assert np.array_equal(got.grid.usage[tier][pair],
+                                  want.grid.usage[tier][pair])
+    assert np.array_equal(got.grid.f2f_usage, want.grid.f2f_usage)
+    assert got.stats() == want.stats()
+
+
 def build_golden_design(family: str):
     """One scanned, routed small design per family + its digests' inputs.
 

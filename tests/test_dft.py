@@ -1,14 +1,14 @@
-"""DFT tests: scan insertion, fault universe, fault simulation, the two
-MLS DFT strategies, SCOAP."""
+"""DFT tests: scan insertion, fault universe, fault simulation and the
+two MLS DFT strategies."""
 
 import numpy as np
 import pytest
 
 from repro.dft import (NET_BASED, WIRE_BASED, apply_mls_dft,
-                       build_fault_universe, compute_scoap,
-                       die_test_fault_sim, insert_scan, simulate_faults,
+                       build_fault_universe, die_test_fault_sim,
+                       insert_scan, simulate_faults,
                        untestable_fault_fraction)
-from repro.dft.scoap import estimate_coverage_pct
+from repro.dft.fault_sim import _ScanView
 from repro.errors import DFTError
 from repro.mls import oracle_select, route_with_mls
 from repro.rng import stream
@@ -141,6 +141,46 @@ class TestFaultSim:
         assert a.detected_collapsed == b.detected_collapsed
 
 
+
+def _filter_cone(view, net_name):
+    """Reference cone: the BFS hit set, then one pass over the whole
+    topological order."""
+    hit: set[str] = set()
+    frontier = [view.netlist.nets[net_name]]
+    while frontier:
+        cur = frontier.pop()
+        if cur.name in view.cut_nets:
+            continue
+        for sink in cur.sinks:
+            owner = sink.owner
+            if owner is None or owner.is_sequential:
+                continue
+            if sink.name == "SE" or sink is owner.clock_pin:
+                continue
+            if owner.name in hit:
+                continue
+            hit.add(owner.name)
+            out = owner.output_pin.net
+            if out is not None:
+                frontier.append(out)
+    return [inst for inst in view.order if inst.name in hit]
+
+
+class TestDownstreamCone:
+    def test_rank_sort_matches_order_filter(self, scanned_design):
+        """The cone sorted by topological rank equals the cone filtered
+        through the whole order, for every net, with and without cut
+        nets."""
+        netlist = scanned_design[0].netlist
+        names = sorted(netlist.nets)
+        for cut in (set(), set(names[::97][:8])):
+            view = _ScanView(netlist, 1, stream("cone", 1), cut_nets=cut,
+                             pinned_ports={}, extra_observe=set())
+            for name in names:
+                got = [inst.name for inst in view.downstream_cone(name)]
+                want = [inst.name for inst in _filter_cone(view, name)]
+                assert got == want, name
+
 class TestLogic3:
     def test_exact_x_through_mux(self, hetero_tech):
         """A MUX with a known select must resolve despite an X input."""
@@ -240,42 +280,3 @@ class TestMlsDft:
         design, router, routing = mls_design
         with pytest.raises(DFTError):
             apply_mls_dft(design, router, routing, "quantum")
-
-
-class TestScoap:
-    def test_chain_values(self, hetero_tech):
-        nl = make_chain_netlist(hetero_tech, stages=2)
-        scoap = compute_scoap(nl)
-        launch = next(i for i in nl.sequential_instances()
-                      if "launch" in i.name)
-        q_net = launch.output_pin.net.name
-        assert scoap.cc0[q_net] == 1.0
-        assert scoap.cc1[q_net] == 1.0
-        # Deeper nets are harder to control.
-        deeper = launch.output_pin.net
-        while deeper.sinks and deeper.sinks[0].owner is not None \
-                and not deeper.sinks[0].owner.is_sequential:
-            deeper = deeper.sinks[0].owner.output_pin.net
-        assert scoap.cc1[deeper.name] > 1.0
-
-    def test_cut_makes_uncontrollable(self, hetero_tech):
-        nl = make_chain_netlist(hetero_tech, stages=3)
-        launch = next(i for i in nl.sequential_instances()
-                      if "launch" in i.name)
-        cut = {launch.output_pin.net.name}
-        scoap = compute_scoap(nl, cut_nets=cut)
-        # Everything downstream of the cut is unreachable.
-        downstream = launch.output_pin.net.sinks[0].owner
-        out = downstream.output_pin.net.name
-        assert scoap.cc1[out] == float("inf")
-
-    def test_estimate_tracks_exact_direction(self, hetero_tech):
-        """SCOAP estimate must degrade when nets are cut, like the
-        exact simulation does."""
-        nl = make_chain_netlist(hetero_tech, stages=3)
-        launch = next(i for i in nl.sequential_instances()
-                      if "launch" in i.name)
-        whole = estimate_coverage_pct(nl, compute_scoap(nl))
-        cut = estimate_coverage_pct(
-            nl, compute_scoap(nl, {launch.output_pin.net.name}))
-        assert cut < whole

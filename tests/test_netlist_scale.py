@@ -3,7 +3,7 @@
 Before the flat netlist core, pickling a prepared maeri128_hetero
 design segfaulted the interpreter: the object-graph pickle recursed
 pin -> net -> pin across ~14k instances, and the raised
-``sys.setrecursionlimit`` in :mod:`repro.parallel.pool` pushed Python
+``sys.setrecursionlimit`` in the snapshot pickler pushed Python
 past the C stack instead of raising ``RecursionError``.  These tests
 are the direct regression for that crash — they must pass *in this
 process* (a segfault here kills the pytest run, which is the point).
@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.flow import FlowConfig, prepare_design_cached
 from repro.harness.designs import get_benchmark
-from repro.parallel.pool import dumps_snapshot, loads_snapshot
+from repro.snapshot import dumps_snapshot, loads_snapshot
 
 from tests.golden_util import netlist_digest, placement_digest
 
@@ -37,8 +37,8 @@ def maeri128_prepared():
 
 class TestMaeri128Snapshot:
     def test_prepare_and_pickle_roundtrip(self, maeri128_prepared):
-        """The exact payload snapshot_map ships: no segfault, and the
-        restored design is digest-identical."""
+        """The exact payload the prepare cache and the store hold: no
+        segfault, and the restored design is digest-identical."""
         design = maeri128_prepared
         assert len(design.netlist.instances) > 10_000
         payload = dumps_snapshot(design)

@@ -3,8 +3,7 @@
 Covers the repro.obs contracts end to end:
 
 * the disabled fast path is a shared no-op (and cheap);
-* spans nest with correct parent ids, in-process and across pool
-  workers (merged via collect_worker / merge);
+* spans nest with correct parent ids;
 * JSONL, Chrome-trace and metrics dumps satisfy their validators;
 * tracing never changes results — FlowReport rows are bit-identical
   with tracing on vs off;
@@ -26,7 +25,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import (validate_chrome_trace, validate_metrics,
                               validate_trace_jsonl)
 from repro.obs.tracer import Tracer, _NULL_SPAN, chrome_trace_path
-from repro.parallel import ParallelConfig, snapshot_map
 from repro.rng import SeedBundle
 
 from tests.conftest import TEST_SEED
@@ -69,9 +67,6 @@ class TestNullFastPath:
         elapsed = time.perf_counter() - t0
         assert elapsed < 5e-6 * n
 
-    def test_export_parent_is_none_when_disabled(self):
-        assert trace.export_parent() is None
-
 
 class TestSpans:
     def test_nesting_and_parent_ids(self):
@@ -103,23 +98,6 @@ class TestSpans:
         ids = [r["id"] for r in tr.records]
         assert len(set(ids)) == 5
         assert all(i.startswith(f"{tr._pid:x}-") for i in ids)
-
-    def test_collect_worker_roots_at_parent(self):
-        tr = Tracer()
-        tr.enable()
-        with tr.span("driver") as driver:
-            token = tr.export_parent()
-            assert token == driver.span_id
-            with tr.collect_worker(token) as records:
-                with tr.span("pool.chunk"):
-                    with tr.span("work"):
-                        pass
-            assert tr.records == []     # parked during collection
-            tr.merge(records)
-        recs = by_name(tr.records)
-        chunk = recs["pool.chunk"][0]
-        assert chunk["parent"] == recs["driver"][0]["id"]
-        assert recs["work"][0]["parent"] == chunk["id"]
 
     def test_threads_keep_independent_span_stacks(self):
         """Concurrent spans on different threads never adopt each
@@ -168,36 +146,6 @@ class TestSpans:
         with tr.span("b"):
             pass
         assert tr.records[0]["id"] != first
-
-
-def _scale_chunk(state, chunk):
-    return [state * item for item in chunk]
-
-
-class TestWorkerSpanMerge:
-    def test_snapshot_map_merges_pool_chunk_spans(self, tmp_path):
-        trace.enable()
-        trace.reset()
-        config = ParallelConfig(workers=2, min_items=1, chunk_size=3)
-        with trace.span("driver") as driver:
-            out = snapshot_map(_scale_chunk, list(range(9)), 10, config)
-        assert out == [10 * i for i in range(9)]
-        recs = by_name(trace.records)
-        chunks = recs["pool.chunk"]
-        assert len(chunks) == 3
-        # Every chunk span hangs off the driver span regardless of
-        # which process (pool worker or serial fallback) ran it.
-        assert all(c["parent"] == driver.span_id for c in chunks)
-        assert sum(c["attrs"]["items"] for c in chunks) == 9
-
-        jsonl = tmp_path / "pool.jsonl"
-        trace.write_jsonl(jsonl)
-        summary = validate_trace_jsonl(jsonl)
-        assert summary["spans"] == len(trace.records)
-        chrome = chrome_trace_path(jsonl)
-        assert chrome.name == "pool.chrome.json"
-        trace.write_chrome(chrome)
-        assert validate_chrome_trace(chrome)["events"] == summary["spans"]
 
 
 class TestPrepareCacheSpans:
@@ -334,7 +282,7 @@ class TestFlowTracing:
         _, records = traced_flow
         tr = Tracer()
         tr.enable()
-        tr.merge(records)
+        tr.records.extend(records)
         jsonl = tmp_path / "flow.jsonl"
         tr.write_jsonl(jsonl)
         summary = validate_trace_jsonl(jsonl)
@@ -606,35 +554,13 @@ class TestRequestIds:
         assert recs["serve"][0]["attrs"]["req"] == "req-7"
         assert "req" not in recs["idle"][0]["attrs"]
 
-    def test_request_crosses_worker_boundary(self):
-        """export_parent ships '<parent>|<req>'; collect_worker pins
-        the request on the worker side so merged pool spans group by
-        request id, not pid."""
-        tr = Tracer()
-        tr.enable()
-        tr.set_request("req-9")
-        with tr.span("driver") as driver:
-            token = tr.export_parent()
-            assert token == f"{driver.span_id}|req-9"
-            with tr.collect_worker(token) as records:
-                with tr.span("pool.chunk"):
-                    pass
-            tr.merge(records)
-        tr.set_request(None)
-        assert tr.current_request() is None
-        recs = by_name(tr.records)
-        chunk = recs["pool.chunk"][0]
-        assert chunk["parent"] == recs["driver"][0]["id"]
-        assert chunk["attrs"]["req"] == "req-9"
-
-
 class TestRecorderDeterminism:
     def test_rows_bit_identical_with_recorder_armed(self, hetero_tech,
                                                     tmp_path):
         from repro.obs.recorder import flight
         baseline = run_flow(tiny_factory, hetero_tech,
                             SeedBundle(TEST_SEED), fast_config("sota"))
-        flight.arm(tmp_path, export_env=False)
+        flight.arm(tmp_path)
         try:
             recorded = run_flow(tiny_factory, hetero_tech,
                                 SeedBundle(TEST_SEED),

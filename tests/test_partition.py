@@ -1,13 +1,11 @@
-"""Tier assignment and FM partitioning tests."""
+"""Tier assignment and memory-on-logic partitioning tests."""
 
 import pytest
 
 from repro.errors import PartitionError
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.partition import (TIER_LOGIC, TIER_MEMORY, TierAssignment,
-                             cross_tier_nets, fm_bipartition, fm_refine,
-                             partition_memory_on_logic)
-from repro.partition.fm import cut_size
+                             cross_tier_nets, partition_memory_on_logic)
 from repro.rng import SeedBundle
 
 
@@ -69,41 +67,3 @@ class TestTierAssignment:
         tiers = partition_memory_on_logic(maeri)
         total = tiers.area_on(0) + tiers.area_on(1)
         assert total == pytest.approx(maeri.total_cell_area())
-
-
-class TestFM:
-    def test_bipartition_balanced(self, maeri):
-        side = fm_bipartition(maeri, seed=3)
-        areas = [0.0, 0.0]
-        for name, s in side.items():
-            areas[s] += maeri.instance(name).cell.area_um2
-        frac = areas[0] / sum(areas)
-        assert 0.35 <= frac <= 0.65
-
-    def test_bipartition_improves_over_random(self, maeri):
-        import numpy as np
-        rng = np.random.default_rng(3)
-        random_side = {n: int(rng.integers(2)) for n in maeri.instances}
-        refined = fm_bipartition(maeri, seed=3)
-        assert cut_size(maeri, refined) < cut_size(maeri, random_side)
-
-    def test_refine_keeps_macros_locked(self, maeri):
-        tiers = partition_memory_on_logic(maeri)
-        before = {n: tiers.of_instance(n) for n, i in maeri.instances.items()
-                  if i.is_macro}
-        fm_refine(maeri, tiers)
-        for name, tier in before.items():
-            assert tiers.of_instance(name) == tier
-
-    def test_refine_does_not_worsen_cut(self, maeri):
-        tiers = partition_memory_on_logic(maeri)
-        side_before = {n: tiers.of_instance(n) for n in maeri.instances}
-        before = cut_size(maeri, side_before)
-        fm_refine(maeri, tiers)
-        side_after = {n: tiers.of_instance(n) for n in maeri.instances}
-        assert cut_size(maeri, side_after) <= before
-
-    def test_empty_netlist_rejected(self):
-        from repro.netlist import Netlist
-        with pytest.raises(PartitionError):
-            fm_bipartition(Netlist("empty"))

@@ -1,6 +1,5 @@
 """Flight-recorder tests: ring bounding, dump contents and schema,
-crash/SIGUSR1 triggers (including a subprocess raising mid-stage),
-and env-based arming for pool workers."""
+crash/SIGUSR1 triggers (including a subprocess raising mid-stage)."""
 
 from __future__ import annotations
 
@@ -13,8 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.obs.recorder import (FLIGHT_DIR_ENV, FlightRecorder, flight,
-                                maybe_arm_from_env)
+from repro.obs.recorder import FlightRecorder, flight
 from repro.obs.schema import validate_flight_dump
 from repro.obs.tracer import trace
 
@@ -23,14 +21,10 @@ REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 @pytest.fixture(autouse=True)
 def _clean_recorder():
-    """Never leak an armed singleton or the env export across tests."""
-    saved = os.environ.pop(FLIGHT_DIR_ENV, None)
+    """Never leak an armed singleton across tests."""
     yield
     if flight.armed:
         flight.disarm()
-    os.environ.pop(FLIGHT_DIR_ENV, None)
-    if saved is not None:
-        os.environ[FLIGHT_DIR_ENV] = saved
 
 
 class TestRing:
@@ -56,7 +50,7 @@ class TestRing:
     def test_armed_recorder_mirrors_spans_while_tracing_disabled(
             self, tmp_path):
         assert not trace.enabled
-        flight.arm(tmp_path, export_env=False)
+        flight.arm(tmp_path)
         with trace.span("stage.place"):
             pass
         spans = [e for e in flight.events() if e["type"] == "span"]
@@ -70,7 +64,7 @@ class TestRing:
 class TestDump:
     def test_dump_validates_against_schema(self, tmp_path):
         rec = FlightRecorder()
-        rec.arm(tmp_path, export_env=False)
+        rec.arm(tmp_path)
         rec.record_sample("service.flow_serve_s", 1.25, req="req-7")
         rec.record_note("mid-flight")
         path = rec.dump("manual")
@@ -86,7 +80,7 @@ class TestDump:
 
     def test_crash_dump_carries_traceback(self, tmp_path):
         rec = FlightRecorder()
-        rec.arm(tmp_path, export_env=False)
+        rec.arm(tmp_path)
         try:
             raise RuntimeError("boom in place")
         except RuntimeError as exc:
@@ -104,32 +98,15 @@ class TestDump:
 
     def test_distinct_filenames_per_dump(self, tmp_path):
         rec = FlightRecorder()
-        rec.arm(tmp_path, export_env=False)
+        rec.arm(tmp_path)
         paths = {rec.dump("a"), rec.dump("b")}
         assert len(paths) == 2
         rec.disarm()
 
 
-class TestEnvArming:
-    def test_arm_exports_and_disarm_cleans(self, tmp_path):
-        flight.arm(tmp_path)
-        assert os.environ[FLIGHT_DIR_ENV] == str(tmp_path)
-        flight.disarm()
-        assert FLIGHT_DIR_ENV not in os.environ
-
-    def test_maybe_arm_from_env(self, tmp_path):
-        assert maybe_arm_from_env() is False      # no env, no-op
-        os.environ[FLIGHT_DIR_ENV] = str(tmp_path)
-        assert maybe_arm_from_env() is True
-        assert flight.armed
-        assert flight.directory == tmp_path
-        # Second call on an already-armed recorder is a no-op.
-        assert maybe_arm_from_env() is True
-
-
 class TestTriggers:
     def test_sigusr1_dumps_without_stopping(self, tmp_path):
-        flight.arm(tmp_path, export_env=False, install_signal=True)
+        flight.arm(tmp_path, install_signal=True)
         flight.record_note("alive")
         os.kill(os.getpid(), signal.SIGUSR1)
         dumps = sorted(tmp_path.glob("flight-*.json"))
@@ -145,8 +122,7 @@ class TestTriggers:
             "from repro.obs.recorder import flight\n"
             "from repro.obs.tracer import trace\n"
             "import sys\n"
-            "flight.arm(sys.argv[1], export_env=False,\n"
-            "           install_excepthook=True)\n"
+            "flight.arm(sys.argv[1], install_excepthook=True)\n"
             "with trace.span('flow'):\n"
             "    with trace.span('flow.place'):\n"
             "        pass\n"
@@ -165,35 +141,3 @@ class TestTriggers:
         payload = json.loads(dumps[0].read_text())
         assert payload["reason"] == "excepthook"
         assert payload["exception"]["type"] == "RuntimeError"
-
-    def test_pool_worker_chunk_crash_dumps(self, tmp_path):
-        """A worker process arms itself from the parent's exported env
-        and dumps when its chunk raises.  Driven through the real
-        worker entry points (``_init_worker`` + ``_run_chunk``) in a
-        subprocess so the test does not depend on the host having
-        enough cores for ``snapshot_map`` to actually fan out."""
-        script = (
-            "from repro.parallel.pool import (_init_worker, _run_chunk,\n"
-            "                                 dumps_snapshot)\n"
-            "import sys\n"
-            "def boom(state, chunk):\n"
-            "    raise RuntimeError('chunk died on %r' % (chunk,))\n"
-            "_init_worker(dumps_snapshot({'n': 1}))\n"
-            "try:\n"
-            "    _run_chunk(boom, [1, 2, 3])\n"
-            "except RuntimeError:\n"
-            "    sys.exit(3)\n"
-            "sys.exit(4)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        env[FLIGHT_DIR_ENV] = str(tmp_path)     # the parent's export
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 3, proc.stderr
-        dumps = sorted(tmp_path.glob("flight-*.json"))
-        assert dumps, "worker crash produced no flight dump"
-        payload = json.loads(dumps[0].read_text())
-        assert payload["reason"] == "pool.chunk"
-        assert "chunk died" in payload["exception"]["message"]
-        validate_flight_dump(dumps[0])

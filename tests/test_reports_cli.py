@@ -79,3 +79,16 @@ class TestCli:
     def test_bad_command_exits(self):
         with pytest.raises(SystemExit):
             main(["definitely-not-a-command"])
+
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--workers", "2"],
+        ["timing", "--chunk-size", "4"],
+        ["table", "--table", "3", "--chunk-size", "4"],
+        ["service", "submit", "--workers", "2"],
+    ])
+    def test_removed_pool_flags_are_usage_errors(self, argv, capsys):
+        """The flow runs in one process; the old pool flags are gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -23,7 +23,7 @@ from repro.route import GlobalRouter, RouteConfig
 from repro.timing import IncrementalSta, run_sta
 
 from tests.conftest import build_small_design
-from tests.test_parallel import _assert_routing_identical
+from tests.golden_util import assert_routing_identical
 from tests.test_timing_incremental import (assert_reports_identical,
                                            build_small_a7)
 
@@ -63,7 +63,7 @@ class TestChainEquivalence:
             got = GlobalRouter(design).route_all(mls_nets=mls,
                                                  previous=previous)
             assert got.changed_nets is not None       # really differential
-            _assert_routing_identical(got, from_scratch(design, mls))
+            assert_routing_identical(got, from_scratch(design, mls))
             changed = {name for name, tree in got.trees.items()
                        if tree.edges != previous.trees[name].edges}
             assert set(got.changed_nets) == changed
@@ -87,7 +87,7 @@ class TestChainEquivalence:
         assert metrics.counter("route.nets_reused") - before \
             == len(got.trees)
         assert all(got.trees[n] is previous.trees[n] for n in got.trees)
-        _assert_routing_identical(got, from_scratch(maeri, frozenset()))
+        assert_routing_identical(got, from_scratch(maeri, frozenset()))
 
 
 class TestPreviousKinds:
@@ -102,7 +102,7 @@ class TestPreviousKinds:
         got = GlobalRouter(design).route_all(mls_nets=mls,
                                              previous=previous)
         assert got.changed_nets is not None
-        _assert_routing_identical(got, from_scratch(design, mls))
+        assert_routing_identical(got, from_scratch(design, mls))
 
     def test_outstanding_eco_edit_falls_back(self, hetero_tech):
         design = build_small_design(hetero_tech, routed=False)
@@ -117,7 +117,7 @@ class TestPreviousKinds:
                                              previous=previous)
         assert metrics.counter("route.diff_fallbacks") == before + 1
         assert got.changed_nets is None
-        _assert_routing_identical(got, from_scratch(design, mls))
+        assert_routing_identical(got, from_scratch(design, mls))
 
     @pytest.mark.parametrize("mismatch", ["config", "design", "used grid"])
     def test_foreign_previous_falls_back(self, hetero_tech, maeri,
@@ -145,7 +145,7 @@ class TestPreviousKinds:
         insert_buffers(design)
         got = GlobalRouter(design).route_all(previous=previous)
         assert got.changed_nets is None
-        _assert_routing_identical(got, from_scratch(design, frozenset()))
+        assert_routing_identical(got, from_scratch(design, frozenset()))
 
     def test_connectivity_edit_falls_back(self, hetero_tech):
         """Moving a sink onto another existing net keeps every instance
@@ -164,7 +164,7 @@ class TestPreviousKinds:
         assert metrics.counter("route.diff_fallbacks") == before + 1
         assert got.changed_nets is None
         assert len(got.trees[donor.name].sink_nodes()) == 1
-        _assert_routing_identical(got, from_scratch(design, frozenset()))
+        assert_routing_identical(got, from_scratch(design, frozenset()))
 
 
 @pytest.fixture()

@@ -29,8 +29,8 @@ import numpy as np
 import pytest
 
 from repro.mls.oracle import candidate_nets
-from repro.parallel import dumps_snapshot
 from repro.route import GlobalRouter
+from repro.snapshot import dumps_snapshot
 
 from tests.conftest import build_small_design
 

@@ -19,17 +19,20 @@ Contracts locked here:
   and the daemon keeps serving;
 * socket hygiene — a stale socket file is reclaimed, a live one
   refuses a second daemon;
-* a flow request with an unknown field, a ``workers`` that is not an
-  int >= 1, a non-int ``seed`` or a ``freq_mhz`` that is not a number
-  > 0 is refused with a :class:`ServiceError` before dedup or
-  queueing.
+* a flow request with an unknown or mistyped field is refused with a
+  :class:`ServiceError` naming the field, before dedup or queueing;
+* every protocol line gets an answer: one that is not a JSON object,
+  or is longer than the stream limit, gets an error reply and the
+  connection keeps serving.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import shutil
+import socket
 import tempfile
 import threading
 
@@ -135,16 +138,20 @@ class TestRequestParsing:
         _, _, defaulted = build_flow_config({"benchmark": BENCH})
         assert defaulted.seed == DEFAULT_EXPERIMENT_SEED
 
-    @pytest.mark.parametrize("field", ["select_batch", "selecter"])
-    def test_unknown_field_is_refused(self, field):
+    @pytest.mark.parametrize("field,value", [
+        pytest.param("select_batch", True, id="select_batch"),
+        pytest.param("selecter", True, id="selecter"),
+        pytest.param("workers", 2, id="workers"),
+    ])
+    def test_unknown_field_is_refused(self, field, value):
         """Regression: unknown fields were silently dropped and the
         default flow ran instead — a removed knob from a stale client
-        (``select_batch``) or a typo."""
+        (``select_batch``, ``workers``) or a typo."""
         from repro.service.daemon import build_flow_config
 
         with pytest.raises(ServiceError, match=field):
             build_flow_config({"op": "flow", "benchmark": BENCH,
-                               field: True})
+                               field: value})
 
     def test_cli_run_and_request_share_one_store_entry(self, tmp_path,
                                                        monkeypatch,
@@ -192,16 +199,23 @@ class TestRequestParsing:
         assert config.target_freq_mhz == 900.0
 
     @pytest.mark.parametrize("field,value", [
-        ("workers", 0), ("workers", -1), ("workers", True),
-        ("workers", 2.7), ("workers", "2"),
         ("seed", 1.9), ("seed", True), ("seed", "7"),
         ("freq_mhz", True), ("freq_mhz", "abc"), ("freq_mhz", "900"),
+        ("freq_mhz", float("inf")),
+        pytest.param("freq_mhz", 10 ** 400, id="freq_mhz-huge-int"),
+        ("with_scan", "false"), ("with_scan", 1),
+        ("save_report", "no"),
+        pytest.param("benchmark", [BENCH], id="benchmark-list"),
+        ("selector", 1), ("dft_strategy", 7),
     ])
     def test_mistyped_number_is_refused(self, field, value):
-        """Regression: numeric fields were coerced silently — workers 0
-        or true ran one worker and 2.7 ran two, seed 1.9 ran seed 1,
-        freq_mhz true ran a 1 MHz flow and "abc" raised a bare
-        ValueError."""
+        """Regression: mistyped fields were coerced silently or failed
+        late — seed 1.9 ran seed 1, freq_mhz true ran a 1 MHz flow,
+        "abc" raised a bare ValueError, Infinity passed the > 0 check
+        and an int too large for a float raised OverflowError;
+        with_scan "false" ran a scan flow (``bool("false")``),
+        save_report "no" wrote the report, and a list benchmark raised
+        a bare TypeError in the dedup dict."""
         from repro.service.daemon import build_flow_config
 
         with pytest.raises(ServiceError, match=field):
@@ -209,6 +223,27 @@ class TestRequestParsing:
 
 
 class TestProtocol:
+    def test_every_line_gets_an_answer(self, daemon):
+        """Regression: a line that was JSON but not an object, or
+        longer than the stream limit, closed the connection with no
+        reply and an unhandled-exception traceback."""
+        counters = _Counters()
+        overlong = b'{"op": "ping", "pad": "' + b"x" * 100_000 + b'"}'
+        replies = []
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(60.0)
+            sock.connect(daemon.socket_path)
+            stream = sock.makefile("rb")
+            for line in (b"[1, 2]", b'"flow"', overlong,
+                         b'{"op": "ping"}'):
+                sock.sendall(line + b"\n")
+                replies.append(json.loads(stream.readline()))
+        assert [r["ok"] for r in replies] == [False, False, False, True]
+        assert "JSON object" in replies[0]["error"]
+        assert "stream limit" in replies[2]["error"]
+        assert replies[3]["op"] == "ping"
+        assert counters.delta("service.errors") == 3
+
     def test_ping_status_shutdown(self, daemon):
         client = daemon.client()
         pong = client.ping()
@@ -438,7 +473,7 @@ class TestTelemetry:
         assert health["ok"]
         assert health["status"] == "ok"
         assert health["pid"] == os.getpid()      # in-process daemon
-        assert health["protocol"] == 2
+        assert health["protocol"] == 3
         assert health["uptime_s"] >= 0
         assert health["inflight"] == 0
 

@@ -16,7 +16,10 @@ invisible*, using the same cross-subsystem digests
 * stage-resume is sound — with only the *prepare-stage* artifacts on
   disk (report + prepared design deleted), the flow resumes from the
   placement artifact and still reproduces the cold digests exactly;
-* prefix-shaped keys share placement across a frequency sweep.
+* prefix-shaped keys share placement across a frequency sweep;
+* a report blob that passes its checksum but no longer unpickles (a
+  store written by code with a class this code lacks) is a counted
+  miss, and the report is recomputed.
 
 Both design families run (small MAERI fabric + small A7 dual-core),
 matching the golden-fixture families.
@@ -25,6 +28,8 @@ matching the golden-fixture families.
 from __future__ import annotations
 
 import dataclasses
+import sys
+import types
 
 import pytest
 
@@ -34,8 +39,9 @@ from repro.netlist.generators import (A7Config, MaeriConfig,
                                       generate_maeri)
 from repro.obs import metrics
 from repro.rng import SeedBundle
-from repro.service import ArtifactStore, prepare_stage_keys
+from repro.service import ArtifactStore, flow_key, prepare_stage_keys
 from repro.service.stages import report_digest, run_flow_stored
+from repro.service.store import write_artifact_bytes
 from tests.golden_util import (netlist_digest, placement_digest,
                                routing_digest, sta_digest)
 
@@ -178,3 +184,47 @@ def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
     assert placement_digest(report.design) == \
         placement_digest(base.design)
     assert report_digest(report) != report_digest(base)
+
+
+def _undecodable_blob() -> bytes:
+    """A blob with a valid checksum whose pickle names a module that
+    cannot be imported — what a report pickled by code with a class
+    this code no longer has looks like."""
+    module = types.ModuleType("repro_removed_module")
+    module.Removed = type("Removed", (), {"__module__": module.__name__})
+    sys.modules[module.__name__] = module
+    try:
+        return write_artifact_bytes({"config": module.Removed()})
+    finally:
+        del sys.modules[module.__name__]
+
+
+def test_undecodable_report_is_recomputed(tmp_path, hetero_tech):
+    factory, freq = FAMILIES["maeri"]
+    config = _config(freq)
+    root = tmp_path / "store"
+    cold, cold_summary, _ = run_flow_stored(
+        factory, hetero_tech, SeedBundle(TEST_SEED), config,
+        ArtifactStore(root))
+    fkey = flow_key(factory, hetero_tech, SeedBundle(TEST_SEED), config)
+    blob = _undecodable_blob()
+
+    store = ArtifactStore(root)
+    path = store.object_path(fkey)
+    path.write_bytes(blob)
+    before = _counters("store.corrupt")
+    assert store.get(fkey) is None
+    assert _delta(before)["store.corrupt"] == 1
+    assert not path.exists()
+
+    path.write_bytes(blob)
+    before = _counters("store.corrupt", "service.flow_computes")
+    report, summary, cached = run_flow_stored(
+        factory, hetero_tech, SeedBundle(TEST_SEED), config,
+        ArtifactStore(root), need_report=True)
+    moved = _delta(before)
+    assert not cached
+    assert moved["store.corrupt"] == 1
+    assert moved["service.flow_computes"] == 1
+    assert report_digest(report) == report_digest(cold)
+    assert summary["report_digest"] == cold_summary["report_digest"]

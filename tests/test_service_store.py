@@ -4,10 +4,9 @@ Locks the flow-as-a-service storage contract:
 
 * key soundness — identical inputs collide onto one key; *any* single
   perturbation (seed, frequency, tech, scan config, factory parameter,
-  any result-relevant :class:`FlowConfig` field) changes it, while the
-  result-neutral ``parallel`` field never does.  The perturbation
-  table is exhaustiveness-checked against ``dataclasses.fields`` so a
-  newly-added config field fails loudly until it is classified;
+  any :class:`FlowConfig` field) changes it.  The perturbation table
+  is exhaustiveness-checked against ``dataclasses.fields`` so a
+  newly-added config field fails loudly until it is listed;
 * stage keys are prefix-shaped: no config field moves the
   generate/partition/place keys, so frequency/scan sweeps share the
   placement artifact;
@@ -34,7 +33,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.flow import FlowConfig, TrainConfig
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.obs import metrics
-from repro.parallel import ParallelConfig, dumps_snapshot
 from repro.rng import SeedBundle
 from repro.route import RouteConfig
 from repro.service import (ArtifactCorruptError, ArtifactStore,
@@ -42,6 +40,7 @@ from repro.service import (ArtifactCorruptError, ArtifactStore,
                            prepare_stage_keys, tech_digest)
 from repro.service.store import (read_artifact_bytes,
                                  write_artifact_bytes)
+from repro.snapshot import dumps_snapshot
 from tests.golden_util import netlist_digest
 
 from tests.conftest import TEST_SEED
@@ -91,8 +90,7 @@ def _nested_literal_factory(wide: bool):
 
 BASE_CONFIG = FlowConfig(selector="none", target_freq_mhz=1500.0)
 
-#: field name -> perturbed value.  Perturbing a field in
-#: ``_RESULT_NEUTRAL`` must NOT move the flow key.
+#: field name -> perturbed value; each one must move the flow key.
 _PERTURBATIONS = {
     "selector": "gnn",
     "target_freq_mhz": 1600.0,
@@ -109,10 +107,7 @@ _PERTURBATIONS = {
     "gnn_refine_iters": BASE_CONFIG.gnn_refine_iters + 1,
     "pdn": False,
     "activity": BASE_CONFIG.activity + 0.01,
-    "parallel": ParallelConfig(workers=8, chunk_size=17),
 }
-
-_RESULT_NEUTRAL = {"parallel"}
 
 
 def _perturbed(field_name: str) -> tuple[FlowConfig, FlowConfig]:
@@ -151,31 +146,19 @@ class TestKeyDerivation:
 
     def test_perturbation_table_is_exhaustive(self):
         """Regression (shared key-derivation helper): every FlowConfig
-        field must be classified result-relevant or result-neutral
-        here, and the key module's own neutral set must agree."""
-        from repro.service.keys import _RESULT_NEUTRAL_CONFIG_FIELDS
+        field must have a perturbation here, so the test below checks
+        that the flow key covers it."""
         field_names = {f.name for f in dataclasses.fields(FlowConfig)}
         assert field_names == set(_PERTURBATIONS), (
-            "new FlowConfig field: add it to _PERTURBATIONS and decide "
-            "whether it changes results (flow keys must cover it)")
-        assert _RESULT_NEUTRAL == set(_RESULT_NEUTRAL_CONFIG_FIELDS)
+            "new FlowConfig field: add it to _PERTURBATIONS (flow keys "
+            "must cover it)")
 
-    @pytest.mark.parametrize("field_name",
-                             sorted(set(_PERTURBATIONS)
-                                    - _RESULT_NEUTRAL))
+    @pytest.mark.parametrize("field_name", sorted(_PERTURBATIONS))
     def test_each_config_field_changes_key(self, tech, field_name):
         base_cfg, changed = _perturbed(field_name)
         base = flow_key(_maeri_factory, tech, _seeds(), base_cfg)
         assert flow_key(_maeri_factory, tech, _seeds(),
                         changed).hexdigest != base.hexdigest
-
-    def test_parallel_config_never_changes_key(self, tech):
-        base = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        wide = dataclasses.replace(
-            BASE_CONFIG, parallel=ParallelConfig(workers=8,
-                                                 chunk_size=17))
-        assert flow_key(_maeri_factory, tech, _seeds(),
-                        wide).hexdigest == base.hexdigest
 
     @pytest.mark.parametrize(
         "field_name", [f.name for f in dataclasses.fields(RouteConfig)])

@@ -18,7 +18,6 @@ from repro.mls import apply_mls_incremental, route_with_mls
 from repro.mls.oracle import candidate_nets, oracle_slack_labels
 from repro.netlist.generators.a7 import A7Config, generate_a7_dual_core
 from repro.opt import insert_buffers
-from repro.parallel import ParallelConfig
 from repro.partition import partition_memory_on_logic
 from repro.place import place_design
 from repro.rng import SeedBundle, stream
@@ -204,32 +203,6 @@ class TestReportCaching:
         rep.endpoint_slack["c"] = -100.0
         assert rep.wns_ps == -5.0
         assert rep.num_violating == 1
-
-
-class TestSingleCoreDegrade:
-    def test_degrades_to_serial_and_logs_once(self, monkeypatch, capsys):
-        # The notice goes through the structured repro logger
-        # (WARNING -> stderr), once per process; every degrade decision
-        # still counts in the metrics registry.
-        from repro.obs import metrics
-        import repro.parallel.config as pcfg
-        monkeypatch.setattr(pcfg, "usable_cores", lambda: 1)
-        monkeypatch.setattr(pcfg, "_DEGRADE_LOGGED", False)
-        before = metrics.counter("pool.single_core_degrades")
-        cfg = ParallelConfig(workers=4, min_items=2)
-        assert cfg.enabled
-        assert not cfg.should_parallelize(1000)
-        assert not cfg.should_parallelize(1000)
-        captured = capsys.readouterr()
-        assert captured.err.count("single-core") == 1
-        assert captured.out == ""
-        assert metrics.counter("pool.single_core_degrades") == before + 2
-
-    def test_multicore_unaffected(self, monkeypatch):
-        import repro.parallel.config as pcfg
-        monkeypatch.setattr(pcfg, "usable_cores", lambda: 8)
-        cfg = ParallelConfig(workers=4, min_items=2)
-        assert cfg.should_parallelize(1000)
 
 
 class TestPrepareCacheBound:
