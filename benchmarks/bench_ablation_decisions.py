@@ -17,7 +17,8 @@ from repro.harness.tables import run_benchmark_flow
 def test_ablation_policy_ladder(benchmark, emit):
     def run():
         spec = get_benchmark("maeri16_hetero")
-        return {sel: run_benchmark_flow(spec, sel).row()
+        return {sel: run_benchmark_flow(spec, sel,
+                                        share_prepare=True).row()
                 for sel in ("random", "none", "sota", "gnn", "oracle")}
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

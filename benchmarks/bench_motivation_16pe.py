@@ -13,8 +13,9 @@ from repro.harness.tables import run_benchmark_flow
 def test_motivation_selective_mls(benchmark, emit):
     def run():
         spec = get_benchmark("maeri16_hetero")
-        none = run_benchmark_flow(spec, "none").row()
-        oracle = run_benchmark_flow(spec, "oracle").row()
+        none = run_benchmark_flow(spec, "none", share_prepare=True).row()
+        oracle = run_benchmark_flow(spec, "oracle",
+                                    share_prepare=True).row()
         return none, oracle
 
     none, oracle = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,10 +10,12 @@ The :class:`FlowReport` carries every number Tables IV-VI print.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
 import weakref
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import ContextDecorator, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -149,6 +151,61 @@ class FlowReport:
         return out
 
 
+class _CollectorPause(ContextDecorator):
+    """The process's one pause of the cyclic garbage collector: a
+    depth counter under a lock (see :func:`collector_paused`)."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._resume:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
+def collector_paused() -> _CollectorPause:
+    """Pause CPython's cyclic garbage collector (re-entrant and
+    thread-safe); use as a ``with`` block or a decorator.
+
+    ``repro.harness.tables.run_benchmark_flow`` holds it, which covers
+    ``repro flow`` (with or without ``--store``), the flow benchmark
+    and every table and figure builder.  A running flow leaves no
+    unreachable cycles: all it builds is still reachable from its
+    report when it returns (``tests/test_flow_gc.py``), so the
+    collections it used to run freed nothing, yet on MAERI-128 they
+    walked ~280 K live objects about 500 times per flow.  The design
+    itself is cyclic (a pin points to its net and its owner, which
+    point back), so once its report is dropped the design is garbage
+    that only the collector frees.  The deferred cost is the first
+    automatic collection after the pause, which walks the flow's
+    surviving objects once.
+
+    The collector is process state, so the pause is too: the outermost
+    entry, in any thread, records ``gc.isenabled()`` and disables the
+    collector, and the outermost exit restores that state, also when
+    the body raises.  Nothing calls ``gc.collect()`` or
+    ``gc.freeze()``.  The daemon calls ``run_flow_stored`` directly and
+    does not pause: it drops a design per cold job, and with a backlog
+    a pause there kept those designs alive (about 51 MB per cold
+    MAERI-128 job).
+    """
+    return _COLLECTOR_PAUSE
+
+
 @contextmanager
 def _stage(name: str, stages: dict[str, float], **attrs):
     """One flow stage: a trace span plus an always-on wall-time entry
@@ -280,16 +337,18 @@ def _prepare_cache_key(factory: NetlistFactory, tech: TechSetup,
 
 def prepare_design_cached(factory: NetlistFactory, tech: TechSetup,
                           seeds: SeedBundle, config: FlowConfig) -> Design:
-    """Memoized :func:`prepare_design`; no two calls share a design.
+    """Memoized :func:`prepare_design`, for callers that run several
+    flows of one design; no two calls share a design.
 
     The cache stores the prepared design *pickled*.  A miss builds the
     design, pickles it into the cache for later hits and returns the
     design it built, which no one else holds; every hit gets its own
     unpickled copy.  So downstream stages (routing, MLS toggles, DFT
     inserts) on one call's design never leak into another selector's
-    run, and a one-shot flow never pays for a copy it does not need.
-    Preparation is deterministic in (factory, tech, seed, target freq,
-    scan), which is exactly the cache key.
+    run.  Only a later hit repays a miss's pickle, so a one-shot flow
+    calls :func:`prepare_design` instead.  Preparation is deterministic
+    in (factory, tech, seed, target freq, scan), which is exactly the
+    cache key.
     """
     key = _prepare_cache_key(factory, tech, seeds, config)
     t0 = time.perf_counter()

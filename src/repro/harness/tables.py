@@ -2,9 +2,10 @@
 
 Heavy flow runs are memoized per (benchmark, selector, options) within
 the process, so Figure 8 (which replots Tables IV/V data) and repeated
-bench invocations don't pay twice.  One level below, the prepared
+bench invocations don't pay twice.  One level below, the table
+builders run every flow with ``share_prepare=True``, so the prepared
 (partitioned/placed/buffered) design is memoized per benchmark by
-:func:`repro.core.flow.prepare_design_cached`, so the per-*selector*
+:func:`repro.core.flow.prepare_design_cached` and the per-*selector*
 runs of one table only pay routing + selection + signoff: the first
 selector flows the design it built, every later one its own unpickled
 copy.
@@ -12,8 +13,9 @@ copy.
 
 from __future__ import annotations
 
-from repro.core.flow import (FlowConfig, FlowReport, run_flow,
-                             prepare_design_cached)
+from repro.core.flow import (FlowConfig, FlowReport, collector_paused,
+                             prepare_design, prepare_design_cached,
+                             run_flow)
 from repro.harness.designs import (BenchmarkSpec, get_benchmark,
                                    DEFAULT_EXPERIMENT_SEED)
 from repro.mls import route_with_mls
@@ -25,17 +27,27 @@ from repro.timing import (IncrementalSta, extract_worst_paths,
 _FLOW_CACHE: dict[tuple, FlowReport] = {}
 
 
+@collector_paused()
 def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        with_scan: bool = False,
                        dft_strategy: str | None = None,
                        seed: int = DEFAULT_EXPERIMENT_SEED,
-                       store=None) -> FlowReport:
-    """Run (or fetch) one cached flow.
+                       store=None, *,
+                       share_prepare: bool = False) -> FlowReport:
+    """Run (or fetch) one cached flow, with the cyclic garbage
+    collector paused throughout (:func:`collector_paused`).
 
     The memo key is the shared content key from
     :mod:`repro.service.keys` — the same derivation the persistent
     store uses.  Factories without a stable content fingerprint key by
     identity, exactly like the prepare LRU.
+
+    A caller that will run more flows of the same design passes
+    ``share_prepare=True``: the design then comes from
+    :func:`repro.core.flow.prepare_design_cached`, whose miss pickles
+    it so that later flows copy it instead of preparing again.  The
+    default prepares with plain ``prepare_design``, as a one-shot
+    ``repro flow`` needs, and pickles nothing.
 
     Pass *store* (an :class:`repro.service.ArtifactStore`) to read
     through / write back the persistent artifact cache — warm
@@ -56,8 +68,10 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                 spec.factory, spec.tech(), spec.seeds(seed), config,
                 store, need_report=True)
         else:
-            design = prepare_design_cached(spec.factory, spec.tech(),
-                                           spec.seeds(seed), config)
+            prepare = prepare_design_cached if share_prepare \
+                else prepare_design
+            design = prepare(spec.factory, spec.tech(), spec.seeds(seed),
+                             config)
             report = run_flow(spec.factory, spec.tech(),
                               spec.seeds(seed), config, design=design)
         _FLOW_CACHE[key] = report
@@ -74,7 +88,8 @@ def flow_comparison_rows(benchmark_key: str,
                          ) -> dict[str, dict[str, float]]:
     """selector -> metric row for one benchmark."""
     spec = get_benchmark(benchmark_key)
-    return {sel: run_benchmark_flow(spec, sel, seed=seed).row()
+    return {sel: run_benchmark_flow(spec, sel, seed=seed,
+                                    share_prepare=True).row()
             for sel in selectors}
 
 
@@ -149,10 +164,10 @@ def table6_testable(seed: int = DEFAULT_EXPERIMENT_SEED
         rows = {}
         rows["none"] = run_benchmark_flow(
             spec, "none", with_scan=True, dft_strategy="wire-based",
-            seed=seed).row()
+            seed=seed, share_prepare=True).row()
         rows["gnn"] = run_benchmark_flow(
             spec, "gnn", with_scan=True, dft_strategy="wire-based",
-            seed=seed).row()
+            seed=seed, share_prepare=True).row()
         out[key] = rows
     return out
 
@@ -168,7 +183,8 @@ def table3_dft_comparison(seed: int = DEFAULT_EXPERIMENT_SEED
     out: dict[str, dict[str, float]] = {}
     for strategy in ("net-based", "wire-based"):
         report = run_benchmark_flow(spec, "gnn", with_scan=True,
-                                    dft_strategy=strategy, seed=seed)
+                                    dft_strategy=strategy, seed=seed,
+                                    share_prepare=True)
         row = report.row()
         out[strategy] = {
             "total_faults": row["total_faults"],

@@ -2,7 +2,8 @@
 
 The prepare cache memoizes prepared designs as pickled snapshots: a
 miss returns the design it built, every hit its own unpickled copy,
-and flows on either agree bit for bit.
+and flows on either agree bit for bit.  Only callers that run several
+flows of one design use it; a one-shot flow pickles nothing.
 """
 
 from __future__ import annotations
@@ -11,11 +12,16 @@ import json
 
 import pytest
 
+import repro.core.flow as flow_mod
 from repro import FlowConfig, run_flow
 from repro.core.flow import (clear_prepare_cache, prepare_design,
                              prepare_design_cached)
+from repro.harness.designs import get_benchmark
+from repro.harness.tables import (clear_flow_cache, flow_comparison_rows,
+                                  run_benchmark_flow)
 from repro.mls import route_with_mls
 from repro.netlist.generators import MaeriConfig, generate_maeri
+from repro.obs import metrics, trace
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle
 from repro.service.stages import report_digest
@@ -141,3 +147,48 @@ class TestGoldenDeterminism:
             row = report.result_row()
             rows.append(json.dumps(row, sort_keys=True))
         assert rows[0] == rows[1]
+
+
+class TestWhoSharesPrepares:
+    """The LRU serves callers that run several flows of one design."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_caches(self):
+        clear_prepare_cache()
+        clear_flow_cache()
+        yield
+        clear_prepare_cache()
+        clear_flow_cache()
+
+    def test_one_shot_flow_pickles_nothing(self):
+        """``repro flow``'s call prepares with plain prepare_design: no
+        cache entry, no counted miss, no store span."""
+        misses = metrics.counter("prepare.cache_misses")
+        trace.enable()
+        trace.reset()
+        try:
+            run_benchmark_flow(get_benchmark("maeri16_hetero"), "none",
+                               seed=20250706, store=None)
+            names = {rec["name"] for rec in trace.records}
+        finally:
+            trace.disable()
+            trace.reset()
+        assert not flow_mod._PREPARE_CACHE
+        assert metrics.counter("prepare.cache_misses") == misses
+        assert "flow.prepare" in names
+        assert "prepare.cache_store" not in names
+
+    def test_multi_flow_caller_prepares_once(self):
+        selectors = ("none", "sota", "oracle")
+        misses = metrics.counter("prepare.cache_misses")
+        hits = metrics.counter("prepare.cache_hits")
+        shared = flow_comparison_rows("maeri16_hetero", selectors)
+        assert metrics.counter("prepare.cache_misses") - misses == 1
+        assert metrics.counter("prepare.cache_hits") - hits == 2
+        clear_flow_cache()
+        spec = get_benchmark("maeri16_hetero")
+        for sel in selectors:
+            one_shot = run_benchmark_flow(spec, sel).result_row()
+            row = dict(shared[sel])
+            del row["runtime_min"]
+            assert row == one_shot, sel
