@@ -11,9 +11,9 @@ The :class:`FlowReport` carries every number Tables IV-VI print.
 from __future__ import annotations
 
 import gc
+import math
 import threading
 import time
-import weakref
 from collections import OrderedDict
 from contextlib import ContextDecorator, contextmanager
 from dataclasses import dataclass, field
@@ -30,23 +30,37 @@ from repro.place import place_design
 from repro.power import (default_power_plan, estimate_power,
                          insert_level_shifters, PowerReport)
 from repro.pdn.sizing import PdnSizingResult, size_pdn
-from repro.route.router import GlobalRouter, RouteConfig
+from repro.route.router import GlobalRouter
 from repro.mls import oracle_select, route_with_mls, sota_select
 from repro.mls.oracle import candidate_nets
 from repro.timing import IncrementalSta, run_sta
 from repro.timing.sta import TimingReport
 from repro.rng import SeedBundle
 from repro.snapshot import dumps_snapshot, loads_snapshot
-from repro.core.decide import decide_mls_nets
+from repro.core.decide import DEFAULT_THRESHOLD, decide_mls_nets
 from repro.core.pathset import build_dataset
 from repro.core.trainer import TrainConfig, train_gnn_mls
 
 #: Netlist factory signature: (libraries, seeds) -> Netlist.
 NetlistFactory = Callable[[dict, SeedBundle], Netlist]
 
+#: Prepare signature: (factory, tech, seeds, config) -> Design.
+PrepareFn = Callable[[NetlistFactory, TechSetup, SeedBundle, "FlowConfig"],
+                     Design]
+
 SELECTORS = ("none", "sota", "gnn", "oracle", "random")
 
 DFT_STRATEGIES = ("net-based", "wire-based")
+
+#: After routing the first GNN selection, re-extract the now-worst
+#: paths and re-infer, growing the set — covers nets that only become
+#: critical once the original offenders are fixed.
+GNN_REFINE_ITERS = 2
+
+#: Die-test fault simulation: random patterns, and the cap on exactly
+#: simulated faults (stride-sampled beyond).
+DFT_PATTERNS = 256
+DFT_MAX_FAULTS = 30000
 
 
 @dataclass(frozen=True)
@@ -59,20 +73,7 @@ class FlowConfig:
     num_labeled: int = 500
     with_scan: bool = False
     dft_strategy: Optional[str] = None      # "net-based"/"wire-based"
-    dft_patterns: int = 256
-    #: Cap on exactly-simulated faults (stride-sampled beyond).
-    dft_max_faults: int = 30000
     train: TrainConfig = field(default_factory=TrainConfig)
-    route: RouteConfig = field(default_factory=RouteConfig)
-    #: Oracle selector criterion: False labels nets by their local
-    #: worst-sink delay delta; True measures the exact design WNS/TNS
-    #: movement per net via incremental STA.
-    oracle_exact_slack: bool = False
-    decision_threshold: float = 0.5
-    #: After routing the first GNN selection, re-extract the now-worst
-    #: paths and re-infer, growing the set — covers nets that only
-    #: become critical once the original offenders are fixed.
-    gnn_refine_iters: int = 2
     pdn: bool = True
     activity: float = 0.15
 
@@ -86,6 +87,19 @@ class FlowConfig:
                             f"choose from {DFT_STRATEGIES}")
         if self.dft_strategy is not None and not self.with_scan:
             raise FlowError("MLS DFT needs with_scan=True")
+        # Comparisons with NaN are False, so NaN fails each range.
+        if not 0.0 < self.target_freq_mhz < math.inf:
+            raise FlowError("target_freq_mhz must be a finite number "
+                            f"> 0, got {self.target_freq_mhz!r}")
+        if self.num_paths < 1:
+            raise FlowError(f"num_paths must be >= 1, "
+                            f"got {self.num_paths!r}")
+        if not 1 <= self.num_labeled <= self.num_paths:
+            raise FlowError(f"num_labeled must be in [1, num_paths="
+                            f"{self.num_paths}], got {self.num_labeled!r}")
+        if not 0.0 < self.activity <= 1.0:
+            raise FlowError(f"activity must be in (0, 1], "
+                            f"got {self.activity!r}")
 
 
 @dataclass
@@ -105,9 +119,8 @@ class FlowReport:
     #: "Run-Time (min)" column (as ``runtime_min`` in :meth:`row`, the
     #: row's one wall-clock value; :meth:`result_row` drops it).
     select_runtime_s: float
-    #: Whole-flow wall time: prepare (even when the design came from
-    #: the prepare cache) through PDN.  Wall-clock, so not part of
-    #: :meth:`row`.
+    #: Whole-flow wall time: this call's prepare (a build, a cache or
+    #: store hit) through PDN.  Wall-clock, so not part of :meth:`row`.
     runtime_s: float = 0.0
     #: Per-stage wall time keyed by flow span name ("flow.prepare",
     #: "flow.select", ...).  Same wall-clock caveat as ``runtime_s``.
@@ -219,30 +232,6 @@ def _stage(name: str, stages: dict[str, float], **attrs):
                 + time.perf_counter() - t0
 
 
-#: Side-channel for each prepared design's wall time: run_flow folds
-#: it into FlowReport.runtime_s even when the design was prepared
-#: out-of-band (the cache, the table harness).  Deliberately NOT
-#: stored on the design — prepared designs must stay byte-identical
-#: under pickling regardless of how long preparation took.
-_PREPARE_RUNTIME: "weakref.WeakKeyDictionary[Design, float]" = \
-    weakref.WeakKeyDictionary()
-
-
-def prepare_runtime_s(design: Design) -> float:
-    """Wall seconds spent preparing *design* (0.0 if unknown)."""
-    try:
-        return _PREPARE_RUNTIME.get(design, 0.0)
-    except TypeError:               # non-weakref-able test stand-ins
-        return 0.0
-
-
-def _note_prepare_runtime(design: Design, seconds: float) -> None:
-    try:
-        _PREPARE_RUNTIME[design] = seconds
-    except TypeError:               # non-weakref-able test stand-ins
-        pass
-
-
 def stage_generate(factory: NetlistFactory, tech: TechSetup,
                    seeds: SeedBundle) -> Netlist:
     """Prepare stage 1: build (or import) the netlist.
@@ -293,16 +282,12 @@ def stage_finish(design: Design, config: FlowConfig) -> Design:
 def prepare_design(factory: NetlistFactory, tech: TechSetup,
                    seeds: SeedBundle, config: FlowConfig) -> Design:
     """Stages shared by every selector: generate through buffering."""
-    t0 = time.perf_counter()
-    with trace.span("flow.prepare"):
-        netlist = stage_generate(factory, tech, seeds)
-        design = Design(netlist, tech, config.target_freq_mhz)
-        design.tiers = stage_partition(netlist)
-        design.placement, design.floorplan = stage_place(
-            netlist, design.tiers, seeds)
-        stage_finish(design, config)
-    _note_prepare_runtime(design, time.perf_counter() - t0)
-    return design
+    netlist = stage_generate(factory, tech, seeds)
+    design = Design(netlist, tech, config.target_freq_mhz)
+    design.tiers = stage_partition(netlist)
+    design.placement, design.floorplan = stage_place(
+        netlist, design.tiers, seeds)
+    return stage_finish(design, config)
 
 
 #: prepare key -> pickled prepared design (see prepare_design_cached).
@@ -351,7 +336,6 @@ def prepare_design_cached(factory: NetlistFactory, tech: TechSetup,
     cache key.
     """
     key = _prepare_cache_key(factory, tech, seeds, config)
-    t0 = time.perf_counter()
     blob = _PREPARE_CACHE.get(key)
     if blob is not None:
         metrics.inc("prepare.cache_hits")
@@ -366,9 +350,6 @@ def prepare_design_cached(factory: NetlistFactory, tech: TechSetup,
             span.set(bytes=len(blob))
         while len(_PREPARE_CACHE) > PREPARE_CACHE_MAX_ENTRIES:
             _PREPARE_CACHE.popitem(last=False)
-    # What *this* call paid — an unpickle on a hit, build + pickle on
-    # a miss.
-    _note_prepare_runtime(design, time.perf_counter() - t0)
     return design
 
 
@@ -378,9 +359,7 @@ def clear_prepare_cache() -> None:
 
 def select_nets(design: Design, router: GlobalRouter, baseline,
                 report: TimingReport, seeds: SeedBundle,
-                config: FlowConfig,
-                sta: IncrementalSta | None = None
-                ) -> tuple[set[str], float, object]:
+                config: FlowConfig) -> tuple[set[str], float, object]:
     """Run the configured selector; returns (nets, runtime_s, model)."""
     start = time.perf_counter()
     model = None
@@ -389,9 +368,7 @@ def select_nets(design: Design, router: GlobalRouter, baseline,
     elif config.selector == "sota":
         nets = sota_select(design, baseline)
     elif config.selector == "oracle":
-        nets = oracle_select(design, router, baseline,
-                             exact_slack=config.oracle_exact_slack,
-                             sta=sta)
+        nets = oracle_select(design, router, baseline)
     elif config.selector == "random":
         rng = seeds.fresh("random-selector")
         pool = [n.name for n in candidate_nets(design)]
@@ -403,36 +380,31 @@ def select_nets(design: Design, router: GlobalRouter, baseline,
                                 num_paths=config.num_paths,
                                 num_labeled=config.num_labeled)
         model = train_gnn_mls(dataset, seeds, config.train)
-        nets = decide_mls_nets(model, threshold=config.decision_threshold)
+        nets = decide_mls_nets(model)
     return nets, time.perf_counter() - start, model
 
 
 def run_flow(factory: NetlistFactory, tech: TechSetup,
              seeds: SeedBundle, config: FlowConfig,
-             design: Design | None = None) -> FlowReport:
+             prepare: PrepareFn = prepare_design) -> FlowReport:
     """Run the complete flow for one (design, selector) combination.
 
-    Pass a pre-built *design* (e.g. from :func:`prepare_design_cached`)
-    to skip the partition/place/buffer stages; it must have been
-    prepared with the same factory/tech/seeds/config.
+    *prepare* builds the design inside the ``flow.prepare`` stage, so
+    ``runtime_s`` and ``stage_runtime_s["flow.prepare"]`` count what
+    this call paid for it: a build with :func:`prepare_design`, an
+    unpickle or a build plus pickle with :func:`prepare_design_cached`,
+    a store read or a resumed build with
+    :func:`repro.service.stages.prepare_design_stored`.
     """
     stages: dict[str, float] = {}
-    # A design prepared out-of-band (prepare_design_cached, the table
-    # harness) carries its own wall time; fold it into the whole-flow
-    # runtime so FlowReport.runtime_s never undercounts preparation.
-    prepare_ext_s = 0.0
-    if design is not None:
-        prepare_ext_s = prepare_runtime_s(design)
-        stages["flow.prepare"] = prepare_ext_s
     t_flow = time.perf_counter()
     with trace.span("flow", selector=config.selector,
                     scan=config.with_scan):
-        if design is None:
-            design = prepare_design(factory, tech, seeds, config)
-            stages["flow.prepare"] = prepare_runtime_s(design)
+        with _stage("flow.prepare", stages):
+            design = prepare(factory, tech, seeds, config)
 
         with _stage("flow.route_baseline", stages):
-            router, baseline = route_with_mls(design, set(), config.route)
+            router, baseline = route_with_mls(design, set())
         # The pin graph's structure is routing-invariant: build it once,
         # then patch arc delays incrementally after every reroute instead
         # of re-running full STA (the refine loop's former hot spot).
@@ -442,14 +414,12 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
 
         with _stage("flow.select", stages, selector=config.selector):
             requested, runtime_s, model = select_nets(
-                design, router, baseline, base_report, seeds, config,
-                sta=timing)
+                design, router, baseline, base_report, seeds, config)
 
         # Every later route replays the one before it (differential
         # route), and the STA then patches only the nets that moved.
         with _stage("flow.route_mls", stages, nets=len(requested)):
             router, routing = route_with_mls(design, requested,
-                                             config.route,
                                              previous=baseline)
             final_report = timing.update_routing()
 
@@ -458,20 +428,19 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
             from repro.timing.paths import extract_worst_paths
             with _stage("flow.refine", stages):
                 start = time.perf_counter()
-                for _ in range(config.gnn_refine_iters):
+                for _ in range(GNN_REFINE_ITERS):
                     paths = extract_worst_paths(final_report,
                                                 k=config.num_paths)
                     graphs = [build_path_graph(p, model.dataset.extractor)
                               for p in paths if len(p.stages()) >= 2]
                     probs = model.net_probabilities(graphs)
                     new = {name for name, p in probs.items()
-                           if p >= config.decision_threshold} - requested
+                           if p >= DEFAULT_THRESHOLD} - requested
                     if not new:
                         break
                     requested |= new
                     router, routing = route_with_mls(
-                        design, requested, config.route,
-                        previous=routing)
+                        design, requested, previous=routing)
                     final_report = timing.update_routing()
                 runtime_s += time.perf_counter() - start
 
@@ -486,9 +455,9 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                 # contract, so rebuild.
                 final_report = run_sta(design)
                 sim = die_test_fault_sim(design, seeds.fresh("die-test"),
-                                         patterns=config.dft_patterns,
+                                         patterns=DFT_PATTERNS,
                                          with_dft=True,
-                                         max_faults=config.dft_max_faults)
+                                         max_faults=DFT_MAX_FAULTS)
                 coverage = sim.coverage_pct
                 total = sim.total_faults
                 detected = sim.detected_total
@@ -513,7 +482,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
         power=power,
         pdn=pdn,
         select_runtime_s=runtime_s,
-        runtime_s=prepare_ext_s + time.perf_counter() - t_flow,
+        runtime_s=time.perf_counter() - t_flow,
         stage_runtime_s=stages,
         coverage_pct=coverage,
         total_faults=total,

@@ -21,8 +21,7 @@ probabilities :meth:`GnnMlsModel.batch_probabilities`.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,17 +40,23 @@ from repro.obs import metrics, trace
 from repro.rng import SeedBundle
 
 
+#: Hidden width of the 2-layer MLP decision head.
+HEAD_HIDDEN = 32
+
+#: Adam learning rates: DGI pretraining, then fine-tuning with the
+#: head at full rate and the encoder at a reduced one.
+DGI_LR = 1e-3
+FINETUNE_LR = 2e-3
+ENCODER_FINETUNE_LR = 2e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyper-parameters for both stages."""
+    """Hyper-parameters for both stages; the encoder is the paper's
+    :class:`EncoderConfig` over the dataset's feature width."""
 
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    head_hidden: int = 32
     dgi_epochs: int = 4
-    dgi_lr: float = 1e-3
     finetune_epochs: int = 12
-    finetune_lr: float = 2e-3
-    encoder_finetune_lr: float = 2e-4
     use_dgi: bool = True           # ablation knob
     #: Graphs per padded minibatch (forward/backward/optimizer step).
     #: 1 keeps the epoch's shuffled visit order, one graph per step.
@@ -152,8 +157,8 @@ def _finetune(dataset: PathDataset, encoder: GraphTransformer,
               rng_ft: np.random.Generator, pos_weight: float,
               log=None) -> list[float]:
     """The supervised stage; returns per-epoch mean losses."""
-    head_opt = Adam(head.parameters(), lr=config.finetune_lr)
-    enc_opt = Adam(encoder.parameters(), lr=config.encoder_finetune_lr)
+    head_opt = Adam(head.parameters(), lr=FINETUNE_LR)
+    enc_opt = Adam(encoder.parameters(), lr=ENCODER_FINETUNE_LR)
     graphs = dataset.labeled_graphs
     mats = dataset.normalized(graphs)
     lengths = np.array([m.shape[0] for m in mats], dtype=np.int64)
@@ -199,20 +204,17 @@ def train_gnn_mls(dataset: PathDataset, seeds: SeedBundle,
     config = config or TrainConfig()
     if not dataset.labeled_graphs:
         raise TrainingError("dataset has no labeled paths to fine-tune on")
-    enc_cfg = config.encoder
-    if enc_cfg.in_dim != dataset.extractor.dim:
-        enc_cfg = dataclasses.replace(enc_cfg,
-                                      in_dim=dataset.extractor.dim)
+    enc_cfg = EncoderConfig(in_dim=dataset.extractor.dim)
     rng = seeds.fresh("gnn-init")
     encoder = GraphTransformer(enc_cfg, rng)
-    head = DecisionHead(enc_cfg.d_model, config.head_hidden, rng)
+    head = DecisionHead(enc_cfg.d_model, HEAD_HIDDEN, rng)
     model = GnnMlsModel(encoder, head, dataset, config)
 
     if config.use_dgi:
         pretrainer = DGIPretrainer(encoder, seeds.fresh("dgi"))
         model.history["dgi"] = pretrainer.pretrain(
             dataset.graphs, dataset.extractor.normalize,
-            epochs=config.dgi_epochs, lr=config.dgi_lr, log=log,
+            epochs=config.dgi_epochs, lr=DGI_LR, log=log,
             batch_size=config.batch_size,
             mats=dataset.normalized())
 

@@ -55,12 +55,6 @@ class FaultUniverse:
     def __iter__(self) -> Iterator[Fault]:
         return iter(self.collapsed)
 
-    @property
-    def collapse_ratio(self) -> float:
-        if self.total == 0:
-            return 1.0
-        return len(self.collapsed) / self.total
-
 
 def build_fault_universe(netlist: Netlist) -> FaultUniverse:
     """Enumerate and collapse the stuck-at universe of *netlist*.

@@ -70,10 +70,8 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
         else:
             prepare = prepare_design_cached if share_prepare \
                 else prepare_design
-            design = prepare(spec.factory, spec.tech(), spec.seeds(seed),
-                             config)
-            report = run_flow(spec.factory, spec.tech(),
-                              spec.seeds(seed), config, design=design)
+            report = run_flow(spec.factory, spec.tech(), spec.seeds(seed),
+                              config, prepare=prepare)
         _FLOW_CACHE[key] = report
     return _FLOW_CACHE[key]
 

@@ -15,17 +15,14 @@ Three ways to pick the MLS net set, mirroring the paper's comparisons:
 """
 
 from repro.mls.sota import sota_select
-from repro.mls.oracle import (oracle_select, oracle_labels,
-                              oracle_slack_labels, NetLabel, SlackLabel)
+from repro.mls.oracle import oracle_select, oracle_labels, NetLabel
 from repro.mls.apply import route_with_mls, apply_mls_incremental
 
 __all__ = [
     "sota_select",
     "oracle_select",
     "oracle_labels",
-    "oracle_slack_labels",
     "NetLabel",
-    "SlackLabel",
     "route_with_mls",
     "apply_mls_incremental",
 ]

@@ -5,14 +5,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.design import Design
-from repro.route.router import GlobalRouter, RouteConfig, RoutingResult
+from repro.route.router import GlobalRouter, RoutingResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
     from repro.timing.incremental import IncrementalSta
 
 
 def route_with_mls(design: Design, mls_nets: set[str],
-                   config: RouteConfig | None = None,
                    previous: RoutingResult | None = None
                    ) -> tuple[GlobalRouter, RoutingResult]:
     """Route the whole design with *mls_nets* shared.
@@ -33,7 +32,7 @@ def route_with_mls(design: Design, mls_nets: set[str],
     <repro.timing.incremental.IncrementalSta.update_routing>` patches
     alone.  See :meth:`GlobalRouter.route_all`.
     """
-    router = GlobalRouter(design, config)
+    router = GlobalRouter(design)
     result = router.route_all(mls_nets=mls_nets, previous=previous)
     return router, result
 
@@ -46,10 +45,12 @@ def apply_mls_incremental(design: Design, router: GlobalRouter,
                           ) -> RoutingResult:
     """Toggle MLS on individual nets of an existing routing.
 
-    Cheaper than a full re-route; used by the targeted-routing stage
-    for ECO-style adjustments and by Table I's single-net experiment.
-    Nets are processed longest-first so trunk edges claim shared
-    resources in the same priority order as the full route.
+    An ECO-style edit, cheaper than a full re-route.  The flow does
+    not use it (its targeted routing re-routes differentially through
+    :func:`route_with_mls`, and Table I probes with ``reroute_net`` /
+    ``restore_net``); the incremental-STA tests make their edits
+    through it.  Nets are processed longest-first so trunk edges claim
+    shared resources in the same priority order as the full route.
 
     Pass an :class:`~repro.timing.incremental.IncrementalSta` as *sta*
     to patch its arc delays with exactly the toggled nets afterwards —

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from repro.design import Design
 from repro.netlist.net import Net
 from repro.route.router import GlobalRouter, RoutingResult
-from repro.timing.incremental import IncrementalSta, net_whatif_delta
+from repro.timing.incremental import net_whatif_delta
 
 #: A net must improve its worst sink by at least this much (ps) to be
 #: selected — hysteresis against churn on near-zero deltas.
@@ -71,91 +71,11 @@ def oracle_labels(design: Design, router: GlobalRouter,
     return labels
 
 
-@dataclass(frozen=True)
-class SlackLabel:
-    """Path-slack oracle verdict for one net.
-
-    Unlike :class:`NetLabel`'s local delay delta, these deltas are
-    *global* signoff movements: MLS-on minus baseline WNS/TNS over the
-    whole design (positive = MLS helps).  A net whose own delay
-    shrinks can still label 0 here if no negative-slack path crosses
-    it.
-    """
-
-    net_name: str
-    gain_wns_ps: float
-    gain_tns_ps: float
-    applied: bool
-    label: int
-
-    @property
-    def helps(self) -> bool:
-        return self.label == 1
-
-
-def oracle_slack_labels(design: Design, router: GlobalRouter,
-                        result: RoutingResult,
-                        nets: list[Net] | None = None,
-                        gain_eps_ps: float = DEFAULT_GAIN_EPS_PS,
-                        sta: IncrementalSta | None = None
-                        ) -> dict[str, SlackLabel]:
-    """Label each net by the *exact* WNS/TNS it buys at signoff.
-
-    The expensive variant of :func:`oracle_labels`: instead of the
-    worst-sink delay delta, each probe commits the MLS routing,
-    patches the incremental STA with just that net, reads the design
-    WNS/TNS, then restores the committed tree bit-exactly (grid usage
-    and timing state both return to baseline).  The incremental engine
-    is what makes this tractable — each probe re-propagates only the
-    fan-out cone of the toggled net rather than re-running full STA.
-
-    Probes share one mutable routing + STA state, restored after each.
-    """
-    if nets is None:
-        nets = candidate_nets(design)
-    if sta is None:
-        sta = IncrementalSta(design)
-    base = sta.report()
-    base_wns, base_tns = base.wns_ps, base.tns_ns
-    labels: dict[str, SlackLabel] = {}
-    for net in nets:
-        tree = result.trees.get(net.name)
-        rc = result.rc.get(net.name)
-        if tree is None:
-            continue
-        router.reroute_net(result, net, mls=True)
-        applied = result.tree(net.name).num_shared_edges() > 0
-        rep = sta.update([net.name])
-        gain_wns = rep.wns_ps - base_wns
-        gain_tns = (rep.tns_ns - base_tns) * 1e3
-        router.restore_net(result, net, tree, rc)
-        sta.update([net.name])
-        good = applied and (gain_wns >= gain_eps_ps
-                            or gain_tns >= gain_eps_ps)
-        labels[net.name] = SlackLabel(net_name=net.name,
-                                      gain_wns_ps=gain_wns,
-                                      gain_tns_ps=gain_tns,
-                                      applied=applied,
-                                      label=1 if good else 0)
-    return labels
-
-
 def oracle_select(design: Design, router: GlobalRouter,
                   result: RoutingResult,
                   nets: list[Net] | None = None,
-                  gain_eps_ps: float = DEFAULT_GAIN_EPS_PS,
-                  exact_slack: bool = False,
-                  sta: IncrementalSta | None = None) -> set[str]:
-    """The exact policy: MLS exactly where the what-if says it helps.
-
-    ``exact_slack=True`` upgrades the per-net criterion from the local
-    delay delta to the design-level WNS/TNS movement measured by
-    :func:`oracle_slack_labels`.
-    """
-    if exact_slack:
-        slabels = oracle_slack_labels(design, router, result, nets=nets,
-                                      gain_eps_ps=gain_eps_ps, sta=sta)
-        return {name for name, lab in slabels.items() if lab.helps}
+                  gain_eps_ps: float = DEFAULT_GAIN_EPS_PS) -> set[str]:
+    """The exact policy: MLS exactly where the what-if says it helps."""
     labels = oracle_labels(design, router, result, nets=nets,
                            gain_eps_ps=gain_eps_ps)
     return {name for name, lab in labels.items() if lab.helps}

@@ -79,13 +79,6 @@ class Netlist:
         """Snapshot into the struct-of-arrays representation."""
         return NetlistSoA.from_netlist(self)
 
-    @classmethod
-    def from_flat(cls, flat: NetlistSoA) -> "Netlist":
-        """Rebuild a netlist from a :class:`NetlistSoA` snapshot."""
-        netlist = cls.__new__(cls)
-        flat.populate(netlist)
-        return netlist
-
     def __getstate__(self) -> dict:
         return {"flat": self.to_flat()}
 

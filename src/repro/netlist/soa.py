@@ -5,24 +5,14 @@
 cells, ports and CSR-style net->pin incidence, plus Python string
 tables.  It is the same struct-of-arrays move that made
 ``place.system`` and the CSR STA kernel fast, applied to the netlist
-itself, and serves two roles:
-
-1. **Flat serialization.**  ``Netlist.__getstate__`` encodes through
-   this class, replacing the old recursive object-graph pickle (whose
-   pin->net->pin chains blew the C stack on MAERI-128 — a hard
-   segfault once the recursion limit was raised past what the stack
-   could back).  Encode and decode are *iterative* loops over arrays;
-   no step recurses, so round-tripping is independent of
-   ``sys.getrecursionlimit()`` and the pickled payload shrinks to
-   id arrays + string tables.
-
-2. **Array views for analysis.**  The incidence arrays are the natural
-   substrate for hypergraph feature extraction and the learned
-   congestion/ordering predictors on the roadmap (DE-HNN encodes
-   directed hyperedges exactly this way): ``fanouts()``,
-   ``degrees()``, ``cell_areas()`` and the raw CSR members give
-   whole-array design queries without touching a Python object
-   per pin.
+itself, for flat serialization: ``Netlist.__getstate__`` encodes
+through this class, replacing the old recursive object-graph pickle
+(whose pin->net->pin chains blew the C stack on MAERI-128 — a hard
+segfault once the recursion limit was raised past what the stack could
+back).  Encode and decode are *iterative* loops over arrays; no step
+recurses, so round-tripping is independent of
+``sys.getrecursionlimit()`` and the pickled payload shrinks to id
+arrays + string tables.
 
 Pin references are encoded as ``(owner, slot)`` pairs: ``owner >= 0``
 is an instance index and ``slot`` the pin's position in the cell's
@@ -253,7 +243,7 @@ class NetlistSoA:
                 pin.net = net
             netlist.nets[name] = net
 
-    # -- array views -----------------------------------------------------------
+    # -- sizes -----------------------------------------------------------------
 
     @property
     def num_instances(self) -> int:
@@ -262,58 +252,6 @@ class NetlistSoA:
     @property
     def num_nets(self) -> int:
         return len(self.net_names)
-
-    @property
-    def num_pins(self) -> int:
-        """Connected pins (driver + sink attachments)."""
-        return int(len(self.sink_owner)
-                   + np.count_nonzero(self.net_driver_owner != _NO_DRIVER))
-
-    def fanouts(self) -> np.ndarray:
-        """Sink count per net, in net order (one CSR diff)."""
-        return np.diff(self.sink_offsets)
-
-    def degrees(self) -> np.ndarray:
-        """Total pin count per net (hyperedge sizes)."""
-        return self.fanouts() \
-            + (self.net_driver_owner != _NO_DRIVER).astype(np.int64)
-
-    def cell_areas(self) -> np.ndarray:
-        """Per-instance footprint in um^2, in instance order."""
-        table = np.asarray([cell.area_um2 for cell in self.cell_types],
-                           dtype=np.float64)
-        return table[self.inst_cell]
-
-    def is_sequential(self) -> np.ndarray:
-        """Per-instance sequential mask, in instance order."""
-        table = np.asarray([cell.is_sequential for cell in self.cell_types],
-                           dtype=bool)
-        return table[self.inst_cell]
-
-    def incidence(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed-hypergraph incidence: ``(offsets, owners, is_driver)``.
-
-        Per net, the driver reference (when present) followed by the
-        sinks in order — the DE-HNN-style encoding the GNN feature
-        extractors consume.  ``owners`` uses the instance/port code of
-        this class (``>= 0`` instance index, ``< 0`` port).
-        """
-        fanouts = self.fanouts()
-        has_driver = self.net_driver_owner != _NO_DRIVER
-        sizes = fanouts + has_driver.astype(np.int64)
-        offsets = np.zeros(self.num_nets + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        owners = np.empty(int(offsets[-1]), dtype=np.int32)
-        is_driver = np.zeros(int(offsets[-1]), dtype=bool)
-        pos = offsets[:-1].copy()
-        driver_rows = np.flatnonzero(has_driver)
-        owners[pos[driver_rows]] = self.net_driver_owner[driver_rows]
-        is_driver[pos[driver_rows]] = True
-        pos[driver_rows] += 1
-        for j in range(self.num_nets):
-            lo, hi = self.sink_offsets[j], self.sink_offsets[j + 1]
-            owners[pos[j]:pos[j] + (hi - lo)] = self.sink_owner[lo:hi]
-        return offsets, owners, is_driver
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
@@ -326,14 +264,6 @@ class NetlistSoA:
             state[field_name] = unpack_names(state[field_name])
         self.__dict__.update(state)
 
-    def nbytes(self) -> int:
-        """Rough array payload size (excludes string tables)."""
-        return sum(arr.nbytes for arr in (
-            self.inst_cell, self.inst_attr, self.port_is_out,
-            self.port_cap_ff, self.port_tier_hint, self.port_false_path,
-            self.net_is_clock, self.net_driver_owner, self.net_driver_slot,
-            self.sink_offsets, self.sink_owner, self.sink_slot))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"NetlistSoA({self.name}: {self.num_instances} insts, "
-                f"{self.num_nets} nets, {self.num_pins} pins)")
+                f"{self.num_nets} nets, {len(self.sink_owner)} sinks)")

@@ -39,9 +39,6 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
     def named_parameters(self) -> dict[str, Tensor]:
         """Stable name -> parameter mapping for serialization."""
         out: dict[str, Tensor] = {}

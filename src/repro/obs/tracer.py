@@ -286,9 +286,6 @@ class Tracer:
         carries ``attrs["req"]`` until cleared with ``None``."""
         self._frame().request_id = request_id
 
-    def current_request(self) -> str | None:
-        return self._frame().request_id
-
     # -- spans ---------------------------------------------------------------
 
     def span(self, name: str, **attrs):

@@ -95,14 +95,6 @@ class TierAssignment:
         if missing_p:
             raise PartitionError(f"unassigned ports: {missing_p[:5]}")
 
-    def instances_on(self, tier: int) -> list[str]:
-        return [n for n, t in self._inst_tier.items() if t == tier]
-
-    def area_on(self, tier: int) -> float:
-        """Total instance area on *tier*, in um^2."""
-        return sum(self.netlist.instance(n).cell.area_um2
-                   for n in self.instances_on(tier))
-
     def counts(self) -> tuple[int, int]:
         bottom = sum(1 for t in self._inst_tier.values() if t == TIER_LOGIC)
         return bottom, len(self._inst_tier) - bottom

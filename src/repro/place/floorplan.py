@@ -51,20 +51,10 @@ class Floorplan:
     def num_rows(self) -> int:
         return max(1, int(self.core_height / self.row_height))
 
-    @property
-    def sites_per_row(self) -> int:
-        return max(1, int(self.width / self.site_width))
-
     def clamp(self, x: float, y: float) -> tuple[float, float]:
         """Clamp a point into the die outline."""
         return (min(max(x, 0.0), self.width),
                 min(max(y, 0.0), self.height))
-
-    def row_y(self, row: int) -> float:
-        """Bottom y of a row index."""
-        if not 0 <= row < self.num_rows:
-            raise PlacementError(f"row {row} out of range 0..{self.num_rows - 1}")
-        return row * self.row_height
 
 
 def make_floorplan(netlist: Netlist, utilization: float = 0.65,

@@ -72,8 +72,7 @@ from threading import Thread
 from repro.errors import FlowError
 from repro.obs import flight, get_logger, metrics, trace
 from repro.obs.metrics import render_prometheus
-from repro.service.store import (ArtifactStore, DEFAULT_BUDGET_BYTES,
-                                 DEFAULT_COMPRESS_LEVEL)
+from repro.service.store import ArtifactStore, DEFAULT_BUDGET_BYTES
 
 log = get_logger("repro.service.daemon")
 
@@ -105,7 +104,6 @@ class ServiceConfig:
     socket_path: str
     store_root: str
     budget_bytes: int = DEFAULT_BUDGET_BYTES
-    compress_level: int = DEFAULT_COMPRESS_LEVEL
     #: Concurrent flow executions.  1 keeps traces well-nested and
     #: benchmark wall-clocks honest; raise it for throughput.
     flow_workers: int = 1
@@ -216,8 +214,7 @@ class FlowService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.store = ArtifactStore(config.store_root,
-                                   budget_bytes=config.budget_bytes,
-                                   compress_level=config.compress_level)
+                                   budget_bytes=config.budget_bytes)
         self._queue: asyncio.Queue = asyncio.Queue()
         self._inflight: dict[tuple, asyncio.Future] = {}
         #: Request-id bookkeeping mirroring ``_inflight``: key ->

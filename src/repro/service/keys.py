@@ -53,8 +53,10 @@ from repro.snapshot import dumps_snapshot
 #: keys cover a nine-field ``TrainConfig`` — the selector trains and
 #: infers on padded batches only, so the flag that switched it to
 #: per-graph op-by-op forwards was deleted (that reference now lives
-#: in the test suite).
-KEY_SCHEMA_VERSION = 6
+#: in the test suite).  7: flow keys cover a nine-field ``FlowConfig``
+#: and a four-field ``TrainConfig`` — knobs with one value in use became
+#: constants, so the route config left the key.
+KEY_SCHEMA_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,12 @@ verification).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-import time
 
 from repro.core.flow import (FlowConfig, FlowReport, NetlistFactory,
-                             _note_prepare_runtime, run_flow,
-                             stage_finish, stage_generate,
+                             run_flow, stage_finish, stage_generate,
                              stage_partition, stage_place)
 from repro.design import Design, TechSetup
 from repro.obs import metrics, trace
@@ -83,16 +82,12 @@ def prepare_design_stored(factory: NetlistFactory, tech: TechSetup,
     """Store-backed :func:`prepare_design`: resume from the deepest
     artifact hit, persist every stage boundary crossed."""
     keys = prepare_stage_keys(factory, tech, seeds, config)
-    t0 = time.perf_counter()
-    with trace.span("flow.prepare", stored=True):
-        design = store.get(keys.prepared)
-        if design is None:
-            design = _build_prepared(factory, tech, seeds, config,
-                                     keys, store)
-            store.put(keys.prepared, design)
-        else:
-            metrics.inc("service.prepare_design_hits")
-    _note_prepare_runtime(design, time.perf_counter() - t0)
+    design = store.get(keys.prepared)
+    if design is None:
+        design = _build_prepared(factory, tech, seeds, config, keys, store)
+        store.put(keys.prepared, design)
+    else:
+        metrics.inc("service.prepare_design_hits")
     return design
 
 
@@ -154,9 +149,9 @@ def run_flow_stored(factory: NetlistFactory, tech: TechSetup,
         return report, summary, True
     metrics.inc("service.flow_computes")
     with trace.span("service.flow_compute", key=fkey.short):
-        design = prepare_design_stored(factory, tech, seeds, config,
-                                       store)
-        report = run_flow(factory, tech, seeds, config, design=design)
+        report = run_flow(factory, tech, seeds, config,
+                          prepare=functools.partial(prepare_design_stored,
+                                                    store=store))
     summary = report_summary(report)
     store.put(fkey, report)
     store.put(skey, summary)

@@ -76,7 +76,7 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 
 #: zlib level: decompression speed is what warm paths pay; 6 buys
 #: little over 3 here and costs 3x the compress time on 17 MB reports.
-DEFAULT_COMPRESS_LEVEL = 3
+COMPRESS_LEVEL = 3
 
 #: Recency touches accumulated before the index is persisted on a
 #: read-only path (puts/evictions flush immediately).  Losing up to
@@ -91,10 +91,9 @@ class ArtifactCorruptError(Exception):
     """Blob failed header, checksum or payload validation."""
 
 
-def write_artifact_bytes(obj: Any, level: int = DEFAULT_COMPRESS_LEVEL
-                         ) -> bytes:
+def write_artifact_bytes(obj: Any) -> bytes:
     """Frame *obj* as one self-validating artifact blob."""
-    payload = zlib.compress(dumps_snapshot(obj), level)
+    payload = zlib.compress(dumps_snapshot(obj), COMPRESS_LEVEL)
     header = _HEADER.pack(_MAGIC, hashlib.sha256(payload).digest(),
                           len(payload))
     return header + payload
@@ -134,11 +133,9 @@ class ArtifactStore:
     """Content-addressed persistent cache; see the module docstring."""
 
     def __init__(self, root: str | Path,
-                 budget_bytes: int = DEFAULT_BUDGET_BYTES,
-                 compress_level: int = DEFAULT_COMPRESS_LEVEL):
+                 budget_bytes: int = DEFAULT_BUDGET_BYTES):
         self.root = Path(root)
         self.budget_bytes = int(budget_bytes)
-        self.compress_level = int(compress_level)
         self._lock = RLock()
         self._objects = self.root / "objects"
         self._tmp = self.root / "tmp"
@@ -332,7 +329,7 @@ class ArtifactStore:
         # the publish atomic even if another thread races the same key
         # (same content either way).
         with trace.span("store.put", kind=key.kind, key=key.short):
-            blob = write_artifact_bytes(obj, self.compress_level)
+            blob = write_artifact_bytes(obj)
             tmp = self._tmp / (f"put-{os.getpid()}"
                                f"-{next(_tmp_counter)}")
             try:

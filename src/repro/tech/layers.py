@@ -54,14 +54,6 @@ class MetalLayer:
         if self.r_per_um <= 0 or self.c_per_um <= 0 or self.pitch_um <= 0:
             raise TechError(f"layer {self.name}: electrical params must be positive")
 
-    def wire_resistance(self, length_um: float) -> float:
-        """Total resistance in ohm of a *length_um* segment."""
-        return self.r_per_um * length_um
-
-    def wire_capacitance(self, length_um: float) -> float:
-        """Total capacitance in fF of a *length_um* segment."""
-        return self.c_per_um * length_um
-
 
 @dataclass(frozen=True)
 class F2FVia:
@@ -159,11 +151,6 @@ class MetalStack:
                 out.append((self.layers[i], self.layers[i]))
                 i += 1
         return out
-
-    def stack_via_path(self, from_index: int, to_index: int) -> tuple[float, float]:
-        """(R, C) of the via stack climbing between two layer indices."""
-        hops = abs(from_index - to_index)
-        return hops * self.via_r, hops * self.via_c
 
     def describe_span(self, lo: int, hi: int) -> str:
         """Human-readable span like ``"M1-4"`` used in Table I strings."""

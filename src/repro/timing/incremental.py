@@ -59,22 +59,11 @@ class WhatIfDelta:
     delta_driver_ps: float
     delta_sink_ps: dict[str, float] = field(default_factory=dict)
 
-    def path_delta_ps(self, sink_full_name: str) -> float:
-        """Delay delta seen by a path entering the net at *sink*."""
-        return self.delta_driver_ps + self.delta_sink_ps.get(
-            sink_full_name, 0.0)
-
     def worst_delta_ps(self) -> float:
         """The largest (most harmful) per-sink delta."""
         if not self.delta_sink_ps:
             return self.delta_driver_ps
         return self.delta_driver_ps + max(self.delta_sink_ps.values())
-
-    def best_delta_ps(self) -> float:
-        """The most favourable per-sink delta."""
-        if not self.delta_sink_ps:
-            return self.delta_driver_ps
-        return self.delta_driver_ps + min(self.delta_sink_ps.values())
 
 
 def _driver_resistance(net: Net) -> float:

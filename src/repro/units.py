@@ -15,40 +15,16 @@ power      milliwatt    cells ~1e-3, designs ~1e3
 frequency  megahertz    2000-2500
 ========== ============ =======================================
 
-Helpers convert to/from display units used by the paper's tables
-(ns for TNS, mm for wirelength, pF for caps).
+Helpers convert to the display units used by the paper's tables (ns
+for TNS, pF for the GNN's capacitance features) and turn a clock
+target into its period.
 """
 
 from __future__ import annotations
 
-# -- distance ---------------------------------------------------------------
-
-UM_PER_MM = 1000.0
-
-
-def mm_to_um(mm: float) -> float:
-    """Convert millimetres to the canonical micrometres."""
-    return mm * UM_PER_MM
-
-
-def um_to_mm(um: float) -> float:
-    """Convert canonical micrometres to millimetres."""
-    return um / UM_PER_MM
-
-
-def um_to_m(um: float) -> float:
-    """Convert canonical micrometres to metres (paper reports WL in m)."""
-    return um * 1e-6
-
-
 # -- time -------------------------------------------------------------------
 
 PS_PER_NS = 1000.0
-
-
-def ns_to_ps(ns: float) -> float:
-    """Convert nanoseconds to the canonical picoseconds."""
-    return ns * PS_PER_NS
 
 
 def ps_to_ns(ps: float) -> float:
@@ -59,11 +35,6 @@ def ps_to_ns(ps: float) -> float:
 # -- capacitance ------------------------------------------------------------
 
 FF_PER_PF = 1000.0
-
-
-def pf_to_ff(pf: float) -> float:
-    """Convert picofarads to the canonical femtofarads."""
-    return pf * FF_PER_PF
 
 
 def ff_to_pf(ff: float) -> float:
@@ -83,13 +54,6 @@ def mhz_to_period_ps(mhz: float) -> float:
     if mhz <= 0:
         raise ValueError(f"frequency must be positive, got {mhz}")
     return 1e6 / mhz
-
-
-def period_ps_to_mhz(period_ps: float) -> float:
-    """Frequency in MHz for a clock period in ps."""
-    if period_ps <= 0:
-        raise ValueError(f"period must be positive, got {period_ps}")
-    return 1e6 / period_ps
 
 
 # -- RC delay ---------------------------------------------------------------

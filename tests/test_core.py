@@ -124,10 +124,7 @@ class TestModel:
 
     def test_training_produces_useful_classifier(self, small_dataset):
         *_, dataset = small_dataset
-        config = TrainConfig(
-            encoder=EncoderConfig(in_dim=dataset.extractor.dim,
-                                  d_model=24, heads=3, layers=2),
-            dgi_epochs=2, finetune_epochs=10)
+        config = TrainConfig(dgi_epochs=2, finetune_epochs=10)
         model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
         # Model probabilities should correlate with oracle labels.
         probs = model.net_probabilities(dataset.labeled_graphs)
@@ -140,10 +137,7 @@ class TestModel:
 
     def test_ablation_no_dgi_still_trains(self, small_dataset):
         *_, dataset = small_dataset
-        config = TrainConfig(
-            encoder=EncoderConfig(in_dim=dataset.extractor.dim,
-                                  d_model=24, heads=3, layers=1),
-            use_dgi=False, finetune_epochs=4)
+        config = TrainConfig(use_dgi=False, finetune_epochs=4)
         model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
         assert "dgi" not in model.history
         assert model.history["finetune"]
@@ -158,10 +152,7 @@ class TestModel:
 
     def test_decide_threshold_monotone(self, small_dataset):
         *_, dataset = small_dataset
-        config = TrainConfig(
-            encoder=EncoderConfig(in_dim=dataset.extractor.dim,
-                                  d_model=24, heads=3, layers=1),
-            dgi_epochs=1, finetune_epochs=3)
+        config = TrainConfig(dgi_epochs=1, finetune_epochs=3)
         model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
         loose = decide_mls_nets(model, threshold=0.3)
         strict = decide_mls_nets(model, threshold=0.7)

@@ -23,7 +23,7 @@ def tiny_factory(libraries, seeds):
 def fast_config(selector: str, **kwargs) -> FlowConfig:
     defaults = dict(selector=selector, target_freq_mhz=1500.0,
                     num_paths=80, num_labeled=40, train=FAST_TRAIN,
-                    pdn=False, gnn_refine_iters=1)
+                    pdn=False)
     defaults.update(kwargs)
     return FlowConfig(**defaults)
 
@@ -40,6 +40,31 @@ class TestFlowConfig:
     def test_unknown_dft_strategy(self):
         with pytest.raises(FlowError, match="unknown DFT strategy"):
             FlowConfig(dft_strategy="bogus", with_scan=True)
+
+    @pytest.mark.parametrize("field_name, value", [
+        ("target_freq_mhz", float("nan")),
+        ("target_freq_mhz", float("inf")),
+        ("target_freq_mhz", 0.0),
+        ("target_freq_mhz", -1500.0),
+        ("num_paths", 0),
+        ("num_labeled", 0),
+        ("num_labeled", 1501),
+        ("activity", -1.0),
+        ("activity", 0.0),
+        ("activity", 1.5),
+        ("activity", float("nan")),
+    ])
+    def test_refuses_values_that_cannot_run(self, field_name, value):
+        """A NaN clock would run the whole flow and report a
+        timing-clean row: each value here must fail before any stage,
+        with the field named."""
+        with pytest.raises(FlowError, match=field_name):
+            FlowConfig(**{field_name: value})
+
+    def test_accepts_range_edges(self):
+        config = FlowConfig(num_paths=1, num_labeled=1, activity=1.0,
+                            target_freq_mhz=1e-3)
+        assert config.num_labeled == config.num_paths
 
 
 class TestRunFlow:
@@ -98,7 +123,7 @@ class TestRunFlow:
         report = run_flow(
             tiny_factory, hetero_tech, SeedBundle(TEST_SEED),
             fast_config("oracle", with_scan=True,
-                        dft_strategy="wire-based", dft_patterns=128))
+                        dft_strategy="wire-based"))
         row = report.row()
         assert 0 < row["coverage_pct"] <= 100
         assert row["total_faults"] > 0

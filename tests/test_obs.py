@@ -238,8 +238,7 @@ class TestFlowTracing:
             report = run_flow(
                 tiny_factory, hetero_tech, SeedBundle(TEST_SEED),
                 fast_config("oracle", with_scan=True,
-                            dft_strategy="wire-based", dft_patterns=64,
-                            pdn=True))
+                            dft_strategy="wire-based", pdn=True))
             records = list(trace.records)
         finally:
             trace.disable()

@@ -62,8 +62,3 @@ class TestTierAssignment:
         tiers = TierAssignment(maeri)
         with pytest.raises(PartitionError):
             tiers.validate()
-
-    def test_area_accounting(self, maeri):
-        tiers = partition_memory_on_logic(maeri)
-        total = tiers.area_on(0) + tiers.area_on(1)
-        assert total == pytest.approx(maeri.total_cell_area())

@@ -30,17 +30,11 @@ class TestFloorplan:
     def test_rows_and_sites(self):
         fp = Floorplan(width=20, height=10)
         assert fp.num_rows == int(10 / ROW_HEIGHT_UM)
-        assert fp.sites_per_row == int(20 / fp.site_width)
 
     def test_clamp(self):
         fp = Floorplan(width=20, height=10)
         assert fp.clamp(-5, 100) == (0.0, 10.0)
         assert fp.clamp(5, 5) == (5.0, 5.0)
-
-    def test_row_y_bounds(self):
-        fp = Floorplan(width=20, height=10)
-        with pytest.raises(PlacementError):
-            fp.row_y(fp.num_rows)
 
     def test_make_floorplan_scales_with_area(self, hetero_tech):
         small = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),

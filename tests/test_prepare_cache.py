@@ -24,7 +24,8 @@ from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.obs import metrics, trace
 from repro.route import GlobalRouter
 from repro.rng import SeedBundle
-from repro.service.stages import report_digest
+from repro.service import ArtifactStore, prepare_key
+from repro.service.stages import report_digest, run_flow_stored
 from repro.snapshot import dumps_snapshot, loads_snapshot
 from repro.timing import run_sta
 
@@ -67,6 +68,11 @@ def _fast_config(**kwargs) -> FlowConfig:
     return FlowConfig(**defaults)
 
 
+def _given(design):
+    """A prepare function that hands run_flow an existing *design*."""
+    return lambda factory, tech, seeds, config: design
+
+
 class TestPrepareCache:
     def test_hit_returns_equal_but_distinct_designs(self, hetero_tech):
         """A miss returns the design it built and every hit its own
@@ -89,7 +95,8 @@ class TestPrepareCache:
         assert placement_digest(first) == placement_digest(second)
         assert dumps_snapshot(second) == dumps_snapshot(third)
         built, copied = (run_flow(_tiny_factory, hetero_tech,
-                                  SeedBundle(TEST_SEED), cfg, design=d)
+                                  SeedBundle(TEST_SEED), cfg,
+                                  prepare=_given(d))
                          for d in (first, second))
         assert built.result_row() == copied.result_row()
         assert report_digest(built) == report_digest(copied)
@@ -140,10 +147,9 @@ class TestGoldenDeterminism:
         cfg = _fast_config()
         rows = []
         for _ in range(2):
-            design = prepare_design_cached(_tiny_factory, hetero_tech,
-                                           SeedBundle(TEST_SEED), cfg)
             report = run_flow(_tiny_factory, hetero_tech,
-                              SeedBundle(TEST_SEED), cfg, design=design)
+                              SeedBundle(TEST_SEED), cfg,
+                              prepare=prepare_design_cached)
             row = report.result_row()
             rows.append(json.dumps(row, sort_keys=True))
         assert rows[0] == rows[1]
@@ -192,3 +198,62 @@ class TestWhoSharesPrepares:
             row = dict(shared[sel])
             del row["runtime_min"]
             assert row == one_shot, sel
+
+
+class TestPrepareIsAFlowStage:
+    """run_flow calls its prepare inside the flow, so the report times
+    what this call paid, whatever served the design."""
+
+    @staticmethod
+    def _traced(run):
+        trace.enable()
+        trace.reset()
+        try:
+            report = run()
+            records = list(trace.records)
+        finally:
+            trace.disable()
+            trace.reset()
+        return report, records
+
+    def test_every_prepare_is_timed_inside_the_flow(self, hetero_tech,
+                                                    tmp_path):
+        clear_prepare_cache()
+        cfg = _fast_config(selector="none")
+
+        def seeds():
+            return SeedBundle(TEST_SEED)
+
+        def cached():
+            return run_flow(_tiny_factory, hetero_tech, seeds(), cfg,
+                            prepare=prepare_design_cached)
+
+        cold_store = ArtifactStore(tmp_path / "cold")
+        prepared_store = ArtifactStore(tmp_path / "prepared")
+        prepared_store.put(
+            prepare_key(_tiny_factory, hetero_tech, seeds(), cfg),
+            prepare_design(_tiny_factory, hetero_tech, seeds(), cfg))
+        runs = [
+            ("prepare.cache_misses", cached),
+            ("prepare.cache_hits", cached),
+            ("service.flow_computes", lambda: run_flow_stored(
+                _tiny_factory, hetero_tech, seeds(), cfg, cold_store)[0]),
+            ("service.prepare_design_hits", lambda: run_flow_stored(
+                _tiny_factory, hetero_tech, seeds(), cfg,
+                prepared_store)[0]),
+        ]
+        try:
+            for counter, run in runs:
+                before = metrics.counter(counter)
+                report, records = self._traced(run)
+                assert metrics.counter(counter) == before + 1, counter
+                stages = report.stage_runtime_s
+                assert stages["flow.prepare"] > 0, counter
+                assert report.runtime_s >= sum(stages.values()), counter
+                flow = [r for r in records if r["name"] == "flow"]
+                prepare = [r for r in records
+                           if r["name"] == "flow.prepare"]
+                assert len(flow) == 1 and len(prepare) == 1, counter
+                assert prepare[0]["parent"] == flow[0]["id"], counter
+        finally:
+            clear_prepare_cache()

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
-from repro.mls import route_with_mls, sota_select
-from repro.route import RcTables, RouteConfig, RouteEdge, RouteTree
+from repro.mls import sota_select
+from repro.route import (GlobalRouter, RcTables, RouteConfig, RouteEdge,
+                         RouteTree)
 from repro.tech import F2FVia, NODE_16NM, NODE_28NM, default_stack
 
 from tests import route_oracle as oracle
@@ -44,11 +45,12 @@ class TestWholeDesigns:
         stacks, f2f = design.tech.stacks, design.tech.f2f
         seen = dict(escape=0, cross_tier=0, detoured=0)
         for config in CONFIGS:
-            router, base = route_with_mls(design, set(), config)
+            router = GlobalRouter(design, config)
+            base = router.route_all()
             assert_matches_oracle(base, router, stacks, f2f)
             picked = sota_select(design, base)
-            router, shared = route_with_mls(design, picked, config,
-                                            previous=base)
+            router = GlobalRouter(design, config)
+            shared = router.route_all(mls_nets=picked, previous=base)
             assert_matches_oracle(shared, router, stacks, f2f)
             for routing in (base, shared):
                 for tree in routing.trees.values():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mls import apply_mls_incremental, route_with_mls
-from repro.mls.oracle import candidate_nets, oracle_slack_labels
+from repro.mls.oracle import candidate_nets
 from repro.obs import metrics
 from repro.opt import insert_buffers
 from repro.route import GlobalRouter, RouteConfig
@@ -25,7 +25,8 @@ from repro.timing import IncrementalSta, run_sta
 from tests.conftest import build_small_design
 from tests.golden_util import assert_routing_identical
 from tests.test_timing_incremental import (assert_reports_identical,
-                                           build_small_a7)
+                                           build_small_a7,
+                                           probe_and_restore)
 
 
 def mls_subset(design, percent: int, seed: int) -> frozenset:
@@ -95,8 +96,8 @@ class TestPreviousKinds:
         design = build_small_design(hetero_tech, routed=False)
         router = GlobalRouter(design)
         previous = router.route_all()
-        oracle_slack_labels(design, router, previous,
-                            nets=candidate_nets(design)[:5])
+        probe_and_restore(router, previous, IncrementalSta(design),
+                          candidate_nets(design)[:5])
         assert not previous.eco_pending
         mls = mls_subset(design, 20, 3)
         got = GlobalRouter(design).route_all(mls_nets=mls,

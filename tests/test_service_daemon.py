@@ -366,12 +366,14 @@ class TestDedup:
 class TestCrashRecovery:
     def test_crashed_flow_leaves_no_flow_artifact(self, daemon,
                                                   monkeypatch):
-        import repro.service.stages as stages
+        import repro.core.flow as flow_mod
 
-        def exploding_run_flow(*args, **kwargs):
+        def exploding_route(*args, **kwargs):
             raise RuntimeError("simulated mid-flow crash")
 
-        monkeypatch.setattr(stages, "run_flow", exploding_run_flow)
+        # run_flow prepares first (storing every prepare artifact),
+        # then crashes in its baseline route.
+        monkeypatch.setattr(flow_mod, "route_with_mls", exploding_route)
         counters = _Counters()
         response = daemon.client().submit_flow(benchmark=BENCH,
                                                selector="none")

@@ -33,7 +33,7 @@ import types
 
 import pytest
 
-from repro.core.flow import FlowConfig, prepare_design, run_flow
+from repro.core.flow import FlowConfig, run_flow
 from repro.netlist.generators import (A7Config, MaeriConfig,
                                       generate_a7_dual_core,
                                       generate_maeri)
@@ -100,10 +100,8 @@ class TestColdWarmEquivalence:
         root = tmp_path / "store"
 
         # Plain cold path: no store anywhere near the flow.
-        design = prepare_design(factory, hetero_tech,
-                                SeedBundle(TEST_SEED), config)
         plain = run_flow(factory, hetero_tech, SeedBundle(TEST_SEED),
-                         config, design=design)
+                         config)
         golden = _digests(plain)
 
         # Store-backed cold run (fresh empty store).

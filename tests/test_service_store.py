@@ -34,7 +34,6 @@ from repro.core.flow import FlowConfig, TrainConfig
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.obs import metrics
 from repro.rng import SeedBundle
-from repro.route import RouteConfig
 from repro.service import (ArtifactCorruptError, ArtifactStore,
                            ContentKey, flow_key, prepare_key,
                            prepare_stage_keys, tech_digest)
@@ -98,13 +97,7 @@ _PERTURBATIONS = {
     "num_labeled": BASE_CONFIG.num_labeled + 1,
     "with_scan": True,
     "dft_strategy": "wire-based",
-    "dft_patterns": BASE_CONFIG.dft_patterns + 1,
-    "dft_max_faults": BASE_CONFIG.dft_max_faults + 1,
     "train": TrainConfig(dgi_epochs=TrainConfig().dgi_epochs + 1),
-    "route": RouteConfig(gcell_um=RouteConfig().gcell_um * 2),
-    "oracle_exact_slack": True,
-    "decision_threshold": BASE_CONFIG.decision_threshold + 0.1,
-    "gnn_refine_iters": BASE_CONFIG.gnn_refine_iters + 1,
     "pdn": False,
     "activity": BASE_CONFIG.activity + 0.01,
 }
@@ -161,19 +154,16 @@ class TestKeyDerivation:
                         changed).hexdigest != base.hexdigest
 
     @pytest.mark.parametrize(
-        "field_name", [f.name for f in dataclasses.fields(RouteConfig)])
-    def test_each_route_field_changes_key(self, tech, field_name):
-        """Every RouteConfig field can change the routes, so each one
-        must move the flow key."""
-        def bump(value):
-            if isinstance(value, tuple):
-                return tuple(bump(item) for item in value)
-            return value + 0.5
-
-        route = BASE_CONFIG.route
+        "field_name", [f.name for f in dataclasses.fields(TrainConfig)])
+    def test_each_train_field_changes_key(self, tech, field_name):
+        """Every TrainConfig field can change the trained selector, so
+        each one must move the flow key."""
+        train = BASE_CONFIG.train
+        value = getattr(train, field_name)
+        bumped = (not value) if isinstance(value, bool) else value + 1
         changed = dataclasses.replace(
-            BASE_CONFIG, route=dataclasses.replace(
-                route, **{field_name: bump(getattr(route, field_name))}))
+            BASE_CONFIG, train=dataclasses.replace(
+                train, **{field_name: bumped}))
         base = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
         assert flow_key(_maeri_factory, tech, _seeds(),
                         changed).hexdigest != base.hexdigest

@@ -74,12 +74,6 @@ class TestMetalStack:
         assert s16.layer("M6").r_per_um == pytest.approx(
             s28.layer("M6").r_per_um)
 
-    def test_via_path(self):
-        stack = default_stack(NODE_28NM, 6)
-        r, c = stack.stack_via_path(1, 6)
-        assert r == pytest.approx(5 * stack.via_r)
-        assert c == pytest.approx(5 * stack.via_c)
-
     def test_describe_span(self):
         stack = default_stack(NODE_28NM, 6)
         assert stack.describe_span(1, 4) == "M1-4"
@@ -91,13 +85,6 @@ class TestMetalStack:
             stack.layer("M9")
         with pytest.raises(TechError):
             stack.layer(0)
-
-    def test_wire_helpers(self):
-        layer = default_stack(NODE_28NM, 6).layer("M3")
-        assert layer.wire_resistance(10.0) == pytest.approx(
-            10.0 * layer.r_per_um)
-        assert layer.wire_capacitance(10.0) == pytest.approx(
-            10.0 * layer.c_per_um)
 
     def test_invalid_stack_depth(self):
         with pytest.raises(TechError):

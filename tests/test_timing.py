@@ -194,7 +194,9 @@ class TestWhatIf:
         routing = router.route_all()
         for net in list(d.netlist.signal_nets())[::17][:30]:
             delta = net_whatif_delta(d, router, routing, net)
-            assert delta.best_delta_ps() <= delta.worst_delta_ps() + 1e-9
+            best = delta.delta_driver_ps + min(
+                delta.delta_sink_ps.values(), default=0.0)
+            assert best <= delta.worst_delta_ps() + 1e-9
 
     def test_whatif_matches_full_sta_reroute(self, fresh_small_design):
         """Property: for a sampled net, the what-if delta equals the
@@ -224,7 +226,8 @@ class TestWhatIf:
                 if math.isinf(a_off) or math.isinf(a_on):
                     continue    # sink unreachable from any source
                 assert a_on - a_off == pytest.approx(
-                    delta.path_delta_ps(sink), abs=1e-6)
+                    delta.delta_driver_ps + delta.delta_sink_ps[sink],
+                    abs=1e-6)
             router.reroute_net(routing, net, mls=False)
 
 

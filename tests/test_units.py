@@ -6,32 +6,23 @@ from hypothesis import given, strategies as st
 from repro import units
 
 
-def test_distance_roundtrip():
-    assert units.mm_to_um(1.5) == 1500.0
-    assert units.um_to_mm(1500.0) == 1.5
-    assert units.um_to_m(1_000_000.0) == pytest.approx(1.0)
-
-
 def test_time_roundtrip():
-    assert units.ns_to_ps(2.5) == 2500.0
     assert units.ps_to_ns(2500.0) == 2.5
 
 
 def test_capacitance_roundtrip():
-    assert units.pf_to_ff(0.5) == 500.0
     assert units.ff_to_pf(500.0) == 0.5
 
 
 def test_frequency_period():
     assert units.mhz_to_period_ps(2500) == pytest.approx(400.0)
-    assert units.period_ps_to_mhz(400.0) == pytest.approx(2500.0)
 
 
 def test_frequency_rejects_nonpositive():
     with pytest.raises(ValueError):
         units.mhz_to_period_ps(0)
     with pytest.raises(ValueError):
-        units.period_ps_to_mhz(-1)
+        units.mhz_to_period_ps(-1)
 
 
 def test_rc_to_ps():
@@ -45,8 +36,8 @@ def test_rc_to_ps():
 @given(st.floats(min_value=1e-3, max_value=1e6,
                  allow_nan=False, allow_infinity=False))
 def test_frequency_period_inverse(mhz):
-    assert units.period_ps_to_mhz(
-        units.mhz_to_period_ps(mhz)) == pytest.approx(mhz, rel=1e-9)
+    assert 1e6 / units.mhz_to_period_ps(mhz) == pytest.approx(mhz,
+                                                              rel=1e-9)
 
 
 @given(st.floats(min_value=0, max_value=1e6),
