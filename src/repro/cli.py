@@ -174,11 +174,8 @@ def _run_flow(args, spec=None):
     if args.store:
         from repro.service.store import ArtifactStore
         store = ArtifactStore(args.store)
-    report = run_benchmark_flow(spec, args.selector, seed=args.seed,
-                                store=store)
-    if store is not None:
-        store.flush()           # persist batched recency updates
-    return report
+    return run_benchmark_flow(spec, args.selector, seed=args.seed,
+                              store=store)
 
 
 def _cmd_flow(args) -> int:
@@ -245,7 +242,6 @@ def _service_start(args) -> int:
         socket_path=args.socket,
         store_root=args.store or DEFAULT_STORE,
         budget_bytes=args.budget_mb * (1 << 20),
-        flow_workers=args.flow_workers,
     )
     if args.detach:
         import subprocess
@@ -254,20 +250,24 @@ def _service_start(args) -> int:
                 "--socket", config.socket_path,
                 "--store", config.store_root,
                 "--budget-mb", str(args.budget_mb),
-                "--flow-workers", str(args.flow_workers),
                 "--log-level", args.log_level]
+        # The daemon child owns the trace and metrics files; the
+        # parent must not clobber them with its own (empty) buffers.
         if args.trace:
             argv += ["--trace", args.trace]
             if args.trace_max_mb:
                 argv += ["--trace-max-mb", str(args.trace_max_mb)]
-            # The daemon child owns the trace file; the parent must
-            # not clobber it with its own (empty) buffer at exit.
             args.trace = None
+        if args.metrics:
+            argv += ["--metrics", args.metrics]
+            args.metrics = None
         log_dir = Path(config.store_root)
         log_dir.mkdir(parents=True, exist_ok=True)
-        log_file = open(log_dir / "daemon.log", "ab")
-        proc = subprocess.Popen(argv, stdout=log_file, stderr=log_file,
-                                start_new_session=True)
+        # The child inherits its own copy of the log descriptor.
+        with open(log_dir / "daemon.log", "ab") as log_file:
+            proc = subprocess.Popen(argv, stdout=log_file,
+                                    stderr=log_file,
+                                    start_new_session=True)
         wait_for_service(config.socket_path, timeout=120.0)
         log.info(f"service started: pid {proc.pid}, "
                  f"socket {config.socket_path}, "
@@ -312,8 +312,7 @@ def _service_status(args) -> int:
     log.info(f"service pid {response['pid']} on {response['socket']} "
              f"(uptime {response['uptime_s']:.0f}s)")
     log.info(f"  queue depth {response['queue_depth']}, "
-             f"inflight {response['inflight']}, "
-             f"flow workers {response['flow_workers']}")
+             f"inflight {response['inflight']}")
     for req in response.get("inflight_requests", []):
         log.info(f"  inflight {req['id']}: {req['benchmark']}/"
                  f"{req['selector']} (age {req['age_s']:.1f}s, "
@@ -478,8 +477,6 @@ def main(argv: list[str] | None = None) -> int:
                               f"(default: {DEFAULT_STORE})")
     s_start.add_argument("--budget-mb", type=_positive_int, default=2048,
                          help="store size budget in MB (LRU eviction)")
-    s_start.add_argument("--flow-workers", type=_positive_int, default=1,
-                         help="concurrent flow executions")
     s_start.add_argument("--detach", action="store_true",
                          help="fork into the background and return "
                               "once the socket answers")
@@ -587,9 +584,10 @@ def main(argv: list[str] | None = None) -> int:
             and args.service_command == "start"))
     if (args.command == "service" and args.service_command == "start"
             and args.detach):
-        # The forked daemon owns the trace file (_service_start
-        # forwards the flags and clears args.trace); the parent must
-        # not open, truncate, or write it.
+        # The forked daemon owns the trace and metrics files
+        # (_service_start forwards the flags and clears args.trace and
+        # args.metrics); the parent must not open, truncate, or write
+        # them.
         streaming = False
     elif args.trace:
         trace.enable()

@@ -106,8 +106,10 @@ class MetricsRegistry:
 
     def write_json(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=2, sort_keys=True,
-                      default=str)
+            # Not sort_keys: histogram bucket labels must stay in bound
+            # order ("0.5" sorts before "3.0517578125e-05"), and the
+            # snapshot already orders every name-keyed section.
+            json.dump(self.snapshot(), fh, indent=2, default=str)
             fh.write("\n")
 
 

@@ -17,9 +17,9 @@ accumulate as flat dict records that serialize to
 Span ids are ``"<pid>-<seq>"``, so traces from different processes
 and runs never collide and stay diffable.
 
-The span *stack* is per-thread (``threading.local``): concurrent
-flows in one process — e.g. the service daemon's ``flow_workers``
-executor threads — each nest under their own roots instead of
+The span *stack* is per-thread (``threading.local``): spans opened
+on different threads — e.g. the service daemon's event loop and its
+flow thread — each nest under their own roots instead of
 interleaving onto one shared stack.  The record buffer stays
 process-wide (list appends are atomic under the GIL), so one
 ``write_jsonl`` still serializes every thread's spans.

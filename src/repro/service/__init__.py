@@ -6,11 +6,13 @@ preparation (and whole flow runs) durable and shareable:
 * :mod:`repro.service.keys`   — canonical content-hash keys, the single
   definition of "same run" used by every cache in the repo;
 * :mod:`repro.service.store`  — the on-disk artifact store (atomic
-  writes, checksummed blobs, LRU size budget);
+  writes, checksummed blobs, an LRU size budget kept by file mtimes;
+  the object tree is its only index);
 * :mod:`repro.service.stages` — store-backed prepare/flow execution,
   provably bit-identical to the cold path;
 * :mod:`repro.service.daemon` — the asyncio unix-socket job server
-  (FIFO queue, request dedup, per-request obs traces);
+  (each request resolved once, then dedup, a FIFO queue and one flow
+  thread, per-request obs traces);
 * :mod:`repro.service.client` — the blocking client the CLI verbs use.
 
 ``daemon``/``client``/``stages`` import flow machinery and are loaded

@@ -15,10 +15,7 @@ per line in both directions; ops:
 ``flow``      run (or replay) one benchmark flow; responds with the
               table row, the report digest, timing breakdown and —
               on request — the on-disk paths of the pickled
-              :class:`FlowReport` artifacts.  A request with an
-              unknown or mistyped field (see
-              :func:`_check_flow_request`) is refused before dedup or
-              queueing;
+              :class:`FlowReport` artifacts;
 ``shutdown``  drain nothing, stop now (the store is crash-safe:
               every artifact write is atomic).
 
@@ -26,14 +23,20 @@ Every line gets one answer: a line that is not JSON, not a JSON object
 or longer than the stream limit gets ``{"ok": false, "error": ...}``,
 counts in ``service.errors``, and the connection keeps serving.
 
-Scheduling is FIFO over an :class:`asyncio.Queue` with *flow_workers*
-consumer tasks, each running the (numpy-heavy, GIL-releasing) flow in
-a thread executor so the event loop keeps accepting connections.
-**Identical concurrent requests are deduplicated**: the second
-arrival awaits the first one's future instead of enqueueing — N
-clients submitting the same cell of a sweep matrix cost one compute.
-Distinct requests proceed independently.  Completed results live in
-the store, so dedup only needs to cover the in-flight window.
+Each ``flow`` request is resolved once, in the event loop, into its
+``(spec, FlowConfig, seeds)`` by :func:`build_flow_config`.  A request
+with an unknown or mistyped field, or a value no flow can run (an
+unknown benchmark, selector or DFT strategy, DFT without scan), is
+refused there, before dedup or queueing, so it never waits behind a
+running job.  Resolved flows queue FIFO on an :class:`asyncio.Queue`
+and run one at a time on one flow thread, so the event loop keeps
+accepting connections.  **Identical concurrent requests are
+deduplicated** on the resolved flow — benchmark, seed, ``FlowConfig``
+and ``save_report``, not the request's spelling: the second arrival
+awaits the first one's future instead of enqueueing, so N clients
+submitting the same cell of a sweep matrix cost one compute.  Distinct
+requests proceed independently.  Completed results live in the store,
+so dedup only needs to cover the in-flight window.
 
 Every request runs under a ``service.request`` span and feeds the
 process-wide :mod:`repro.obs` metrics (``service.requests``,
@@ -46,15 +49,12 @@ exactly this surface.  Telemetry additions on top of that:
   per-op ``service.latency_s.<op>``) fixed-bucket **histograms**,
   exported by the ``metrics`` op;
 * flow requests get a daemon-unique **request id** (``req-<seq>``)
-  that is pinned onto the tracer for the job's executor thread, so
-  every span the job emits carries ``req=<id>`` and traces group by
+  that is pinned onto the tracer for the job's flow thread, so every
+  span the job emits carries ``req=<id>`` and traces group by
   request;
 * the **flight recorder** is armed for the daemon's lifetime: a
   bounded ring of recent spans dumped to ``<store_root>/flight/`` on
   unhandled exceptions, failed flow jobs, or ``SIGUSR1``.
-
-Tracing note: the span stack is process-global, so per-request traces
-are only well-nested with ``flow_workers=1`` (the default).
 """
 
 from __future__ import annotations
@@ -80,21 +80,16 @@ log = get_logger("repro.service.daemon")
 #: ``health``/``metrics`` ops, request ids and latency histograms.  3
 #: removed the ``workers`` request field (the flow runs in one
 #: process), so a request that still carries it is refused as an
-#: unknown field.
-PROTOCOL_VERSION = 3
-
-#: Fields of a ``flow`` request that identify the computation.  This
-#: tuple is the *dedup* key (request-level, cheap to derive in the
-#: event loop); content-level equivalence across differently-phrased
-#: requests is still caught by the store's content keys.
-_FLOW_REQUEST_FIELDS = ("benchmark", "selector", "seed", "with_scan",
-                        "dft_strategy", "freq_mhz")
+#: unknown field.  4 runs flows on one thread, so the ``status``
+#: reply no longer reports a worker count.
+PROTOCOL_VERSION = 4
 
 #: Every field a ``flow`` request may carry; anything else is refused
 #: rather than silently dropped (a typo or a stale client's knob would
 #: otherwise run — and cache — a different flow than the one asked for).
-_FLOW_REQUEST_ALLOWED = frozenset(("op", "save_report")
-                                  + _FLOW_REQUEST_FIELDS)
+_FLOW_REQUEST_ALLOWED = frozenset((
+    "op", "benchmark", "selector", "seed", "with_scan", "dft_strategy",
+    "freq_mhz", "save_report"))
 
 
 @dataclass(frozen=True)
@@ -104,17 +99,10 @@ class ServiceConfig:
     socket_path: str
     store_root: str
     budget_bytes: int = DEFAULT_BUDGET_BYTES
-    #: Concurrent flow executions.  1 keeps traces well-nested and
-    #: benchmark wall-clocks honest; raise it for throughput.
-    flow_workers: int = 1
 
 
 class ServiceError(FlowError):
     """Daemon-level failure (bad request, socket in use...)."""
-
-
-def _flow_dedup_key(request: dict) -> tuple:
-    return tuple(request.get(f) for f in _FLOW_REQUEST_FIELDS)
 
 
 def _typed(value, kinds) -> bool:
@@ -188,7 +176,12 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
 
 
 def build_flow_config(request: dict):
-    """(spec, FlowConfig, SeedBundle) for one ``flow`` request."""
+    """(spec, FlowConfig, SeedBundle) for one ``flow`` request.
+
+    Raises :class:`ServiceError` naming a mistyped or unknown field
+    (:func:`_check_flow_request`) and :class:`FlowError` naming a value
+    no flow can run: an unknown benchmark, selector or DFT strategy,
+    or DFT without scan."""
     from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,
                                        get_benchmark)
 
@@ -216,14 +209,13 @@ class FlowService:
         self.store = ArtifactStore(config.store_root,
                                    budget_bytes=config.budget_bytes)
         self._queue: asyncio.Queue = asyncio.Queue()
-        self._inflight: dict[tuple, asyncio.Future] = {}
-        #: Request-id bookkeeping mirroring ``_inflight``: key ->
-        #: {"id", "benchmark", "selector", "since_s", "waiters"}.
-        self._inflight_info: dict[tuple, dict] = {}
+        #: Resolved flow -> its job: {"id", "future", "benchmark",
+        #: "selector", "since_s", "waiters"}.
+        self._inflight: dict[tuple, dict] = {}
         self._req_seq = 0
+        #: The one flow thread.
         self._executor = ThreadPoolExecutor(
-            max_workers=config.flow_workers,
-            thread_name_prefix="repro-flow")
+            max_workers=1, thread_name_prefix="repro-flow")
         self._stop = asyncio.Event()
         self._started_at = time.time()
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -237,25 +229,21 @@ class FlowService:
         await self._claim_socket(path)
         server = await asyncio.start_unix_server(self._handle_conn,
                                                  path=str(path))
-        workers = [asyncio.create_task(self._worker())
-                   for _ in range(self.config.flow_workers)]
+        worker = asyncio.create_task(self._worker())
         # Crash forensics for the daemon's whole lifetime: recent spans
         # ring-buffered, dumped on SIGUSR1 / unhandled exceptions /
         # failed flow jobs.
         flight.arm(Path(self.store.root) / "flight",
                    install_signal=True, install_excepthook=True)
         log.info(f"repro service listening on {path} "
-                 f"(store: {self.store.root}, "
-                 f"workers: {self.config.flow_workers})")
+                 f"(store: {self.store.root})")
         try:
             await self._stop.wait()
         finally:
             server.close()
             await server.wait_closed()
-            for task in workers:
-                task.cancel()
+            worker.cancel()
             self._executor.shutdown(wait=False, cancel_futures=True)
-            self.store.flush()
             flight.disarm()
             path.unlink(missing_ok=True)
             log.info("repro service stopped")
@@ -355,15 +343,14 @@ class FlowService:
             "queue_depth": self._queue.qsize(),
             "inflight": len(self._inflight),
             "inflight_requests": [
-                {"id": info["id"], "benchmark": info["benchmark"],
-                 "selector": info["selector"],
-                 "age_s": time.time() - info["since_s"],
-                 "waiters": info["waiters"]}
-                for info in self._inflight_info.values()],
+                {"id": job["id"], "benchmark": job["benchmark"],
+                 "selector": job["selector"],
+                 "age_s": time.time() - job["since_s"],
+                 "waiters": job["waiters"]}
+                for job in self._inflight.values()],
             "flight": {"armed": flight.armed,
                        "dumps": flight.dumps_written,
                        "dir": str(flight.directory or "")},
-            "flow_workers": self.config.flow_workers,
             "store": self.store.stats(),
             "metrics": metrics.snapshot(),
         }
@@ -371,79 +358,70 @@ class FlowService:
     # -- the flow op ---------------------------------------------------------
 
     async def _op_flow(self, request: dict) -> dict:
-        _check_flow_request(request)
-        key = _flow_dedup_key(request)
+        spec, config, seeds = build_flow_config(request)
+        save_report = bool(request.get("save_report"))
+        # Dedup on the inputs of the flow's content key, not on the
+        # request's spelling: a defaulted and an explicit field are
+        # one flow.
+        key = (spec.key, seeds.seed, config, save_report)
         t0 = time.perf_counter()
-        future = self._inflight.get(key)
-        if future is not None:
+        job = self._inflight.get(key)
+        deduped = job is not None
+        if deduped:
             metrics.inc("service.dedup_hits")
-            info = self._inflight_info.get(key)
-            if info is not None:
-                info["waiters"] += 1
-            request_id = info["id"] if info else None
-            deduped = True
+            job["waiters"] += 1
         else:
-            deduped = False
             self._req_seq += 1
-            request_id = f"req-{self._req_seq}"
-            future = self._loop.create_future()
-            self._inflight[key] = future
-            self._inflight_info[key] = {
-                "id": request_id, "since_s": time.time(), "waiters": 1,
-                "benchmark": request.get("benchmark", "maeri16_hetero"),
-                "selector": request.get("selector", "gnn")}
+            job = self._inflight[key] = {
+                "id": f"req-{self._req_seq}",
+                "future": self._loop.create_future(),
+                "benchmark": spec.key, "selector": config.selector,
+                "since_s": time.time(), "waiters": 1}
             metrics.set_gauge("service.inflight", len(self._inflight))
-            await self._queue.put((key, request, future, request_id))
+            await self._queue.put((key, (spec, config, seeds,
+                                         save_report)))
             metrics.set_gauge("service.queue_depth", self._queue.qsize())
         try:
-            response = dict(await asyncio.shield(future))
+            response = dict(await asyncio.shield(job["future"]))
         except asyncio.CancelledError:
             raise
         except Exception as exc:
             metrics.inc("service.errors")
             return {"ok": False, "error": repr(exc),
-                    "request_id": request_id}
+                    "request_id": job["id"]}
         response["deduped"] = deduped
-        response["request_id"] = request_id
+        response["request_id"] = job["id"]
         response["wait_s"] = time.perf_counter() - t0
         metrics.add_time("service.request_wait_s",
                          time.perf_counter() - t0)
         return response
 
-    def _finish_inflight(self, key: tuple) -> None:
-        self._inflight.pop(key, None)
-        self._inflight_info.pop(key, None)
-        metrics.set_gauge("service.inflight", len(self._inflight))
-
     async def _worker(self) -> None:
         while True:
-            key, request, future, request_id = await self._queue.get()
+            key, flow = await self._queue.get()
+            job = self._inflight[key]
             try:
                 result = await self._loop.run_in_executor(
-                    self._executor, self._run_flow_job, request,
-                    request_id)
+                    self._executor, self._run_flow_job, *flow, job["id"])
             except Exception as exc:           # surfaced per-awaiter
-                self._finish_inflight(key)
-                if not future.done():
-                    future.set_exception(exc)
-                continue
+                job["future"].set_exception(exc)
+            else:
+                job["future"].set_result(result)
             finally:
+                del self._inflight[key]
+                metrics.set_gauge("service.inflight", len(self._inflight))
                 self._queue.task_done()
                 metrics.set_gauge("service.queue_depth",
                                   self._queue.qsize())
-            self._finish_inflight(key)
-            if not future.done():
-                future.set_result(result)
 
-    def _run_flow_job(self, request: dict,
-                      request_id: str | None = None) -> dict:
-        """Executor-thread body: store lookup or full flow compute."""
+    def _run_flow_job(self, spec, config, seeds, save_report: bool,
+                      request_id: str) -> dict:
+        """Flow-thread body: store lookup or full flow compute of one
+        resolved request."""
         from repro.service.stages import (flow_artifact_paths,
                                           run_flow_stored)
-        spec, config, seeds = build_flow_config(request)
-        want_report = bool(request.get("save_report", False))
-        # Pin the request id on this executor thread: every span the
-        # job emits carries req=<id>, so traces group by request.
+        # Pin the request id on the flow thread: every span the job
+        # emits carries req=<id>, so traces group by request.
         trace.set_request(request_id)
         try:
             with trace.span("service.request", op="flow",
@@ -452,11 +430,10 @@ class FlowService:
                 t0 = time.perf_counter()
                 report, summary, cached = run_flow_stored(
                     spec.factory, spec.tech(), seeds, config, self.store,
-                    need_report=want_report)
+                    need_report=save_report)
                 elapsed = time.perf_counter() - t0
         except Exception as exc:
-            flight.record_note("flow job failed",
-                               request_id=request_id or "",
+            flight.record_note("flow job failed", request_id=request_id,
                                benchmark=spec.key)
             flight.crash_dump("service.flow", exc)
             raise
@@ -465,7 +442,7 @@ class FlowService:
         metrics.add_time("service.flow_serve_s", elapsed)
         metrics.observe_hist("service.flow_serve_s", elapsed)
         flight.record_sample("service.flow_serve_s", elapsed,
-                             request_id=request_id or "",
+                             request_id=request_id,
                              benchmark=spec.key, cached=cached)
         response = {
             "ok": True,
@@ -479,7 +456,7 @@ class FlowService:
             "runtime_s": summary["runtime_s"],
             "stage_runtime_s": summary["stage_runtime_s"],
         }
-        if want_report:
+        if save_report:
             response["artifacts"] = flow_artifact_paths(
                 spec.factory, spec.tech(), seeds, config, self.store)
         return response

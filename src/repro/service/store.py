@@ -3,7 +3,6 @@
 Layout under one root directory::
 
     <root>/objects/<aa>/<kind>-<sha256>.bin    artifact blobs
-    <root>/index.json                          schema + LRU bookkeeping
     <root>/tmp/                                staging for atomic writes
 
 Each blob is a small header — magic, SHA-256 of the compressed
@@ -18,53 +17,40 @@ file is unlinked, never served.  A payload that passes its checksum
 but no longer unpickles (its pickle names a class this code no longer
 has) is a miss the same way, so the caller recomputes it.
 
-The index tracks a monotone access sequence per entry; when the byte
-budget overflows, least-recently-used artifacts are evicted.  A
-missing, unreadable or schema-mismatched index is rebuilt by scanning
-``objects/`` (artifacts are self-describing by filename).
+The file tree is the only index.  A blob's size is its ``st_size`` and
+its recency is its mtime: every put and every hit sets the mtime to
+``time.time_ns()`` (explicitly, because back-to-back puts can share one
+kernel file timestamp).  After a put, one scan of ``objects/`` sums the
+sizes; only when the sum is over the byte budget are the blobs sorted
+by (mtime, path) and the least recently used unlinked, never the one
+just written.  No bookkeeping lives in memory or in a side file, so
+every handle, thread and process sharing a root (a CLI ``--store`` run
+next to a live daemon) sees the same store without a lock: a stat or
+unlink that finds a blob already gone (another process evicted it)
+skips that blob.  Blob IO, checksumming and (un)pickling run in the
+calling thread with nothing held.
 
 Keys whose inputs could not be content-fingerprinted
 (``ContentKey.stable == False``) are refused on both paths — an
 identity-keyed artifact served to another process would be a lie.
-
-Concurrency model: a process-local re-entrant lock guards index
-mutation only — blob IO, checksumming and (un)pickling run outside it,
-so daemon executor threads don't serialize on multi-MB payloads.
-Recency touches are batched (flushed on put/eviction/corruption and
-every :data:`TOUCH_FLUSH_INTERVAL` reads) instead of rewriting the
-index per ``get``.  Across processes, every index write happens under
-an advisory ``flock`` on ``index.lock`` and *merges* the on-disk view
-first (adopting other writers' entries, dropping ones whose blobs were
-evicted), so a CLI ``--store`` run and a live daemon sharing one root
-cannot clobber each other's bookkeeping.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import os
 import struct
+import time
 import zlib
-from contextlib import contextmanager
 from pathlib import Path
-from threading import RLock
 from typing import Any, Optional
-
-try:
-    import fcntl
-except ImportError:              # pragma: no cover - non-POSIX
-    fcntl = None
 
 from repro.obs import get_logger, metrics, trace
 from repro.service.keys import ContentKey
 from repro.snapshot import dumps_snapshot, loads_snapshot
 
 log = get_logger("repro.service.store")
-
-#: Artifact-container format version (pickled payload framing).
-STORE_SCHEMA_VERSION = 1
 
 #: Blob header: magic, sha256(compressed payload), payload byte length.
 _MAGIC = b"RPRART01"
@@ -77,12 +63,6 @@ DEFAULT_BUDGET_BYTES = 2 << 30
 #: zlib level: decompression speed is what warm paths pay; 6 buys
 #: little over 3 here and costs 3x the compress time on 17 MB reports.
 COMPRESS_LEVEL = 3
-
-#: Recency touches accumulated before the index is persisted on a
-#: read-only path (puts/evictions flush immediately).  Losing up to
-#: this many LRU-order updates in a crash only skews eviction order,
-#: never correctness — blobs are self-validating.
-TOUCH_FLUSH_INTERVAL = 64
 
 _tmp_counter = itertools.count()
 
@@ -129,6 +109,16 @@ def read_artifact(path: str | Path) -> Any:
     return read_artifact_bytes(Path(path).read_bytes())
 
 
+def _touch(path: str | Path) -> bool:
+    """Mark *path* most recently used; False when it is gone."""
+    now = time.time_ns()
+    try:
+        os.utime(path, ns=(now, now))
+    except FileNotFoundError:
+        return False
+    return True
+
+
 class ArtifactStore:
     """Content-addressed persistent cache; see the module docstring."""
 
@@ -136,133 +126,15 @@ class ArtifactStore:
                  budget_bytes: int = DEFAULT_BUDGET_BYTES):
         self.root = Path(root)
         self.budget_bytes = int(budget_bytes)
-        self._lock = RLock()
         self._objects = self.root / "objects"
         self._tmp = self.root / "tmp"
-        self._index_path = self.root / "index.json"
-        self._index_lock_path = self.root / "index.lock"
         self._objects.mkdir(parents=True, exist_ok=True)
         self._tmp.mkdir(parents=True, exist_ok=True)
-        #: hexdigest -> {"kind", "size", "seq"}
-        self._entries: dict[str, dict] = {}
-        self._seq = 0
-        self._dirty = False
-        self._touches_since_flush = 0
-        self._load_index()
-
-    # -- index ---------------------------------------------------------------
-
-    def _load_index(self) -> None:
-        try:
-            data = json.loads(self._index_path.read_text())
-            if data.get("schema") != STORE_SCHEMA_VERSION:
-                raise ValueError(f"index schema {data.get('schema')!r}")
-            self._entries = dict(data["entries"])
-            self._seq = max((e["seq"] for e in self._entries.values()),
-                            default=0)
-        except FileNotFoundError:
-            self._rebuild_index(reason=None)
-        except (ValueError, KeyError, TypeError, OSError) as exc:
-            self._rebuild_index(reason=repr(exc))
-
-    def _rebuild_index(self, reason: str | None) -> None:
-        """Reconstruct bookkeeping by scanning ``objects/``."""
-        if reason is not None:
-            metrics.inc("store.index_rebuilds")
-            log.warning(f"artifact index unusable ({reason}); "
-                        f"rebuilding from object scan")
-        self._entries = {}
-        self._seq = 0
-        for path in sorted(self._objects.glob("*/*.bin")):
-            kind, _, hexdigest = path.stem.rpartition("-")
-            if not kind or not hexdigest:
-                continue
-            self._entries[hexdigest] = {
-                "kind": kind, "size": path.stat().st_size, "seq": 0}
-        if self._entries or reason is not None:
-            with self._ipc_lock():
-                self._save_index()
-        self._dirty = False
-        self._touches_since_flush = 0
-
-    @contextmanager
-    def _ipc_lock(self):
-        """Advisory inter-process lock serializing index writes.
-
-        Blobs are content-addressed and written atomically, so only
-        the index read-modify-write needs cross-process exclusion;
-        without it two processes sharing one root (a CLI ``--store``
-        run next to a live daemon) would last-writer-win each other's
-        size/recency bookkeeping.
-        """
-        if fcntl is None:        # pragma: no cover - non-POSIX
-            yield
-            return
-        fd = os.open(self._index_lock_path,
-                     os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            fcntl.flock(fd, fcntl.LOCK_EX)
-            yield
-        finally:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-            os.close(fd)
-
-    def _flush_index(self) -> None:
-        """Persist bookkeeping (caller holds the process lock): merge
-        concurrent writers' on-disk view, then write atomically."""
-        with self._ipc_lock():
-            self._merge_index_from_disk()
-            self._save_index()
-        self._dirty = False
-        self._touches_since_flush = 0
-
-    def _merge_index_from_disk(self) -> None:
-        """Fold another process's index state into ours (under the
-        inter-process lock).  Entries only they know are adopted when
-        the blob still exists; entries only we know are kept unless
-        their blob is gone (the other side evicted it); shared entries
-        take the freshest access sequence."""
-        try:
-            data = json.loads(self._index_path.read_text())
-            if data.get("schema") != STORE_SCHEMA_VERSION:
-                return
-            disk = dict(data["entries"])
-        except (FileNotFoundError, ValueError, KeyError,
-                TypeError, OSError):
-            return
-        for hexdigest, entry in disk.items():
-            ours = self._entries.get(hexdigest)
-            if ours is None:
-                if self._blob_path(hexdigest, entry["kind"]).exists():
-                    self._entries[hexdigest] = dict(entry)
-            else:
-                ours["seq"] = max(ours["seq"], entry.get("seq", 0))
-        for hexdigest in [h for h in self._entries if h not in disk]:
-            entry = self._entries[hexdigest]
-            if not self._blob_path(hexdigest, entry["kind"]).exists():
-                del self._entries[hexdigest]
-        self._seq = max([self._seq] + [e.get("seq", 0)
-                                       for e in self._entries.values()])
-
-    def _save_index(self) -> None:
-        blob = json.dumps({"schema": STORE_SCHEMA_VERSION,
-                           "entries": self._entries},
-                          sort_keys=True).encode("utf-8")
-        tmp = self._tmp / f"index-{os.getpid()}-{next(_tmp_counter)}"
-        try:
-            tmp.write_bytes(blob)
-            os.replace(tmp, self._index_path)
-        finally:
-            tmp.unlink(missing_ok=True)
-
-    # -- paths ---------------------------------------------------------------
 
     def object_path(self, key: ContentKey) -> Path:
         """Where *key*'s blob lives (exists only after a put)."""
-        return self._blob_path(key.hexdigest, key.kind)
-
-    def _blob_path(self, hexdigest: str, kind: str) -> Path:
-        return self._objects / hexdigest[:2] / f"{kind}-{hexdigest}.bin"
+        return (self._objects / key.hexdigest[:2]
+                / f"{key.kind}-{key.hexdigest}.bin")
 
     # -- operations ----------------------------------------------------------
 
@@ -278,9 +150,6 @@ class ArtifactStore:
             metrics.inc("store.misses")
             metrics.inc(f"store.misses.{key.kind}")
             return None
-        # Validation + unpickling run lock-free: the blob bytes are in
-        # hand and immutable, so concurrent readers never serialize on
-        # multi-MB payload work.
         with trace.span("store.get", kind=key.kind, key=key.short):
             try:
                 obj = read_artifact_bytes(blob)
@@ -289,29 +158,15 @@ class ArtifactStore:
                 log.warning(f"corrupt artifact {key}: {exc}; "
                             f"dropping and treating as a miss")
                 path.unlink(missing_ok=True)
-                with self._lock:
-                    self._entries.pop(key.hexdigest, None)
-                    self._flush_index()
                 metrics.inc("store.misses")
                 metrics.inc(f"store.misses.{key.kind}")
                 return None
-        with self._lock:
-            self._touch(key, len(blob))
+        # The bytes are in hand: a blob evicted since the read is
+        # still a hit.
+        _touch(path)
         metrics.inc("store.hits")
         metrics.inc(f"store.hits.{key.kind}")
         return obj
-
-    def _touch(self, key: ContentKey, size: int) -> None:
-        """Refresh recency (caller holds the lock); persistence is
-        batched — see :data:`TOUCH_FLUSH_INTERVAL`."""
-        self._seq += 1
-        entry = self._entries.setdefault(
-            key.hexdigest, {"kind": key.kind, "size": size, "seq": 0})
-        entry["seq"] = self._seq
-        self._dirty = True
-        self._touches_since_flush += 1
-        if self._touches_since_flush >= TOUCH_FLUSH_INTERVAL:
-            self._flush_index()
 
     def put(self, key: ContentKey, obj: Any) -> bool:
         """Persist *obj* under *key* atomically; False when refused."""
@@ -319,15 +174,12 @@ class ArtifactStore:
             metrics.inc("store.unstable_key_skips")
             return False
         path = self.object_path(key)
-        if path.exists():
+        if _touch(path):
             # Content-addressed: an existing blob is the same bytes;
-            # just refresh recency.
-            with self._lock:
-                self._touch(key, path.stat().st_size)
+            # refreshing its recency is the whole put.
             return True
-        # Pickle + compress + write outside the lock; os.replace makes
-        # the publish atomic even if another thread races the same key
-        # (same content either way).
+        # os.replace makes the publish atomic even if another thread
+        # or process races the same key (same content either way).
         with trace.span("store.put", kind=key.kind, key=key.short):
             blob = write_artifact_bytes(obj)
             tmp = self._tmp / (f"put-{os.getpid()}"
@@ -341,34 +193,54 @@ class ArtifactStore:
                 os.replace(tmp, path)
             finally:
                 tmp.unlink(missing_ok=True)
-        with self._lock:
-            self._touch(key, len(blob))
-            self._evict(keep=key.hexdigest)
-            self._flush_index()
-            total = self.total_bytes()
+        _touch(path)
+        total = self._evict(keep=str(path))
         metrics.inc("store.puts")
         metrics.inc(f"store.puts.{key.kind}")
         metrics.set_gauge("store.bytes", total)
         return True
 
-    def _evict(self, keep: str) -> None:
-        """Drop least-recently-used entries until under budget (caller
-        holds the lock and flushes the index afterwards)."""
-        while self.total_bytes() > self.budget_bytes:
-            victims = sorted(
-                (entry["seq"], hexdigest)
-                for hexdigest, entry in self._entries.items()
-                if hexdigest != keep)
-            if not victims:
+    def _scan(self) -> list[tuple[int, str, int]]:
+        """``(mtime_ns, path, size)`` of every blob, in no order."""
+        blobs = []
+        with os.scandir(self._objects) as shards:
+            for shard in shards:
+                if not shard.is_dir():
+                    continue
+                with os.scandir(shard.path) as entries:
+                    for entry in entries:
+                        if not entry.name.endswith(".bin"):
+                            continue
+                        try:
+                            st = entry.stat()
+                        except FileNotFoundError:   # evicted meanwhile
+                            continue
+                        blobs.append((st.st_mtime_ns, entry.path,
+                                      st.st_size))
+        return blobs
+
+    def _evict(self, keep: str) -> int:
+        """Unlink least-recently-used blobs, never *keep*, until the
+        store fits its budget; the bytes left on disk."""
+        blobs = self._scan()
+        total = sum(size for _, _, size in blobs)
+        if total <= self.budget_bytes:
+            return total
+        for _, path, size in sorted(blobs):
+            if total <= self.budget_bytes:
                 break
-            _, hexdigest = victims[0]
-            entry = self._entries.pop(hexdigest)
-            self._blob_path(hexdigest, entry["kind"]).unlink(
-                missing_ok=True)
-            metrics.inc("store.evictions")
-            log.debug(f"evicted {entry['kind']}:{hexdigest[:12]} "
-                      f"({entry['size']} bytes)")
-            self._dirty = True
+            if path == keep:
+                continue
+            try:
+                os.unlink(path)
+            except FileNotFoundError:    # another process evicted it
+                pass
+            else:
+                metrics.inc("store.evictions")
+                log.debug(f"evicted {os.path.basename(path)} "
+                          f"({size} bytes)")
+            total -= size
+        return total
 
     # -- introspection -------------------------------------------------------
 
@@ -376,30 +248,22 @@ class ArtifactStore:
         return key.stable and self.object_path(key).exists()
 
     def total_bytes(self) -> int:
-        return sum(e["size"] for e in self._entries.values())
+        return sum(size for _, _, size in self._scan())
 
     def stats(self) -> dict:
-        with self._lock:
-            kinds: dict[str, int] = {}
-            for entry in self._entries.values():
-                kinds[entry["kind"]] = kinds.get(entry["kind"], 0) + 1
-            return {"root": str(self.root),
-                    "entries": len(self._entries),
-                    "bytes": self.total_bytes(),
-                    "budget_bytes": self.budget_bytes,
-                    "kinds": dict(sorted(kinds.items()))}
-
-    def flush(self) -> None:
-        """Persist any batched recency updates (daemon shutdown, end
-        of a CLI invocation)."""
-        with self._lock:
-            if self._dirty:
-                self._flush_index()
+        kinds: dict[str, int] = {}
+        total = 0
+        for _, path, size in self._scan():
+            kind = os.path.basename(path).rpartition("-")[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+            total += size
+        return {"root": str(self.root),
+                "entries": sum(kinds.values()),
+                "bytes": total,
+                "budget_bytes": self.budget_bytes,
+                "kinds": dict(sorted(kinds.items()))}
 
     def clear(self) -> None:
         """Drop every artifact (tests, ``service`` cache resets)."""
-        with self._lock:
-            for path in self._objects.glob("*/*.bin"):
-                path.unlink(missing_ok=True)
-            self._entries = {}
-            self._flush_index()
+        for path in self._objects.glob("*/*.bin"):
+            path.unlink(missing_ok=True)

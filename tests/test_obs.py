@@ -442,8 +442,11 @@ class TestHistogram:
         reg = MetricsRegistry()
         reg.observe_hist("lat_s", 0.25)
         reg.observe_hist("lat_s", 4.0)
+        # Below 1e-4 the bucket label takes an exponent, so sorting the
+        # labels as strings would put it after "0.25"'s bucket.
+        reg.observe_hist("lat_s", 2e-5)
         snap = reg.snapshot()["histograms"]["lat_s"]
-        assert snap["count"] == 2
+        assert snap["count"] == 3
         validate_histogram_snapshot(snap, "lat_s")
         path = tmp_path / "m.json"
         reg.write_json(path)

@@ -10,9 +10,10 @@ Contracts locked here:
 * N concurrent *identical* submissions run the flow exactly once —
   every arrival either joins the in-flight future (dedup) or replays
   the finished artifact, observable through the ``service.*`` metrics
-  the ``status`` op reports (at any ``flow_workers`` count);
+  the ``status`` op reports;
 * distinct requests are independent — two seeds, two computes, two
-  report digests;
+  report digests — and so are a ``save_report`` request and a plain
+  one of the same cell: the dedup key is the resolved flow;
 * a worker that crashes mid-flow surfaces the error to its waiters,
   leaves **no** flow artifact in the store (completed prepare-stage
   artifacts are fine — they are whole), clears the in-flight table,
@@ -20,7 +21,12 @@ Contracts locked here:
 * socket hygiene — a stale socket file is reclaimed, a live one
   refuses a second daemon;
 * a flow request with an unknown or mistyped field is refused with a
-  :class:`ServiceError` naming the field, before dedup or queueing;
+  :class:`ServiceError` naming the field, and one with a value no flow
+  can run (unknown benchmark, selector or DFT strategy, DFT without
+  scan) with an error naming the value — before dedup or queueing, so
+  neither waits behind a running job;
+* ``service start --detach`` hands its ``--trace`` and ``--metrics``
+  files to the daemon child;
 * every protocol line gets an answer: one that is not a JSON object,
   or is longer than the stream limit, gets an error reply and the
   connection keeps serving.
@@ -35,6 +41,7 @@ import shutil
 import socket
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -83,14 +90,13 @@ class _Daemon:
         return found
 
 
-def _start(tmp_path, flow_workers: int = 1) -> _Daemon:
+def _start(tmp_path) -> _Daemon:
     # Unix socket paths are length-limited (~104 bytes); pytest tmp
     # dirs can blow that, so sockets live in their own short dir.
     sockdir = tempfile.mkdtemp(prefix="rsvc-", dir="/tmp")
     store_root = str(tmp_path / "store")
     config = ServiceConfig(socket_path=os.path.join(sockdir, "s.sock"),
-                           store_root=store_root,
-                           flow_workers=flow_workers)
+                           store_root=store_root)
     handle = start_in_thread(config)
     return _Daemon(handle, config.socket_path, store_root)
 
@@ -102,6 +108,34 @@ def daemon(tmp_path):
     running.handle.stop()
     shutil.rmtree(os.path.dirname(running.socket_path),
                   ignore_errors=True)
+
+
+@pytest.fixture()
+def held_job(daemon, monkeypatch):
+    """A plain ``none`` flow held on the flow thread until the test
+    sets the yielded gate; yields ``(gate, responses)``, where
+    *responses* receives the held request's reply."""
+    import repro.service.stages as stages
+
+    real = stages.run_flow_stored
+    entered, gate = threading.Event(), threading.Event()
+
+    def gated(*args, **kwargs):
+        entered.set()
+        gate.wait(timeout=120)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(stages, "run_flow_stored", gated)
+    responses: list = []
+    submitter = threading.Thread(target=lambda: responses.append(
+        daemon.client().submit_flow(benchmark=BENCH, selector="none")))
+    submitter.start()
+    assert entered.wait(timeout=60)
+    try:
+        yield gate, responses
+    finally:
+        gate.set()
+        submitter.join(timeout=300)
 
 
 def _submit_many(daemon: _Daemon, payloads: list[dict]) -> list[dict]:
@@ -252,7 +286,6 @@ class TestProtocol:
         assert status["ok"]
         assert status["queue_depth"] == 0
         assert status["inflight"] == 0
-        assert status["flow_workers"] == 1
         assert status["store"]["entries"] == 0
         assert "service.requests" in status["metrics"]["counters"]
 
@@ -290,31 +323,81 @@ class TestProtocol:
         assert counters.delta("service.flow_computes") == 0
         assert client.status()["inflight"] == 0
 
+    def test_bad_values_refused_while_a_job_runs(self, daemon, held_job):
+        """Regression: an unknown benchmark, selector or DFT strategy,
+        or DFT without scan, was only resolved on the flow thread, so
+        the request waited behind the running job before it was
+        refused."""
+        gate, _ = held_job
+        counters = _Counters()
+        client = daemon.client(timeout=10.0)
+        for extra, named in [
+                ({"benchmark": "no_such_bench"}, "no_such_bench"),
+                ({"selector": "no_such_selector"}, "no_such_selector"),
+                ({"with_scan": True, "dft_strategy": "no-such-dft"},
+                 "no-such-dft"),
+                ({"dft_strategy": "wire-based"}, "with_scan")]:
+            response = client.submit_flow(
+                **{"benchmark": BENCH, "selector": "none", **extra})
+            assert not response["ok"]
+            assert named in response["error"]
+        assert not gate.is_set()
+        assert counters.delta("service.errors") == 4
+        assert counters.delta("service.flow_computes") == 0
+        assert client.status()["inflight"] == 1
+
 
 class TestDedup:
-    @pytest.mark.parametrize("flow_workers", [1, 3])
-    def test_identical_submissions_compute_once(self, tmp_path,
-                                                flow_workers):
-        daemon = _start(tmp_path, flow_workers=flow_workers)
-        try:
-            counters = _Counters()
-            n = 8
-            payload = dict(benchmark=BENCH, selector="none")
-            responses = _submit_many(daemon, [payload] * n)
-            assert all(r["ok"] for r in responses)
-            digests = {r["report_digest"] for r in responses}
-            assert len(digests) == 1
-            rows = [r["row"] for r in responses]
-            assert all(row == rows[0] for row in rows)
-            # The flow ran exactly once; every other arrival either
-            # joined the in-flight future or replayed the artifact.
-            assert counters.delta("service.flow_computes") == 1
-            assert counters.replays() == n - 1
-            status = daemon.client().status()
-            assert status["inflight"] == 0
-            assert status["queue_depth"] == 0
-        finally:
-            daemon.handle.stop()
+    @pytest.mark.parametrize("storms", [1, 3])
+    def test_identical_submissions_compute_once(self, daemon, storms):
+        """*storms* back-to-back storms of 8 identical submissions: the
+        first races the cold flow, later ones hit the warm store."""
+        counters = _Counters()
+        n = 8
+        payload = dict(benchmark=BENCH, selector="none")
+        responses = []
+        for _ in range(storms):
+            responses += _submit_many(daemon, [payload] * n)
+        assert all(r["ok"] for r in responses)
+        digests = {r["report_digest"] for r in responses}
+        assert len(digests) == 1
+        rows = [r["row"] for r in responses]
+        assert all(row == rows[0] for row in rows)
+        # The flow ran exactly once; every other arrival either
+        # joined the in-flight future or replayed the artifact.
+        assert counters.delta("service.flow_computes") == 1
+        assert counters.replays() == storms * n - 1
+        status = daemon.client().status()
+        assert status["inflight"] == 0
+        assert status["queue_depth"] == 0
+
+    def test_save_report_request_not_deduped_onto_plain_one(
+            self, daemon, held_job):
+        """Regression: the dedup key ignored ``save_report``, so a
+        ``save_report`` request that arrived while an identical plain
+        one ran joined it and came back without its artifact paths."""
+        gate, plain = held_job
+        saved: list = []
+        submitter = threading.Thread(target=lambda: saved.append(
+            daemon.client().submit_flow(benchmark=BENCH, selector="none",
+                                        save_report=True)))
+        submitter.start()
+        client = daemon.client()
+        for _ in range(600):            # until the daemon has it
+            waiting = sum(r["waiters"]
+                          for r in client.status()["inflight_requests"])
+            if waiting == 2:
+                break
+            time.sleep(0.05)
+        gate.set()
+        submitter.join(timeout=300)
+        assert plain[0]["ok"] and "artifacts" not in plain[0]
+        response = saved[0]
+        assert response["ok"] and not response["deduped"]
+        assert response["report_digest"] == plain[0]["report_digest"]
+        assert set(response["artifacts"]) == {"report", "summary"}
+        assert all(os.path.exists(path)
+                   for path in response["artifacts"].values())
 
     def test_distinct_requests_independent(self, daemon):
         counters = _Counters()
@@ -340,27 +423,24 @@ class TestDedup:
         assert counters.delta("service.flow_summary_hits") == 1
 
     @pytest.mark.slow
-    def test_mixed_storm_any_worker_count(self, tmp_path):
-        """16 mixed submissions, 4 workers: three distinct cells, each
-        computed exactly once, everything else deduped/replayed."""
-        daemon = _start(tmp_path, flow_workers=4)
-        try:
-            counters = _Counters()
-            cells = [dict(benchmark=BENCH, selector="none", seed=s)
-                     for s in (1, 2, 3)]
-            payloads = [cells[i % 3] for i in range(16)]
-            responses = _submit_many(daemon, payloads)
-            assert all(r["ok"] for r in responses)
-            assert counters.delta("service.flow_computes") == 3
-            assert counters.replays() == 16 - 3
-            by_seed = {}
-            for payload, response in zip(payloads, responses):
-                by_seed.setdefault(payload["seed"],
-                                   set()).add(response["report_digest"])
-            assert all(len(d) == 1 for d in by_seed.values())
-            assert len(set().union(*by_seed.values())) == 3
-        finally:
-            daemon.handle.stop()
+    def test_mixed_storm(self, daemon):
+        """16 mixed submissions on the one flow thread: three distinct
+        cells, each computed exactly once, everything else
+        deduped/replayed."""
+        counters = _Counters()
+        cells = [dict(benchmark=BENCH, selector="none", seed=s)
+                 for s in (1, 2, 3)]
+        payloads = [cells[i % 3] for i in range(16)]
+        responses = _submit_many(daemon, payloads)
+        assert all(r["ok"] for r in responses)
+        assert counters.delta("service.flow_computes") == 3
+        assert counters.replays() == 16 - 3
+        by_seed = {}
+        for payload, response in zip(payloads, responses):
+            by_seed.setdefault(payload["seed"],
+                               set()).add(response["report_digest"])
+        assert all(len(d) == 1 for d in by_seed.values())
+        assert len(set().union(*by_seed.values())) == 3
 
 
 class TestCrashRecovery:
@@ -475,7 +555,7 @@ class TestTelemetry:
         assert health["ok"]
         assert health["status"] == "ok"
         assert health["pid"] == os.getpid()      # in-process daemon
-        assert health["protocol"] == 3
+        assert health["protocol"] == 4
         assert health["uptime_s"] >= 0
         assert health["inflight"] == 0
 
@@ -517,3 +597,40 @@ class TestTelemetry:
         snap = metrics.snapshot()["histograms"]
         assert snap["service.latency_s"]["count"] > 0
         assert snap["service.flow_serve_s"]["count"] > 0
+
+
+class TestDetachedStart:
+    def test_trace_and_metrics_go_to_the_child(self, tmp_path,
+                                               monkeypatch):
+        """Regression: ``service start --detach --metrics PATH`` left
+        the flag off the child's argv and wrote the launcher's empty
+        registry to PATH at once."""
+        import subprocess
+
+        import repro.service.client as client_mod
+        from repro.cli import main
+
+        launched = []
+
+        class FakeChild:
+            pid = 4242
+
+            def __init__(self, argv, **kwargs):
+                launched.append(argv)
+
+        monkeypatch.setattr(subprocess, "Popen", FakeChild)
+        monkeypatch.setattr(client_mod, "wait_for_service",
+                            lambda *args, **kwargs: None)
+        metrics_path = tmp_path / "daemon-metrics.json"
+        trace_path = tmp_path / "daemon.jsonl"
+        assert main(["service", "start", "--detach",
+                     "--socket", str(tmp_path / "s.sock"),
+                     "--store", str(tmp_path / "store"),
+                     "--metrics", str(metrics_path),
+                     "--trace", str(trace_path)]) == 0
+        [argv] = launched
+        flags = dict(zip(argv, argv[1:]))
+        assert flags["--metrics"] == str(metrics_path)
+        assert flags["--trace"] == str(trace_path)
+        assert not metrics_path.exists()
+        assert not trace_path.exists()
