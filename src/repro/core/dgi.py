@@ -11,7 +11,8 @@ Training runs over zero-padded (B, L, D) minibatches — corruption is
 drawn per graph in visit order, the clean and corrupted batches share
 one stacked forward through the fused encoder kernel, the summary
 readout and score means are masked so padding contributes exact
-zeros, and one optimizer step covers the batch.
+zeros, and one optimizer step covers the batch; the batch's loss graph
+is dropped once that step has run.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ class DGIPretrainer(Module):
                     loss.backward()
                     optimizer.step()
                     total += float(loss.data) * len(batch_idx)
+                    # Free this batch's graph before the next forward.
+                    del loss
                 mean = total / max(len(mats), 1)
                 span.set(loss=round(mean, 6))
             metrics.observe("select.dgi.epoch_loss", mean)

@@ -196,25 +196,27 @@ def collector_paused() -> _CollectorPause:
 
     ``repro.harness.tables.run_benchmark_flow`` holds it, which covers
     ``repro flow`` (with or without ``--store``), the flow benchmark
-    and every table and figure builder.  A running flow leaves no
-    unreachable cycles: all it builds is still reachable from its
-    report when it returns (``tests/test_flow_gc.py``), so the
-    collections it used to run freed nothing, yet on MAERI-128 they
-    walked ~280 K live objects about 500 times per flow.  The design
-    itself is cyclic (a pin points to its net and its owner, which
-    point back), so once its report is dropped the design is garbage
-    that only the collector frees.  The deferred cost is the first
-    automatic collection after the pause, which walks the flow's
-    surviving objects once.
+    and every table and figure builder, and the daemon holds it around
+    each job.  A running flow leaves no unreachable cycles: all it
+    builds is still reachable from its report when it returns
+    (``tests/test_flow_gc.py``), so the collections it used to run
+    freed nothing, yet on MAERI-128 they walked ~280 K live objects
+    about 500 times per flow.  The design itself is cyclic (a pin
+    points to its net and its owner, which point back), so once its
+    report is dropped the design is garbage that only the collector
+    frees.  The deferred cost is the first automatic collection after
+    the pause, which walks the flow's surviving objects once.
 
     The collector is process state, so the pause is too: the outermost
     entry, in any thread, records ``gc.isenabled()`` and disables the
     collector, and the outermost exit restores that state, also when
-    the body raises.  Nothing calls ``gc.collect()`` or
-    ``gc.freeze()``.  The daemon calls ``run_flow_stored`` directly and
-    does not pause: it drops a design per cold job, and with a backlog
-    a pause there kept those designs alive (about 51 MB per cold
-    MAERI-128 job).
+    the body raises.  The pause itself never collects.  Its callers
+    settle the deferred pass: the daemon runs one ``gc.collect()``
+    after each job that held a report, once the report is gone (a
+    pause alone kept every dropped design of a backlog alive, about
+    51 MB per cold MAERI-128 job), and the one-shot CLI commands
+    ``gc.freeze()`` what their flow left, since the process exits
+    soon after.
     """
     return _COLLECTOR_PAUSE
 
@@ -421,6 +423,9 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
         with _stage("flow.route_mls", stages, nets=len(requested)):
             router, routing = route_with_mls(design, requested,
                                              previous=baseline)
+            # Replayed: nothing reads the baseline result again, and
+            # the STA lets go of it once it has synced to *routing*.
+            del baseline
             final_report = timing.update_routing()
 
         if config.selector == "gnn" and model is not None:

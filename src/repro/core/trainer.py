@@ -10,7 +10,9 @@ Both stages and inference run over zero-padded (B, L, D) minibatches
 (``TrainConfig.batch_size``, 1 included): graphs are length-bucketed
 per epoch from the shuffle the ``finetune``/``dgi`` seed streams draw,
 padding rows contribute exact zeros through the masked attention/
-reduction stack, and one optimizer step covers each batch.  Each
+reduction stack, and one optimizer step covers each batch; a batch's
+loss graph is dropped once its step has run, so it never lives
+through the next batch's forward.  Each
 batched encoder forward is one fused autograd node
 (:mod:`repro.nn.fused`), bit-identical to the op-by-op graph;
 inference uses its forward-only entry.  One minibatch's loss is
@@ -187,6 +189,8 @@ def _finetune(dataset: PathDataset, encoder: GraphTransformer,
                 head_opt.step()
                 enc_opt.step()
                 used += valid
+                # Free this batch's graph before the next forward.
+                del loss
             mean = total / max(used, 1)
             span.set(loss=round(mean, 6))
         metrics.observe("select.finetune.epoch_loss", mean)

@@ -50,7 +50,8 @@ class Pin:
     pin (the owning :class:`Port` is then set in ``port``).
     """
 
-    __slots__ = ("name", "direction", "owner", "port", "net", "cap_ff")
+    __slots__ = ("name", "direction", "owner", "port", "net", "cap_ff",
+                 "_full_name")
 
     def __init__(self, name: str, direction: str,
                  owner: Optional["Instance"] = None,
@@ -66,6 +67,7 @@ class Pin:
         self.port = port
         self.net: Net | None = None
         self.cap_ff = cap_ff
+        self._full_name: str | None = None
 
     @property
     def is_port_pin(self) -> bool:
@@ -73,10 +75,19 @@ class Pin:
 
     @property
     def full_name(self) -> str:
-        """Hierarchical name, ``inst/PIN`` or ``port:NAME``."""
-        if self.owner is not None:
-            return f"{self.owner.name}/{self.name}"
-        return f"port:{self.port.name}"
+        """Hierarchical name, ``inst/PIN`` or ``port:NAME``.
+
+        Formatted on first use and kept, so every dict keyed by pin
+        name (RC sink delays, the STA pin index, endpoint slacks)
+        shares one string per pin.  Owner and port names never change
+        once a pin exists.
+        """
+        name = self._full_name
+        if name is None:
+            name = self._full_name = (
+                f"{self.owner.name}/{self.name}" if self.owner is not None
+                else f"port:{self.port.name}")
+        return name
 
     @property
     def drives(self) -> bool:
@@ -101,6 +112,8 @@ class Pin:
         return (_new_empty, (Pin,), state)
 
     def __setstate__(self, state: dict) -> None:
+        # A by-value pin pickled before the name slot existed lacks it.
+        self._full_name = None
         for slot, value in state.items():
             setattr(self, slot, value)
 

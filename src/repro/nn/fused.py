@@ -28,7 +28,9 @@ engine's gradient arithmetic bit for bit:
 gradients are reduced and accumulated separately, so one stacked
 forward of two batches is exactly two forwards (DGI runs its clean
 and corrupted views this way; :func:`split_rows` hands the blocks
-back).  :func:`infer` is the forward alone, keeping no caches.  This
+back).  The backward frees each layer's cached activations once it
+has used them, so a node backpropagates once; a second backward
+raises.  :func:`infer` is the forward alone, keeping no caches.  This
 kernel is the encoder's only forward; the op-by-op graphs it
 reproduces are oracles in the test suite.
 """
@@ -202,12 +204,17 @@ def encode(proj: Linear, encoder: TransformerEncoder, posenc: np.ndarray,
     out = _forward(proj, encoder, posenc, features.data, mask, caches)
 
     def backward(grad: np.ndarray) -> None:
+        # Each cache is popped as its layer's backward uses it, so the
+        # activations die layer by layer and a second backward through
+        # this node has nothing to read.
+        if not caches:
+            raise RuntimeError("the fused encoder node's backward "
+                               "already ran and freed its activations")
         d_centered, d_mean = _layernorm_backward(
-            grad, encoder.final_ln, caches[-1], groups)
+            grad, encoder.final_ln, caches.pop(), groups)
         dx = d_centered + d_mean
-        for layer, cache in zip(reversed(encoder.layers),
-                                reversed(caches[:-1])):
-            ln1, attn, ln2, normed, active, hidden = cache
+        for layer in reversed(encoder.layers):
+            ln1, attn, ln2, normed, active, hidden = caches.pop()
             d_hidden = _linear_backward(layer.ff2, hidden, dx, groups)
             d_normed = _linear_backward(layer.ff1, normed,
                                         d_hidden * active, groups)

@@ -67,7 +67,7 @@ class Tensor:
     """An autograd node wrapping a float64 ndarray."""
 
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
-                 "name")
+                 "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False,
                  name: str = ""):

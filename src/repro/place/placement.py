@@ -42,11 +42,22 @@ def _unpack_locations(state: dict, reference: list[str]) -> dict:
 
 @dataclass(frozen=True)
 class Location:
-    """A placed object: center x/y in um plus tier."""
+    """A placed object: center x/y in um plus tier.
+
+    Slotted by hand with its own pickle reduction: pickle's default
+    restore sets slots one by one, which a frozen class refuses, and
+    ``dataclass(slots=True)`` makes a frozen class raise ``TypeError``
+    instead of ``FrozenInstanceError`` on an unknown attribute.
+    """
+
+    __slots__ = ("x", "y", "tier")
 
     x: float
     y: float
     tier: int
+
+    def __reduce__(self):
+        return (Location, (self.x, self.y, self.tier))
 
 
 class Placement:

@@ -24,13 +24,14 @@ from repro.tech.layers import F2FVia, MetalStack
 from repro.units import rc_to_ps
 
 
-@dataclass
+@dataclass(slots=True)
 class NetRC:
     """Extracted parasitics of one routed net.
 
     ``sink_delay_ps`` maps sink pin full-name -> Elmore wire delay from
     the driver.  ``load_ff`` is what the driving cell sees: all wire,
-    via and F2F capacitance plus sink pin caps.
+    via and F2F capacitance plus sink pin caps.  Slotted, and pickled
+    as its constructor arguments, like the route tree classes.
     """
 
     net_name: str
@@ -39,6 +40,11 @@ class NetRC:
     load_ff: float
     wirelength_um: float
     sink_delay_ps: dict[str, float] = field(default_factory=dict)
+
+    def __reduce__(self):
+        return (NetRC, (self.net_name, self.wire_cap_ff, self.wire_res_ohm,
+                        self.load_ff, self.wirelength_um,
+                        self.sink_delay_ps))
 
 
 class RcTables:

@@ -6,6 +6,12 @@ grid need: manhattan length, the tier the wire runs on, the layer-pair
 index on that tier, intra-tier via-stack hops, and the number of F2F
 hybrid-bond vias (2 for an MLS shared trunk, 1 per genuine tier
 crossing of a 3-D net).
+
+A flow holds one tree per net per route, with a node per pin and an
+edge per tree edge, so the three classes are slotted: no per-object
+``__dict__``.  Each pickles as its constructor arguments, not as
+pickle's default ``(None, {slot: value})`` state, which would build
+and memoize a dict and a tuple per object in every stored report.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from repro.errors import RoutingError
 from repro.netlist.net import Pin
 
 
-@dataclass
+@dataclass(slots=True)
 class RouteNode:
     """A point of the route tree (pin location or Steiner point)."""
 
@@ -26,8 +32,11 @@ class RouteNode:
     tier: int
     pin: Pin | None = None
 
+    def __reduce__(self):
+        return (RouteNode, (self.idx, self.x, self.y, self.tier, self.pin))
 
-@dataclass
+
+@dataclass(slots=True)
 class RouteEdge:
     """Directed tree edge parent -> child with physical annotation.
 
@@ -49,14 +58,24 @@ class RouteEdge:
     #: shared edge needs to reach its F2F pads.
     escape_um: float = 0.0
 
+    def __reduce__(self):
+        return (RouteEdge, (self.parent, self.child, self.length,
+                            self.tier, self.pair, self.via_hops, self.n_f2f,
+                            self.shared, self.overflowed, self.escape_um))
+
 
 class RouteTree:
     """The routed topology of one net."""
+
+    __slots__ = ("net_name", "nodes", "edges")
 
     def __init__(self, net_name: str):
         self.net_name = net_name
         self.nodes: list[RouteNode] = []
         self.edges: list[RouteEdge] = []
+
+    def __reduce__(self):
+        return (_restore_tree, (self.net_name, self.nodes, self.edges))
 
     def add_node(self, x: float, y: float, tier: int,
                  pin: Pin | None = None) -> RouteNode:
@@ -135,3 +154,12 @@ class RouteTree:
             raise RoutingError(
                 f"net {self.net_name}: tree is disconnected "
                 f"({len(seen)}/{len(self.nodes)} reachable)")
+
+
+def _restore_tree(net_name: str, nodes: list[RouteNode],
+                  edges: list[RouteEdge]) -> RouteTree:
+    """Pickle helper: a :class:`RouteTree` from its three slots."""
+    tree = RouteTree(net_name)
+    tree.nodes = nodes
+    tree.edges = edges
+    return tree

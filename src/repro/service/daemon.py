@@ -54,14 +54,19 @@ exactly this surface.  Telemetry additions on top of that:
   request;
 * the **flight recorder** is armed for the daemon's lifetime: a
   bounded ring of recent spans dumped to ``<store_root>/flight/`` on
-  unhandled exceptions, failed flow jobs, or ``SIGUSR1``.
+  unhandled exceptions, failed flow jobs, or ``SIGUSR1``;
+* after every job the ``service.peak_rss_mb`` gauge holds the
+  process's peak resident set size, so ``status`` shows whether a
+  backlog of jobs leaves memory behind.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -69,6 +74,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from threading import Thread
 
+from repro.core.flow import collector_paused
 from repro.errors import FlowError
 from repro.obs import flight, get_logger, metrics, trace
 from repro.obs.metrics import render_prometheus
@@ -417,21 +423,38 @@ class FlowService:
     def _run_flow_job(self, spec, config, seeds, save_report: bool,
                       request_id: str) -> dict:
         """Flow-thread body: store lookup or full flow compute of one
-        resolved request."""
+        resolved request.
+
+        The job runs with the cyclic collector paused (a running flow
+        leaves no unreachable cycles).  A job that held a report drops
+        its design, which is cyclic, so once the report is gone one
+        full collection frees it before the next job starts; without
+        it a backlog of paused jobs kept every dropped design alive.
+        After every job the ``service.peak_rss_mb`` gauge reads the
+        process's peak resident set size.
+        """
         from repro.service.stages import (flow_artifact_paths,
                                           run_flow_stored)
         # Pin the request id on the flow thread: every span the job
         # emits carries req=<id>, so traces group by request.
         trace.set_request(request_id)
         try:
-            with trace.span("service.request", op="flow",
-                            benchmark=spec.key,
-                            selector=config.selector):
-                t0 = time.perf_counter()
-                report, summary, cached = run_flow_stored(
-                    spec.factory, spec.tech(), seeds, config, self.store,
-                    need_report=save_report)
-                elapsed = time.perf_counter() - t0
+            with collector_paused():
+                with trace.span("service.request", op="flow",
+                                benchmark=spec.key,
+                                selector=config.selector):
+                    t0 = time.perf_counter()
+                    report, summary, cached = run_flow_stored(
+                        spec.factory, spec.tech(), seeds, config,
+                        self.store, need_report=save_report)
+                    elapsed = time.perf_counter() - t0
+                held_report = report is not None
+                del report
+                if held_report:
+                    # Inside the pause, so the pass resets the counts
+                    # the job ran up and no automatic pass follows.
+                    with trace.span("service.collect"):
+                        gc.collect()
         except Exception as exc:
             flight.record_note("flow job failed", request_id=request_id,
                                benchmark=spec.key)
@@ -439,6 +462,10 @@ class FlowService:
             raise
         finally:
             trace.set_request(None)
+            # Linux reports ru_maxrss in KiB.
+            metrics.set_gauge(
+                "service.peak_rss_mb",
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         metrics.add_time("service.flow_serve_s", elapsed)
         metrics.observe_hist("service.flow_serve_s", elapsed)
         flight.record_sample("service.flow_serve_s", elapsed,

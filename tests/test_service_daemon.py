@@ -35,6 +35,7 @@ Contracts locked here:
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import os
 import shutil
@@ -597,6 +598,36 @@ class TestTelemetry:
         snap = metrics.snapshot()["histograms"]
         assert snap["service.latency_s"]["count"] > 0
         assert snap["service.flow_serve_s"]["count"] > 0
+
+    def test_cold_job_collects_once_and_reports_peak_rss(self, daemon):
+        """A cold job runs paused and then frees its dropped design with
+        one full collection on the flow thread; a summary hit holds no
+        report and collects nothing.  ``status`` reports the peak RSS."""
+        full: list[int] = []         # objects freed by each full pass
+
+        def hook(phase, info):
+            if phase == "stop" and info["generation"] == 2 \
+                    and threading.current_thread().name \
+                    .startswith("repro-flow"):
+                full.append(info["collected"])
+
+        client = daemon.client()
+        gc.callbacks.append(hook)
+        try:
+            cold = client.submit_flow(benchmark=BENCH, selector="none",
+                                      seed=413)
+            after_cold = list(full)
+            warm = client.submit_flow(benchmark=BENCH, selector="none",
+                                      seed=413)
+        finally:
+            gc.callbacks.remove(hook)
+        assert cold["ok"] and not cold["cached"]
+        assert warm["ok"] and warm["cached"]
+        assert len(after_cold) == 1
+        assert after_cold[0] > 0                 # the dropped design
+        assert full == after_cold
+        gauges = client.status()["metrics"]["gauges"]
+        assert gauges["service.peak_rss_mb"] > 0
 
 
 class TestDetachedStart:
