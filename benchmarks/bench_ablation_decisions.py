@@ -10,16 +10,16 @@ Not a paper table, but the design-choice checks DESIGN.md calls out:
 
 from repro import FlowConfig, run_flow
 from repro.core.trainer import TrainConfig
-from repro.harness.designs import get_benchmark
-from repro.harness.tables import run_benchmark_flow
+from repro.harness.designs import DEFAULT_EXPERIMENT_SEED, get_benchmark
+from repro.harness.tables import run_benchmark_flows
 
 
 def test_ablation_policy_ladder(benchmark, emit):
     def run():
-        spec = get_benchmark("maeri16_hetero")
-        return {sel: run_benchmark_flow(spec, sel,
-                                        share_prepare=True).row()
-                for sel in ("random", "none", "sota", "gnn", "oracle")}
+        reports = run_benchmark_flows(
+            get_benchmark("maeri16_hetero"),
+            ("random", "none", "sota", "gnn", "oracle"))
+        return {sel: report.row() for sel, report in reports.items()}
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     lines = ["Ablation — decision policy ladder (maeri16_hetero)",
@@ -54,8 +54,8 @@ def test_ablation_dgi_pretraining(benchmark, emit):
                 pdn=False,
                 train=TrainConfig(use_dgi=use_dgi),
             )
-            out[tag] = run_flow(spec.factory, spec.tech(), spec.seeds(),
-                                config).row()
+            out[tag] = run_flow(spec.factory, spec.tech(),
+                                DEFAULT_EXPERIMENT_SEED, config).row()
         return out
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -7,16 +7,14 @@ substantial WNS recovery.
 """
 
 from repro.harness.designs import get_benchmark
-from repro.harness.tables import run_benchmark_flow
+from repro.harness.tables import run_benchmark_flows
 
 
 def test_motivation_selective_mls(benchmark, emit):
     def run():
-        spec = get_benchmark("maeri16_hetero")
-        none = run_benchmark_flow(spec, "none", share_prepare=True).row()
-        oracle = run_benchmark_flow(spec, "oracle",
-                                    share_prepare=True).row()
-        return none, oracle
+        reports = run_benchmark_flows(get_benchmark("maeri16_hetero"),
+                                      ("none", "oracle"))
+        return reports["none"].row(), reports["oracle"].row()
 
     none, oracle = benchmark.pedantic(run, rounds=1, iterations=1)
     recovered = 0.0

@@ -1,8 +1,8 @@
-"""Netlist flat-serialization benchmark — prepare-cache pickle economics.
+"""Netlist flat-serialization benchmark — design-snapshot pickle economics.
 
 Prepares each design through the shared flow front-end
 (:func:`repro.core.flow.prepare_design`) and measures the snapshot
-payload every prepare-cache entry and store blob actually holds:
+payload every shared-prepare copy and store blob actually holds:
 ``dumps_snapshot(design)`` bytes plus dump/load wall-clock.
 Writes ``BENCH_netlist.json`` at the repo root.
 
@@ -41,7 +41,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core.flow import FlowConfig, prepare_design        # noqa: E402
-from repro.harness.designs import get_benchmark               # noqa: E402
+from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,  # noqa: E402
+                                    get_benchmark)
 from repro.obs.trend import usable_cores                       # noqa: E402
 from repro.snapshot import dumps_snapshot, loads_snapshot     # noqa: E402
 
@@ -80,7 +81,7 @@ def bench_design(key: str, repeats: int) -> dict:
                         target_freq_mhz=spec.target_freq_mhz)
 
     t0 = time.perf_counter()
-    design = prepare_design(spec.factory, spec.tech(), spec.seeds(),
+    design = prepare_design(spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED,
                             config)
     prepare_s = time.perf_counter() - t0
 

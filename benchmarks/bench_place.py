@@ -47,7 +47,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.errors import PlacementError                          # noqa: E402
-from repro.harness.designs import get_benchmark                  # noqa: E402
+from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,  # noqa: E402
+                                    get_benchmark)
 from repro.obs.trend import usable_cores                          # noqa: E402
 from repro.partition import partition_memory_on_logic            # noqa: E402
 from repro.partition.tier import TIER_LOGIC, TIER_MEMORY         # noqa: E402
@@ -419,14 +420,13 @@ def _cached_vs_rebuild_identical(netlist, tiers) -> bool:
 
 def bench_design(key: str, repeats: int) -> dict:
     spec = get_benchmark(key)
-    netlist = spec.factory(spec.tech().libraries, spec.seeds())
+    netlist = spec.factory(spec.tech().libraries, DEFAULT_EXPERIMENT_SEED)
     tiers = partition_memory_on_logic(netlist)
-    seeds = spec.seeds()
 
     t_seed, (seed_pl, _) = _best_of(
         lambda: _seed_place_design(netlist, tiers), repeats)
     t_cached, (cached_pl, _) = _best_of(
-        lambda: place_design(netlist, tiers, seeds), repeats)
+        lambda: place_design(netlist, tiers), repeats)
     identical = _cached_vs_rebuild_identical(netlist, tiers)
 
     hpwl_seed = seed_pl.hpwl()

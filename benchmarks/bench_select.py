@@ -43,7 +43,8 @@ sys.path.insert(0, str(REPO_ROOT))      # the oracle lives in tests/
 from repro.core import (TrainConfig, build_dataset,             # noqa: E402
                         decide_mls_nets, train_gnn_mls)
 from repro.core.flow import FlowConfig, prepare_design          # noqa: E402
-from repro.harness.designs import get_benchmark                 # noqa: E402
+from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,  # noqa: E402
+                                    get_benchmark)
 from repro.mls import route_with_mls                            # noqa: E402
 from repro.timing import run_sta                                # noqa: E402
 from tests.select_oracle import per_graph_reference             # noqa: E402
@@ -70,7 +71,7 @@ def bench_design(key: str, batch_size: int,
     spec = get_benchmark(key)
     config = FlowConfig(selector="gnn",
                         target_freq_mhz=spec.target_freq_mhz)
-    design = prepare_design(spec.factory, spec.tech(), spec.seeds(),
+    design = prepare_design(spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED,
                             config)
     router, routing = route_with_mls(design, set())
     report = run_sta(design)
@@ -97,11 +98,11 @@ def bench_design(key: str, batch_size: int,
         with math():
             # Fine-tune leg in isolation (the acceptance gate's metric).
             ft_s, _ = _time(lambda: train_gnn_mls(
-                dataset, spec.seeds(),
+                dataset, DEFAULT_EXPERIMENT_SEED,
                 dataclasses.replace(cfg, use_dgi=False)))
             # Whole select leg: DGI + fine-tune + inference.
             select_s, model = _time(
-                lambda: train_gnn_mls(dataset, spec.seeds(), cfg))
+                lambda: train_gnn_mls(dataset, DEFAULT_EXPERIMENT_SEED, cfg))
             infer_s, nets = _time(lambda: decide_mls_nets(model))
         selections[leg] = nets
         visits = ft_epochs * len(dataset.labeled_graphs)

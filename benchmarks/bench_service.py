@@ -50,7 +50,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))
 
 from repro.core.flow import FlowConfig                         # noqa: E402
-from repro.harness.designs import get_benchmark                # noqa: E402
+from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,  # noqa: E402
+                                    get_benchmark)
 from repro.obs import metrics                                  # noqa: E402
 from repro.service import ArtifactStore                        # noqa: E402
 from repro.service.client import ServiceClient                 # noqa: E402
@@ -79,26 +80,26 @@ def bench_design(key: str, workdir: Path) -> dict:
     store = ArtifactStore(root)
     t0 = time.perf_counter()
     cold_report, cold_summary, cached = run_flow_stored(
-        spec.factory, spec.tech(), spec.seeds(), config, store)
+        spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED, config, store)
     cold_s = time.perf_counter() - t0
     assert not cached, "store was supposed to be empty"
 
     warm_summary_s = min(
         _timed(lambda: run_flow_stored(
-            spec.factory, spec.tech(), spec.seeds(), config,
+            spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED, config,
             ArtifactStore(root), need_report=False))
         for _ in range(WARM_REPEATS))
     warm_report_s = min(
         _timed(lambda: run_flow_stored(
-            spec.factory, spec.tech(), spec.seeds(), config,
+            spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED, config,
             ArtifactStore(root)))
         for _ in range(WARM_REPEATS))
 
     _none, warm_summary, warm_cached = run_flow_stored(
-        spec.factory, spec.tech(), spec.seeds(), config,
+        spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED, config,
         ArtifactStore(root), need_report=False)
     warm_report, _summary, _cached = run_flow_stored(
-        spec.factory, spec.tech(), spec.seeds(), config,
+        spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED, config,
         ArtifactStore(root))
 
     return {

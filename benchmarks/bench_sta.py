@@ -48,7 +48,8 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))      # the oracle lives in tests/
 
 from repro.core.flow import FlowConfig, prepare_design          # noqa: E402
-from repro.harness.designs import get_benchmark                 # noqa: E402
+from repro.harness.designs import (DEFAULT_EXPERIMENT_SEED,  # noqa: E402
+                                    get_benchmark)
 from repro.mls import route_with_mls                            # noqa: E402
 from repro.mls.oracle import candidate_nets                     # noqa: E402
 from repro.timing import (IncrementalSta, build_timing_graph,   # noqa: E402
@@ -102,7 +103,7 @@ def bench_design(key: str, repeats: int) -> dict:
     spec = get_benchmark(key)
     config = FlowConfig(selector="none",
                         target_freq_mhz=spec.target_freq_mhz)
-    design = prepare_design(spec.factory, spec.tech(), spec.seeds(),
+    design = prepare_design(spec.factory, spec.tech(), DEFAULT_EXPERIMENT_SEED,
                             config)
     t0 = time.perf_counter()
     router, routing = route_with_mls(design, set())

@@ -40,8 +40,7 @@ def test_fig3_opens_destroy_coverage(benchmark, emit):
     def run():
         report = run_benchmark_flow(get_benchmark("maeri16_hetero"),
                                     "gnn", with_scan=True,
-                                    dft_strategy="wire-based",
-                                    share_prepare=True)
+                                    dft_strategy="wire-based")
         broken = die_test_fault_sim(report.design, stream("fig3", 1),
                                     patterns=128, with_dft=False)
         fixed = die_test_fault_sim(report.design, stream("fig3", 1),

@@ -10,7 +10,7 @@ strategies and compares fault counts, coverage and timing cost
 Run:  python examples/dft_tradeoff.py
 """
 
-from repro import FlowConfig, SeedBundle, TechSetup
+from repro import FlowConfig, TechSetup
 from repro.core.flow import prepare_design
 from repro.dft import (NET_BASED, WIRE_BASED, apply_mls_dft,
                        die_test_fault_sim, insert_scan)
@@ -22,13 +22,13 @@ from repro.timing import run_sta
 
 def build():
     tech = TechSetup.build("16nm", "28nm", 6)
-    seeds = SeedBundle(4)
+    seed = 4
     config = FlowConfig(selector="oracle", target_freq_mhz=1900,
                         with_scan=True)
     design = prepare_design(
         lambda libs, s: generate_maeri(MaeriConfig(pe_count=16,
                                                    bandwidth=8), libs, s),
-        tech, seeds, config)
+        tech, seed, config)
     router, routing = route_with_mls(design, set())
     selected = oracle_select(design, router, routing)
     router, routing = route_with_mls(design, selected)

@@ -12,13 +12,13 @@ homogeneous stacks.
 Run:  python examples/hetero_vs_homo.py
 """
 
-from repro import FlowConfig, SeedBundle, TechSetup, run_flow
+from repro import FlowConfig, TechSetup, run_flow
 from repro.netlist.generators import MaeriConfig, generate_maeri
 
 
-def factory(libraries, seeds):
+def factory(libraries, seed):
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                          libraries, seeds)
+                          libraries, seed)
 
 
 def run_stack(name: str, tech: TechSetup, freq: float) -> None:
@@ -26,7 +26,7 @@ def run_stack(name: str, tech: TechSetup, freq: float) -> None:
     rows = {}
     for selector in ("none", "sota", "gnn"):
         report = run_flow(
-            factory, tech, SeedBundle(2),
+            factory, tech, 2,
             FlowConfig(selector=selector, target_freq_mhz=freq,
                        num_paths=300, num_labeled=150, pdn=False))
         rows[selector] = report.row()

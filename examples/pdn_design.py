@@ -9,7 +9,7 @@ prints the logic-tier drop map.
 Run:  python examples/pdn_design.py
 """
 
-from repro import FlowConfig, SeedBundle, TechSetup
+from repro import FlowConfig, TechSetup
 from repro.core.flow import prepare_design
 from repro.mls import route_with_mls
 from repro.netlist.generators import MaeriConfig, generate_maeri
@@ -19,11 +19,11 @@ from repro.power import default_power_plan, estimate_power
 
 def main() -> None:
     tech = TechSetup.build("16nm", "28nm", 6)
-    seeds = SeedBundle(5)
+    seed = 5
     design = prepare_design(
         lambda libs, s: generate_maeri(MaeriConfig(pe_count=16,
                                                    bandwidth=8), libs, s),
-        tech, seeds,
+        tech, seed,
         FlowConfig(selector="none", target_freq_mhz=1500, activity=0.25))
     route_with_mls(design, set())
     plan = default_power_plan(design)

@@ -8,21 +8,21 @@ No-MLS baseline vs GNN-MLS comparison.
 Run:  python examples/quickstart.py
 """
 
-from repro import FlowConfig, SeedBundle, TechSetup, run_flow
+from repro import FlowConfig, TechSetup, run_flow
 from repro.netlist.generators import MaeriConfig, generate_maeri
 
 
-def factory(libraries, seeds):
+def factory(libraries, seed):
     """A 16-PE MAERI-like accelerator (paper's motivation design)."""
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                          libraries, seeds)
+                          libraries, seed)
 
 
 def main() -> None:
     tech = TechSetup.build("16nm", "28nm", beol_layers=6)
 
     print("== Step 1: baseline (no MLS) ==")
-    base = run_flow(factory, tech, SeedBundle(1),
+    base = run_flow(factory, tech, 1,
                     FlowConfig(selector="none", target_freq_mhz=1800,
                                pdn=False))
     print(f"  WNS {base.row()['wns_ps']:8.1f} ps   "
@@ -30,7 +30,7 @@ def main() -> None:
           f"violations {base.row()['vio_paths']:.0f}")
 
     print("== Step 2: GNN-MLS (train + decide + targeted routing) ==")
-    gnn = run_flow(factory, tech, SeedBundle(1),
+    gnn = run_flow(factory, tech, 1,
                    FlowConfig(selector="gnn", target_freq_mhz=1800,
                               num_paths=300, num_labeled=150, pdn=False))
     row = gnn.row()

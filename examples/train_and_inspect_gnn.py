@@ -10,7 +10,7 @@ Run:  python examples/train_and_inspect_gnn.py
 
 import numpy as np
 
-from repro import FlowConfig, SeedBundle, TechSetup
+from repro import FlowConfig, TechSetup
 from repro.core import (TrainConfig, build_dataset, decide_mls_nets,
                         train_gnn_mls)
 from repro.core.flow import prepare_design
@@ -22,14 +22,14 @@ from repro.timing import run_sta
 
 def main() -> None:
     tech = TechSetup.build("16nm", "28nm", 6)
-    seeds = SeedBundle(3)
+    seed = 3
     config = FlowConfig(selector="gnn", target_freq_mhz=1900)
 
     print("== Build + place + route the baseline ==")
     design = prepare_design(
         lambda libs, s: generate_maeri(MaeriConfig(pe_count=16,
                                                    bandwidth=8), libs, s),
-        tech, seeds, config)
+        tech, seed, config)
     router, routing = route_with_mls(design, set())
     report = run_sta(design)
     print(f"  baseline WNS {report.wns_ps:.1f} ps, "
@@ -43,7 +43,7 @@ def main() -> None:
           f"positive label fraction {dataset.label_balance():.2f}")
 
     print("== Algorithm 1: DGI pretrain + MLP fine-tune ==")
-    model = train_gnn_mls(dataset, seeds,
+    model = train_gnn_mls(dataset, seed,
                           TrainConfig(dgi_epochs=3, finetune_epochs=10),
                           log=lambda msg: print("  " + msg))
 

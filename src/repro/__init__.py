@@ -19,7 +19,6 @@ Public API tour:
 """
 
 from repro.design import Design, TechSetup
-from repro.rng import SeedBundle
 from repro.core.flow import FlowConfig, FlowReport, run_flow
 
 __version__ = "1.1.0"
@@ -27,7 +26,6 @@ __version__ = "1.1.0"
 __all__ = [
     "Design",
     "TechSetup",
-    "SeedBundle",
     "FlowConfig",
     "FlowReport",
     "run_flow",

@@ -157,8 +157,8 @@ def _verilog_spec(spec, source: tuple[str, str, str]):
 
     path, text, digest = source
 
-    def factory(libraries, seeds):
-        del seeds                       # import is seed-independent
+    def factory(libraries, seed):
+        del seed                        # import is seed-independent
         return loads(text, libraries)
 
     factory.__content_token__ = digest
@@ -425,7 +425,7 @@ def _cmd_trace(args) -> int:
 def _cmd_export(args) -> int:
     from repro.netlist.verilog import write_verilog
     spec = get_benchmark(args.benchmark)
-    netlist = spec.factory(spec.tech().libraries, spec.seeds(args.seed))
+    netlist = spec.factory(spec.tech().libraries, args.seed)
     write_verilog(netlist, args.out)
     stats = netlist.stats()
     log.info(f"wrote {args.out}: {stats['instances']} instances, "

@@ -5,8 +5,8 @@ as zero-padded (B, L, D) batches with boolean (B, L) key-padding
 masks, for every batch size (a batch of one included).  Everything
 here is deterministic plain NumPy: bucketing depends only on the
 lengths and the visit order the caller drew from its
-:class:`~repro.rng.SeedBundle` stream, so two runs with the same seeds
-build identical batches.
+:func:`~repro.rng.stream`, so two runs with the same seed build
+identical batches.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ import gc
 import math
 import threading
 import time
-from collections import OrderedDict
 from contextlib import ContextDecorator, contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -35,17 +34,16 @@ from repro.mls import oracle_select, route_with_mls, sota_select
 from repro.mls.oracle import candidate_nets
 from repro.timing import IncrementalSta, run_sta
 from repro.timing.sta import TimingReport
-from repro.rng import SeedBundle
-from repro.snapshot import dumps_snapshot, loads_snapshot
+from repro.rng import stream
 from repro.core.decide import DEFAULT_THRESHOLD, decide_mls_nets
 from repro.core.pathset import build_dataset
 from repro.core.trainer import TrainConfig, train_gnn_mls
 
-#: Netlist factory signature: (libraries, seeds) -> Netlist.
-NetlistFactory = Callable[[dict, SeedBundle], Netlist]
+#: Netlist factory signature: (libraries, seed) -> Netlist.
+NetlistFactory = Callable[[dict, int], Netlist]
 
-#: Prepare signature: (factory, tech, seeds, config) -> Design.
-PrepareFn = Callable[[NetlistFactory, TechSetup, SeedBundle, "FlowConfig"],
+#: Prepare signature: (factory, tech, seed, config) -> Design.
+PrepareFn = Callable[[NetlistFactory, TechSetup, int, "FlowConfig"],
                      Design]
 
 SELECTORS = ("none", "sota", "gnn", "oracle", "random")
@@ -119,8 +117,9 @@ class FlowReport:
     #: "Run-Time (min)" column (as ``runtime_min`` in :meth:`row`, the
     #: row's one wall-clock value; :meth:`result_row` drops it).
     select_runtime_s: float
-    #: Whole-flow wall time: this call's prepare (a build, a cache or
-    #: store hit) through PDN.  Wall-clock, so not part of :meth:`row`.
+    #: Whole-flow wall time: this call's prepare (a build, a copy of
+    #: a shared design or a store hit) through PDN.  Wall-clock, so not
+    #: part of :meth:`row`.
     runtime_s: float = 0.0
     #: Per-stage wall time keyed by flow span name ("flow.prepare",
     #: "flow.select", ...).  Same wall-clock caveat as ``runtime_s``.
@@ -194,7 +193,7 @@ def collector_paused() -> _CollectorPause:
     """Pause CPython's cyclic garbage collector (re-entrant and
     thread-safe); use as a ``with`` block or a decorator.
 
-    ``repro.harness.tables.run_benchmark_flow`` holds it, which covers
+    ``repro.harness.tables.run_benchmark_flows`` holds it, which covers
     ``repro flow`` (with or without ``--store``), the flow benchmark
     and every table and figure builder, and the daemon holds it around
     each job.  A running flow leaves no unreachable cycles: all it
@@ -235,7 +234,7 @@ def _stage(name: str, stages: dict[str, float], **attrs):
 
 
 def stage_generate(factory: NetlistFactory, tech: TechSetup,
-                   seeds: SeedBundle) -> Netlist:
+                   seed: int) -> Netlist:
     """Prepare stage 1: build (or import) the netlist.
 
     Pure in (factory, tech libraries, seed): the generators draw only
@@ -244,7 +243,7 @@ def stage_generate(factory: NetlistFactory, tech: TechSetup,
     stage's randomness untouched.
     """
     with trace.span("prepare.generate"):
-        return factory(tech.libraries, seeds)
+        return factory(tech.libraries, seed)
 
 
 def stage_partition(netlist: Netlist):
@@ -253,7 +252,7 @@ def stage_partition(netlist: Netlist):
         return partition_memory_on_logic(netlist)
 
 
-def stage_place(netlist: Netlist, tiers, seeds: SeedBundle):
+def stage_place(netlist: Netlist, tiers):
     """Prepare stage 3: placement; returns (placement, floorplan).
 
     Deterministic in (netlist, tiers) and independent of every
@@ -261,7 +260,7 @@ def stage_place(netlist: Netlist, tiers, seeds: SeedBundle):
     frequency and scan sweeps share one placement artifact.
     """
     with trace.span("prepare.place"):
-        return place_design(netlist, tiers, seeds)
+        return place_design(netlist, tiers)
 
 
 def stage_finish(design: Design, config: FlowConfig) -> Design:
@@ -282,85 +281,17 @@ def stage_finish(design: Design, config: FlowConfig) -> Design:
 
 
 def prepare_design(factory: NetlistFactory, tech: TechSetup,
-                   seeds: SeedBundle, config: FlowConfig) -> Design:
+                   seed: int, config: FlowConfig) -> Design:
     """Stages shared by every selector: generate through buffering."""
-    netlist = stage_generate(factory, tech, seeds)
+    netlist = stage_generate(factory, tech, seed)
     design = Design(netlist, tech, config.target_freq_mhz)
     design.tiers = stage_partition(netlist)
-    design.placement, design.floorplan = stage_place(
-        netlist, design.tiers, seeds)
+    design.placement, design.floorplan = stage_place(netlist, design.tiers)
     return stage_finish(design, config)
 
 
-#: prepare key -> pickled prepared design (see prepare_design_cached).
-#: Bounded LRU: long benchmark sweeps touch many (design, tech, seed)
-#: combinations (a prepared MAERI-128 pickles to about 1 MB) — keep
-#: only the most recently used few instead of every design ever seen.
-_PREPARE_CACHE: OrderedDict[tuple, bytes] = OrderedDict()
-
-#: Maximum pickled designs retained in the prepare cache.
-PREPARE_CACHE_MAX_ENTRIES = 8
-
-
-def _prepare_cache_key(factory: NetlistFactory, tech: TechSetup,
-                       seeds: SeedBundle, config: FlowConfig) -> tuple:
-    """Everything prepare_design's output depends on.
-
-    Derivation is shared with the persistent artifact store
-    (:mod:`repro.service.keys`) so the in-memory LRU and the on-disk
-    cache can never disagree about which config fields matter.  ``tech``
-    is keyed by value (content digest) so fresh-but-equal TechSetup
-    instances share one entry.  Factories the canonicalizer cannot
-    content-fingerprint (ad-hoc test closures over live objects) fall
-    back to identity: the factory object itself joins the key, which
-    also pins its ``id`` against reuse for the entry's lifetime.
-    """
-    from repro.service.keys import prepare_key
-    key = prepare_key(factory, tech, seeds, config)
-    if key.stable:
-        return (key.kind, key.hexdigest)
-    return (key.kind, key.hexdigest, factory)
-
-
-def prepare_design_cached(factory: NetlistFactory, tech: TechSetup,
-                          seeds: SeedBundle, config: FlowConfig) -> Design:
-    """Memoized :func:`prepare_design`, for callers that run several
-    flows of one design; no two calls share a design.
-
-    The cache stores the prepared design *pickled*.  A miss builds the
-    design, pickles it into the cache for later hits and returns the
-    design it built, which no one else holds; every hit gets its own
-    unpickled copy.  So downstream stages (routing, MLS toggles, DFT
-    inserts) on one call's design never leak into another selector's
-    run.  Only a later hit repays a miss's pickle, so a one-shot flow
-    calls :func:`prepare_design` instead.  Preparation is deterministic
-    in (factory, tech, seed, target freq, scan), which is exactly the
-    cache key.
-    """
-    key = _prepare_cache_key(factory, tech, seeds, config)
-    blob = _PREPARE_CACHE.get(key)
-    if blob is not None:
-        metrics.inc("prepare.cache_hits")
-        _PREPARE_CACHE.move_to_end(key)
-        with trace.span("prepare.cache_copy", bytes=len(blob)):
-            design = loads_snapshot(blob)
-    else:
-        metrics.inc("prepare.cache_misses")
-        design = prepare_design(factory, tech, seeds, config)
-        with trace.span("prepare.cache_store") as span:
-            blob = _PREPARE_CACHE[key] = dumps_snapshot(design)
-            span.set(bytes=len(blob))
-        while len(_PREPARE_CACHE) > PREPARE_CACHE_MAX_ENTRIES:
-            _PREPARE_CACHE.popitem(last=False)
-    return design
-
-
-def clear_prepare_cache() -> None:
-    _PREPARE_CACHE.clear()
-
-
 def select_nets(design: Design, router: GlobalRouter, baseline,
-                report: TimingReport, seeds: SeedBundle,
+                report: TimingReport, seed: int,
                 config: FlowConfig) -> tuple[set[str], float, object]:
     """Run the configured selector; returns (nets, runtime_s, model)."""
     start = time.perf_counter()
@@ -372,7 +303,7 @@ def select_nets(design: Design, router: GlobalRouter, baseline,
     elif config.selector == "oracle":
         nets = oracle_select(design, router, baseline)
     elif config.selector == "random":
-        rng = seeds.fresh("random-selector")
+        rng = stream("random-selector", seed)
         pool = [n.name for n in candidate_nets(design)]
         take = max(1, len(pool) // 5)
         nets = set(rng.choice(pool, size=min(take, len(pool)),
@@ -381,29 +312,32 @@ def select_nets(design: Design, router: GlobalRouter, baseline,
         dataset = build_dataset(design, router, baseline, report,
                                 num_paths=config.num_paths,
                                 num_labeled=config.num_labeled)
-        model = train_gnn_mls(dataset, seeds, config.train)
+        model = train_gnn_mls(dataset, seed, config.train)
         nets = decide_mls_nets(model)
     return nets, time.perf_counter() - start, model
 
 
 def run_flow(factory: NetlistFactory, tech: TechSetup,
-             seeds: SeedBundle, config: FlowConfig,
+             seed: int, config: FlowConfig,
              prepare: PrepareFn = prepare_design) -> FlowReport:
     """Run the complete flow for one (design, selector) combination.
 
-    *prepare* builds the design inside the ``flow.prepare`` stage, so
-    ``runtime_s`` and ``stage_runtime_s["flow.prepare"]`` count what
-    this call paid for it: a build with :func:`prepare_design`, an
-    unpickle or a build plus pickle with :func:`prepare_design_cached`,
-    a store read or a resumed build with
-    :func:`repro.service.stages.prepare_design_stored`.
+    A pure function of (factory, tech, seed, config): every random draw
+    comes from a :func:`repro.rng.stream` of *seed*.  *prepare* builds
+    the design inside the ``flow.prepare`` stage, so ``runtime_s`` and
+    ``stage_runtime_s["flow.prepare"]`` count what this call paid for
+    it: a build with :func:`prepare_design`, an unpickled copy of a
+    design shared across the selectors of
+    :func:`repro.harness.tables.run_benchmark_flows` (its first flow
+    pays the build plus the pickle), a store read or a resumed build
+    with :func:`repro.service.stages.prepare_design_stored`.
     """
     stages: dict[str, float] = {}
     t_flow = time.perf_counter()
     with trace.span("flow", selector=config.selector,
                     scan=config.with_scan):
         with _stage("flow.prepare", stages):
-            design = prepare(factory, tech, seeds, config)
+            design = prepare(factory, tech, seed, config)
 
         with _stage("flow.route_baseline", stages):
             router, baseline = route_with_mls(design, set())
@@ -416,7 +350,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
 
         with _stage("flow.select", stages, selector=config.selector):
             requested, runtime_s, model = select_nets(
-                design, router, baseline, base_report, seeds, config)
+                design, router, baseline, base_report, seed, config)
 
         # Every later route replays the one before it (differential
         # route), and the STA then patches only the nets that moved.
@@ -459,7 +393,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                 # flops, net splits) — outside the incremental
                 # contract, so rebuild.
                 final_report = run_sta(design)
-                sim = die_test_fault_sim(design, seeds.fresh("die-test"),
+                sim = die_test_fault_sim(design, stream("die-test", seed),
                                          patterns=DFT_PATTERNS,
                                          with_dft=True,
                                          max_faults=DFT_MAX_FAULTS)

@@ -39,7 +39,7 @@ from repro.nn.functional import masked_bce_with_logits
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.obs import metrics, trace
-from repro.rng import SeedBundle
+from repro.rng import stream
 
 
 #: Hidden width of the 2-layer MLP decision head.
@@ -201,7 +201,7 @@ def _finetune(dataset: PathDataset, encoder: GraphTransformer,
     return losses
 
 
-def train_gnn_mls(dataset: PathDataset, seeds: SeedBundle,
+def train_gnn_mls(dataset: PathDataset, seed: int,
                   config: TrainConfig | None = None,
                   log=None) -> GnnMlsModel:
     """Run Algorithm 1 on *dataset*; returns the trained model."""
@@ -209,13 +209,13 @@ def train_gnn_mls(dataset: PathDataset, seeds: SeedBundle,
     if not dataset.labeled_graphs:
         raise TrainingError("dataset has no labeled paths to fine-tune on")
     enc_cfg = EncoderConfig(in_dim=dataset.extractor.dim)
-    rng = seeds.fresh("gnn-init")
+    rng = stream("gnn-init", seed)
     encoder = GraphTransformer(enc_cfg, rng)
     head = DecisionHead(enc_cfg.d_model, HEAD_HIDDEN, rng)
     model = GnnMlsModel(encoder, head, dataset, config)
 
     if config.use_dgi:
-        pretrainer = DGIPretrainer(encoder, seeds.fresh("dgi"))
+        pretrainer = DGIPretrainer(encoder, stream("dgi", seed))
         model.history["dgi"] = pretrainer.pretrain(
             dataset.graphs, dataset.extractor.normalize,
             epochs=config.dgi_epochs, lr=DGI_LR, log=log,
@@ -226,6 +226,6 @@ def train_gnn_mls(dataset: PathDataset, seeds: SeedBundle,
     balance = dataset.label_balance()
     pos_weight = min(10.0, (1.0 - balance) / max(balance, 0.02))
     model.history["finetune"] = _finetune(
-        dataset, encoder, head, config, seeds.fresh("finetune"),
+        dataset, encoder, head, config, stream("finetune", seed),
         pos_weight, log=log)
     return model

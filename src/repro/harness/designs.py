@@ -17,7 +17,6 @@ from repro.design import TechSetup
 from repro.errors import FlowError
 from repro.netlist.generators import (A7Config, MaeriConfig,
                                       generate_a7_dual_core, generate_maeri)
-from repro.rng import SeedBundle
 
 #: Default experiment seed — every table reproduces bit-identically.
 DEFAULT_EXPERIMENT_SEED = 20250706
@@ -43,9 +42,6 @@ class BenchmarkSpec:
         return TechSetup.build(self.logic_node, self.memory_node,
                                self.beol_layers)
 
-    def seeds(self, seed: int = DEFAULT_EXPERIMENT_SEED) -> SeedBundle:
-        return SeedBundle(seed)
-
     def flow_config(self, selector: str, with_scan: bool = False,
                     dft_strategy: str | None = None,
                     freq_mhz: float | None = None) -> FlowConfig:
@@ -70,15 +66,15 @@ class BenchmarkSpec:
 
 
 def _maeri_factory(pe: int, bw: int):
-    def factory(libraries, seeds):
+    def factory(libraries, seed):
         return generate_maeri(MaeriConfig(pe_count=pe, bandwidth=bw),
-                              libraries, seeds)
+                              libraries, seed)
     return factory
 
 
 def _a7_factory(**kwargs):
-    def factory(libraries, seeds):
-        return generate_a7_dual_core(A7Config(**kwargs), libraries, seeds)
+    def factory(libraries, seed):
+        return generate_a7_dual_core(A7Config(**kwargs), libraries, seed)
     return factory
 
 

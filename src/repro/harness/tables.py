@@ -2,24 +2,26 @@
 
 Heavy flow runs are memoized per (benchmark, selector, options) within
 the process, so Figure 8 (which replots Tables IV/V data) and repeated
-bench invocations don't pay twice.  One level below, the table
-builders run every flow with ``share_prepare=True``, so the prepared
-(partitioned/placed/buffered) design is memoized per benchmark by
-:func:`repro.core.flow.prepare_design_cached` and the per-*selector*
-runs of one table only pay routing + selection + signoff: the first
+bench invocations don't pay twice.  A table compares selectors on one
+prepared (partitioned/placed/buffered) design, so
+:func:`run_benchmark_flows` prepares it once per call and the
+per-*selector* runs only pay routing + selection + signoff: the first
 selector flows the design it built, every later one its own unpickled
-copy.
+copy, and the pickle dies with the call.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from repro.core.flow import (FlowConfig, FlowReport, collector_paused,
-                             prepare_design, prepare_design_cached,
-                             run_flow)
+                             prepare_design, run_flow)
 from repro.harness.designs import (BenchmarkSpec, get_benchmark,
                                    DEFAULT_EXPERIMENT_SEED)
 from repro.mls import route_with_mls
+from repro.obs import trace
 from repro.service.keys import flow_key
+from repro.snapshot import dumps_snapshot, loads_snapshot
 from repro.timing import (IncrementalSta, extract_worst_paths,
                           net_whatif_delta)
 
@@ -28,52 +30,87 @@ _FLOW_CACHE: dict[tuple, FlowReport] = {}
 
 
 @collector_paused()
-def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
-                       with_scan: bool = False,
-                       dft_strategy: str | None = None,
-                       seed: int = DEFAULT_EXPERIMENT_SEED,
-                       store=None, *,
-                       share_prepare: bool = False) -> FlowReport:
-    """Run (or fetch) one cached flow, with the cyclic garbage
-    collector paused throughout (:func:`collector_paused`).
+def run_benchmark_flows(spec: BenchmarkSpec, selectors: Iterable[str],
+                        with_scan: bool = False,
+                        dft_strategy: str | None = None,
+                        seed: int = DEFAULT_EXPERIMENT_SEED,
+                        store=None) -> dict[str, FlowReport]:
+    """Run (or fetch) one memoized flow per selector on one design,
+    with the cyclic garbage collector paused throughout
+    (:func:`collector_paused`).
 
     The memo key is the shared content key from
     :mod:`repro.service.keys` — the same derivation the persistent
     store uses.  Factories without a stable content fingerprint key by
-    identity, exactly like the prepare LRU.
+    identity.
 
-    A caller that will run more flows of the same design passes
-    ``share_prepare=True``: the design then comes from
-    :func:`repro.core.flow.prepare_design_cached`, whose miss pickles
-    it so that later flows copy it instead of preparing again.  The
-    default prepares with plain ``prepare_design``, as a one-shot
-    ``repro flow`` needs, and pickles nothing.
+    The selectors share everything the prepared design depends on.  Of
+    those that miss the memo, the first flows the design
+    :func:`prepare_design` built; only if another miss follows is that
+    design pickled, once, before its flow starts, and each later flow
+    runs on its own unpickled copy, so no flow's routing, MLS or DFT
+    edits reach another's design.  The pickle dies with the call, and
+    a one-selector call (:func:`run_benchmark_flow`) pickles nothing.
 
     Pass *store* (an :class:`repro.service.ArtifactStore`) to read
-    through / write back the persistent artifact cache — warm
+    through / write back the persistent artifact cache instead — warm
     invocations then skip generate/partition/place/buffer or replay
     the whole stored report.
     """
-    config = spec.flow_config(selector, with_scan=with_scan,
-                              dft_strategy=dft_strategy)
-    content = flow_key(spec.factory, spec.tech(), spec.seeds(seed),
-                       config)
-    key: tuple = (content.hexdigest,)
-    if not content.stable:
-        key += (spec.factory,)
-    if key not in _FLOW_CACHE:
+    tech = spec.tech()
+    configs = {sel: spec.flow_config(sel, with_scan=with_scan,
+                                     dft_strategy=dft_strategy)
+               for sel in selectors}
+    keys = {}
+    for sel, config in configs.items():
+        content = flow_key(spec.factory, tech, seed, config)
+        keys[sel] = (content.hexdigest,) if content.stable \
+            else (content.hexdigest, spec.factory)
+    misses = [sel for sel in configs if keys[sel] not in _FLOW_CACHE]
+    blob = None
+
+    def prepare_shared(factory, tech, seed, config):
+        nonlocal blob
+        design = prepare_design(factory, tech, seed, config)
+        with trace.span("prepare.pickle") as span:
+            blob = dumps_snapshot(design)
+            span.set(bytes=len(blob))
+        return design
+
+    def copy_shared(factory, tech, seed, config):
+        with trace.span("prepare.copy", bytes=len(blob)):
+            return loads_snapshot(blob)
+
+    for i, sel in enumerate(misses):
         if store is not None:
             from repro.service.stages import run_flow_stored
             report, _summary, _cached = run_flow_stored(
-                spec.factory, spec.tech(), spec.seeds(seed), config,
-                store, need_report=True)
+                spec.factory, tech, seed, configs[sel], store,
+                need_report=True)
         else:
-            prepare = prepare_design_cached if share_prepare \
-                else prepare_design
-            report = run_flow(spec.factory, spec.tech(), spec.seeds(seed),
-                              config, prepare=prepare)
-        _FLOW_CACHE[key] = report
-    return _FLOW_CACHE[key]
+            if i == 0:
+                prepare = prepare_shared if len(misses) > 1 \
+                    else prepare_design
+            else:
+                prepare = copy_shared
+            report = run_flow(spec.factory, tech, seed, configs[sel],
+                              prepare=prepare)
+        _FLOW_CACHE[keys[sel]] = report
+    return {sel: _FLOW_CACHE[keys[sel]] for sel in configs}
+
+
+def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
+                       with_scan: bool = False,
+                       dft_strategy: str | None = None,
+                       seed: int = DEFAULT_EXPERIMENT_SEED,
+                       store=None) -> FlowReport:
+    """Run (or fetch) one memoized flow: :func:`run_benchmark_flows`
+    with one selector, so it prepares with plain
+    :func:`prepare_design` and pickles nothing, as a one-shot
+    ``repro flow`` needs."""
+    return run_benchmark_flows(spec, (selector,), with_scan=with_scan,
+                               dft_strategy=dft_strategy, seed=seed,
+                               store=store)[selector]
 
 
 def clear_flow_cache() -> None:
@@ -85,10 +122,9 @@ def flow_comparison_rows(benchmark_key: str,
                          seed: int = DEFAULT_EXPERIMENT_SEED
                          ) -> dict[str, dict[str, float]]:
     """selector -> metric row for one benchmark."""
-    spec = get_benchmark(benchmark_key)
-    return {sel: run_benchmark_flow(spec, sel, seed=seed,
-                                    share_prepare=True).row()
-            for sel in selectors}
+    reports = run_benchmark_flows(get_benchmark(benchmark_key), selectors,
+                                  seed=seed)
+    return {sel: report.row() for sel, report in reports.items()}
 
 
 def format_table(title: str, columns: list[str],
@@ -158,15 +194,10 @@ def table6_testable(seed: int = DEFAULT_EXPERIMENT_SEED
     """
     out: dict[str, dict[str, dict[str, float]]] = {}
     for key in ("maeri128_hetero", "a7_hetero"):
-        spec = get_benchmark(key)
-        rows = {}
-        rows["none"] = run_benchmark_flow(
-            spec, "none", with_scan=True, dft_strategy="wire-based",
-            seed=seed, share_prepare=True).row()
-        rows["gnn"] = run_benchmark_flow(
-            spec, "gnn", with_scan=True, dft_strategy="wire-based",
-            seed=seed, share_prepare=True).row()
-        out[key] = rows
+        reports = run_benchmark_flows(
+            get_benchmark(key), ("none", "gnn"), with_scan=True,
+            dft_strategy="wire-based", seed=seed)
+        out[key] = {sel: report.row() for sel, report in reports.items()}
     return out
 
 
@@ -175,14 +206,15 @@ def table3_dft_comparison(seed: int = DEFAULT_EXPERIMENT_SEED
     """Table III: net-based vs wire-based DFT on the small fabric.
 
     Both strategies apply to the same GNN-selected MLS set on
-    MAERI-16PE; rows report total/detected faults and WNS.
+    MAERI-16PE; rows report total/detected faults and WNS.  The two
+    flows differ in their DFT strategy, so each is its own
+    one-selector call with its own prepare.
     """
     spec = get_benchmark("maeri16_hetero")
     out: dict[str, dict[str, float]] = {}
     for strategy in ("net-based", "wire-based"):
         report = run_benchmark_flow(spec, "gnn", with_scan=True,
-                                    dft_strategy=strategy, seed=seed,
-                                    share_prepare=True)
+                                    dft_strategy=strategy, seed=seed)
         row = report.row()
         out[strategy] = {
             "total_faults": row["total_faults"],
@@ -205,8 +237,7 @@ def table1_single_net(seed: int = DEFAULT_EXPERIMENT_SEED
     spec = get_benchmark("maeri128_hetero")
     config = FlowConfig(selector="none",
                         target_freq_mhz=spec.target_freq_mhz)
-    design = prepare_design_cached(spec.factory, spec.tech(),
-                                   spec.seeds(seed), config)
+    design = prepare_design(spec.factory, spec.tech(), seed, config)
     router, routing = route_with_mls(design, set())
     timing = IncrementalSta(design)
     report = timing.report()

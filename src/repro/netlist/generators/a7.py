@@ -22,7 +22,7 @@ from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist
 from repro.netlist.generators.random_logic import random_cloud
 from repro.netlist.generators.sram import sram_bank
-from repro.rng import SeedBundle
+from repro.rng import stream
 from repro.tech.library import CellLibrary
 
 
@@ -99,14 +99,14 @@ def _core(builder: NetlistBuilder, core_idx: int, clock: Net,
 
 def generate_a7_dual_core(cfg: A7Config,
                           libraries: dict[str, CellLibrary],
-                          seeds: SeedBundle) -> Netlist:
+                          seed: int) -> Netlist:
     """Generate the dual-core design per *cfg*.
 
     ``libraries`` must contain ``"logic"`` and ``"memory"`` regions.
     """
     if "logic" not in libraries or "memory" not in libraries:
         raise NetlistError("A7 needs 'logic' and 'memory' libraries")
-    rng = seeds.get(f"a7:{cfg.display_name}")
+    rng = stream(f"a7:{cfg.display_name}", seed)
     builder = NetlistBuilder(cfg.display_name, libraries)
     clock = builder.clock_net("clk")
     clk_port = builder.netlist.add_port("clk_pad", "in")

@@ -30,7 +30,7 @@ from repro.netlist.net import Net
 from repro.netlist.netlist import Netlist
 from repro.netlist.generators.random_logic import random_cloud
 from repro.netlist.generators.sram import sram_bank
-from repro.rng import SeedBundle
+from repro.rng import stream
 from repro.tech.library import CellLibrary
 
 
@@ -152,7 +152,7 @@ def _adder_switch(builder: NetlistBuilder, idx: str, left: list[Net],
 
 def generate_maeri(cfg: MaeriConfig,
                    libraries: dict[str, CellLibrary],
-                   seeds: SeedBundle) -> Netlist:
+                   seed: int) -> Netlist:
     """Generate a MAERI-like netlist per *cfg*.
 
     ``libraries`` must contain ``"logic"`` and ``"memory"`` regions —
@@ -160,7 +160,7 @@ def generate_maeri(cfg: MaeriConfig,
     """
     if "logic" not in libraries or "memory" not in libraries:
         raise NetlistError("MAERI needs 'logic' and 'memory' libraries")
-    rng = seeds.get(f"maeri:{cfg.display_name}")
+    rng = stream(f"maeri:{cfg.display_name}", seed)
     builder = NetlistBuilder(cfg.display_name, libraries)
     clock = builder.clock_net("clk")
     # The clock net needs a driver: a top-level clock port.
@@ -171,14 +171,14 @@ def generate_maeri(cfg: MaeriConfig,
     # -- memory die: activation + weight banks ------------------------------
     bank_outs: dict[str, list[list[Net]]] = {"act": [], "wt": []}
     with builder.region("memory"):
-        stream = [builder.input(f"stream_in{i}", tier_hint=1)
-                  for i in range(cfg.num_banks)]
+        stream_in = [builder.input(f"stream_in{i}", tier_hint=1)
+                     for i in range(cfg.num_banks)]
         addr = [builder.input(f"addr{i}", tier_hint=1) for i in range(3)]
         we = builder.input("we", tier_hint=1)
         for kind in ("act", "wt"):
             for b in range(cfg.num_banks):
                 outs = sram_bank(builder, f"{kind}_bank{b}", clock,
-                                 stream[b % len(stream)], addr, we,
+                                 stream_in[b % len(stream_in)], addr, we,
                                  width, rng)
                 bank_outs[kind].append(outs)
 

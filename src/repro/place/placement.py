@@ -90,7 +90,7 @@ class Placement:
         # Locations flatten to coordinate arrays (plus a name table
         # only when key order diverges from the netlist's) — the same
         # flat-serialization move as the netlist core, keeping
-        # prepare-cache entries and snapshot fan-out payloads small.
+        # shared-prepare snapshots and store blobs small.
         return {
             "netlist": self.netlist,
             "tiers": self.tiers,

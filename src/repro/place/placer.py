@@ -26,7 +26,6 @@ from repro.place.placement import Placement
 from repro.place.quadratic import quadratic_solve
 from repro.place.bisection import bisection_place
 from repro.place.system import NetConnectivity
-from repro.rng import SeedBundle
 
 
 def _pin_ports(netlist: Netlist, tiers: TierAssignment, fp: Floorplan,
@@ -59,14 +58,10 @@ def _pin_ports(netlist: Netlist, tiers: TierAssignment, fp: Floorplan,
     return fixed
 
 
-def place_design(netlist: Netlist, tiers: TierAssignment,
-                 seeds: SeedBundle,
-                 fp: Floorplan | None = None,
-                 utilization: float = 0.45
+def place_design(netlist: Netlist, tiers: TierAssignment
                  ) -> tuple[Placement, Floorplan]:
     """Place *netlist* per *tiers*; returns (placement, floorplan)."""
-    if fp is None:
-        fp = make_floorplan(netlist, utilization=utilization)
+    fp = make_floorplan(netlist, utilization=0.45)
     placement = Placement(netlist, tiers)
     fixed = _pin_ports(netlist, tiers, fp, placement)
 

@@ -2,10 +2,13 @@
 
 Every stochastic component of the library (netlist generators, placement
 jitter, DGI corruption, weight init, fault-simulation patterns) draws
-from a *named* stream derived from a single experiment seed.  Naming the
-streams decouples them: adding a draw in one component does not perturb
-another component's sequence, so experiment tables reproduce exactly
-even as the code evolves.
+from a *named* stream derived from a single experiment seed, a plain
+``int`` that every layer passes down.  Naming the streams decouples
+them: adding a draw in one component does not perturb another
+component's sequence, so experiment tables reproduce exactly even as
+the code evolves.  Each :func:`stream` call starts its sequence from
+the beginning, so a flow is a pure function of its seed: no generator
+outlives the call that drew from it.
 """
 
 from __future__ import annotations
@@ -39,35 +42,3 @@ def stream(name: str, seed: int = DEFAULT_SEED) -> np.random.Generator:
         raise ValueError("stream name must be non-empty")
     return np.random.default_rng(_stream_seed(seed, name))
 
-
-class SeedBundle:
-    """A bag of named streams sharing one experiment seed.
-
-    Flows pass a single ``SeedBundle`` down so that every component can
-    pull its own stream without threading many generators around.
-    """
-
-    def __init__(self, seed: int = DEFAULT_SEED):
-        self.seed = int(seed)
-        self._cache: dict[str, np.random.Generator] = {}
-
-    def get(self, name: str) -> np.random.Generator:
-        """Return the stream for *name*, created on first use.
-
-        Repeated calls return the *same* generator object, so draws
-        within one bundle advance a persistent per-name sequence.
-        """
-        if name not in self._cache:
-            self._cache[name] = stream(name, self.seed)
-        return self._cache[name]
-
-    def fresh(self, name: str) -> np.random.Generator:
-        """Return a brand-new generator for *name* (position reset)."""
-        return stream(name, self.seed)
-
-    def child(self, suffix: str) -> "SeedBundle":
-        """Derive a new bundle whose streams are independent of ours."""
-        return SeedBundle(_stream_seed(self.seed, f"child:{suffix}"))
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SeedBundle(seed={self.seed}, streams={sorted(self._cache)})"

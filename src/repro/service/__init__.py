@@ -1,7 +1,9 @@
 """Flow-as-a-service: content-addressed artifacts + an async daemon.
 
-The per-process prepare LRU dies with the process; this package makes
-preparation (and whole flow runs) durable and shareable:
+A prepared design shared across one call's selectors
+(:func:`repro.harness.tables.run_benchmark_flows`) dies with that
+call; this package makes preparation (and whole flow runs) durable and
+shareable across calls and processes:
 
 * :mod:`repro.service.keys`   — canonical content-hash keys, the single
   definition of "same run" used by every cache in the repo;
@@ -22,8 +24,8 @@ store layers.
 
 from repro.service.keys import (ContentKey, PrepareKeys, canonical,
                                 factory_token, flow_key,
-                                flow_summary_key, prepare_key,
-                                prepare_stage_keys, tech_digest)
+                                flow_summary_key, prepare_stage_keys,
+                                tech_digest)
 from repro.service.store import (ArtifactCorruptError, ArtifactStore,
                                  read_artifact)
 
@@ -36,7 +38,6 @@ __all__ = [
     "factory_token",
     "flow_key",
     "flow_summary_key",
-    "prepare_key",
     "prepare_stage_keys",
     "read_artifact",
     "tech_digest",

@@ -24,7 +24,7 @@ or longer than the stream limit gets ``{"ok": false, "error": ...}``,
 counts in ``service.errors``, and the connection keeps serving.
 
 Each ``flow`` request is resolved once, in the event loop, into its
-``(spec, FlowConfig, seeds)`` by :func:`build_flow_config`.  A request
+``(spec, FlowConfig, seed)`` by :func:`build_flow_config`.  A request
 with an unknown or mistyped field, or a value no flow can run (an
 unknown benchmark, selector or DFT strategy, DFT without scan), is
 refused there, before dedup or queueing, so it never waits behind a
@@ -182,7 +182,7 @@ async def _read_line(reader: asyncio.StreamReader) -> bytes:
 
 
 def build_flow_config(request: dict):
-    """(spec, FlowConfig, SeedBundle) for one ``flow`` request.
+    """(spec, FlowConfig, seed) for one ``flow`` request.
 
     Raises :class:`ServiceError` naming a mistyped or unknown field
     (:func:`_check_flow_request`) and :class:`FlowError` naming a value
@@ -203,7 +203,7 @@ def build_flow_config(request: dict):
         with_scan=bool(request.get("with_scan", False)),
         dft_strategy=request.get("dft_strategy"),
         freq_mhz=None if freq is None else float(freq))
-    return spec, config, spec.seeds(seed)
+    return spec, config, seed
 
 
 class FlowService:
@@ -364,12 +364,12 @@ class FlowService:
     # -- the flow op ---------------------------------------------------------
 
     async def _op_flow(self, request: dict) -> dict:
-        spec, config, seeds = build_flow_config(request)
+        spec, config, seed = build_flow_config(request)
         save_report = bool(request.get("save_report"))
         # Dedup on the inputs of the flow's content key, not on the
         # request's spelling: a defaulted and an explicit field are
         # one flow.
-        key = (spec.key, seeds.seed, config, save_report)
+        key = (spec.key, seed, config, save_report)
         t0 = time.perf_counter()
         job = self._inflight.get(key)
         deduped = job is not None
@@ -384,7 +384,7 @@ class FlowService:
                 "benchmark": spec.key, "selector": config.selector,
                 "since_s": time.time(), "waiters": 1}
             metrics.set_gauge("service.inflight", len(self._inflight))
-            await self._queue.put((key, (spec, config, seeds,
+            await self._queue.put((key, (spec, config, seed,
                                          save_report)))
             metrics.set_gauge("service.queue_depth", self._queue.qsize())
         try:
@@ -420,7 +420,7 @@ class FlowService:
                 metrics.set_gauge("service.queue_depth",
                                   self._queue.qsize())
 
-    def _run_flow_job(self, spec, config, seeds, save_report: bool,
+    def _run_flow_job(self, spec, config, seed: int, save_report: bool,
                       request_id: str) -> dict:
         """Flow-thread body: store lookup or full flow compute of one
         resolved request.
@@ -445,7 +445,7 @@ class FlowService:
                                 selector=config.selector):
                     t0 = time.perf_counter()
                     report, summary, cached = run_flow_stored(
-                        spec.factory, spec.tech(), seeds, config,
+                        spec.factory, spec.tech(), seed, config,
                         self.store, need_report=save_report)
                     elapsed = time.perf_counter() - t0
                 held_report = report is not None
@@ -485,7 +485,7 @@ class FlowService:
         }
         if save_report:
             response["artifacts"] = flow_artifact_paths(
-                spec.factory, spec.tech(), seeds, config, self.store)
+                spec.factory, spec.tech(), seed, config, self.store)
         return response
 
 

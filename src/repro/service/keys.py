@@ -1,16 +1,16 @@
 """Canonical content-hash keys for flow artifacts.
 
-Every cache in the repo — the in-process prepare LRU
-(:func:`repro.core.flow.prepare_design_cached`), the per-process flow
-memo (:func:`repro.harness.tables.run_benchmark_flow`) and the on-disk
-:class:`repro.service.store.ArtifactStore` — derives its keys here, so
+Both caches in the repo — the per-process flow memo
+(:func:`repro.harness.tables.run_benchmark_flows`) and the on-disk
+:class:`repro.service.store.ArtifactStore` — derive their keys here, so
 "what makes two runs the same" has exactly one definition.
 
 A key digests *content*, never identity: the netlist factory (module
 path + closure/default values + a code fingerprint covering bytecode,
 constant pool, names and nested code objects), a SHA-256 over the
-pickled :class:`~repro.design.TechSetup`, the experiment seed, and the
-flow-config fields, every one of which can change results.
+pickled :class:`~repro.design.TechSetup`, the experiment seed (an
+``int``: a flow is a pure function of it, see :mod:`repro.rng`), and
+the flow-config fields, every one of which can change results.
 
 Stage keys are prefix-shaped on purpose: ``generate``/``partition``/
 ``place`` depend only on (factory, tech, seed), and ``prepared`` adds
@@ -20,8 +20,8 @@ the expensive placement artifact across every cell of the sweep.
 Objects the canonicalizer cannot fingerprint (ad-hoc test stand-ins,
 closures over live designs) degrade to *unstable* keys: still unique
 within the process — :func:`canonical` folds in ``id()`` and the
-in-memory caches retain the object alongside the key so ids can never
-be recycled into a collision — but refused by the persistent store.
+flow memo retains the object alongside the key so ids can never be
+recycled into a collision — but refused by the persistent store.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class ContentKey:
 
     ``stable`` is False when any input could only be fingerprinted by
     object identity — such keys work for in-memory memoization (the
-    caches keep the object alive, pinning its id) but must never be
+    flow memo keeps the object alive, pinning its id) but must never be
     persisted.
     """
 
@@ -230,19 +230,19 @@ def tech_digest(tech) -> str:
     return hashlib.sha256(dumps_snapshot(tech)).hexdigest()
 
 
-def _base(factory, tech, seeds) -> dict:
+def _base(factory, tech, seed: int) -> dict:
     return {"factory": factory, "tech": tech_digest(tech),
-            "seed": int(seeds.seed)}
+            "seed": int(seed)}
 
 
-def prepare_stage_keys(factory, tech, seeds, config) -> PrepareKeys:
+def prepare_stage_keys(factory, tech, seed: int, config) -> PrepareKeys:
     """Keys for the four prepare artifacts of one flow configuration.
 
     *config* is a :class:`repro.core.flow.FlowConfig` (anything with
     the same field names works).  Only the fields each stage chain
     actually consumes participate — see the module docstring.
     """
-    base = _base(factory, tech, seeds)
+    base = _base(factory, tech, seed)
     prepared = dict(base,
                     freq_mhz=float(config.target_freq_mhz),
                     scan=bool(config.with_scan))
@@ -254,26 +254,21 @@ def prepare_stage_keys(factory, tech, seeds, config) -> PrepareKeys:
     )
 
 
-def prepare_key(factory, tech, seeds, config) -> ContentKey:
-    """The fully-prepared-design key (what the prepare LRU uses)."""
-    return prepare_stage_keys(factory, tech, seeds, config).prepared
-
-
 def config_fingerprint(config) -> Any:
     """Canonical form of every flow-config field."""
     return {field.name: getattr(config, field.name)
             for field in dataclasses.fields(config)}
 
 
-def flow_key(factory, tech, seeds, config) -> ContentKey:
+def flow_key(factory, tech, seed: int, config) -> ContentKey:
     """Key of one complete flow run's :class:`FlowReport`."""
-    payload = dict(_base(factory, tech, seeds),
+    payload = dict(_base(factory, tech, seed),
                    config=config_fingerprint(config))
     return digest_key("flow.report", payload)
 
 
-def flow_summary_key(factory, tech, seeds, config) -> ContentKey:
+def flow_summary_key(factory, tech, seed: int, config) -> ContentKey:
     """Key of the lightweight (row + digests) flow summary artifact."""
-    payload = dict(_base(factory, tech, seeds),
+    payload = dict(_base(factory, tech, seed),
                    config=config_fingerprint(config))
     return digest_key("flow.summary", payload)

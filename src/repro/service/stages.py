@@ -34,7 +34,6 @@ from repro.core.flow import (FlowConfig, FlowReport, NetlistFactory,
                              stage_partition, stage_place)
 from repro.design import Design, TechSetup
 from repro.obs import metrics, trace
-from repro.rng import SeedBundle
 from repro.service.keys import (PrepareKeys, canonical, flow_key,
                                 flow_summary_key, prepare_stage_keys)
 from repro.service.store import ArtifactStore
@@ -77,14 +76,14 @@ def report_summary(report: FlowReport, digest: str | None = None) -> dict:
 
 
 def prepare_design_stored(factory: NetlistFactory, tech: TechSetup,
-                          seeds: SeedBundle, config: FlowConfig,
+                          seed: int, config: FlowConfig,
                           store: ArtifactStore) -> Design:
     """Store-backed :func:`prepare_design`: resume from the deepest
     artifact hit, persist every stage boundary crossed."""
-    keys = prepare_stage_keys(factory, tech, seeds, config)
+    keys = prepare_stage_keys(factory, tech, seed, config)
     design = store.get(keys.prepared)
     if design is None:
-        design = _build_prepared(factory, tech, seeds, config, keys, store)
+        design = _build_prepared(factory, tech, seed, config, keys, store)
         store.put(keys.prepared, design)
     else:
         metrics.inc("service.prepare_design_hits")
@@ -92,7 +91,7 @@ def prepare_design_stored(factory: NetlistFactory, tech: TechSetup,
 
 
 def _build_prepared(factory: NetlistFactory, tech: TechSetup,
-                    seeds: SeedBundle, config: FlowConfig,
+                    seed: int, config: FlowConfig,
                     keys: PrepareKeys, store: ArtifactStore) -> Design:
     placed = store.get(keys.place)
     if placed is not None:
@@ -105,11 +104,11 @@ def _build_prepared(factory: NetlistFactory, tech: TechSetup,
         else:
             netlist = store.get(keys.generate)
             if netlist is None:
-                netlist = stage_generate(factory, tech, seeds)
+                netlist = stage_generate(factory, tech, seed)
                 store.put(keys.generate, netlist)
             tiers = stage_partition(netlist)
             store.put(keys.partition, tiers)
-        placement, floorplan = stage_place(netlist, tiers, seeds)
+        placement, floorplan = stage_place(netlist, tiers)
         store.put(keys.place, (placement, floorplan))
     design = Design(netlist, tech, config.target_freq_mhz)
     design.tiers = tiers
@@ -119,7 +118,7 @@ def _build_prepared(factory: NetlistFactory, tech: TechSetup,
 
 
 def run_flow_stored(factory: NetlistFactory, tech: TechSetup,
-                    seeds: SeedBundle, config: FlowConfig,
+                    seed: int, config: FlowConfig,
                     store: ArtifactStore,
                     need_report: bool = True
                     ) -> tuple[FlowReport | None, dict, bool]:
@@ -132,8 +131,8 @@ def run_flow_stored(factory: NetlistFactory, tech: TechSetup,
     store-backed prepare, so even a cold *flow* may be a warm
     *prepare*) and persists both artifacts.
     """
-    fkey = flow_key(factory, tech, seeds, config)
-    skey = flow_summary_key(factory, tech, seeds, config)
+    fkey = flow_key(factory, tech, seed, config)
+    skey = flow_summary_key(factory, tech, seed, config)
     if not need_report:
         summary = store.get(skey)
         if summary is not None:
@@ -149,7 +148,7 @@ def run_flow_stored(factory: NetlistFactory, tech: TechSetup,
         return report, summary, True
     metrics.inc("service.flow_computes")
     with trace.span("service.flow_compute", key=fkey.short):
-        report = run_flow(factory, tech, seeds, config,
+        report = run_flow(factory, tech, seed, config,
                           prepare=functools.partial(prepare_design_stored,
                                                     store=store))
     summary = report_summary(report)
@@ -159,13 +158,13 @@ def run_flow_stored(factory: NetlistFactory, tech: TechSetup,
 
 
 def flow_artifact_paths(factory: NetlistFactory, tech: TechSetup,
-                        seeds: SeedBundle, config: FlowConfig,
+                        seed: int, config: FlowConfig,
                         store: ArtifactStore) -> dict[str, str]:
     """Filesystem locations of this flow's report + summary blobs
     (readable with :func:`repro.service.store.read_artifact`)."""
     return {
         "report": str(store.object_path(
-            flow_key(factory, tech, seeds, config))),
+            flow_key(factory, tech, seed, config))),
         "summary": str(store.object_path(
-            flow_summary_key(factory, tech, seeds, config))),
+            flow_summary_key(factory, tech, seed, config))),
     }

@@ -16,7 +16,6 @@ from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.opt import insert_buffers
 from repro.partition import partition_memory_on_logic
 from repro.place import place_design
-from repro.rng import SeedBundle
 
 TEST_SEED = 1234
 
@@ -31,22 +30,16 @@ def homo_tech() -> TechSetup:
     return TechSetup.build("28nm", "28nm", 6)
 
 
-@pytest.fixture()
-def seeds() -> SeedBundle:
-    return SeedBundle(TEST_SEED)
-
-
 def build_small_design(tech: TechSetup, seed: int = TEST_SEED,
                        pe: int = 16, freq: float = 1500.0,
                        routed: bool = True, buffered: bool = True) -> Design:
     """A small MAERI fabric pushed through place (+buffer, +route)."""
-    seeds = SeedBundle(seed)
     netlist = generate_maeri(MaeriConfig(pe_count=pe, bandwidth=8),
-                             tech.libraries, seeds)
+                             tech.libraries, seed)
     design = Design(netlist, tech, freq)
     design.tiers = partition_memory_on_logic(netlist)
     design.placement, design.floorplan = place_design(
-        netlist, design.tiers, seeds)
+        netlist, design.tiers)
     if buffered:
         insert_buffers(design)
     if routed:

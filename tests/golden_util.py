@@ -185,29 +185,29 @@ def build_golden_design(family: str):
     from repro.opt import insert_buffers
     from repro.partition import partition_memory_on_logic
     from repro.place import place_design
-    from repro.rng import SeedBundle
+    from repro.rng import stream
     from repro.timing import run_sta
 
     tech = TechSetup.build("16nm", "28nm", 6)
-    seeds = SeedBundle(20250706)
+    seed = 20250706
     if family == "maeri":
         netlist = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                                 tech.libraries, seeds)
+                                 tech.libraries, seed)
         freq = 1900.0
     else:
         netlist = generate_a7_dual_core(
             A7Config(word_width=8, stage_depth=2, cache_banks=1,
-                     bus_width=4), tech.libraries, seeds)
+                     bus_width=4), tech.libraries, seed)
         freq = 1000.0
     design = Design(netlist, tech, freq)
     design.tiers = partition_memory_on_logic(netlist)
     design.placement, design.floorplan = place_design(
-        netlist, design.tiers, seeds)
+        netlist, design.tiers)
     insert_scan(design)
     insert_buffers(design)
     route_with_mls(design, set())
     report = run_sta(design)
-    sim = die_test_fault_sim(design, seeds.fresh("golden-die-test"),
+    sim = die_test_fault_sim(design, stream("golden-die-test", seed),
                              patterns=64, with_dft=True, max_faults=4000)
     return design, report, sim
 

@@ -11,7 +11,6 @@ from repro.core.classifier import DecisionHead
 from repro.errors import FlowError, TrainingError
 from repro.nn import Tensor
 from repro.route import GlobalRouter
-from repro.rng import SeedBundle
 from repro.timing import extract_worst_paths, run_sta
 
 from tests.conftest import TEST_SEED, build_small_design
@@ -125,7 +124,7 @@ class TestModel:
     def test_training_produces_useful_classifier(self, small_dataset):
         *_, dataset = small_dataset
         config = TrainConfig(dgi_epochs=2, finetune_epochs=10)
-        model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+        model = train_gnn_mls(dataset, TEST_SEED, config)
         # Model probabilities should correlate with oracle labels.
         probs = model.net_probabilities(dataset.labeled_graphs)
         pos = [probs[n] for n, lab in dataset.net_labels.items()
@@ -138,7 +137,7 @@ class TestModel:
     def test_ablation_no_dgi_still_trains(self, small_dataset):
         *_, dataset = small_dataset
         config = TrainConfig(use_dgi=False, finetune_epochs=4)
-        model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+        model = train_gnn_mls(dataset, TEST_SEED, config)
         assert "dgi" not in model.history
         assert model.history["finetune"]
 
@@ -148,12 +147,12 @@ class TestModel:
         bare = copy.copy(dataset)
         bare.labeled_graphs = []
         with pytest.raises(TrainingError):
-            train_gnn_mls(bare, SeedBundle(TEST_SEED))
+            train_gnn_mls(bare, TEST_SEED)
 
     def test_decide_threshold_monotone(self, small_dataset):
         *_, dataset = small_dataset
         config = TrainConfig(dgi_epochs=1, finetune_epochs=3)
-        model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+        model = train_gnn_mls(dataset, TEST_SEED, config)
         loose = decide_mls_nets(model, threshold=0.3)
         strict = decide_mls_nets(model, threshold=0.7)
         assert strict <= loose

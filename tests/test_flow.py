@@ -8,16 +8,15 @@ from repro.core.trainer import TrainConfig
 from repro.errors import FlowError
 from repro.harness import BENCHMARKS, format_table, get_benchmark
 from repro.netlist.generators import MaeriConfig, generate_maeri
-from repro.rng import SeedBundle
 
 from tests.conftest import TEST_SEED
 
 FAST_TRAIN = TrainConfig(dgi_epochs=1, finetune_epochs=3)
 
 
-def tiny_factory(libraries, seeds):
+def tiny_factory(libraries, seed):
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                          libraries, seeds)
+                          libraries, seed)
 
 
 def fast_config(selector: str, **kwargs) -> FlowConfig:
@@ -73,7 +72,7 @@ class TestRunFlow:
         out = {}
         for sel in ("none", "sota", "oracle"):
             out[sel] = run_flow(tiny_factory, hetero_tech,
-                                SeedBundle(TEST_SEED), fast_config(sel))
+                                TEST_SEED, fast_config(sel))
         return out
 
     def test_row_fields_complete(self, reports):
@@ -107,7 +106,7 @@ class TestRunFlow:
 
     def test_gnn_flow_smoke(self, hetero_tech):
         report = run_flow(tiny_factory, hetero_tech,
-                          SeedBundle(TEST_SEED), fast_config("gnn"))
+                          TEST_SEED, fast_config("gnn"))
         assert report.model is not None
         assert report.select_runtime_s > 0
         assert report.runtime_s >= report.select_runtime_s
@@ -116,12 +115,12 @@ class TestRunFlow:
 
     def test_random_selector(self, hetero_tech):
         report = run_flow(tiny_factory, hetero_tech,
-                          SeedBundle(TEST_SEED), fast_config("random"))
+                          TEST_SEED, fast_config("random"))
         assert report.requested_mls
 
     def test_dft_flow_reports_coverage(self, hetero_tech):
         report = run_flow(
-            tiny_factory, hetero_tech, SeedBundle(TEST_SEED),
+            tiny_factory, hetero_tech, TEST_SEED,
             fast_config("oracle", with_scan=True,
                         dft_strategy="wire-based"))
         row = report.row()
@@ -131,7 +130,7 @@ class TestRunFlow:
 
     def test_deterministic_across_runs(self, hetero_tech, reports):
         again = run_flow(tiny_factory, hetero_tech,
-                         SeedBundle(TEST_SEED), fast_config("sota"))
+                         TEST_SEED, fast_config("sota"))
         row_a = again.result_row()
         row_b = reports["sota"].result_row()
         assert row_a == pytest.approx(row_b)
@@ -140,7 +139,7 @@ class TestRunFlow:
 class TestPrepareDesign:
     def test_stages_attached(self, hetero_tech):
         design = prepare_design(tiny_factory, hetero_tech,
-                                SeedBundle(TEST_SEED),
+                                TEST_SEED,
                                 fast_config("none"))
         assert design.tiers is not None
         assert design.placement is not None
@@ -149,7 +148,7 @@ class TestPrepareDesign:
 
     def test_scan_stage_optional(self, hetero_tech):
         design = prepare_design(tiny_factory, hetero_tech,
-                                SeedBundle(TEST_SEED),
+                                TEST_SEED,
                                 fast_config("none", with_scan=True))
         assert "scan_chain" in design.notes
 

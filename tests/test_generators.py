@@ -3,11 +3,14 @@
 import pytest
 
 from repro.errors import NetlistError
+from repro.harness.designs import BENCHMARKS
 from repro.netlist.generators import (A7Config, MaeriConfig,
                                       generate_a7_dual_core, generate_maeri,
                                       random_cloud)
 from repro.netlist.builder import NetlistBuilder
-from repro.rng import SeedBundle
+from repro.rng import stream
+
+from tests.golden_util import netlist_digest
 
 
 class TestMaeriConfig:
@@ -33,7 +36,7 @@ class TestMaeriGeneration:
     @pytest.fixture(scope="class")
     def netlist(self, hetero_tech):
         return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                              hetero_tech.libraries, SeedBundle(5))
+                              hetero_tech.libraries, 5)
 
     def test_validates(self, netlist):
         netlist.validate()
@@ -54,16 +57,16 @@ class TestMaeriGeneration:
 
     def test_scales_with_pe_count(self, hetero_tech):
         small = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                               hetero_tech.libraries, SeedBundle(5))
+                               hetero_tech.libraries, 5)
         large = generate_maeri(MaeriConfig(pe_count=64, bandwidth=16),
-                               hetero_tech.libraries, SeedBundle(5))
+                               hetero_tech.libraries, 5)
         assert len(large.instances) > 2.5 * len(small.instances)
 
     def test_deterministic(self, hetero_tech):
         a = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                           hetero_tech.libraries, SeedBundle(5))
+                           hetero_tech.libraries, 5)
         b = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                           hetero_tech.libraries, SeedBundle(5))
+                           hetero_tech.libraries, 5)
         assert sorted(a.instances) == sorted(b.instances)
         assert sorted(a.nets) == sorted(b.nets)
 
@@ -78,7 +81,7 @@ class TestA7Generation:
     @pytest.fixture(scope="class")
     def netlist(self, hetero_tech):
         return generate_a7_dual_core(A7Config(), hetero_tech.libraries,
-                                     SeedBundle(5))
+                                     5)
 
     def test_validates(self, netlist):
         netlist.validate()
@@ -114,7 +117,7 @@ class TestRandomCloud:
         builder = NetlistBuilder("rc", hetero_tech.libraries)
         ins = [builder.input(f"i{k}") for k in range(4)]
         outs = random_cloud(builder, ins, out_count=6, depth=4, width=8,
-                            rng=SeedBundle(3).get("cloud"))
+                            rng=stream("cloud", 3))
         assert len(outs) == 6
         for net in outs:
             builder.output(f"o_{net.name}", net)
@@ -125,7 +128,7 @@ class TestRandomCloud:
             builder = NetlistBuilder("rc", hetero_tech.libraries)
             ins = [builder.input(f"i{k}") for k in range(3)]
             outs = random_cloud(builder, ins, 4, 3, 6,
-                                SeedBundle(seed).get("cloud"))
+                                stream("cloud", seed))
             for net in outs:
                 builder.output(f"o_{net.name}", net)
             nl = builder.done()
@@ -142,6 +145,19 @@ class TestRandomCloud:
         builder = NetlistBuilder("rc", hetero_tech.libraries)
         ins = [builder.input("i0")]
         with pytest.raises(NetlistError):
-            random_cloud(builder, [], 1, 1, 1, SeedBundle(1).get("x"))
+            random_cloud(builder, [], 1, 1, 1, stream("x", 1))
         with pytest.raises(NetlistError):
-            random_cloud(builder, ins, 0, 1, 1, SeedBundle(1).get("x"))
+            random_cloud(builder, ins, 0, 1, 1, stream("x", 1))
+
+
+class TestSeedPurity:
+    """A netlist is a pure function of (factory, libraries, seed): the
+    content key covers nothing else, so no call may leave state that
+    moves the next one."""
+
+    @pytest.mark.parametrize("key", sorted(BENCHMARKS))
+    def test_factory_twice_same_netlist(self, key):
+        spec = BENCHMARKS[key]
+        libraries = spec.tech().libraries
+        first = netlist_digest(spec.factory(libraries, 7))
+        assert netlist_digest(spec.factory(libraries, 7)) == first

@@ -8,10 +8,12 @@ from repro.harness.tables import (clear_flow_cache, flow_comparison_rows,
                                   run_benchmark_flow)
 from repro.netlist.generators import MaeriConfig, generate_maeri
 
+from tests.golden_util import netlist_digest
 
-def _tiny_factory(libraries, seeds):
+
+def _tiny_factory(libraries, seed):
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                          libraries, seeds)
+                          libraries, seed)
 
 
 @pytest.fixture()
@@ -51,9 +53,12 @@ class TestFlowCache:
 
 class TestSpecHelpers:
     def test_tech_and_seeds(self, tiny_benchmark):
+        """The spec's factory takes the plain int seed."""
         tech = tiny_benchmark.tech()
         assert tech.is_heterogeneous
-        assert tiny_benchmark.seeds(1).seed == 1
+        netlist = tiny_benchmark.factory(tech.libraries, 1)
+        assert netlist_digest(netlist) \
+            == netlist_digest(tiny_benchmark.factory(tech.libraries, 1))
 
     def test_registry_specs_consistent(self):
         for key, spec in BENCHMARKS.items():

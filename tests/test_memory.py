@@ -42,7 +42,6 @@ from repro.place.placement import Location
 from repro.route import GlobalRouter, RouteEdge, RouteTree
 from repro.route.rc import NetRC
 from repro.route.tree import RouteNode
-from repro.rng import SeedBundle
 from repro.service import ArtifactStore, flow_key
 from repro.service.stages import run_flow_stored
 from repro.snapshot import dumps_snapshot, loads_snapshot
@@ -123,7 +122,7 @@ class TestTrainingGraphs:
     def test_dgi_batch_graph_dies_before_next_forward(
             self, dataset, monkeypatch, collector_off):
         alive = _track_losses(monkeypatch, DGIPretrainer, "loss_for_batch")
-        train_gnn_mls(dataset, SeedBundle(TEST_SEED), self.CONFIG)
+        train_gnn_mls(dataset, TEST_SEED, self.CONFIG)
         assert len(alive) > 2
         assert alive == [0] * len(alive)
 
@@ -131,7 +130,7 @@ class TestTrainingGraphs:
             self, dataset, monkeypatch, collector_off):
         alive = _track_losses(monkeypatch, trainer_mod,
                               "finetune_loss_for_batch")
-        train_gnn_mls(dataset, SeedBundle(TEST_SEED), self.CONFIG)
+        train_gnn_mls(dataset, TEST_SEED, self.CONFIG)
         assert len(alive) > 2
         assert alive == [0] * len(alive)
 
@@ -273,16 +272,16 @@ class TestDictLayoutBlobs:
         spec = get_benchmark("maeri16_hetero")
         config = spec.flow_config("none")
         store = ArtifactStore(tmp_path / "store")
-        store.put(flow_key(spec.factory, spec.tech(), spec.seeds(7), config),
+        store.put(flow_key(spec.factory, spec.tech(), 7, config),
                   {"trees": _dict_layouts()})
         corrupt = metrics.counter("store.corrupt")
         computes = metrics.counter("service.flow_computes")
         report, _summary, cached = run_flow_stored(
-            spec.factory, spec.tech(), spec.seeds(7), config, store)
+            spec.factory, spec.tech(), 7, config, store)
         assert not cached
         assert metrics.counter("store.corrupt") == corrupt + 1
         assert metrics.counter("service.flow_computes") == computes + 1
         fresh, _summary, _cached = run_flow_stored(
-            spec.factory, spec.tech(), spec.seeds(7), config,
+            spec.factory, spec.tech(), 7, config,
             ArtifactStore(tmp_path / "fresh"))
         assert report.result_row() == fresh.result_row()

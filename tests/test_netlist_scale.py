@@ -17,8 +17,8 @@ import sys
 
 import pytest
 
-from repro.core.flow import FlowConfig, prepare_design_cached
-from repro.harness.designs import get_benchmark
+from repro.core.flow import FlowConfig, prepare_design
+from repro.harness.designs import DEFAULT_EXPERIMENT_SEED, get_benchmark
 from repro.snapshot import dumps_snapshot, loads_snapshot
 
 from tests.golden_util import netlist_digest, placement_digest
@@ -31,14 +31,15 @@ def maeri128_prepared():
     spec = get_benchmark("maeri128_hetero")
     config = FlowConfig(selector="none",
                         target_freq_mhz=spec.target_freq_mhz)
-    return prepare_design_cached(spec.factory, spec.tech(), spec.seeds(),
-                                 config)
+    return prepare_design(spec.factory, spec.tech(),
+                          DEFAULT_EXPERIMENT_SEED, config)
 
 
 class TestMaeri128Snapshot:
     def test_prepare_and_pickle_roundtrip(self, maeri128_prepared):
-        """The exact payload the prepare cache and the store hold: no
-        segfault, and the restored design is digest-identical."""
+        """The exact payload the table harness shares and the store
+        holds: no segfault, and the restored design is
+        digest-identical."""
         design = maeri128_prepared
         assert len(design.netlist.instances) > 10_000
         payload = dumps_snapshot(design)
@@ -64,7 +65,7 @@ class TestMaeri128Snapshot:
             == len(design.netlist.instances)
 
     def test_payload_fits_budget(self, maeri128_prepared):
-        """Guard the prepare-cache size win (object-graph baseline was
+        """Guard the snapshot size win (object-graph baseline was
         5 330 335 bytes at the seed commit; the flat core ships well
         under half of that — see BENCH_netlist.json)."""
         payload = dumps_snapshot(maeri128_prepared)

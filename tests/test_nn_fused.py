@@ -20,7 +20,6 @@ from repro.core.batching import pad_batch
 from repro.nn import fused
 from repro.nn.tensor import Tensor
 from repro.route import GlobalRouter
-from repro.rng import SeedBundle
 from repro.timing import run_sta
 
 from tests import encoder_oracle as oracle
@@ -200,7 +199,7 @@ def test_training_through_oracle_is_bit_identical(small_dataset,
     config = TrainConfig(dgi_epochs=2, finetune_epochs=3, batch_size=4)
 
     def train():
-        model = train_gnn_mls(small_dataset, SeedBundle(TEST_SEED), config)
+        model = train_gnn_mls(small_dataset, TEST_SEED, config)
         params = [p.data.tobytes() for p in
                   model.encoder.parameters() + model.head.parameters()]
         return params, decide_mls_nets(model), model.history

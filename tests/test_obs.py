@@ -19,13 +19,12 @@ import time
 
 import pytest
 
-from repro import FlowConfig, run_flow
+from repro import run_flow
 from repro.obs import get_logger, metrics, set_log_level, trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import (validate_chrome_trace, validate_metrics,
                               validate_trace_jsonl)
 from repro.obs.tracer import Tracer, _NULL_SPAN, chrome_trace_path
-from repro.rng import SeedBundle
 
 from tests.conftest import TEST_SEED
 from tests.test_flow import fast_config, tiny_factory
@@ -149,28 +148,37 @@ class TestSpans:
 
 
 class TestPrepareCacheSpans:
-    def test_miss_stores_hit_copies(self, monkeypatch, hetero_tech):
-        """The prepare cache's pickle work is attributed: a miss only
-        pickles into the cache (it returns the design it built), a hit
-        only unpickles; both spans carry the snapshot size."""
-        import repro.core.flow as flow_mod
-        flow_mod.clear_prepare_cache()
+    def test_miss_stores_hit_copies(self, monkeypatch):
+        """The shared prepare's pickle work is attributed: the first
+        memo miss of a multi-selector call pickles the design it built
+        (and flows it), each later miss unpickles its own copy; both
+        spans carry the snapshot size."""
+        import repro.harness.tables as tables
+        from repro.harness.designs import get_benchmark
+
         monkeypatch.setattr(
-            flow_mod, "prepare_design",
-            lambda factory, tech, seeds, config: ("stub", seeds.seed))
-        config = FlowConfig(selector="none")
+            tables, "prepare_design",
+            lambda factory, tech, seed, config: ("stub", seed))
+        monkeypatch.setattr(
+            tables, "run_flow",
+            lambda factory, tech, seed, config, prepare:
+                prepare(factory, tech, seed, config))
+        tables.clear_flow_cache()
         trace.enable()
         trace.reset()
         try:
-            for _ in range(2):
-                flow_mod.prepare_design_cached(
-                    tiny_factory, hetero_tech, SeedBundle(TEST_SEED),
-                    config)
+            designs = tables.run_benchmark_flows(
+                get_benchmark("maeri16_hetero"), ("none", "sota"),
+                seed=TEST_SEED)
             records = list(trace.records)
         finally:
-            flow_mod.clear_prepare_cache()
+            trace.disable()
+            trace.reset()
+            tables.clear_flow_cache()
+        assert designs == {"none": ("stub", TEST_SEED),
+                           "sota": ("stub", TEST_SEED)}
         names = [rec["name"] for rec in records]
-        assert names == ["prepare.cache_store", "prepare.cache_copy"]
+        assert names == ["prepare.pickle", "prepare.copy"]
         sizes = {rec["attrs"]["bytes"] for rec in records}
         assert len(sizes) == 1 and sizes.pop() > 0
 
@@ -236,7 +244,7 @@ class TestFlowTracing:
         trace.reset()
         try:
             report = run_flow(
-                tiny_factory, hetero_tech, SeedBundle(TEST_SEED),
+                tiny_factory, hetero_tech, TEST_SEED,
                 fast_config("oracle", with_scan=True,
                             dft_strategy="wire-based", pdn=True))
             records = list(trace.records)
@@ -327,12 +335,12 @@ class TestFlowTracing:
 class TestTracingDeterminism:
     def test_rows_bit_identical_with_tracing_on(self, hetero_tech):
         baseline = run_flow(tiny_factory, hetero_tech,
-                            SeedBundle(TEST_SEED), fast_config("sota"))
+                            TEST_SEED, fast_config("sota"))
         trace.enable()
         trace.reset()
         try:
             traced = run_flow(tiny_factory, hetero_tech,
-                              SeedBundle(TEST_SEED), fast_config("sota"))
+                              TEST_SEED, fast_config("sota"))
         finally:
             trace.disable()
             trace.reset()
@@ -561,11 +569,11 @@ class TestRecorderDeterminism:
                                                     tmp_path):
         from repro.obs.recorder import flight
         baseline = run_flow(tiny_factory, hetero_tech,
-                            SeedBundle(TEST_SEED), fast_config("sota"))
+                            TEST_SEED, fast_config("sota"))
         flight.arm(tmp_path)
         try:
             recorded = run_flow(tiny_factory, hetero_tech,
-                                SeedBundle(TEST_SEED),
+                                TEST_SEED,
                                 fast_config("sota"))
             assert any(e["type"] == "span" for e in flight.events())
         finally:

@@ -9,7 +9,6 @@ from repro.opt import insert_buffers
 from repro.partition import partition_memory_on_logic
 from repro.place import Placement
 from repro.place.floorplan import Floorplan
-from repro.rng import SeedBundle
 
 
 def _line_design(hetero_tech, sink_positions, fanout_cell="INV"):

@@ -6,13 +6,12 @@ from repro.errors import PartitionError
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.partition import (TIER_LOGIC, TIER_MEMORY, TierAssignment,
                              cross_tier_nets, partition_memory_on_logic)
-from repro.rng import SeedBundle
 
 
 @pytest.fixture(scope="module")
 def maeri(hetero_tech):
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                          hetero_tech.libraries, SeedBundle(5))
+                          hetero_tech.libraries, 5)
 
 
 class TestMemoryOnLogic:

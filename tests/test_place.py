@@ -12,7 +12,7 @@ from repro.place import (Floorplan, legalize_tier, make_floorplan,
                          place_design, quadratic_solve)
 from repro.place.floorplan import ROW_HEIGHT_UM
 from repro.place.legalize import legalize_macros
-from repro.rng import SeedBundle
+from repro.rng import stream
 from repro.tech import NODE_28NM, build_library
 
 LIB = build_library(NODE_28NM)
@@ -38,20 +38,20 @@ class TestFloorplan:
 
     def test_make_floorplan_scales_with_area(self, hetero_tech):
         small = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                               hetero_tech.libraries, SeedBundle(5))
+                               hetero_tech.libraries, 5)
         big = generate_maeri(MaeriConfig(pe_count=64, bandwidth=16),
-                             hetero_tech.libraries, SeedBundle(5))
+                             hetero_tech.libraries, 5)
         assert make_floorplan(big).width > make_floorplan(small).width
 
     def test_make_floorplan_reserves_macro_band(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         fp = make_floorplan(nl)
         assert fp.macro_band_h > 0
 
     def test_unreasonable_utilization(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         with pytest.raises(PlacementError):
             make_floorplan(nl, utilization=0.99)
 
@@ -106,7 +106,7 @@ class TestQuadratic:
 class TestLegalize:
     def test_no_overlap_within_rows(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         fp = make_floorplan(nl)
         names = [n for n, i in nl.instances.items() if not i.is_macro]
         rng = np.random.default_rng(0)
@@ -126,7 +126,7 @@ class TestLegalize:
 
     def test_rejects_macros(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         fp = make_floorplan(nl)
         macro = next(n for n, i in nl.instances.items() if i.is_macro)
         with pytest.raises(PlacementError, match="macro"):
@@ -143,7 +143,7 @@ class TestLegalize:
 
     def test_macro_band_layout(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         fp = make_floorplan(nl)
         macros = [n for n, i in nl.instances.items() if i.is_macro]
         pos = {n: (10.0 * k, 10.0) for k, n in enumerate(macros)}
@@ -156,9 +156,9 @@ class TestLegalize:
 class TestBisection:
     def test_keeps_clusters_local(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         tiers = partition_memory_on_logic(nl)
-        placement, fp = place_design(nl, tiers, SeedBundle(5))
+        placement, fp = place_design(nl, tiers)
         # Each PE's cells should sit well inside the die span.
         for pe in ("pe0", "pe7", "pe15"):
             xs = [placement.of_instance(n).x for n in nl.instances
@@ -168,10 +168,10 @@ class TestBisection:
 
     def test_deterministic(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         tiers = partition_memory_on_logic(nl)
-        p1, _ = place_design(nl, tiers, SeedBundle(5))
-        p2, _ = place_design(nl, tiers, SeedBundle(5))
+        p1, _ = place_design(nl, tiers)
+        p2, _ = place_design(nl, tiers)
         for name in nl.instances:
             assert p1.of_instance(name) == p2.of_instance(name)
 
@@ -187,7 +187,7 @@ class TestBisection:
 class TestPlacementContainer:
     def test_unplaced_raises(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         tiers = partition_memory_on_logic(nl)
         from repro.place import Placement
         placement = Placement(nl, tiers)
@@ -223,12 +223,12 @@ class TestHpwlQualityRegression:
 
     def _place_hpwl(self, nl):
         tiers = partition_memory_on_logic(nl)
-        placement, _ = place_design(nl, tiers, SeedBundle(1234))
+        placement, _ = place_design(nl, tiers)
         return placement.hpwl()
 
     def test_maeri16_quality(self, hetero_tech):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(1234))
+                            hetero_tech.libraries, 1234)
         hpwl = self._place_hpwl(nl)
         ref = SEED_HPWL["maeri16"]
         assert hpwl <= ref * (1.0 + HPWL_TOL), \
@@ -241,7 +241,7 @@ class TestHpwlQualityRegression:
         builder = NetlistBuilder("randlogic", hetero_tech.libraries)
         ins = [builder.input(f"i{k}") for k in range(12)]
         outs = random_cloud(builder, ins, out_count=8, depth=12,
-                            width=40, rng=SeedBundle(1234).get("cloud"))
+                            width=40, rng=stream("cloud", 1234))
         for net in outs:
             builder.output(f"o_{net.name}", net)
         nl = builder.done()

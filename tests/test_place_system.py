@@ -21,7 +21,6 @@ from repro.place import (NetConnectivity, Placement, PlacementSystem,
                          bisection_place, make_floorplan, quadratic_solve)
 from repro.place.legalize import legalize_macros
 from repro.place.placer import _pin_ports
-from repro.rng import SeedBundle
 
 
 @lru_cache(maxsize=1)
@@ -33,7 +32,7 @@ def _small_setup():
     """
     tech = TechSetup.build("16nm", "28nm", 6)
     nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                        tech.libraries, SeedBundle(1234))
+                        tech.libraries, 1234)
     tiers = partition_memory_on_logic(nl)
     fp = make_floorplan(nl, utilization=0.45)
     fixed = _pin_ports(nl, tiers, fp, Placement(nl, tiers))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rng import DEFAULT_SEED, SeedBundle, stream
+from repro.rng import DEFAULT_SEED, stream
 
 
 def test_same_name_same_sequence():
@@ -28,35 +28,6 @@ def test_different_seeds_differ():
 def test_empty_name_rejected():
     with pytest.raises(ValueError):
         stream("", 1)
-
-
-def test_bundle_caches_generator():
-    bundle = SeedBundle(7)
-    g1 = bundle.get("x")
-    g1.random()
-    g2 = bundle.get("x")
-    assert g1 is g2           # same object, sequence continues
-
-
-def test_bundle_fresh_resets():
-    bundle = SeedBundle(7)
-    bundle.get("x").random(4)
-    fresh = bundle.fresh("x").random(4)
-    again = stream("x", 7).random(4)
-    assert np.array_equal(fresh, again)
-
-
-def test_child_bundles_independent():
-    parent = SeedBundle(7)
-    child_a = parent.child("a")
-    child_b = parent.child("b")
-    assert child_a.seed != child_b.seed
-    assert not np.array_equal(child_a.get("x").random(4),
-                              child_b.get("x").random(4))
-
-
-def test_child_deterministic():
-    assert SeedBundle(7).child("a").seed == SeedBundle(7).child("a").seed
 
 
 def test_default_seed_is_stable():

@@ -26,7 +26,6 @@ from repro.nn import fused
 from repro.nn.functional import masked_bce_with_logits
 from repro.nn.tensor import Tensor
 from repro.route import GlobalRouter
-from repro.rng import SeedBundle
 from repro.timing import run_sta
 
 from tests import select_oracle as reference
@@ -197,7 +196,7 @@ def _assert_tracks_reference(dataset, config) -> None:
     """Loss histories within 1e-9 and the identical net set, padded
     path against the per-graph reference."""
     def train():
-        model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+        model = train_gnn_mls(dataset, TEST_SEED, config)
         return model.history, decide_mls_nets(model)
 
     hist_v, nets_v = train()
@@ -228,7 +227,7 @@ class TestTrainerEquivalence:
         dataset, config = trained_pair
         picks = []
         for _ in range(2):
-            model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+            model = train_gnn_mls(dataset, TEST_SEED, config)
             picks.append((decide_mls_nets(model), model.history))
         assert picks[0][0] == picks[1][0]
         for key in ("dgi", "finetune"):
@@ -236,7 +235,7 @@ class TestTrainerEquivalence:
 
     def test_batched_inference_matches_per_graph(self, trained_pair):
         dataset, config = trained_pair
-        model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+        model = train_gnn_mls(dataset, TEST_SEED, config)
         batched = model.net_probabilities(dataset.graphs)
         with reference.per_graph_reference():
             per_graph = model.net_probabilities(dataset.graphs)
@@ -256,7 +255,7 @@ class TestTrainerEquivalence:
         monkeypatch.setattr(fused, "encode", refuse)
         monkeypatch.setattr(fused, "infer", refuse)
         with reference.per_graph_reference():
-            model = train_gnn_mls(dataset, SeedBundle(TEST_SEED), config)
+            model = train_gnn_mls(dataset, TEST_SEED, config)
             assert model.net_probabilities(dataset.graphs[:5])
 
     def test_invalid_batch_size_rejected(self):

@@ -168,10 +168,10 @@ class TestRequestParsing:
         from repro.service.daemon import build_flow_config
 
         assert DEFAULT_EXPERIMENT_SEED != 0
-        _, _, seeds = build_flow_config({"benchmark": BENCH, "seed": 0})
-        assert seeds.seed == 0
+        _, _, seed = build_flow_config({"benchmark": BENCH, "seed": 0})
+        assert seed == 0
         _, _, defaulted = build_flow_config({"benchmark": BENCH})
-        assert defaulted.seed == DEFAULT_EXPERIMENT_SEED
+        assert defaulted == DEFAULT_EXPERIMENT_SEED
 
     @pytest.mark.parametrize("field,value", [
         pytest.param("select_batch", True, id="select_batch"),
@@ -206,9 +206,9 @@ class TestRequestParsing:
         assert main(["flow", "--benchmark", BENCH, "--selector", "none",
                      "--store", str(store)]) == 0
         capsys.readouterr()
-        spec, config, seeds = build_flow_config(
+        spec, config, seed = build_flow_config(
             {"benchmark": BENCH, "selector": "none"})
-        _, _, cached = run_flow_stored(spec.factory, spec.tech(), seeds,
+        _, _, cached = run_flow_stored(spec.factory, spec.tech(), seed,
                                        config, ArtifactStore(store),
                                        need_report=False)
         assert cached

@@ -38,7 +38,6 @@ from repro.netlist.generators import (A7Config, MaeriConfig,
                                       generate_a7_dual_core,
                                       generate_maeri)
 from repro.obs import metrics
-from repro.rng import SeedBundle
 from repro.service import ArtifactStore, flow_key, prepare_stage_keys
 from repro.service.stages import report_digest, run_flow_stored
 from repro.service.store import write_artifact_bytes
@@ -48,15 +47,15 @@ from tests.golden_util import (netlist_digest, placement_digest,
 from tests.conftest import TEST_SEED
 
 
-def _maeri_small(libraries, seeds):
+def _maeri_small(libraries, seed):
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                          libraries, seeds)
+                          libraries, seed)
 
 
-def _a7_small(libraries, seeds):
+def _a7_small(libraries, seed):
     return generate_a7_dual_core(
         A7Config(word_width=8, stage_depth=2, cache_banks=1,
-                 bus_width=4), libraries, seeds)
+                 bus_width=4), libraries, seed)
 
 
 FAMILIES = {
@@ -100,14 +99,14 @@ class TestColdWarmEquivalence:
         root = tmp_path / "store"
 
         # Plain cold path: no store anywhere near the flow.
-        plain = run_flow(factory, hetero_tech, SeedBundle(TEST_SEED),
+        plain = run_flow(factory, hetero_tech, TEST_SEED,
                          config)
         golden = _digests(plain)
 
         # Store-backed cold run (fresh empty store).
         store = ArtifactStore(root)
         cold, cold_summary, cold_cached = run_flow_stored(
-            factory, hetero_tech, SeedBundle(TEST_SEED), config, store)
+            factory, hetero_tech, TEST_SEED, config, store)
         assert not cold_cached
         assert _digests(cold) == golden
         assert cold_summary["report_digest"] == golden["report"]
@@ -119,7 +118,7 @@ class TestColdWarmEquivalence:
                            "service.flow_computes")
         warm_store = ArtifactStore(root)
         warm, warm_summary, warm_cached = run_flow_stored(
-            factory, hetero_tech, SeedBundle(TEST_SEED), config,
+            factory, hetero_tech, TEST_SEED, config,
             warm_store)
         moved = _delta(before)
         assert warm_cached
@@ -134,7 +133,7 @@ class TestColdWarmEquivalence:
         # keep generate/partition/place — the flow resumes from the
         # placement artifact and must land on the same digests.
         keys = prepare_stage_keys(factory, hetero_tech,
-                                  SeedBundle(TEST_SEED), config)
+                                  TEST_SEED, config)
         resume_store = ArtifactStore(root)
         for blob in root.glob("objects/*/flow.*.bin"):
             blob.unlink()
@@ -143,7 +142,7 @@ class TestColdWarmEquivalence:
         before = _counters("store.hits.prepare.place",
                            "service.flow_computes")
         resumed, resumed_summary, resumed_cached = run_flow_stored(
-            factory, hetero_tech, SeedBundle(TEST_SEED), config,
+            factory, hetero_tech, TEST_SEED, config,
             resume_store)
         moved = _delta(before)
         assert not resumed_cached            # the flow itself re-ran
@@ -157,7 +156,7 @@ def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
     factory, freq = FAMILIES["maeri"]
     root = tmp_path / "store"
     store = ArtifactStore(root)
-    run_flow_stored(factory, hetero_tech, SeedBundle(TEST_SEED),
+    run_flow_stored(factory, hetero_tech, TEST_SEED,
                     _config(freq), store)
     swept = dataclasses.replace(_config(freq),
                                 target_freq_mhz=freq - 200.0)
@@ -166,7 +165,7 @@ def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
                        "store.puts.prepare.partition",
                        "store.puts.prepare.place")
     report, _summary, cached = run_flow_stored(
-        factory, hetero_tech, SeedBundle(TEST_SEED), swept,
+        factory, hetero_tech, TEST_SEED, swept,
         ArtifactStore(root))
     moved = _delta(before)
     assert not cached                        # different key, real run
@@ -176,7 +175,7 @@ def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
     assert moved["store.puts.prepare.place"] == 0
     # Placement is genuinely shared: locations identical across the
     # sweep even though timing closed at a different clock.
-    base = run_flow_stored(factory, hetero_tech, SeedBundle(TEST_SEED),
+    base = run_flow_stored(factory, hetero_tech, TEST_SEED,
                            _config(freq), ArtifactStore(root),
                            need_report=True)[0]
     assert placement_digest(report.design) == \
@@ -202,9 +201,9 @@ def test_undecodable_report_is_recomputed(tmp_path, hetero_tech):
     config = _config(freq)
     root = tmp_path / "store"
     cold, cold_summary, _ = run_flow_stored(
-        factory, hetero_tech, SeedBundle(TEST_SEED), config,
+        factory, hetero_tech, TEST_SEED, config,
         ArtifactStore(root))
-    fkey = flow_key(factory, hetero_tech, SeedBundle(TEST_SEED), config)
+    fkey = flow_key(factory, hetero_tech, TEST_SEED, config)
     blob = _undecodable_blob()
 
     store = ArtifactStore(root)
@@ -218,7 +217,7 @@ def test_undecodable_report_is_recomputed(tmp_path, hetero_tech):
     path.write_bytes(blob)
     before = _counters("store.corrupt", "service.flow_computes")
     report, summary, cached = run_flow_stored(
-        factory, hetero_tech, SeedBundle(TEST_SEED), config,
+        factory, hetero_tech, TEST_SEED, config,
         ArtifactStore(root), need_report=True)
     moved = _delta(before)
     assert not cached
@@ -226,3 +225,23 @@ def test_undecodable_report_is_recomputed(tmp_path, hetero_tech):
     assert moved["service.flow_computes"] == 1
     assert report_digest(report) == report_digest(cold)
     assert summary["report_digest"] == cold_summary["report_digest"]
+
+
+class TestSeedPurity:
+    def test_two_cold_stored_flows_agree(self, tmp_path):
+        """Two cold MAERI-16 ``none`` flows with seed 7, each into its
+        own fresh store, give one report digest: the content key names
+        the seed, and the flow computes nothing else from it."""
+        from repro.harness.designs import get_benchmark
+
+        spec = get_benchmark("maeri16_hetero")
+        config = spec.flow_config("none")
+        digests = []
+        for name in ("first", "second"):
+            report, summary, cached = run_flow_stored(
+                spec.factory, spec.tech(), 7, config,
+                ArtifactStore(tmp_path / name))
+            assert not cached
+            assert summary["report_digest"] == report_digest(report)
+            digests.append(summary["report_digest"])
+        assert digests[0] == digests[1]

@@ -32,10 +32,9 @@ from hypothesis import given, settings, strategies as st
 from repro.core.flow import FlowConfig, TrainConfig
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.obs import metrics
-from repro.rng import SeedBundle
 from repro.service import (ArtifactCorruptError, ArtifactStore,
-                           ContentKey, flow_key, prepare_key,
-                           prepare_stage_keys, tech_digest)
+                           ContentKey, flow_key, prepare_stage_keys,
+                           tech_digest)
 from repro.service.store import (read_artifact_bytes,
                                  write_artifact_bytes)
 from repro.snapshot import dumps_snapshot
@@ -44,14 +43,14 @@ from tests.golden_util import netlist_digest
 from tests.conftest import TEST_SEED
 
 
-def _maeri_factory(libraries, seeds):
+def _maeri_factory(libraries, seed):
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                          libraries, seeds)
+                          libraries, seed)
 
 
-def _maeri_factory_wide(libraries, seeds):
+def _maeri_factory_wide(libraries, seed):
     return generate_maeri(MaeriConfig(pe_count=16, bandwidth=16),
-                          libraries, seeds)
+                          libraries, seed)
 
 
 def _same_name_factory(wide: bool):
@@ -60,13 +59,13 @@ def _same_name_factory(wide: bool):
     (bandwidth 4 -> 8; both distinct from pe_count so the const
     tables keep the same shape) is invisible to a co_code hash."""
     if wide:
-        def factory(libraries, seeds):
+        def factory(libraries, seed):
             return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                                  libraries, seeds)
+                                  libraries, seed)
     else:
-        def factory(libraries, seeds):
+        def factory(libraries, seed):
             return generate_maeri(MaeriConfig(pe_count=16, bandwidth=4),
-                                  libraries, seeds)
+                                  libraries, seed)
     return factory
 
 
@@ -74,15 +73,15 @@ def _nested_literal_factory(wide: bool):
     """Same trap one level down: the differing literal lives in a
     *nested* code object stored in the outer factory's co_consts."""
     if wide:
-        def factory(libraries, seeds):
+        def factory(libraries, seed):
             def config():
                 return MaeriConfig(pe_count=16, bandwidth=8)
-            return generate_maeri(config(), libraries, seeds)
+            return generate_maeri(config(), libraries, seed)
     else:
-        def factory(libraries, seeds):
+        def factory(libraries, seed):
             def config():
                 return MaeriConfig(pe_count=16, bandwidth=4)
-            return generate_maeri(config(), libraries, seeds)
+            return generate_maeri(config(), libraries, seed)
     return factory
 
 
@@ -118,22 +117,20 @@ def tech(hetero_tech):
     return hetero_tech
 
 
-def _seeds(seed: int = TEST_SEED) -> SeedBundle:
-    return SeedBundle(seed)
-
-
 class TestKeyDerivation:
     def test_identical_inputs_collide(self, tech):
         """Two independently-built identical inputs -> one key."""
         from repro.design import TechSetup
-        a = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
+        a = flow_key(_maeri_factory, tech, TEST_SEED, BASE_CONFIG)
         b = flow_key(_maeri_factory, TechSetup.build("16nm", "28nm", 6),
-                     _seeds(),
+                     TEST_SEED,
                      FlowConfig(selector="none", target_freq_mhz=1500.0))
         assert a.stable and b.stable
         assert a.hexdigest == b.hexdigest
-        pa = prepare_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        pb = prepare_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
+        pa = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
+                                BASE_CONFIG)
+        pb = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
+                                BASE_CONFIG)
         assert pa == pb
 
     def test_perturbation_table_is_exhaustive(self):
@@ -148,8 +145,8 @@ class TestKeyDerivation:
     @pytest.mark.parametrize("field_name", sorted(_PERTURBATIONS))
     def test_each_config_field_changes_key(self, tech, field_name):
         base_cfg, changed = _perturbed(field_name)
-        base = flow_key(_maeri_factory, tech, _seeds(), base_cfg)
-        assert flow_key(_maeri_factory, tech, _seeds(),
+        base = flow_key(_maeri_factory, tech, TEST_SEED, base_cfg)
+        assert flow_key(_maeri_factory, tech, TEST_SEED,
                         changed).hexdigest != base.hexdigest
 
     @pytest.mark.parametrize(
@@ -163,33 +160,34 @@ class TestKeyDerivation:
         changed = dataclasses.replace(
             BASE_CONFIG, train=dataclasses.replace(
                 train, **{field_name: bumped}))
-        base = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        assert flow_key(_maeri_factory, tech, _seeds(),
+        base = flow_key(_maeri_factory, tech, TEST_SEED, BASE_CONFIG)
+        assert flow_key(_maeri_factory, tech, TEST_SEED,
                         changed).hexdigest != base.hexdigest
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_seed_perturbation(self, tech, seed):
-        base = flow_key(_maeri_factory, tech, _seeds(TEST_SEED),
+        base = flow_key(_maeri_factory, tech, TEST_SEED,
                         BASE_CONFIG)
-        other = flow_key(_maeri_factory, tech, _seeds(seed), BASE_CONFIG)
+        other = flow_key(_maeri_factory, tech, seed, BASE_CONFIG)
         assert (other.hexdigest == base.hexdigest) == (seed == TEST_SEED)
 
     @given(freq=st.floats(min_value=100.0, max_value=4000.0,
                           allow_nan=False))
     @settings(max_examples=25, deadline=None)
     def test_freq_perturbation(self, tech, freq):
-        base = prepare_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        other = prepare_key(
-            _maeri_factory, tech, _seeds(),
-            dataclasses.replace(BASE_CONFIG, target_freq_mhz=freq))
+        base = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
+                                  BASE_CONFIG).prepared
+        other = prepare_stage_keys(
+            _maeri_factory, tech, TEST_SEED,
+            dataclasses.replace(BASE_CONFIG, target_freq_mhz=freq)).prepared
         assert (other.hexdigest == base.hexdigest) == \
             (freq == BASE_CONFIG.target_freq_mhz)
 
     def test_tech_perturbation(self, tech, homo_tech):
         assert tech_digest(tech) != tech_digest(homo_tech)
-        a = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        b = flow_key(_maeri_factory, homo_tech, _seeds(), BASE_CONFIG)
+        a = flow_key(_maeri_factory, tech, TEST_SEED, BASE_CONFIG)
+        b = flow_key(_maeri_factory, homo_tech, TEST_SEED, BASE_CONFIG)
         assert a.hexdigest != b.hexdigest
 
     def test_factory_param_perturbation(self, tech):
@@ -197,19 +195,19 @@ class TestKeyDerivation:
         partial-bound parameters participate too."""
         import functools
 
-        a = flow_key(_maeri_factory, tech, _seeds(), BASE_CONFIG)
-        b = flow_key(_maeri_factory_wide, tech, _seeds(), BASE_CONFIG)
+        a = flow_key(_maeri_factory, tech, TEST_SEED, BASE_CONFIG)
+        b = flow_key(_maeri_factory_wide, tech, TEST_SEED, BASE_CONFIG)
         assert a.hexdigest != b.hexdigest
 
-        def parametric(config, libraries, seeds):
-            return generate_maeri(config, libraries, seeds)
+        def parametric(config, libraries, seed):
+            return generate_maeri(config, libraries, seed)
 
         p8 = functools.partial(parametric, MaeriConfig(pe_count=16,
                                                        bandwidth=8))
         p16 = functools.partial(parametric, MaeriConfig(pe_count=16,
                                                         bandwidth=16))
-        ka = flow_key(p8, tech, _seeds(), BASE_CONFIG)
-        kb = flow_key(p16, tech, _seeds(), BASE_CONFIG)
+        ka = flow_key(p8, tech, TEST_SEED, BASE_CONFIG)
+        kb = flow_key(p16, tech, TEST_SEED, BASE_CONFIG)
         assert ka.stable and kb.stable
         assert ka.hexdigest != kb.hexdigest
 
@@ -220,12 +218,12 @@ class TestKeyDerivation:
         narrow, wide = _same_name_factory(False), _same_name_factory(True)
         # The trap this test pins: identical bytecode, different consts.
         assert narrow.__code__.co_code == wide.__code__.co_code
-        ka = flow_key(narrow, tech, _seeds(), BASE_CONFIG)
-        kb = flow_key(wide, tech, _seeds(), BASE_CONFIG)
+        ka = flow_key(narrow, tech, TEST_SEED, BASE_CONFIG)
+        kb = flow_key(wide, tech, TEST_SEED, BASE_CONFIG)
         assert ka.stable and kb.stable
         assert ka.hexdigest != kb.hexdigest
         # Deterministic: an identically-rebuilt factory shares the key.
-        rebuilt = flow_key(_same_name_factory(False), tech, _seeds(),
+        rebuilt = flow_key(_same_name_factory(False), tech, TEST_SEED,
                            BASE_CONFIG)
         assert rebuilt.hexdigest == ka.hexdigest
 
@@ -235,8 +233,8 @@ class TestKeyDerivation:
         narrow = _nested_literal_factory(False)
         wide = _nested_literal_factory(True)
         assert narrow.__code__.co_code == wide.__code__.co_code
-        ka = flow_key(narrow, tech, _seeds(), BASE_CONFIG)
-        kb = flow_key(wide, tech, _seeds(), BASE_CONFIG)
+        ka = flow_key(narrow, tech, TEST_SEED, BASE_CONFIG)
+        kb = flow_key(wide, tech, TEST_SEED, BASE_CONFIG)
         assert ka.stable and kb.stable
         assert ka.hexdigest != kb.hexdigest
 
@@ -244,16 +242,16 @@ class TestKeyDerivation:
         """No config field moves generate/partition/place: frequency
         and scan sweeps — or any other perturbation — share the
         placement artifact."""
-        base = prepare_stage_keys(_maeri_factory, tech, _seeds(),
+        base = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
                                   BASE_CONFIG)
         swept = prepare_stage_keys(
-            _maeri_factory, tech, _seeds(),
+            _maeri_factory, tech, TEST_SEED,
             dataclasses.replace(BASE_CONFIG, target_freq_mhz=1700.0,
                                 with_scan=True))
         assert swept.prepared != base.prepared
         for field_name in sorted(_PERTURBATIONS):
             _, changed = _perturbed(field_name)
-            keys = prepare_stage_keys(_maeri_factory, tech, _seeds(),
+            keys = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
                                       changed)
             assert (keys.generate, keys.partition, keys.place) == \
                 (base.generate, base.partition, base.place), field_name
@@ -261,20 +259,20 @@ class TestKeyDerivation:
     def test_unfingerprintable_factory_degrades_to_unstable(self, tech):
         opaque = object()
 
-        def closure_factory(libraries, seeds):
+        def closure_factory(libraries, seed):
             _ = opaque          # closure over an unfingerprintable obj
-            return _maeri_factory(libraries, seeds)
+            return _maeri_factory(libraries, seed)
 
-        key = flow_key(closure_factory, tech, _seeds(), BASE_CONFIG)
+        key = flow_key(closure_factory, tech, TEST_SEED, BASE_CONFIG)
         assert not key.stable
         # Distinct opaque objects -> distinct keys (id folded in).
         other_obj = object()
 
-        def other_factory(libraries, seeds):
+        def other_factory(libraries, seed):
             _ = other_obj
-            return _maeri_factory(libraries, seeds)
+            return _maeri_factory(libraries, seed)
 
-        assert flow_key(other_factory, tech, _seeds(),
+        assert flow_key(other_factory, tech, TEST_SEED,
                         BASE_CONFIG).hexdigest != key.hexdigest
 
 
@@ -316,7 +314,7 @@ class TestBlobFormat:
             read_artifact_bytes(bytes(blob))
 
     def test_netlist_roundtrip_golden_digest(self, tech):
-        netlist = _maeri_factory(tech.libraries, _seeds())
+        netlist = _maeri_factory(tech.libraries, TEST_SEED)
         restored = read_artifact_bytes(write_artifact_bytes(netlist))
         assert netlist_digest(restored) == netlist_digest(netlist)
 

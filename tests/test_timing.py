@@ -10,7 +10,6 @@ from repro.errors import TimingError
 from repro.mls import route_with_mls
 from repro.partition import partition_memory_on_logic
 from repro.place import place_design
-from repro.rng import SeedBundle
 from repro.timing import (PORT_DRIVE_RES, build_timing_graph,
                           extract_worst_paths, net_whatif_delta, run_sta,
                           setup_time)
@@ -28,7 +27,7 @@ def chain_design(hetero_tech):
     design = Design(nl, hetero_tech, 1000.0)
     design.tiers = partition_memory_on_logic(nl)
     design.placement, design.floorplan = place_design(
-        nl, design.tiers, SeedBundle(TEST_SEED))
+        nl, design.tiers)
     route_with_mls(design, set())
     return design
 

@@ -20,7 +20,7 @@ from repro.netlist.generators.a7 import A7Config, generate_a7_dual_core
 from repro.opt import insert_buffers
 from repro.partition import partition_memory_on_logic
 from repro.place import place_design
-from repro.rng import SeedBundle, stream
+from repro.rng import stream
 from repro.route import GlobalRouter
 from repro.timing import IncrementalSta, run_sta
 from repro.timing.sta import TimingReport
@@ -31,14 +31,13 @@ from tests.sta_oracle import serial_sta
 
 def build_small_a7(tech, seed: int = TEST_SEED) -> Design:
     """A deliberately tiny A7 pushed through place/buffer/route."""
-    seeds = SeedBundle(seed)
     netlist = generate_a7_dual_core(
         A7Config(word_width=8, stage_depth=2, cache_banks=1, bus_width=4),
-        tech.libraries, seeds)
+        tech.libraries, seed)
     design = Design(netlist, tech, 1500.0)
     design.tiers = partition_memory_on_logic(netlist)
     design.placement, design.floorplan = place_design(
-        netlist, design.tiers, seeds)
+        netlist, design.tiers)
     insert_buffers(design)
     route_with_mls(design, set())
     return design
@@ -86,7 +85,7 @@ class TestCsrKernel:
         d = Design(nl, hetero_tech, 20000.0)
         d.tiers = partition_memory_on_logic(nl)
         d.placement, d.floorplan = place_design(
-            nl, d.tiers, SeedBundle(TEST_SEED))
+            nl, d.tiers)
         route_with_mls(d, set())
         assert_reports_identical(run_sta(d), serial_sta(d))
 
@@ -212,38 +211,3 @@ class TestReportCaching:
         assert rep.wns_ps == -5.0
         assert rep.num_violating == 1
 
-
-class TestPrepareCacheBound:
-    def test_lru_eviction(self, monkeypatch, hetero_tech):
-        import repro.core.flow as flow_mod
-        flow_mod.clear_prepare_cache()
-        monkeypatch.setattr(flow_mod, "PREPARE_CACHE_MAX_ENTRIES", 2)
-        monkeypatch.setattr(
-            flow_mod, "prepare_design",
-            lambda factory, tech, seeds, config: ("stub", seeds.seed))
-        config = flow_mod.FlowConfig(selector="none")
-
-        def prep(seed):
-            return flow_mod.prepare_design_cached(
-                generate_a7_dual_core, hetero_tech,
-                SeedBundle(seed), config)
-
-        def key_of(seed):
-            # The LRU keys by the shared content-hash derivation.
-            from repro.service.keys import prepare_key
-            key = prepare_key(generate_a7_dual_core, hetero_tech,
-                              SeedBundle(seed), config)
-            assert key.stable
-            return (key.kind, key.hexdigest)
-
-        assert prep(1) == ("stub", 1)
-        assert prep(2) == ("stub", 2)
-        assert prep(3) == ("stub", 3)
-        assert len(flow_mod._PREPARE_CACHE) == 2
-        # Seed 1 was least recently used -> evicted; 2 and 3 remain.
-        assert list(flow_mod._PREPARE_CACHE) == [key_of(2), key_of(3)]
-        # Re-touching seed 2 makes 3 the eviction candidate.
-        prep(2)
-        prep(4)
-        assert list(flow_mod._PREPARE_CACHE) == [key_of(2), key_of(4)]
-        flow_mod.clear_prepare_cache()

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import NetlistError, TechError
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.netlist.verilog import dumps, read_verilog, write_verilog
-from repro.rng import SeedBundle
 from repro.tech import NODE_28NM, build_library
 
 from tests.conftest import make_chain_netlist
@@ -37,7 +36,7 @@ class TestRoundTrip:
 
     def test_maeri_roundtrip_with_attrs(self, hetero_tech, tmp_path):
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         path = tmp_path / "maeri.v"
         write_verilog(nl, path)
         # Hetero designs read back against the full library dict; each
@@ -56,7 +55,7 @@ class TestRoundTrip:
         models — the importer must pick the region's library, not a
         merged namespace."""
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         path = tmp_path / "maeri.v"
         write_verilog(nl, path)
         back = read_verilog(path, hetero_tech.libraries)
@@ -72,7 +71,7 @@ class TestRoundTrip:
 
         from tests.golden_util import netlist_digest
         nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, SeedBundle(5))
+                            hetero_tech.libraries, 5)
         path = tmp_path / "maeri.v"
         write_verilog(nl, path)
         imported = read_verilog(path, hetero_tech.libraries)
@@ -93,7 +92,7 @@ class TestRoundTrip:
         # Hierarchical names like 'launch_1' are plain, but generator
         # names with '/' must be escaped.
         nl2 = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                             hetero_tech.libraries, SeedBundle(5))
+                             hetero_tech.libraries, 5)
         text2 = dumps(nl2)
         assert "\\pe0/" in text2
         assert text.count("module ") == 1  # one module decl (+ endmodule)
