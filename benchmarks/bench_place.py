@@ -359,10 +359,10 @@ def _seed_legalize_tier(netlist, names, positions, fp):
     return legal
 
 
-def _seed_place_design(netlist, tiers, fp=None, utilization=0.45):
+def _seed_place_design(netlist, tiers, fp=None):
     """The pre-rework ``place_design`` flow over the frozen kernels."""
     if fp is None:
-        fp = make_floorplan(netlist, utilization=utilization)
+        fp = make_floorplan(netlist)
     placement = Placement(netlist, tiers)
     fixed = _pin_ports(netlist, tiers, fp, placement)
     macro_names = [n for n, inst in netlist.instances.items()
@@ -404,7 +404,7 @@ def _best_of(fn, repeats: int) -> tuple[float, object]:
 
 def _cached_vs_rebuild_identical(netlist, tiers) -> bool:
     """Gate: serving levels from the cached system == per-level rebuild."""
-    fp = make_floorplan(netlist, utilization=0.45)
+    fp = make_floorplan(netlist)
     fixed = _pin_ports(netlist, tiers, fp, Placement(netlist, tiers))
     macros = [n for n, i in netlist.instances.items() if i.is_macro]
     std = [n for n, i in netlist.instances.items() if not i.is_macro]

@@ -13,18 +13,19 @@ list       list benchmark keys and selectors
 
 ``flow``/``timing``/``congestion`` accept ``--store PATH`` to read
 through (and write back) the persistent content-addressed artifact
-store — warm invocations skip generate/partition/place/buffer, or
-replay the whole stored report bit-identically.  ``service start``
-puts an async daemon in front of the same store on a unix socket.
+store — warm invocations replay the whole stored report
+bit-identically, or resume from the stored placement when only the
+clock or scan setting changed.  ``service start`` puts an async daemon
+in front of the same store on a unix socket.
 
 Every command also takes the observability flags (see
 :mod:`repro.obs`): ``--trace PATH`` records hierarchical spans to
 JSONL plus a ``chrome://tracing``-loadable sibling, ``--metrics PATH``
 dumps the run's counters/gauges/stats, and ``--log-level`` adjusts the
 structured ``repro`` logger (default ``info`` output is byte-identical
-to the historical prints).  ``--trace-max-mb N`` switches tracing to a
-size-capped **rotating** stream (``PATH`` → ``PATH.1`` → ...) for
-long runs; ``service start`` always streams its trace this way.  The
+to the historical prints).  ``service start`` streams its trace to a
+64 MB **rotating** file (``PATH`` → ``PATH.1`` → ...); every other
+command buffers its spans and writes them when it ends.  The
 ``trace`` group analyzes what the tracer wrote: ``trace report`` for
 self/cumulative-time profiles and critical paths, ``trace diff`` to
 localize where wall-clock moved between two runs, and ``trace gate``
@@ -105,12 +106,6 @@ def _add_obs(parser: argparse.ArgumentParser,
                        help="record hierarchical spans to PATH (JSONL) "
                             "plus a chrome://tracing sibling "
                             "(PATH with a .chrome.json suffix)")
-    group.add_argument("--trace-max-mb", type=_positive_int,
-                       default=None, metavar="MB",
-                       help="stream spans to --trace with size-based "
-                            "rotation (PATH -> PATH.1 -> ...) instead "
-                            "of buffering; no chrome sibling in this "
-                            "mode")
     if metrics_flag:
         group.add_argument("--metrics", metavar="PATH", default=None,
                            help="write the run's counters/gauges/stats"
@@ -263,8 +258,6 @@ def _service_start(args) -> int:
         # parent must not clobber them with its own (empty) buffers.
         if args.trace:
             argv += ["--trace", args.trace]
-            if args.trace_max_mb:
-                argv += ["--trace-max-mb", str(args.trace_max_mb)]
             args.trace = None
         if args.metrics:
             argv += ["--metrics", args.metrics]
@@ -584,12 +577,9 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
     }[args.command]
     # Long-lived daemons stream their trace through a rotating sink
-    # (bounded file size, bounded memory); one-shot commands buffer
-    # unless --trace-max-mb asks for rotation explicitly.
-    streaming = args.trace and (
-        args.trace_max_mb is not None
-        or (args.command == "service"
-            and args.service_command == "start"))
+    # (bounded file size, bounded memory); one-shot commands buffer.
+    streaming = args.trace and args.command == "service" \
+        and args.service_command == "start"
     if (args.command == "service" and args.service_command == "start"
             and args.detach):
         # The forked daemon owns the trace and metrics files
@@ -601,9 +591,7 @@ def main(argv: list[str] | None = None) -> int:
         trace.enable()
         if streaming:
             from repro.obs.tracer import RotatingTraceSink
-            max_mb = args.trace_max_mb or 64
-            trace.attach_sink(RotatingTraceSink(
-                args.trace, max_bytes=max_mb << 20))
+            trace.attach_sink(RotatingTraceSink(args.trace))
     code = handler(args)
     if args.trace:
         if streaming:

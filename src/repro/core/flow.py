@@ -35,7 +35,7 @@ from repro.mls.oracle import candidate_nets
 from repro.timing import IncrementalSta, run_sta
 from repro.timing.sta import TimingReport
 from repro.rng import stream
-from repro.core.decide import DEFAULT_THRESHOLD, decide_mls_nets
+from repro.core.decide import decide_mls_nets
 from repro.core.pathset import build_dataset
 from repro.core.trainer import TrainConfig, train_gnn_mls
 
@@ -233,41 +233,35 @@ def _stage(name: str, stages: dict[str, float], **attrs):
                 + time.perf_counter() - t0
 
 
-def stage_generate(factory: NetlistFactory, tech: TechSetup,
-                   seed: int) -> Netlist:
-    """Prepare stage 1: build (or import) the netlist.
+def stage_place(factory: NetlistFactory, tech: TechSetup, seed: int):
+    """Prepare stages 1-3: generate (or import) the netlist, assign
+    tiers memory-on-logic, place; returns (placement, floorplan), and
+    the placement carries the netlist and its tiers.
 
     Pure in (factory, tech libraries, seed): the generators draw only
-    from their own named seed streams, so skipping this stage — e.g.
-    restoring its artifact from the service store — leaves every later
-    stage's randomness untouched.
+    from their own named seed streams, and nothing here reads a
+    ``FlowConfig`` field, so frequency and scan sweeps share one
+    placement (the service store's ``prepare.place`` artifact).
     """
     with trace.span("prepare.generate"):
-        return factory(tech.libraries, seed)
-
-
-def stage_partition(netlist: Netlist):
-    """Prepare stage 2: memory-on-logic tier assignment (pure)."""
+        netlist = factory(tech.libraries, seed)
     with trace.span("prepare.partition"):
-        return partition_memory_on_logic(netlist)
-
-
-def stage_place(netlist: Netlist, tiers):
-    """Prepare stage 3: placement; returns (placement, floorplan).
-
-    Deterministic in (netlist, tiers) and independent of every
-    ``FlowConfig`` field — nothing here reads the clock target, so
-    frequency and scan sweeps share one placement artifact.
-    """
+        tiers = partition_memory_on_logic(netlist)
     with trace.span("prepare.place"):
         return place_design(netlist, tiers)
 
 
-def stage_finish(design: Design, config: FlowConfig) -> Design:
-    """Prepare stages 4-6: level shifters, optional scan, buffering.
+def stage_finish(placed, tech: TechSetup, config: FlowConfig) -> Design:
+    """Prepare stages 4-6 on a :func:`stage_place` result: the design,
+    level shifters, optional scan, buffering.
 
-    Mutates and returns *design*; the first stage that depends on the
+    Mutates what *placed* holds; the first stage that depends on the
     target frequency (buffer sizing reads the clock period)."""
+    placement, floorplan = placed
+    design = Design(placement.netlist, tech, config.target_freq_mhz)
+    design.tiers = placement.tiers
+    design.placement = placement
+    design.floorplan = floorplan
     with trace.span("prepare.level_shifters"):
         plan = default_power_plan(design)
         insert_level_shifters(design, plan)
@@ -283,11 +277,7 @@ def stage_finish(design: Design, config: FlowConfig) -> Design:
 def prepare_design(factory: NetlistFactory, tech: TechSetup,
                    seed: int, config: FlowConfig) -> Design:
     """Stages shared by every selector: generate through buffering."""
-    netlist = stage_generate(factory, tech, seed)
-    design = Design(netlist, tech, config.target_freq_mhz)
-    design.tiers = stage_partition(netlist)
-    design.placement, design.floorplan = stage_place(netlist, design.tiers)
-    return stage_finish(design, config)
+    return stage_finish(stage_place(factory, tech, seed), tech, config)
 
 
 def select_nets(design: Design, router: GlobalRouter, baseline,
@@ -372,9 +362,7 @@ def run_flow(factory: NetlistFactory, tech: TechSetup,
                                                 k=config.num_paths)
                     graphs = [build_path_graph(p, model.dataset.extractor)
                               for p in paths if len(p.stages()) >= 2]
-                    probs = model.net_probabilities(graphs)
-                    new = {name for name, p in probs.items()
-                           if p >= DEFAULT_THRESHOLD} - requested
+                    new = decide_mls_nets(model, graphs) - requested
                     if not new:
                         break
                     requested |= new

@@ -77,8 +77,8 @@ class PathDataset:
 
 def build_dataset(design: Design, router: GlobalRouter,
                   result: RoutingResult, report: TimingReport,
-                  num_paths: int = 2000, num_labeled: int = 500,
-                  extra_features: bool = True) -> PathDataset:
+                  num_paths: int = 2000, num_labeled: int = 500
+                  ) -> PathDataset:
     """Extract, convert and label paths from the no-MLS baseline.
 
     The *num_labeled* worst paths get per-net oracle labels (paper:
@@ -86,7 +86,7 @@ def build_dataset(design: Design, router: GlobalRouter,
     """
     if num_labeled > num_paths:
         raise FlowError("num_labeled cannot exceed num_paths")
-    extractor = NodeFeatureExtractor(design, extra_features=extra_features)
+    extractor = NodeFeatureExtractor(design)
     paths = extract_worst_paths(report, k=num_paths)
     graphs = [build_path_graph(p, extractor) for p in paths
               if len(p.stages()) >= 2]

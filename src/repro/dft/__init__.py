@@ -19,8 +19,6 @@ from repro.dft.mls_dft import (
     NET_BASED,
     WIRE_BASED,
     apply_mls_dft,
-    apply_net_based_dft,
-    apply_wire_based_dft,
     die_test_fault_sim,
     untestable_fault_fraction,
 )
@@ -39,8 +37,6 @@ __all__ = [
     "NET_BASED",
     "WIRE_BASED",
     "apply_mls_dft",
-    "apply_net_based_dft",
-    "apply_wire_based_dft",
     "die_test_fault_sim",
     "untestable_fault_fraction",
 ]

@@ -36,6 +36,10 @@ from repro.dft.fault_sim import FaultSimResult, simulate_faults
 NET_BASED = "net-based"
 WIRE_BASED = "wire-based"
 
+#: The clock net a wire-based repair flip-flop joins (both benchmark
+#: generators name their clock so).
+CLOCK_NET = "clk"
+
 
 @dataclass
 class MLSDftResult:
@@ -87,8 +91,9 @@ def _ensure_test_ports(design: Design) -> tuple[Net, Net]:
 
 def _insert_repair(design: Design, router: GlobalRouter,
                    result: RoutingResult, net: Net,
-                   wire_based: bool, clock_name: str) -> int:
-    """Insert the MUX (and FF) for one MLS net; returns cells added."""
+                   wire_based: bool) -> tuple[int, str]:
+    """Insert the MUX (and FF) for one MLS net; returns (cells added,
+    the repaired net's name)."""
     netlist = design.netlist
     placement = design.require_placement()
     tiers = design.require_tiers()
@@ -132,7 +137,7 @@ def _insert_repair(design: Design, router: GlobalRouter,
         net.attach(ff.pin("D"))
         net.attach(ff.pin("SI"))       # chain stitching placeholder
         test_mode.attach(ff.pin("SE"))
-        netlist.net(clock_name).attach(ff.clock_pin)
+        netlist.net(CLOCK_NET).attach(ff.clock_pin)
         q_net = netlist.add_net(netlist.fresh_name(f"{ff.name}_q"))
         q_net.attach(ff.output_pin)
         q_net.attach(mux.pin("B"))
@@ -150,8 +155,7 @@ def _insert_repair(design: Design, router: GlobalRouter,
 
 
 def apply_mls_dft(design: Design, router: GlobalRouter,
-                  result: RoutingResult, strategy: str,
-                  clock_name: str = "clk") -> tuple[int, int]:
+                  result: RoutingResult, strategy: str) -> tuple[int, int]:
     """Insert *strategy* repairs on every applied-MLS net.
 
     Returns (crossings repaired, cells added).  The shared test_mode /
@@ -165,7 +169,7 @@ def apply_mls_dft(design: Design, router: GlobalRouter,
     for net in nets:
         added, repaired_name = _insert_repair(
             design, router, result, net,
-            wire_based=(strategy == WIRE_BASED), clock_name=clock_name)
+            wire_based=(strategy == WIRE_BASED))
         cells += added
         repaired_names.append(repaired_name)
     # ECO buffering: the repair MUX now drives the whole original sink
@@ -188,20 +192,6 @@ def apply_mls_dft(design: Design, router: GlobalRouter,
                 router.unroute_net(result, net)
                 router.reroute_net(result, net, mls=False)
     return len(nets), cells
-
-
-def apply_net_based_dft(design: Design, router: GlobalRouter,
-                        result: RoutingResult,
-                        clock_name: str = "clk") -> tuple[int, int]:
-    """Figure 6(a): MUX repair on every MLS net."""
-    return apply_mls_dft(design, router, result, NET_BASED, clock_name)
-
-
-def apply_wire_based_dft(design: Design, router: GlobalRouter,
-                         result: RoutingResult,
-                         clock_name: str = "clk") -> tuple[int, int]:
-    """Figure 6(b): scan-FF + MUX repair on every MLS net."""
-    return apply_mls_dft(design, router, result, WIRE_BASED, clock_name)
 
 
 def die_test_fault_sim(design: Design, rng: np.random.Generator,

@@ -7,7 +7,8 @@ prepared (partitioned/placed/buffered) design, so
 :func:`run_benchmark_flows` prepares it once per call and the
 per-*selector* runs only pay routing + selection + signoff: the first
 selector flows the design it built, every later one its own unpickled
-copy, and the pickle dies with the call.
+copy, and the pickle dies with the call.  A call given an artifact
+store skips the memo and uses only the store.
 """
 
 from __future__ import annotations
@@ -52,15 +53,22 @@ def run_benchmark_flows(spec: BenchmarkSpec, selectors: Iterable[str],
     edits reach another's design.  The pickle dies with the call, and
     a one-selector call (:func:`run_benchmark_flow`) pickles nothing.
 
-    Pass *store* (an :class:`repro.service.ArtifactStore`) to read
-    through / write back the persistent artifact cache instead — warm
-    invocations then skip generate/partition/place/buffer or replay
-    the whole stored report.
+    Pass *store* (an :class:`repro.service.ArtifactStore`) to run each
+    selector through :func:`repro.service.stages.run_flow_stored`
+    instead: the call neither reads nor fills the memo, a warm run
+    replays the stored report or resumes from the stored placement,
+    and a later selector finishes from the buffered design the first
+    one stored.
     """
     tech = spec.tech()
     configs = {sel: spec.flow_config(sel, with_scan=with_scan,
                                      dft_strategy=dft_strategy)
                for sel in selectors}
+    if store is not None:
+        from repro.service.stages import run_flow_stored
+        return {sel: run_flow_stored(spec.factory, tech, seed, config,
+                                     store)[0]
+                for sel, config in configs.items()}
     keys = {}
     for sel, config in configs.items():
         content = flow_key(spec.factory, tech, seed, config)
@@ -82,20 +90,12 @@ def run_benchmark_flows(spec: BenchmarkSpec, selectors: Iterable[str],
             return loads_snapshot(blob)
 
     for i, sel in enumerate(misses):
-        if store is not None:
-            from repro.service.stages import run_flow_stored
-            report, _summary, _cached = run_flow_stored(
-                spec.factory, tech, seed, configs[sel], store,
-                need_report=True)
+        if i == 0:
+            prepare = prepare_shared if len(misses) > 1 else prepare_design
         else:
-            if i == 0:
-                prepare = prepare_shared if len(misses) > 1 \
-                    else prepare_design
-            else:
-                prepare = copy_shared
-            report = run_flow(spec.factory, tech, seed, configs[sel],
-                              prepare=prepare)
-        _FLOW_CACHE[keys[sel]] = report
+            prepare = copy_shared
+        _FLOW_CACHE[keys[sel]] = run_flow(spec.factory, tech, seed,
+                                          configs[sel], prepare=prepare)
     return {sel: _FLOW_CACHE[keys[sel]] for sel in configs}
 
 
@@ -104,8 +104,8 @@ def run_benchmark_flow(spec: BenchmarkSpec, selector: str,
                        dft_strategy: str | None = None,
                        seed: int = DEFAULT_EXPERIMENT_SEED,
                        store=None) -> FlowReport:
-    """Run (or fetch) one memoized flow: :func:`run_benchmark_flows`
-    with one selector, so it prepares with plain
+    """Run (or fetch) one flow: :func:`run_benchmark_flows` with one
+    selector, so without a store it prepares with plain
     :func:`prepare_design` and pickles nothing, as a one-shot
     ``repro flow`` needs."""
     return run_benchmark_flows(spec, (selector,), with_scan=with_scan,

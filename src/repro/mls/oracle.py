@@ -50,8 +50,7 @@ def candidate_nets(design: Design) -> list[Net]:
 
 def oracle_labels(design: Design, router: GlobalRouter,
                   result: RoutingResult,
-                  nets: list[Net] | None = None,
-                  gain_eps_ps: float = DEFAULT_GAIN_EPS_PS
+                  nets: list[Net] | None = None
                   ) -> dict[str, NetLabel]:
     """Probe *nets* (default: all 2-D nets) and label each one.
 
@@ -64,7 +63,7 @@ def oracle_labels(design: Design, router: GlobalRouter,
     for net in nets:
         delta = net_whatif_delta(design, router, result, net)
         worst = delta.worst_delta_ps()
-        good = delta.applied and worst <= -gain_eps_ps
+        good = delta.applied and worst <= -DEFAULT_GAIN_EPS_PS
         labels[net.name] = NetLabel(net_name=net.name, delta_ps=worst,
                                     applied=delta.applied,
                                     label=1 if good else 0)
@@ -73,9 +72,7 @@ def oracle_labels(design: Design, router: GlobalRouter,
 
 def oracle_select(design: Design, router: GlobalRouter,
                   result: RoutingResult,
-                  nets: list[Net] | None = None,
-                  gain_eps_ps: float = DEFAULT_GAIN_EPS_PS) -> set[str]:
+                  nets: list[Net] | None = None) -> set[str]:
     """The exact policy: MLS exactly where the what-if says it helps."""
-    labels = oracle_labels(design, router, result, nets=nets,
-                           gain_eps_ps=gain_eps_ps)
+    labels = oracle_labels(design, router, result, nets=nets)
     return {name for name, lab in labels.items() if lab.helps}

@@ -30,9 +30,7 @@ def _net_is_2d(design: Design, net: Net) -> bool:
 
 
 def sota_select(design: Design, routing: RoutingResult | None = None,
-                min_hpwl_um: float = DEFAULT_MIN_HPWL_UM,
-                congestion_trigger: float = DEFAULT_CONGESTION_TRIGGER
-                ) -> set[str]:
+                min_hpwl_um: float = DEFAULT_MIN_HPWL_UM) -> set[str]:
     """Select MLS nets by the SOTA heuristic.
 
     *routing* (typically the no-MLS baseline) supplies the congestion
@@ -60,6 +58,6 @@ def sota_select(design: Design, routing: RoutingResult | None = None,
         # Congestion of the pair the net would normally use.
         load = max(grid.path_load(tier, pair, cells)
                    for pair in range(grid.num_pairs(tier)))
-        if load >= congestion_trigger:
+        if load >= DEFAULT_CONGESTION_TRIGGER:
             selected.add(net.name)
     return selected

@@ -121,8 +121,7 @@ class Netlist:
 
     # -- surgery (DFT insertion) ----------------------------------------------
 
-    def split_net_at_sinks(self, net: Net, sinks: Iterable[Pin],
-                           new_net_name: str | None = None) -> Net:
+    def split_net_at_sinks(self, net: Net, sinks: Iterable[Pin]) -> Net:
         """Move *sinks* from *net* onto a fresh, undriven net.
 
         The caller then wires a repair cell (MUX / scan-FF) between the
@@ -136,8 +135,7 @@ class Netlist:
                     f"{net.name}")
             if pin is net.driver:
                 raise NetlistError("cannot move the driver in a sink split")
-        name = new_net_name or self.fresh_name(f"{net.name}_split")
-        new_net = self.add_net(name)
+        new_net = self.add_net(self.fresh_name(f"{net.name}_split"))
         for pin in sinks:
             net.detach(pin)
             new_net.attach(pin)

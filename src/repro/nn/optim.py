@@ -7,39 +7,37 @@ import numpy as np
 from repro.nn.tensor import Tensor
 
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba).
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
+
+
 class Adam:
     """Adam with bias correction (Kingma & Ba)."""
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
         self._t = 0
 
     def step(self) -> None:
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
             grad = p.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * p.data
             m *= b1
             m += (1 - b1) * grad
             v *= b2
             v += (1 - b2) * grad * grad
             m_hat = m / (1 - b1 ** self._t)
             v_hat = v / (1 - b2 ** self._t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

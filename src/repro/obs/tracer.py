@@ -27,9 +27,8 @@ process-wide (list appends are atomic under the GIL), so one
 Long-lived processes (the service daemon) must not grow an unbounded
 in-memory record list or trace file: :class:`RotatingTraceSink`
 streams each record to JSONL as its span closes and rolls the file
-over at a size cap (``run.jsonl`` -> ``run.jsonl.1`` ...), and
-``attach_sink(..., keep_records=False)`` keeps the in-memory buffer
-empty in sink mode.
+over at a size cap (``run.jsonl`` -> ``run.jsonl.1`` ...), and while
+a sink is attached the in-memory buffer stays empty.
 
 A *request id* can be pinned to the calling thread
 (:meth:`Tracer.set_request`): every span the thread opens while pinned
@@ -192,7 +191,6 @@ class Tracer:
         self._seq = itertools.count(1)
         self._pid = os.getpid()
         self._sink: RotatingTraceSink | None = None
-        self._keep_records = True
         #: Flight recorder ring (:mod:`repro.obs.recorder`); when set,
         #: spans are created and mirrored into it even with tracing
         #: disabled.
@@ -236,9 +234,9 @@ class Tracer:
     def _emit(self, record: dict) -> None:
         """Route one finished span record to every active consumer."""
         if self._enabled:
-            if self._keep_records:
+            if self._sink is None:
                 self._records.append(record)
-            if self._sink is not None:
+            else:
                 self._sink.write(record)
         if self._flight is not None:
             self._flight.record_span(record)
@@ -249,21 +247,15 @@ class Tracer:
     def sink(self) -> RotatingTraceSink | None:
         return self._sink
 
-    def attach_sink(self, sink: RotatingTraceSink,
-                    keep_records: bool = False) -> None:
-        """Stream finished spans through *sink* (size-capped JSONL).
-
-        With ``keep_records=False`` (the long-lived-daemon mode) the
-        in-memory record buffer stays empty, so neither the trace file
-        nor process memory grows without bound.
-        """
+    def attach_sink(self, sink: RotatingTraceSink) -> None:
+        """Stream finished spans through *sink* (size-capped JSONL)
+        instead of the in-memory record buffer, so neither the trace
+        file nor process memory grows without bound."""
         self._sink = sink
-        self._keep_records = keep_records
 
     def detach_sink(self) -> RotatingTraceSink | None:
         """Close and return the active sink (restores buffering)."""
         sink, self._sink = self._sink, None
-        self._keep_records = True
         if sink is not None:
             sink.close()
         return sink

@@ -54,9 +54,7 @@ class PdnSizingResult:
 
 
 def size_pdn(design: Design, target_pct: float = 10.0,
-             plan: PowerPlan | None = None,
-             menu: tuple[tuple[float, float], ...] = DEFAULT_MENU
-             ) -> PdnSizingResult:
+             plan: PowerPlan | None = None) -> PdnSizingResult:
     """Pick the lightest menu entry whose worst-tier drop meets
     *target_pct*; falls back to the heaviest entry (flagged) if none
     does."""
@@ -64,7 +62,7 @@ def size_pdn(design: Design, target_pct: float = 10.0,
         raise PDNError("target_pct must be positive")
     plan = plan or default_power_plan(design)
     last: PdnSizingResult | None = None
-    for width, pitch in menu:
+    for width, pitch in DEFAULT_MENU:
         config = PdnConfig(width_um=width, pitch_um=pitch)
         reports: dict[int, IRDropReport] = {}
         for tier in (0, 1):

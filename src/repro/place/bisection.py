@@ -109,8 +109,6 @@ def _layout_leaf(region: _Region, xs: np.ndarray, ys: np.ndarray,
 
 def bisection_place(netlist: Netlist, fixed: dict[str, tuple[float, float]],
                     fp: Floorplan, movable: list[str],
-                    leaf_cells: int = DEFAULT_LEAF_CELLS,
-                    base_anchor: float = DEFAULT_BASE_ANCHOR,
                     conn: NetConnectivity | None = None,
                     reuse_system: bool = True
                     ) -> dict[str, tuple[float, float]]:
@@ -143,21 +141,21 @@ def bisection_place(netlist: Netlist, fixed: dict[str, tuple[float, float]],
     xs, ys = system.solve_arrays()
     regions = [_Region(0.0, 0.0, fp.width, fp.core_height,
                        np.arange(n, dtype=np.int64))]
-    weight = base_anchor
+    weight = DEFAULT_BASE_ANCHOR
     all_idx = np.arange(n, dtype=np.int64)
     level = 0
-    while max(len(r.cells) for r in regions) > leaf_cells:
+    while max(len(r.cells) for r in regions) > DEFAULT_LEAF_CELLS:
         level += 1
         next_regions: list[_Region] = []
         for region in regions:
-            if len(region.cells) <= leaf_cells:
+            if len(region.cells) <= DEFAULT_LEAF_CELLS:
                 next_regions.append(region)
                 continue
             a, b = _split(region, xs, ys, areas, name_rank)
             next_regions.extend((a, b))
         regions = next_regions
         if max(len(r.cells) for r in regions) \
-                <= leaf_cells * SOLVE_STOP_MULT:
+                <= DEFAULT_LEAF_CELLS * SOLVE_STOP_MULT:
             # Regions are within a level or two of leaf size: at this
             # depth the anchor weight dominates connectivity, so
             # another full factorization would barely move cells

@@ -19,6 +19,8 @@ from repro.netlist.netlist import Netlist
 ROW_HEIGHT_UM = 1.0
 #: Legalization site width in um.
 SITE_WIDTH_UM = 0.2
+#: Target standard-cell utilization the outline is sized for.
+UTILIZATION = 0.45
 
 
 @dataclass
@@ -34,7 +36,7 @@ class Floorplan:
     row_height: float = ROW_HEIGHT_UM
     site_width: float = SITE_WIDTH_UM
     macro_band_h: float = 0.0
-    utilization: float = 0.65
+    utilization: float = UTILIZATION
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -57,23 +59,20 @@ class Floorplan:
                 min(max(y, 0.0), self.height))
 
 
-def make_floorplan(netlist: Netlist, utilization: float = 0.65,
-                   aspect: float = 1.0) -> Floorplan:
+def make_floorplan(netlist: Netlist) -> Floorplan:
     """Size a square-ish floorplan from total cell area.
 
     Both tiers share one outline, and the memory-on-logic split is
     lopsided (most standard cells on the logic tier), so the outline
-    budgets the full standard-cell area at the target utilization —
-    the dominant tier then lands near *utilization* and the other tier
-    is sparse, matching the paper's fixed per-benchmark footprints.
+    budgets the full standard-cell area at :data:`UTILIZATION` — the
+    dominant tier then lands near it and the other tier is sparse,
+    matching the paper's fixed per-benchmark footprints.
     """
-    if not 0.1 <= utilization <= 0.95:
-        raise PlacementError(f"unreasonable utilization {utilization}")
     macro_area = sum(i.cell.area_um2 for i in netlist.instances.values()
                      if i.is_macro)
     std_area = netlist.total_cell_area() - macro_area
-    core_area = std_area / utilization
-    width = math.sqrt(core_area * aspect)
+    core_area = std_area / UTILIZATION
+    width = math.sqrt(core_area)
     height = core_area / width
     macro_band = 0.0
     if macro_area > 0:
@@ -86,4 +85,4 @@ def make_floorplan(netlist: Netlist, utilization: float = 0.65,
     height = max(height, 8 * ROW_HEIGHT_UM)
     width = max(width, 8.0)
     return Floorplan(width=width, height=height + macro_band,
-                     macro_band_h=macro_band, utilization=utilization)
+                     macro_band_h=macro_band, utilization=UTILIZATION)

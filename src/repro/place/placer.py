@@ -61,7 +61,7 @@ def _pin_ports(netlist: Netlist, tiers: TierAssignment, fp: Floorplan,
 def place_design(netlist: Netlist, tiers: TierAssignment
                  ) -> tuple[Placement, Floorplan]:
     """Place *netlist* per *tiers*; returns (placement, floorplan)."""
-    fp = make_floorplan(netlist, utilization=0.45)
+    fp = make_floorplan(netlist)
     placement = Placement(netlist, tiers)
     fixed = _pin_ports(netlist, tiers, fp, placement)
 

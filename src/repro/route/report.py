@@ -34,12 +34,12 @@ def render_utilization(routing: RoutingResult) -> str:
     return "\n".join(lines)
 
 
-def render_heatmap(routing: RoutingResult, tier: int, pair: int,
-                   max_width: int = 64) -> str:
-    """ASCII heatmap of one (tier, pair)'s demand/capacity ratio."""
+def render_heatmap(routing: RoutingResult, tier: int, pair: int) -> str:
+    """ASCII heatmap of one (tier, pair)'s demand/capacity ratio,
+    sampled down to at most about 64 x 32 characters."""
     grid = routing.grid
     usage = grid.usage[tier][pair] / grid.capacity[tier][pair]
-    step_x = max(1, usage.shape[0] // max_width)
+    step_x = max(1, usage.shape[0] // 64)
     step_y = max(1, usage.shape[1] // 32)
     sampled = usage[::step_x, ::step_y]
     lines = [f"Congestion heatmap tier {tier} pair {pair} "

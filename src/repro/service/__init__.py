@@ -3,7 +3,10 @@
 A prepared design shared across one call's selectors
 (:func:`repro.harness.tables.run_benchmark_flows`) dies with that
 call; this package makes preparation (and whole flow runs) durable and
-shareable across calls and processes:
+shareable across calls and processes.  The store keeps what a later
+request reads back: the placement, the buffered design, the flow
+report and its summary.  A call given a store uses only the store,
+never the in-process report memo.
 
 * :mod:`repro.service.keys`   — canonical content-hash keys, the single
   definition of "same run" used by every cache in the repo;

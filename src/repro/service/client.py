@@ -18,6 +18,8 @@ from repro.errors import FlowError
 
 #: Flow runs can be minutes cold on the big fabrics.
 DEFAULT_TIMEOUT_S = 900.0
+#: How often :func:`wait_for_service` pings a starting daemon.
+POLL_S = 0.05
 
 
 class ServiceUnavailable(FlowError):
@@ -111,14 +113,13 @@ def service_alive(socket_path: str, timeout: float = 2.0) -> bool:
         return False
 
 
-def wait_for_service(socket_path: str, timeout: float = 30.0,
-                     poll_s: float = 0.05) -> None:
+def wait_for_service(socket_path: str, timeout: float = 30.0) -> None:
     """Block until the daemon answers; raise on deadline."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if service_alive(socket_path, timeout=poll_s * 10):
+        if service_alive(socket_path, timeout=POLL_S * 10):
             return
-        time.sleep(poll_s)
+        time.sleep(POLL_S)
     raise ServiceUnavailable(
         f"flow service on {socket_path} did not come up "
         f"within {timeout:.0f}s")

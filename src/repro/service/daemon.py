@@ -506,8 +506,7 @@ class ServiceHandle:
         self.thread.join(timeout=timeout)
 
 
-def start_in_thread(config: ServiceConfig,
-                    ready_timeout: float = 30.0) -> ServiceHandle:
+def start_in_thread(config: ServiceConfig) -> ServiceHandle:
     """Start a :class:`FlowService` on a daemon thread and wait until
     its socket answers ``ping``."""
     from repro.service.client import ServiceClient, wait_for_service
@@ -516,7 +515,7 @@ def start_in_thread(config: ServiceConfig,
     thread = Thread(target=lambda: asyncio.run(service.serve()),
                     name="repro-service", daemon=True)
     thread.start()
-    wait_for_service(config.socket_path, timeout=ready_timeout)
+    wait_for_service(config.socket_path)
     # One sanity ping so callers start from a known-good connection.
     ServiceClient(config.socket_path).ping()
     return ServiceHandle(service, thread)

@@ -1,7 +1,7 @@
 """Canonical content-hash keys for flow artifacts.
 
-Both caches in the repo — the per-process flow memo
-(:func:`repro.harness.tables.run_benchmark_flows`) and the on-disk
+Both caches in the repo — the per-process flow memo of the storeless
+:func:`repro.harness.tables.run_benchmark_flows` calls and the on-disk
 :class:`repro.service.store.ArtifactStore` — derive their keys here, so
 "what makes two runs the same" has exactly one definition.
 
@@ -12,10 +12,11 @@ pickled :class:`~repro.design.TechSetup`, the experiment seed (an
 ``int``: a flow is a pure function of it, see :mod:`repro.rng`), and
 the flow-config fields, every one of which can change results.
 
-Stage keys are prefix-shaped on purpose: ``generate``/``partition``/
-``place`` depend only on (factory, tech, seed), and ``prepared`` adds
-target frequency + scan.  A frequency or scan sweep therefore shares
-the expensive placement artifact across every cell of the sweep.
+There are two prepare keys, one per stored prepare artifact, and they
+are prefix-shaped on purpose: ``place`` depends only on (factory,
+tech, seed), and ``prepared`` adds target frequency + scan.  A
+frequency or scan sweep therefore shares the expensive placement
+artifact across every cell of the sweep.
 
 Objects the canonicalizer cannot fingerprint (ad-hoc test stand-ins,
 closures over live designs) degrade to *unstable* keys: still unique
@@ -86,14 +87,8 @@ class ContentKey:
 class PrepareKeys:
     """Stage-artifact keys for one prepare chain (see module doc)."""
 
-    generate: ContentKey       # Netlist
-    partition: ContentKey      # TierAssignment (carries the netlist)
     place: ContentKey          # (Placement, Floorplan)
     prepared: ContentKey       # fully buffered Design
-
-    @property
-    def stable(self) -> bool:
-        return self.prepared.stable
 
 
 def canonical(obj: Any, unstable: list | None = None) -> Any:
@@ -236,7 +231,7 @@ def _base(factory, tech, seed: int) -> dict:
 
 
 def prepare_stage_keys(factory, tech, seed: int, config) -> PrepareKeys:
-    """Keys for the four prepare artifacts of one flow configuration.
+    """Keys for the two prepare artifacts of one flow configuration.
 
     *config* is a :class:`repro.core.flow.FlowConfig` (anything with
     the same field names works).  Only the fields each stage chain
@@ -247,8 +242,6 @@ def prepare_stage_keys(factory, tech, seed: int, config) -> PrepareKeys:
                     freq_mhz=float(config.target_freq_mhz),
                     scan=bool(config.with_scan))
     return PrepareKeys(
-        generate=digest_key("prepare.generate", base),
-        partition=digest_key("prepare.partition", base),
         place=digest_key("prepare.place", base),
         prepared=digest_key("prepare.design", prepared),
     )

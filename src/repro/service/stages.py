@@ -2,25 +2,24 @@
 
 The cold path is exactly :func:`repro.core.flow.prepare_design` /
 :func:`repro.core.flow.run_flow` — same stage functions, same spans.
-This module adds artifact lookups between stages:
+This module adds artifact lookups around them, and stores only what a
+later request reads back:
 
-* ``prepare.generate``  — the netlist;
-* ``prepare.partition`` — the tier assignment (whose flat pickle
-  carries the netlist, so one payload keeps identity consistent);
-* ``prepare.place``     — (placement, floorplan), likewise carrying
-  netlist + tiers;
-* ``prepare.design``    — the fully buffered design;
-* ``flow.report``       — the complete pickled :class:`FlowReport`;
-* ``flow.summary``      — a small JSON-able row + digest dict, what
+* ``prepare.place``  — (placement, floorplan), whose flat pickle
+  carries the netlist and tier assignment, so one payload keeps
+  identity consistent;
+* ``prepare.design`` — the fully buffered design;
+* ``flow.report``    — the complete pickled :class:`FlowReport`;
+* ``flow.summary``   — a small JSON-able row + digest dict, what
   the daemon answers warm requests from without unpickling megabytes.
 
-Because stage keys are prefix-shaped (:mod:`repro.service.keys`), a
-request that differs only in frequency or scan config still reuses the
-placement artifact; a request that differs in nothing replays the
-stored report, provably bit-identical to the cold run (pickle
-round-trips are pinned by the golden-equivalence suite, and
-:func:`report_digest` rides along in the summary for end-to-end
-verification).
+Because the place key leaves out every flow-config field
+(:mod:`repro.service.keys`), a request that differs only in frequency
+or scan config still reuses the placement artifact; a request that
+differs in nothing replays the stored report, provably bit-identical
+to the cold run (pickle round-trips are pinned by the
+golden-equivalence suite, and :func:`report_digest` rides along in the
+summary for end-to-end verification).
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ import hashlib
 import json
 
 from repro.core.flow import (FlowConfig, FlowReport, NetlistFactory,
-                             run_flow, stage_finish, stage_generate,
-                             stage_partition, stage_place)
+                             run_flow, stage_finish, stage_place)
 from repro.design import Design, TechSetup
 from repro.obs import metrics, trace
-from repro.service.keys import (PrepareKeys, canonical, flow_key,
-                                flow_summary_key, prepare_stage_keys)
+from repro.service.keys import (canonical, flow_key, flow_summary_key,
+                                prepare_stage_keys)
 from repro.service.store import ArtifactStore
 
 
@@ -62,11 +60,11 @@ def report_digest(report: FlowReport) -> str:
     return h.hexdigest()
 
 
-def report_summary(report: FlowReport, digest: str | None = None) -> dict:
+def report_summary(report: FlowReport) -> dict:
     """The ``flow.summary`` artifact payload (JSON-able, tiny)."""
     return {
         "row": report.row(),
-        "report_digest": digest or report_digest(report),
+        "report_digest": report_digest(report),
         "select_runtime_s": report.select_runtime_s,
         "runtime_s": report.runtime_s,
         "stage_runtime_s": dict(report.stage_runtime_s),
@@ -78,43 +76,22 @@ def report_summary(report: FlowReport, digest: str | None = None) -> dict:
 def prepare_design_stored(factory: NetlistFactory, tech: TechSetup,
                           seed: int, config: FlowConfig,
                           store: ArtifactStore) -> Design:
-    """Store-backed :func:`prepare_design`: resume from the deepest
-    artifact hit, persist every stage boundary crossed."""
+    """:func:`~repro.core.flow.prepare_design` with two store lookups: a
+    ``prepare.design`` hit is the design; otherwise a ``prepare.place``
+    hit is finished; otherwise the placement is built and put, then
+    finished.  A finished design is put too."""
     keys = prepare_stage_keys(factory, tech, seed, config)
     design = store.get(keys.prepared)
-    if design is None:
-        design = _build_prepared(factory, tech, seed, config, keys, store)
-        store.put(keys.prepared, design)
-    else:
+    if design is not None:
         metrics.inc("service.prepare_design_hits")
-    return design
-
-
-def _build_prepared(factory: NetlistFactory, tech: TechSetup,
-                    seed: int, config: FlowConfig,
-                    keys: PrepareKeys, store: ArtifactStore) -> Design:
+        return design
     placed = store.get(keys.place)
-    if placed is not None:
-        placement, floorplan = placed
-        netlist, tiers = placement.netlist, placement.tiers
-    else:
-        tiers = store.get(keys.partition)
-        if tiers is not None:
-            netlist = tiers.netlist
-        else:
-            netlist = store.get(keys.generate)
-            if netlist is None:
-                netlist = stage_generate(factory, tech, seed)
-                store.put(keys.generate, netlist)
-            tiers = stage_partition(netlist)
-            store.put(keys.partition, tiers)
-        placement, floorplan = stage_place(netlist, tiers)
-        store.put(keys.place, (placement, floorplan))
-    design = Design(netlist, tech, config.target_freq_mhz)
-    design.tiers = tiers
-    design.placement = placement
-    design.floorplan = floorplan
-    return stage_finish(design, config)
+    if placed is None:
+        placed = stage_place(factory, tech, seed)
+        store.put(keys.place, placed)
+    design = stage_finish(placed, tech, config)
+    store.put(keys.prepared, design)
+    return design
 
 
 def run_flow_stored(factory: NetlistFactory, tech: TechSetup,

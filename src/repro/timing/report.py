@@ -11,6 +11,9 @@ from __future__ import annotations
 from repro.timing.paths import TimingPath, extract_worst_paths
 from repro.timing.sta import TimingReport
 
+#: Buckets of the summary's endpoint-slack histogram.
+HISTOGRAM_BINS = 8
+
 
 def render_path(report: TimingReport, path: TimingPath) -> str:
     """One path in report form."""
@@ -37,8 +40,7 @@ def render_path(report: TimingReport, path: TimingPath) -> str:
     return "\n".join(lines)
 
 
-def render_summary(report: TimingReport, num_paths: int = 5,
-                   histogram_bins: int = 8) -> str:
+def render_summary(report: TimingReport, num_paths: int = 5) -> str:
     """Design-level summary: headline metrics, slack histogram, and the
     worst *num_paths* paths."""
     lines = [
@@ -57,15 +59,15 @@ def render_summary(report: TimingReport, num_paths: int = 5,
     if slacks:
         lo, hi = slacks[0], slacks[-1]
         span = max(hi - lo, 1e-9)
-        counts = [0] * histogram_bins
+        counts = [0] * HISTOGRAM_BINS
         for s in slacks:
-            b = min(int((s - lo) / span * histogram_bins),
-                    histogram_bins - 1)
+            b = min(int((s - lo) / span * HISTOGRAM_BINS),
+                    HISTOGRAM_BINS - 1)
             counts[b] += 1
         peak = max(counts)
         for b, count in enumerate(counts):
-            left = lo + b * span / histogram_bins
-            right = lo + (b + 1) * span / histogram_bins
+            left = lo + b * span / HISTOGRAM_BINS
+            right = lo + (b + 1) * span / HISTOGRAM_BINS
             bar = "#" * max(1 if count else 0,
                             int(40 * count / max(peak, 1)))
             lines.append(f"  [{left:8.1f},{right:8.1f}) {count:>6}  {bar}")

@@ -540,7 +540,7 @@ class TestRotatingSink:
         path = tmp_path / "stream.jsonl"
         trace.enable()
         trace.reset()
-        trace.attach_sink(RotatingTraceSink(path), keep_records=False)
+        trace.attach_sink(RotatingTraceSink(path))
         with trace.span("outer"):
             with trace.span("inner"):
                 pass

@@ -49,12 +49,6 @@ class TestFloorplan:
         fp = make_floorplan(nl)
         assert fp.macro_band_h > 0
 
-    def test_unreasonable_utilization(self, hetero_tech):
-        nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
-                            hetero_tech.libraries, 5)
-        with pytest.raises(PlacementError):
-            make_floorplan(nl, utilization=0.99)
-
 
 def _two_cell_netlist():
     """a(port) - g0 - g1 - y(port), for exact quadratic checks."""

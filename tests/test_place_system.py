@@ -34,7 +34,7 @@ def _small_setup():
     nl = generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
                         tech.libraries, 1234)
     tiers = partition_memory_on_logic(nl)
-    fp = make_floorplan(nl, utilization=0.45)
+    fp = make_floorplan(nl)
     fixed = _pin_ports(nl, tiers, fp, Placement(nl, tiers))
     macros = [n for n, i in nl.instances.items() if i.is_macro]
     std = [n for n, i in nl.instances.items() if not i.is_macro]

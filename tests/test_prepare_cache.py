@@ -5,7 +5,8 @@ A table compares selectors on one prepared design, so
 that miss the report memo, the first flows the design it built, every
 later one its own unpickled copy, and flows on either agree bit for
 bit.  The pickle dies with the call, and a one-selector call (what
-``repro flow`` makes) pickles nothing.
+``repro flow`` makes) pickles nothing.  A call given an artifact store
+uses only the store: it neither reads nor fills the report memo.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.mls import route_with_mls
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.obs import metrics, trace
 from repro.route import GlobalRouter
-from repro.service import ArtifactStore, prepare_stage_keys
+from repro.service import ArtifactStore, flow_key, prepare_stage_keys
 from repro.service.stages import report_digest, run_flow_stored
 from repro.snapshot import dumps_snapshot, loads_snapshot
 from repro.timing import run_sta
@@ -248,6 +249,34 @@ class TestPrepareCache:
         assert len(stubbed.blobs) == 2
         assert {r.design.seed for r in b.values()} == {TEST_SEED + 1}
         assert all(a[sel] is not b[sel] for sel in a)
+
+
+class TestStoreCallsSkipTheMemo:
+    def test_store_call_writes_after_a_memo_hit(self, tmp_path):
+        """A flow already in the memo is still computed into a store,
+        and a store call leaves the memo as it found it."""
+        spec = get_benchmark("maeri16_hetero")
+        config = spec.flow_config("none")
+        key = flow_key(spec.factory, spec.tech(), TEST_SEED, config)
+        clear_flow_cache()
+        try:
+            stored = run_benchmark_flow(spec, "none", seed=TEST_SEED,
+                                        store=ArtifactStore(tmp_path / "a"))
+            assert tables._FLOW_CACHE == {}
+            plain = run_benchmark_flow(spec, "none", seed=TEST_SEED)
+            assert list(tables._FLOW_CACHE.values()) == [plain]
+            store = ArtifactStore(tmp_path / "b")
+            before = metrics.counter("service.flow_computes")
+            again = run_benchmark_flow(spec, "none", seed=TEST_SEED,
+                                       store=store)
+            assert metrics.counter("service.flow_computes") == before + 1
+            assert store.object_path(key).exists()
+            assert again is not plain
+            assert list(tables._FLOW_CACHE.values()) == [plain]
+            assert report_digest(again) == report_digest(plain) \
+                == report_digest(stored)
+        finally:
+            clear_flow_cache()
 
 
 class TestGoldenDeterminism:

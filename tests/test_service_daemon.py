@@ -189,19 +189,15 @@ class TestRequestParsing:
                                field: value})
 
     def test_cli_run_and_request_share_one_store_entry(self, tmp_path,
-                                                       monkeypatch,
                                                        capsys):
         """``repro flow --store S`` and a service request for the same
         cell build one FlowConfig, so the request replays the CLI's
         stored flow instead of computing it again."""
         from repro.cli import main
-        from repro.harness import tables
         from repro.service import ArtifactStore
         from repro.service.daemon import build_flow_config
         from repro.service.stages import run_flow_stored
 
-        # An in-process memo hit would skip the store write.
-        monkeypatch.setattr(tables, "_FLOW_CACHE", {})
         store = tmp_path / "store"
         assert main(["flow", "--benchmark", BENCH, "--selector", "none",
                      "--store", str(store)]) == 0

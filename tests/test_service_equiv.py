@@ -11,11 +11,14 @@ invisible*, using the same cross-subsystem digests
 * a warm run from a **fresh store handle** (simulating a new process
   over the same directory) replays the stored report bit-identically:
   netlist / placement / routing / STA digests and the end-to-end
-  ``report_digest`` all match, with the generate / partition / place /
-  buffer stages provably skipped (store hits, zero stage puts);
-* stage-resume is sound — with only the *prepare-stage* artifacts on
-  disk (report + prepared design deleted), the flow resumes from the
-  placement artifact and still reproduces the cold digests exactly;
+  ``report_digest`` all match, with the prepare stages provably
+  skipped (store hits, zero stage puts);
+* the store holds what a request reads back and nothing else: a cold
+  flow puts one placement, one buffered design, one report and one
+  summary, and a warm one puts nothing;
+* stage-resume is sound — with only the placement artifact on disk
+  (report + prepared design deleted), the flow resumes from it and
+  still reproduces the cold digests exactly;
 * prefix-shaped keys share placement across a frequency sweep;
 * a report blob that passes its checksum but no longer unpickles (a
   store written by code with a class this code lacks) is a counted
@@ -63,8 +66,10 @@ FAMILIES = {
     "a7": (_a7_small, 1000.0),
 }
 
-_PREPARE_KINDS = ("prepare.generate", "prepare.partition",
-                  "prepare.place", "prepare.design")
+_PREPARE_KINDS = ("prepare.place", "prepare.design")
+
+#: Every artifact kind a stored flow writes.
+_STORED_KINDS = _PREPARE_KINDS + ("flow.report", "flow.summary")
 
 
 def _config(freq: float) -> FlowConfig:
@@ -130,8 +135,8 @@ class TestColdWarmEquivalence:
             assert moved[f"store.puts.{kind}"] == 0
 
         # Stage-resume: drop the report/summary/prepared artifacts,
-        # keep generate/partition/place — the flow resumes from the
-        # placement artifact and must land on the same digests.
+        # keep the placement — the flow resumes from it and must land
+        # on the same digests.
         keys = prepare_stage_keys(factory, hetero_tech,
                                   TEST_SEED, config)
         resume_store = ArtifactStore(root)
@@ -152,6 +157,32 @@ class TestColdWarmEquivalence:
         assert resumed_summary["report_digest"] == golden["report"]
 
 
+def test_store_holds_what_a_request_reads_back(tmp_path, hetero_tech):
+    """A cold MAERI-16 flow into an empty store puts exactly one blob
+    of each kind a later request reads — the placement, the buffered
+    design, the report and its summary — and a warm one puts none."""
+    factory, freq = FAMILIES["maeri"]
+    config = _config(freq)
+    root = tmp_path / "store"
+    puts = ("store.puts", *(f"store.puts.{k}" for k in _STORED_KINDS))
+    before = _counters(*puts)
+    _, _, cached = run_flow_stored(factory, hetero_tech, TEST_SEED,
+                                   config, ArtifactStore(root))
+    moved = _delta(before)
+    assert not cached
+    assert moved == {"store.puts": len(_STORED_KINDS),
+                     **{f"store.puts.{k}": 1 for k in _STORED_KINDS}}
+    assert sorted(blob.name.split("-")[0]
+                  for blob in root.glob("objects/*/*.bin")) == \
+        sorted(_STORED_KINDS)
+
+    before = _counters(*puts)
+    _, _, cached = run_flow_stored(factory, hetero_tech, TEST_SEED,
+                                   config, ArtifactStore(root))
+    assert cached
+    assert not any(_delta(before).values())
+
+
 def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
     factory, freq = FAMILIES["maeri"]
     root = tmp_path / "store"
@@ -161,8 +192,6 @@ def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
     swept = dataclasses.replace(_config(freq),
                                 target_freq_mhz=freq - 200.0)
     before = _counters("store.hits.prepare.place",
-                       "store.puts.prepare.generate",
-                       "store.puts.prepare.partition",
                        "store.puts.prepare.place")
     report, _summary, cached = run_flow_stored(
         factory, hetero_tech, TEST_SEED, swept,
@@ -170,8 +199,6 @@ def test_frequency_sweep_shares_placement(tmp_path, hetero_tech):
     moved = _delta(before)
     assert not cached                        # different key, real run
     assert moved["store.hits.prepare.place"] == 1
-    assert moved["store.puts.prepare.generate"] == 0
-    assert moved["store.puts.prepare.partition"] == 0
     assert moved["store.puts.prepare.place"] == 0
     # Placement is genuinely shared: locations identical across the
     # sweep even though timing closed at a different clock.

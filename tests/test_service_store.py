@@ -7,9 +7,8 @@ Locks the flow-as-a-service storage contract:
   any :class:`FlowConfig` field) changes it.  The perturbation table
   is exhaustiveness-checked against ``dataclasses.fields`` so a
   newly-added config field fails loudly until it is listed;
-* stage keys are prefix-shaped: no config field moves the
-  generate/partition/place keys, so frequency/scan sweeps share the
-  placement artifact;
+* stage keys are prefix-shaped: no config field moves the place key,
+  so frequency/scan sweeps share the placement artifact;
 * unstable (identity-fingerprinted) keys are usable in-process but
   refused by the persistent store on both paths;
 * blob round trips are bit-identical (pickle-bytes compare, plus the
@@ -239,9 +238,9 @@ class TestKeyDerivation:
         assert ka.hexdigest != kb.hexdigest
 
     def test_stage_keys_are_prefix_shaped(self, tech):
-        """No config field moves generate/partition/place: frequency
-        and scan sweeps — or any other perturbation — share the
-        placement artifact."""
+        """No config field moves the place key: frequency and scan
+        sweeps — or any other perturbation — share the placement
+        artifact."""
         base = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
                                   BASE_CONFIG)
         swept = prepare_stage_keys(
@@ -253,8 +252,7 @@ class TestKeyDerivation:
             _, changed = _perturbed(field_name)
             keys = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
                                       changed)
-            assert (keys.generate, keys.partition, keys.place) == \
-                (base.generate, base.partition, base.place), field_name
+            assert keys.place == base.place, field_name
 
     def test_unfingerprintable_factory_degrades_to_unstable(self, tech):
         opaque = object()
