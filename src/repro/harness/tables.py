@@ -1,6 +1,6 @@
 """Table builders — one function per paper table.
 
-Heavy flow runs are memoized per (benchmark, selector, options) within
+Heavy flow runs are memoized per (benchmark, seed, flow config) within
 the process, so Figure 8 (which replots Tables IV/V data) and repeated
 bench invocations don't pay twice.  A table compares selectors on one
 prepared (partitioned/placed/buffered) design, so
@@ -21,13 +21,12 @@ from repro.harness.designs import (BenchmarkSpec, get_benchmark,
                                    DEFAULT_EXPERIMENT_SEED)
 from repro.mls import route_with_mls
 from repro.obs import trace
-from repro.service.keys import flow_key
 from repro.snapshot import dumps_snapshot, loads_snapshot
 from repro.timing import (IncrementalSta, extract_worst_paths,
                           net_whatif_delta)
 
-#: (flow content key[, factory]) -> FlowReport
-_FLOW_CACHE: dict[tuple, FlowReport] = {}
+#: (spec, seed, FlowConfig) -> FlowReport
+_FLOW_CACHE: dict[tuple[BenchmarkSpec, int, FlowConfig], FlowReport] = {}
 
 
 @collector_paused()
@@ -40,10 +39,9 @@ def run_benchmark_flows(spec: BenchmarkSpec, selectors: Iterable[str],
     with the cyclic garbage collector paused throughout
     (:func:`collector_paused`).
 
-    The memo key is the shared content key from
-    :mod:`repro.service.keys` — the same derivation the persistent
-    store uses.  Factories without a stable content fingerprint key by
-    identity.
+    The memo key is ``(spec, seed, config)``: all three are frozen and
+    hashable, and the memo holds them, so no id is recycled into a
+    collision.  No content key is derived.
 
     The selectors share everything the prepared design depends on.  Of
     those that miss the memo, the first flows the design
@@ -69,11 +67,7 @@ def run_benchmark_flows(spec: BenchmarkSpec, selectors: Iterable[str],
         return {sel: run_flow_stored(spec.factory, tech, seed, config,
                                      store)[0]
                 for sel, config in configs.items()}
-    keys = {}
-    for sel, config in configs.items():
-        content = flow_key(spec.factory, tech, seed, config)
-        keys[sel] = (content.hexdigest,) if content.stable \
-            else (content.hexdigest, spec.factory)
+    keys = {sel: (spec, seed, config) for sel, config in configs.items()}
     misses = [sel for sel in configs if keys[sel] not in _FLOW_CACHE]
     blob = None
 

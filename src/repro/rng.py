@@ -17,8 +17,6 @@ import hashlib
 
 import numpy as np
 
-DEFAULT_SEED = 20250706
-
 
 def _stream_seed(seed: int, name: str) -> int:
     """Derive a 63-bit child seed from (seed, name) via SHA-256."""
@@ -26,7 +24,7 @@ def _stream_seed(seed: int, name: str) -> int:
     return int.from_bytes(digest[:8], "little") & 0x7FFF_FFFF_FFFF_FFFF
 
 
-def stream(name: str, seed: int = DEFAULT_SEED) -> np.random.Generator:
+def stream(name: str, seed: int) -> np.random.Generator:
     """Return an independent :class:`numpy.random.Generator` for *name*.
 
     The same (name, seed) pair always yields an identical sequence.

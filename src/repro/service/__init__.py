@@ -8,8 +8,9 @@ request reads back: the placement, the buffered design, the flow
 report and its summary.  A call given a store uses only the store,
 never the in-process report memo.
 
-* :mod:`repro.service.keys`   — canonical content-hash keys, the single
-  definition of "same run" used by every cache in the repo;
+* :mod:`repro.service.keys`   — canonical content-hash keys over the
+  package source, the factory, tech, seed and config: the store's one
+  definition of "same run";
 * :mod:`repro.service.store`  — the on-disk artifact store (atomic
   writes, checksummed blobs, an LRU size budget kept by file mtimes;
   the object tree is its only index);

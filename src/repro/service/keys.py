@@ -1,28 +1,30 @@
-"""Canonical content-hash keys for flow artifacts.
+"""Canonical content-hash keys for the artifact store.
 
-Both caches in the repo — the per-process flow memo of the storeless
-:func:`repro.harness.tables.run_benchmark_flows` calls and the on-disk
-:class:`repro.service.store.ArtifactStore` — derive their keys here, so
-"what makes two runs the same" has exactly one definition.
+The on-disk :class:`repro.service.store.ArtifactStore` answers a
+request by the key derived here, so "what makes two runs the same" has
+exactly one definition.
 
-A key digests *content*, never identity: the netlist factory (module
-path + closure/default values + a code fingerprint covering bytecode,
-constant pool, names and nested code objects), a SHA-256 over the
-pickled :class:`~repro.design.TechSetup`, the experiment seed (an
-``int``: a flow is a pure function of it, see :mod:`repro.rng`), and
-the flow-config fields, every one of which can change results.
+A key digests *content*, never identity: one SHA-256 over the source
+of the whole :mod:`repro` package (:func:`source_digest`), the netlist
+factory (:func:`factory_token`), a SHA-256 over the pickled
+:class:`~repro.design.TechSetup`, the experiment seed (an ``int``: a
+flow is a pure function of it, see :mod:`repro.rng`), and the
+flow-config fields, every one of which can change results.  Any edit
+to the package — a placer constant, a learning rate, this module's
+key format — moves every key, so a store never serves an artifact the
+running code would not compute.  One digest covers the whole package
+on purpose: a per-stage module list would be a second copy of the
+import graph, and a missed import in it a silent stale hit.
 
 There are two prepare keys, one per stored prepare artifact, and they
-are prefix-shaped on purpose: ``place`` depends only on (factory,
-tech, seed), and ``prepared`` adds target frequency + scan.  A
-frequency or scan sweep therefore shares the expensive placement
+are prefix-shaped on purpose: ``place`` depends only on (source,
+factory, tech, seed), and ``prepared`` adds target frequency + scan.
+A frequency or scan sweep therefore shares the expensive placement
 artifact across every cell of the sweep.
 
-Objects the canonicalizer cannot fingerprint (ad-hoc test stand-ins,
-closures over live designs) degrade to *unstable* keys: still unique
-within the process — :func:`canonical` folds in ``id()`` and the
-flow memo retains the object alongside the key so ids can never be
-recycled into a collision — but refused by the persistent store.
+A value :func:`canonical` cannot name by content (an opaque object, a
+``functools.partial``, a callable instance) raises :class:`TypeError`:
+there is no identity-keyed fallback.
 """
 
 from __future__ import annotations
@@ -33,54 +35,29 @@ import hashlib
 import json
 import types
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.snapshot import dumps_snapshot
 
-#: Bump to invalidate every previously-derived key (schema change in
-#: what a key covers, not in the artifact payload format — the store
-#: has its own version for that).  2: factory bytecode fingerprints
-#: cover co_consts/co_names/co_freevars and nested code objects, not
-#: co_code alone (constants are referenced by index, so a literal
-#: edit used to leave co_code byte-identical).  3: the place stage key
-#: covers the solver backend (cg placements differ within tolerance,
-#: not bit-exactly), and the route ``batch_ms`` dispatch-sizing knob
-#: is excluded as result-neutral.  4: the place stage key lost its
-#: solver and region-parallel fields — the cg/auto backends and the
-#: region-parallel mode were deleted, so placement depends on
-#: (factory, tech, seed) alone.  5: flow keys cover the whole
-#: ``RouteConfig`` — the wavefront router and its ``batch_ms`` knob
-#: were deleted, so every route field is result-relevant.  6: flow
-#: keys cover a nine-field ``TrainConfig`` — the selector trains and
-#: infers on padded batches only, so the flag that switched it to
-#: per-graph op-by-op forwards was deleted (that reference now lives
-#: in the test suite).  7: flow keys cover a nine-field ``FlowConfig``
-#: and a four-field ``TrainConfig`` — knobs with one value in use became
-#: constants, so the route config left the key.
-KEY_SCHEMA_VERSION = 7
+#: Root of the :mod:`repro` package, whose ``.py`` files
+#: :func:`source_digest` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 @dataclass(frozen=True)
 class ContentKey:
-    """One addressable artifact identity.
-
-    ``stable`` is False when any input could only be fingerprinted by
-    object identity — such keys work for in-memory memoization (the
-    flow memo keeps the object alive, pinning its id) but must never be
-    persisted.
-    """
+    """One addressable artifact identity."""
 
     kind: str
     hexdigest: str
-    stable: bool = True
 
     @property
     def short(self) -> str:
         return self.hexdigest[:12]
 
-    def __str__(self) -> str:  # pragma: no cover - debug aid
-        mark = "" if self.stable else "!unstable"
-        return f"{self.kind}:{self.short}{mark}"
+    def __str__(self) -> str:
+        return f"{self.kind}:{self.short}"
 
 
 @dataclass(frozen=True)
@@ -91,12 +68,34 @@ class PrepareKeys:
     prepared: ContentKey       # fully buffered Design
 
 
-def canonical(obj: Any, unstable: list | None = None) -> Any:
+@functools.cache
+def source_digest() -> str:
+    """SHA-256 over every ``.py`` file of the :mod:`repro` package,
+    computed once per process.  Each file enters under its
+    package-relative path, so the install location does not matter."""
+    h = hashlib.sha256()
+    for rel, path in sorted((p.relative_to(_PACKAGE_ROOT).as_posix(), p)
+                            for p in _PACKAGE_ROOT.rglob("*.py")):
+        data = path.read_bytes()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+@functools.cache
+def _file_digest(filename: str) -> str:
+    try:
+        return hashlib.sha256(Path(filename).read_bytes()).hexdigest()
+    except OSError:
+        raise TypeError(f"cannot read {filename!r}, the source of a "
+                        f"factory to key") from None
+
+
+def canonical(obj: Any) -> Any:
     """JSON-ready canonical form of *obj*, deterministic across
     processes for the types keys are built from.
 
-    Unrepresentable leaves become ``"@<type>:<id>"`` markers and flag
-    *unstable* (a one-element-appended list used as an out-param).
+    Raises :class:`TypeError` for a value it cannot name by content.
     """
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -110,113 +109,66 @@ def canonical(obj: Any, unstable: list | None = None) -> Any:
             "__dataclass__":
                 f"{type(obj).__module__}.{type(obj).__qualname__}"}
         for field in dataclasses.fields(obj):
-            out[field.name] = canonical(getattr(obj, field.name), unstable)
+            out[field.name] = canonical(getattr(obj, field.name))
         return out
     if isinstance(obj, (list, tuple)):
-        return [canonical(item, unstable) for item in obj]
+        return [canonical(item) for item in obj]
     if isinstance(obj, (set, frozenset)):
-        members = [canonical(item, unstable) for item in obj]
+        members = [canonical(item) for item in obj]
         return {"__set__": sorted(members, key=lambda m: json.dumps(
-            m, sort_keys=True, default=str))}
+            m, sort_keys=True))}
     if isinstance(obj, dict):
         return {"__dict__": sorted(
-            ([canonical(k, unstable), canonical(v, unstable)]
-             for k, v in obj.items()),
-            key=lambda kv: json.dumps(kv[0], sort_keys=True, default=str))}
+            ([canonical(k), canonical(v)] for k, v in obj.items()),
+            key=lambda kv: json.dumps(kv[0], sort_keys=True))}
     # numpy scalars sneak into configs via arithmetic; unwrap them.
     item = getattr(obj, "item", None)
     if callable(item) and getattr(obj, "shape", None) == ():
-        return canonical(obj.item(), unstable)
-    if isinstance(obj, types.CodeType):
-        return _code_fingerprint(obj, unstable)
+        return canonical(obj.item())
     if callable(obj):
-        return factory_token(obj, unstable)
-    if unstable is not None:
-        unstable.append(type(obj).__qualname__)
-    return f"@{type(obj).__module__}.{type(obj).__qualname__}:{id(obj):x}"
+        return factory_token(obj)
+    raise TypeError(f"cannot key a {type(obj).__qualname__} by content")
 
 
-def _code_fingerprint(code: types.CodeType,
-                      unstable: list | None = None) -> Any:
-    """Canonical content form of one code object.
+def factory_token(fn: Callable) -> Any:
+    """Content fingerprint of a netlist factory (or any function).
 
-    Bytecode references constants and names *by index*, so ``co_code``
-    alone is blind to literal edits (``bandwidth=8`` -> ``16`` leaves
-    it byte-identical).  The fingerprint therefore covers the constant
-    pool, name tables and free variables too, recursing into nested
-    code objects (inner functions, lambdas, comprehensions) found in
-    ``co_consts``.
-    """
-    return {
-        "__code__": hashlib.sha256(code.co_code).hexdigest(),
-        "consts": [canonical(const, unstable)
-                   for const in code.co_consts],
-        "names": list(code.co_names),
-        "freevars": list(code.co_freevars),
-    }
-
-
-def factory_token(fn: Callable, unstable: list | None = None) -> Any:
-    """Content fingerprint of a netlist factory (or any callable).
-
-    Precedence: an explicit ``__content_token__`` attribute (used e.g.
-    by the Verilog-import factory, which hashes the file bytes);
-    ``functools.partial`` recurses; plain functions fingerprint as
-    module-qualified name + closure cell values + defaults + the
-    :func:`_code_fingerprint` of their code object (bytecode, constant
-    pool, names, free variables, nested code), so editing the factory
-    body — including a bare literal — invalidates its keys.
+    An explicit ``__content_token__`` attribute wins (the ``--verilog``
+    factory sets it to the file's SHA-256).  Otherwise a plain function
+    is its qualified name, the SHA-256 of its defining file, its first
+    line and its closure and default values: editing its file moves
+    the key, and so does each closure a factory maker returns
+    (``_maeri_factory(16, 8)`` against ``_maeri_factory(128, 32)``).
+    Anything else (a ``functools.partial``, a bound method, a callable
+    instance) raises :class:`TypeError`.
     """
     token = getattr(fn, "__content_token__", None)
     if token is not None:
         return {"__factory_token__": str(token)}
-    if isinstance(fn, functools.partial):
-        return {"__partial__": factory_token(fn.func, unstable),
-                "args": canonical(fn.args, unstable),
-                "kwargs": canonical(fn.keywords, unstable)}
-    bound = getattr(fn, "__self__", None)
-    if bound is not None:
-        return {"__method__": f"{getattr(fn, '__qualname__', '?')}",
-                "self": canonical(bound, unstable)}
+    if not isinstance(fn, types.FunctionType):
+        raise TypeError(f"cannot key factory {fn!r} by content: pass a "
+                        f"plain function")
+    code = fn.__code__
     out: dict[str, Any] = {
-        "__factory__":
-            f"{getattr(fn, '__module__', '?')}."
-            f"{getattr(fn, '__qualname__', '?')}"}
-    code = getattr(fn, "__code__", None)
-    if code is not None:
-        out["code"] = _code_fingerprint(code, unstable)
-        cells = getattr(fn, "__closure__", None) or ()
-        if cells:
-            closure = {}
-            for var, cell in zip(code.co_freevars, cells):
-                try:
-                    value = cell.cell_contents
-                except ValueError:          # empty cell
-                    value = "<empty>"
-                closure[var] = canonical(value, unstable)
-            out["closure"] = {"__dict__": sorted(
-                ([k, v] for k, v in closure.items()),
-                key=lambda kv: kv[0])}
-        defaults = getattr(fn, "__defaults__", None)
-        if defaults:
-            out["defaults"] = canonical(defaults, unstable)
-    elif not isinstance(fn, type):
-        # Callable instance with opaque state: identity only.
-        if unstable is not None:
-            unstable.append(type(fn).__qualname__)
-        out["instance"] = f"@{id(fn):x}"
+        "__factory__": f"{fn.__module__}.{fn.__qualname__}",
+        "file": _file_digest(code.co_filename),
+        "line": code.co_firstlineno,
+    }
+    if fn.__closure__:
+        out["closure"] = {var: canonical(cell.cell_contents) for var, cell
+                          in zip(code.co_freevars, fn.__closure__)}
+    if fn.__defaults__:
+        out["defaults"] = canonical(fn.__defaults__)
     return out
 
 
 def digest_key(kind: str, payload: Any) -> ContentKey:
-    """Hash a canonical *payload* into a :class:`ContentKey`."""
-    unstable: list = []
-    value = canonical(payload, unstable)
-    blob = json.dumps({"schema": KEY_SCHEMA_VERSION, "kind": kind,
-                       "key": value},
-                      sort_keys=True, default=str).encode("utf-8")
-    return ContentKey(kind, hashlib.sha256(blob).hexdigest(),
-                      stable=not unstable)
+    """Hash a canonical *payload*, under the package's
+    :func:`source_digest`, into a :class:`ContentKey`."""
+    blob = json.dumps({"source": source_digest(), "kind": kind,
+                       "key": canonical(payload)},
+                      sort_keys=True).encode("utf-8")
+    return ContentKey(kind, hashlib.sha256(blob).hexdigest())
 
 
 def tech_digest(tech) -> str:
@@ -233,9 +185,9 @@ def _base(factory, tech, seed: int) -> dict:
 def prepare_stage_keys(factory, tech, seed: int, config) -> PrepareKeys:
     """Keys for the two prepare artifacts of one flow configuration.
 
-    *config* is a :class:`repro.core.flow.FlowConfig` (anything with
-    the same field names works).  Only the fields each stage chain
-    actually consumes participate — see the module docstring.
+    *config* is a :class:`repro.core.flow.FlowConfig`.  Only the fields
+    each stage chain actually consumes participate — see the module
+    docstring.
     """
     base = _base(factory, tech, seed)
     prepared = dict(base,
@@ -247,21 +199,13 @@ def prepare_stage_keys(factory, tech, seed: int, config) -> PrepareKeys:
     )
 
 
-def config_fingerprint(config) -> Any:
-    """Canonical form of every flow-config field."""
-    return {field.name: getattr(config, field.name)
-            for field in dataclasses.fields(config)}
-
-
 def flow_key(factory, tech, seed: int, config) -> ContentKey:
     """Key of one complete flow run's :class:`FlowReport`."""
-    payload = dict(_base(factory, tech, seed),
-                   config=config_fingerprint(config))
-    return digest_key("flow.report", payload)
+    return digest_key("flow.report",
+                      dict(_base(factory, tech, seed), config=config))
 
 
 def flow_summary_key(factory, tech, seed: int, config) -> ContentKey:
     """Key of the lightweight (row + digests) flow summary artifact."""
-    payload = dict(_base(factory, tech, seed),
-                   config=config_fingerprint(config))
-    return digest_key("flow.summary", payload)
+    return digest_key("flow.summary",
+                      dict(_base(factory, tech, seed), config=config))

@@ -30,9 +30,9 @@ unlink that finds a blob already gone (another process evicted it)
 skips that blob.  Blob IO, checksumming and (un)pickling run in the
 calling thread with nothing held.
 
-Keys whose inputs could not be content-fingerprinted
-(``ContentKey.stable == False``) are refused on both paths — an
-identity-keyed artifact served to another process would be a lie.
+Keys (:mod:`repro.service.keys`) cover the package source, so a blob
+written by other code is never looked up: after an edit, every key is
+new and the old blobs age out through the budget.
 """
 
 from __future__ import annotations
@@ -139,10 +139,7 @@ class ArtifactStore:
     # -- operations ----------------------------------------------------------
 
     def get(self, key: ContentKey) -> Optional[Any]:
-        """The stored object, or ``None`` on miss/corruption/unstable."""
-        if not key.stable:
-            metrics.inc("store.unstable_key_skips")
-            return None
+        """The stored object, or ``None`` on miss or corruption."""
         path = self.object_path(key)
         try:
             blob = path.read_bytes()
@@ -168,16 +165,13 @@ class ArtifactStore:
         metrics.inc(f"store.hits.{key.kind}")
         return obj
 
-    def put(self, key: ContentKey, obj: Any) -> bool:
-        """Persist *obj* under *key* atomically; False when refused."""
-        if not key.stable:
-            metrics.inc("store.unstable_key_skips")
-            return False
+    def put(self, key: ContentKey, obj: Any) -> None:
+        """Persist *obj* under *key* atomically."""
         path = self.object_path(key)
         if _touch(path):
             # Content-addressed: an existing blob is the same bytes;
             # refreshing its recency is the whole put.
-            return True
+            return
         # os.replace makes the publish atomic even if another thread
         # or process races the same key (same content either way).
         with trace.span("store.put", kind=key.kind, key=key.short):
@@ -198,7 +192,6 @@ class ArtifactStore:
         metrics.inc("store.puts")
         metrics.inc(f"store.puts.{key.kind}")
         metrics.set_gauge("store.bytes", total)
-        return True
 
     def _scan(self) -> list[tuple[int, str, int]]:
         """``(mtime_ns, path, size)`` of every blob, in no order."""
@@ -245,7 +238,7 @@ class ArtifactStore:
     # -- introspection -------------------------------------------------------
 
     def contains(self, key: ContentKey) -> bool:
-        return key.stable and self.object_path(key).exists()
+        return self.object_path(key).exists()
 
     def total_bytes(self) -> int:
         return sum(size for _, _, size in self._scan())

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.rng import DEFAULT_SEED, stream
+from repro.harness.designs import DEFAULT_EXPERIMENT_SEED
+from repro.rng import stream
 
 
 def test_same_name_same_sequence():
@@ -31,7 +32,7 @@ def test_empty_name_rejected():
 
 
 def test_default_seed_is_stable():
-    assert DEFAULT_SEED == 20250706
+    assert DEFAULT_EXPERIMENT_SEED == 20250706
 
 
 @given(st.text(min_size=1, max_size=30), st.integers(0, 2 ** 31))

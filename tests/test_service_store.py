@@ -7,10 +7,14 @@ Locks the flow-as-a-service storage contract:
   any :class:`FlowConfig` field) changes it.  The perturbation table
   is exhaustiveness-checked against ``dataclasses.fields`` so a
   newly-added config field fails loudly until it is listed;
+* keys follow the source: a verbatim copy of the package at another
+  path derives the same keys, and a copy with one edited library
+  constant (placer or trainer) moves every stage key;
 * stage keys are prefix-shaped: no config field moves the place key,
   so frequency/scan sweeps share the placement artifact;
-* unstable (identity-fingerprinted) keys are usable in-process but
-  refused by the persistent store on both paths;
+* a factory that cannot be named by content (a closure over an opaque
+  object, a ``functools.partial``, a callable instance) is refused
+  with ``TypeError``;
 * blob round trips are bit-identical (pickle-bytes compare, plus the
   golden netlist digest on a real generated design);
 * any single-byte corruption or truncation is detected, counted and
@@ -23,11 +27,18 @@ Locks the flow-as-a-service storage contract:
 from __future__ import annotations
 
 import dataclasses
+import functools
+import json
 import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.core.flow import FlowConfig, TrainConfig
 from repro.netlist.generators import MaeriConfig, generate_maeri
 from repro.obs import metrics
@@ -56,7 +67,8 @@ def _same_name_factory(wide: bool):
     """Two factories with identical qualnames and identical co_code —
     bytecode references constants by index, so a literal-only edit
     (bandwidth 4 -> 8; both distinct from pe_count so the const
-    tables keep the same shape) is invisible to a co_code hash."""
+    tables keep the same shape) is invisible to a co_code hash.  The
+    key names a factory by its file and first line instead."""
     if wide:
         def factory(libraries, seed):
             return generate_maeri(MaeriConfig(pe_count=16, bandwidth=8),
@@ -124,7 +136,6 @@ class TestKeyDerivation:
         b = flow_key(_maeri_factory, TechSetup.build("16nm", "28nm", 6),
                      TEST_SEED,
                      FlowConfig(selector="none", target_freq_mhz=1500.0))
-        assert a.stable and b.stable
         assert a.hexdigest == b.hexdigest
         pa = prepare_stage_keys(_maeri_factory, tech, TEST_SEED,
                                 BASE_CONFIG)
@@ -190,36 +201,21 @@ class TestKeyDerivation:
         assert a.hexdigest != b.hexdigest
 
     def test_factory_param_perturbation(self, tech):
-        """Different factory bodies (bandwidth 8 vs 16) -> new keys;
-        partial-bound parameters participate too."""
-        import functools
-
+        """Different factory bodies (bandwidth 8 vs 16) -> new keys."""
         a = flow_key(_maeri_factory, tech, TEST_SEED, BASE_CONFIG)
         b = flow_key(_maeri_factory_wide, tech, TEST_SEED, BASE_CONFIG)
         assert a.hexdigest != b.hexdigest
 
-        def parametric(config, libraries, seed):
-            return generate_maeri(config, libraries, seed)
-
-        p8 = functools.partial(parametric, MaeriConfig(pe_count=16,
-                                                       bandwidth=8))
-        p16 = functools.partial(parametric, MaeriConfig(pe_count=16,
-                                                        bandwidth=16))
-        ka = flow_key(p8, tech, TEST_SEED, BASE_CONFIG)
-        kb = flow_key(p16, tech, TEST_SEED, BASE_CONFIG)
-        assert ka.stable and kb.stable
-        assert ka.hexdigest != kb.hexdigest
-
     def test_literal_constant_change_invalidates_key(self, tech):
-        """Regression (REVIEW: co_code-only fingerprint): factories
-        that differ *only* in a literal constant share bytecode, so
-        the key must cover the constant pool too."""
+        """Regression (co_code-only fingerprint): factories that
+        differ *only* in a literal constant share bytecode, yet get
+        distinct keys (their definitions sit on different lines; an
+        edit in place moves the file's digest)."""
         narrow, wide = _same_name_factory(False), _same_name_factory(True)
         # The trap this test pins: identical bytecode, different consts.
         assert narrow.__code__.co_code == wide.__code__.co_code
         ka = flow_key(narrow, tech, TEST_SEED, BASE_CONFIG)
         kb = flow_key(wide, tech, TEST_SEED, BASE_CONFIG)
-        assert ka.stable and kb.stable
         assert ka.hexdigest != kb.hexdigest
         # Deterministic: an identically-rebuilt factory shares the key.
         rebuilt = flow_key(_same_name_factory(False), tech, TEST_SEED,
@@ -227,14 +223,13 @@ class TestKeyDerivation:
         assert rebuilt.hexdigest == ka.hexdigest
 
     def test_nested_code_literal_change_invalidates_key(self, tech):
-        """The constant pool is recursed: a literal edit inside an
-        inner function (a code object in co_consts) moves the key."""
+        """Same trap one level down: factories whose differing literal
+        sits in an inner function get distinct keys."""
         narrow = _nested_literal_factory(False)
         wide = _nested_literal_factory(True)
         assert narrow.__code__.co_code == wide.__code__.co_code
         ka = flow_key(narrow, tech, TEST_SEED, BASE_CONFIG)
         kb = flow_key(wide, tech, TEST_SEED, BASE_CONFIG)
-        assert ka.stable and kb.stable
         assert ka.hexdigest != kb.hexdigest
 
     def test_stage_keys_are_prefix_shaped(self, tech):
@@ -254,24 +249,95 @@ class TestKeyDerivation:
                                       changed)
             assert keys.place == base.place, field_name
 
-    def test_unfingerprintable_factory_degrades_to_unstable(self, tech):
+    def test_unnameable_factory_refused(self, tech):
+        """A factory whose parameters are not content (a closure over an
+        opaque object, a ``functools.partial``, a callable instance)
+        has no key: there is no identity-keyed fallback."""
         opaque = object()
 
         def closure_factory(libraries, seed):
-            _ = opaque          # closure over an unfingerprintable obj
+            _ = opaque          # closure over an opaque object
             return _maeri_factory(libraries, seed)
 
-        key = flow_key(closure_factory, tech, TEST_SEED, BASE_CONFIG)
-        assert not key.stable
-        # Distinct opaque objects -> distinct keys (id folded in).
-        other_obj = object()
+        def parametric(config, libraries, seed):
+            return generate_maeri(config, libraries, seed)
 
-        def other_factory(libraries, seed):
-            _ = other_obj
-            return _maeri_factory(libraries, seed)
+        class CallableFactory:
+            def __call__(self, libraries, seed):
+                return _maeri_factory(libraries, seed)
 
-        assert flow_key(other_factory, tech, TEST_SEED,
-                        BASE_CONFIG).hexdigest != key.hexdigest
+        partial = functools.partial(parametric, MaeriConfig(pe_count=16,
+                                                            bandwidth=8))
+        for factory in (closure_factory, partial, CallableFactory()):
+            with pytest.raises(TypeError):
+                flow_key(factory, tech, TEST_SEED, BASE_CONFIG)
+
+
+#: The ``repro`` package these tests import.
+_PACKAGE = Path(repro.__file__).resolve().parent
+
+#: Prints the four stage keys of one MAERI-16 ``gnn`` flow (seed 7) as
+#: derived by whichever ``repro`` is first on ``PYTHONPATH``.
+_KEYS_SCRIPT = """
+import json
+from repro.harness.designs import get_benchmark
+from repro.service import flow_key, flow_summary_key, prepare_stage_keys
+spec = get_benchmark("maeri16_hetero")
+config, tech = spec.flow_config("gnn"), spec.tech()
+stage = prepare_stage_keys(spec.factory, tech, 7, config)
+print(json.dumps({
+    "place": stage.place.hexdigest,
+    "prepared": stage.prepared.hexdigest,
+    "flow.report": flow_key(spec.factory, tech, 7, config).hexdigest,
+    "flow.summary": flow_summary_key(spec.factory, tech, 7,
+                                     config).hexdigest}))
+"""
+
+
+def _keys_under(src_root: Path, cwd: Path) -> dict[str, str]:
+    proc = subprocess.run(
+        [sys.executable, "-c", _KEYS_SCRIPT], cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(src_root)),
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _package_copy(dest: Path, rel: str | None = None, old: str = "",
+                  new: str = "") -> Path:
+    """Copy the package under *dest*; with *rel*, replace *old* by
+    *new* in that file (which must contain *old*)."""
+    shutil.copytree(_PACKAGE, dest / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    if rel is not None:
+        path = dest / "repro" / rel
+        text = path.read_text()
+        assert old in text, (rel, old)
+        path.write_text(text.replace(old, new))
+    return dest
+
+
+class TestKeysFollowTheSource:
+    def test_library_edit_moves_every_stage_key(self, tmp_path):
+        """A verbatim copy of the package at another path derives the
+        original's keys; one edited placer or trainer constant moves
+        all four (a store written before the edit then misses)."""
+        original = _keys_under(_PACKAGE.parent, tmp_path)
+        assert set(original) == {"place", "prepared", "flow.report",
+                                 "flow.summary"}
+        verbatim = _package_copy(tmp_path / "verbatim")
+        assert _keys_under(verbatim, tmp_path) == original
+        edits = {
+            "placer": ("place/bisection.py", "SOLVE_STOP_MULT = 2",
+                       "SOLVE_STOP_MULT = 0"),
+            "trainer": ("core/trainer.py", "FINETUNE_LR = 2e-3",
+                        "FINETUNE_LR = 3e-3"),
+        }
+        for name, edit in edits.items():
+            edited = _keys_under(_package_copy(tmp_path / name, *edit),
+                                 tmp_path)
+            for kind, hexdigest in edited.items():
+                assert hexdigest != original[kind], (name, kind)
 
 
 _json_leaves = (st.none() | st.booleans()
@@ -328,22 +394,12 @@ class TestArtifactStore:
         obj = {"rows": list(range(100)), "name": "x"}
         key = _key("roundtrip")
         assert store.get(key) is None
-        assert store.put(key, obj)
+        store.put(key, obj)
         assert store.contains(key)
         assert store.get(key) == obj
         # A second handle on the same root (fresh process) still hits.
         again = ArtifactStore(tmp_path / "store")
         assert again.get(key) == obj
-
-    def test_unstable_keys_refused(self, tmp_path):
-        store = ArtifactStore(tmp_path / "store")
-        unstable = ContentKey("test.blob", "ab" * 32, stable=False)
-        before = metrics.counter("store.unstable_key_skips")
-        assert not store.put(unstable, {"x": 1})
-        assert store.get(unstable) is None
-        assert not store.contains(unstable)
-        assert metrics.counter("store.unstable_key_skips") == before + 2
-        assert not list((tmp_path / "store" / "objects").glob("*/*"))
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
@@ -386,7 +442,7 @@ class TestArtifactStore:
         assert store.get(key) is None
         assert not list((tmp_path / "store" / "tmp").iterdir())
         # The store remains fully usable afterwards.
-        assert store.put(key, {"x": 1})
+        store.put(key, {"x": 1})
         assert store.get(key) == {"x": 1}
 
     def test_lru_eviction_respects_budget(self, tmp_path):
@@ -416,8 +472,8 @@ class TestArtifactStore:
         a = ArtifactStore(root)
         b = ArtifactStore(root)         # opened before a's first put
         ka, kb = _key("writer-a"), _key("writer-b")
-        assert a.put(ka, {"payload": "a" * 256})
-        assert b.put(kb, {"payload": "b" * 256})
+        a.put(ka, {"payload": "a" * 256})
+        b.put(kb, {"payload": "b" * 256})
         on_disk = sum(p.stat().st_size
                       for p in (root / "objects").glob("*/*.bin"))
         for store in (a, b):
@@ -426,7 +482,7 @@ class TestArtifactStore:
             assert store.total_bytes() == on_disk
         a.clear()
         kc = _key("after-clear")
-        assert b.put(kc, {"payload": "c" * 256})
+        b.put(kc, {"payload": "c" * 256})
         for store in (a, b):
             assert store.stats()["entries"] == 1
             assert store.contains(kc) and not store.contains(ka)
