@@ -19,7 +19,7 @@ def render_utilization(routing: RoutingResult) -> str:
     grid = routing.grid
     lines = ["Routing utilization", "=" * 44,
              f"{'tier':<6}{'pair':<6}{'mean util %':>12}{'overflow':>10}"]
-    for tier in range(len(grid.usage)):
+    for tier in range(len(grid.capacity)):
         for pair in range(grid.num_pairs(tier)):
             lines.append(
                 f"{tier:<6}{pair:<6}"
@@ -38,7 +38,7 @@ def render_heatmap(routing: RoutingResult, tier: int, pair: int) -> str:
     """ASCII heatmap of one (tier, pair)'s demand/capacity ratio,
     sampled down to at most about 64 x 32 characters."""
     grid = routing.grid
-    usage = grid.usage[tier][pair] / grid.capacity[tier][pair]
+    usage = grid.plane(tier, pair) / grid.capacity[tier][pair]
     step_x = max(1, usage.shape[0] // 64)
     step_y = max(1, usage.shape[1] // 32)
     sampled = usage[::step_x, ::step_y]

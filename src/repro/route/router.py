@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.design import Design
 from repro.errors import RoutingError
@@ -33,8 +34,6 @@ from repro.route.rc import NetRC, RcTables
 from repro.route.steiner import (RouteTopology, build_route_topology,
                                  tree_edge_cells)
 from repro.route.tree import RouteEdge, RouteTree
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -314,13 +313,10 @@ class GlobalRouter:
         grid; a router that already holds usage would route
         differently.
         """
-        grid = self.grid
         return (previous.basis == self._basis()
                 and not previous.eco_pending
                 and previous.config == self.cfg
-                and not grid.f2f_usage.any()
-                and not any(plane.any() for tier in grid.usage
-                            for plane in tier))
+                and not self.grid.in_use())
 
     def _route_all_diff(self, result: RoutingResult, topo: RouteTopology,
                         previous: RoutingResult) -> int:
@@ -347,7 +343,7 @@ class GlobalRouter:
         extract = self.rc_tables.extract
         old_trees, old_rc = previous.trees, previous.rc
         old_mls, new_mls = previous.mls_request, result.mls_request
-        dirty = np.zeros(self.grid.nx * self.grid.ny, dtype=bool)
+        dirty = bytearray(self.grid.nx * self.grid.ny)
         any_dirty = False
         changed: list[str] = []
         reused = 0
@@ -356,15 +352,18 @@ class GlobalRouter:
             name = net.name
             old = old_trees.get(name)
             mls = name in new_mls
+            # The row's edge cells, laid end to end, are its footprint.
+            edge_cells = topo.edge_cells(row)
+            footprint = edge_cells[0]
             if old is not None and mls == (name in old_mls) \
-                    and not (any_dirty and dirty[topo.footprint(row)].any()):
-                self._apply_tree_usage(old, +1.0,
-                                       edge_cells=topo.edge_cells(row))
+                    and not (any_dirty
+                             and any(map(dirty.__getitem__, footprint))):
+                self._apply_tree_usage(old, +1, edge_cells=edge_cells)
                 result.trees[old.net_name] = old
                 result.rc[old.net_name] = old_rc[name]
                 reused += 1
                 continue
-            tree = self._route_net(net, mls, True, topo, row)
+            tree = self._route_net(net, mls, True, topo, row, edge_cells)
             if old is not None and tree.edges == old.edges:
                 result.trees[old.net_name] = old
                 result.rc[old.net_name] = old_rc[name]
@@ -372,7 +371,8 @@ class GlobalRouter:
             result.trees[name] = tree
             result.rc[name] = extract(tree)
             changed.append(name)
-            dirty[topo.footprint(row)] = True
+            for cell in footprint:
+                dirty[cell] = 1
             any_dirty = True
         result.changed_nets = tuple(changed)
         result._diffed_from = weakref.ref(previous)
@@ -412,7 +412,7 @@ class GlobalRouter:
         result.rc.pop(net.name, None)
         if tree is None:
             return
-        self._apply_tree_usage(tree, -1.0)
+        self._apply_tree_usage(tree, -1)
 
     def restore_net(self, result: RoutingResult, net: Net,
                     tree: "RouteTree", rc: NetRC) -> None:
@@ -429,7 +429,7 @@ class GlobalRouter:
         self.unroute_net(result, net)
         result.trees[net.name] = tree
         result.rc[net.name] = rc
-        self._apply_tree_usage(tree, +1.0)
+        self._apply_tree_usage(tree, +1)
         result._note_edit(net.name, outstanding=False)
         if tree.num_shared_edges() > 0:
             self.design.mls_nets.add(net.name)
@@ -449,17 +449,17 @@ class GlobalRouter:
         committed = result.tree(net.name)
         cells = self._tree_cells(committed)
         topo, row = self._net_row(net)
-        self._apply_tree_usage(committed, -1.0, edge_cells=cells)
+        self._apply_tree_usage(committed, -1, edge_cells=cells)
         try:
             tree_off = self._route_net(net, False, False, topo, row)
             tree_on = self._route_net(net, True, False, topo, row)
         finally:
-            self._apply_tree_usage(committed, +1.0, edge_cells=cells)
+            self._apply_tree_usage(committed, +1, edge_cells=cells)
         extract = self.rc_tables.extract
         return (extract(tree_off), extract(tree_on),
                 tree_on.num_shared_edges() > 0)
 
-    def _apply_tree_usage(self, tree: RouteTree, sign: float,
+    def _apply_tree_usage(self, tree: RouteTree, sign: int,
                           edge_cells: tuple[list[int], list[int]]
                           | None = None) -> None:
         """Add (+1) or release (-1) a tree's grid resources.
@@ -478,7 +478,7 @@ class GlobalRouter:
                 grid.add_f2f(path[0], sign)
                 grid.add_f2f(path[-1], sign)
             elif edge.n_f2f:
-                grid.add_f2f(path[0], sign * float(edge.n_f2f))
+                grid.add_f2f(path[0], sign * edge.n_f2f)
 
     # -- internals ----------------------------------------------------------------
 
@@ -494,15 +494,18 @@ class GlobalRouter:
         return tree
 
     def _route_net(self, net: Net, mls: bool, commit: bool,
-                   topo: RouteTopology | None = None,
-                   row: int = 0) -> RouteTree:
+                   topo: RouteTopology | None = None, row: int = 0,
+                   edge_cells: tuple[list[int], list[int]] | None = None
+                   ) -> RouteTree:
+        """Route *net* on its *topo* row; *edge_cells* is
+        ``topo.edge_cells(row)`` when the caller already holds it."""
         if topo is None:
             topo, row = self._net_row(net)
         tree = self._new_tree(net, topo, row)
         lo, hi = topo.pin_ptr[row], topo.pin_ptr[row + 1]
         parents = topo.parent[lo:hi].tolist()
         lengths = topo.length[lo:hi].tolist()
-        cells, ptr = topo.edge_cells(row)
+        cells, ptr = edge_cells or topo.edge_cells(row)
         nodes = tree.nodes
         home_tier = nodes[0].tier
         is_2d = all(node.tier == home_tier for node in nodes)
@@ -527,15 +530,15 @@ class GlobalRouter:
                          cells, home_tier: int,
                          commit: bool) -> RouteEdge | None:
         """Attempt an MLS trunk edge on the other tier's top pair."""
+        grid = self.grid
         other = 1 - home_tier
-        top_other = self.grid.top_pair(other)
-        if self.grid.path_load(other, top_other, cells) >= 1.0:
+        top_other = grid.top_pair(other)
+        if grid.path_full(other, top_other, cells):
             return None
         start, end = cells[0], cells[-1]
-        if (self.grid.f2f_load(start) >= 1.0
-                or self.grid.f2f_load(end) >= 1.0):
+        if grid.f2f_load(start) >= 1.0 or grid.f2f_load(end) >= 1.0:
             return None
-        top_own = self.grid.top_pair(home_tier)
+        top_own = grid.top_pair(home_tier)
         # Climb our own stack to the bond interface at both ends; the
         # other tier's top metals sit directly across the F2F bond.
         via_hops = 4 * top_own
@@ -544,26 +547,28 @@ class GlobalRouter:
                          n_f2f=2, shared=True,
                          escape_um=2.0 * self.cfg.mls_escape_um)
         if commit:
-            self.grid.add_path(other, top_other, cells, 1.0)
-            self.grid.add_f2f(start, 1.0)
-            self.grid.add_f2f(end, 1.0)
+            grid.add_path(other, top_other, cells)
+            grid.add_f2f(start)
+            grid.add_f2f(end)
         return edge
 
     def _normal_edge(self, parent: int, child: int, length: float,
                      cells, ptier: int, ctier: int,
                      commit: bool) -> RouteEdge:
+        grid = self.grid
         tier = ptier
-        n_pairs = self.grid.num_pairs(tier)
+        n_pairs = grid.num_pairs(tier)
         want = desired_pair(length, n_pairs, self.cfg.pair_thresholds)
-        # Preference order: desired, then progressively lower (cheaper
-        # vias), then higher.
-        order = [want] + list(range(want - 1, -1, -1)) \
-            + list(range(want + 1, n_pairs))
-        chosen, overflowed = want, True
-        for pair in order:
-            if self.grid.path_load(tier, pair, cells) < 1.0:
-                chosen, overflowed = pair, False
-                break
+        chosen, overflowed = want, False
+        if grid.path_full(tier, want, cells):
+            # Fall back to progressively lower pairs (cheaper vias),
+            # then higher ones.
+            overflowed = True
+            for pair in chain(range(want - 1, -1, -1),
+                              range(want + 1, n_pairs)):
+                if not grid.path_full(tier, pair, cells):
+                    chosen, overflowed = pair, False
+                    break
         if overflowed:
             length *= self.cfg.detour_factor
         via_hops = 4 * chosen
@@ -572,14 +577,14 @@ class GlobalRouter:
             n_f2f = 1
             # Climb from the wire pair to our top, cross, descend to the
             # sink's lowest metals on the other tier.
-            top_own = self.grid.top_pair(ptier)
+            top_own = grid.top_pair(ptier)
             via_hops = 2 * chosen + 2 * (top_own - chosen) \
-                + 2 * self.grid.top_pair(ctier)
+                + 2 * grid.top_pair(ctier)
         edge = RouteEdge(parent=parent, child=child, length=length,
                          tier=tier, pair=chosen, via_hops=via_hops,
                          n_f2f=n_f2f, overflowed=overflowed)
         if commit:
-            self.grid.add_path(tier, chosen, cells, 1.0)
+            grid.add_path(tier, chosen, cells)
             if n_f2f:
-                self.grid.add_f2f(cells[0], float(n_f2f))
+                grid.add_f2f(cells[0], n_f2f)
         return edge

@@ -18,6 +18,7 @@ part of the load and adds F2F via RC, and the STA engine composes both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -154,16 +155,16 @@ class CellType:
     def num_inputs(self) -> int:
         return len(self.inputs)
 
-    def pins(self) -> list[CellPinSpec]:
-        """All pins: declared data inputs, clock, extras, then output."""
-        out: list[CellPinSpec] = [
-            CellPinSpec(name, "in", self.input_cap_ff) for name in self.inputs
-        ]
-        if self.clock_pin is not None:
-            out.append(CellPinSpec(self.clock_pin, "in", self.input_cap_ff * 0.8))
-        out.extend(self.extra_pins)
-        out.append(CellPinSpec(self.output, "out", 0.0))
-        return out
+    def pins(self) -> tuple[CellPinSpec, ...]:
+        """All pins: declared data inputs, clock, extras, then output.
+
+        Every instance of the cell asks, so the (immutable) tuple is
+        built once per cell type by the module-level :func:`_cell_pins`
+        cache, not kept on the cell: ``repro.service.keys.tech_digest``
+        hashes the pickled tech setup, so a cell must pickle the same
+        before and after its first instance.
+        """
+        return _cell_pins(self)
 
     def evaluate(self, *input_words: np.ndarray) -> np.ndarray:
         """Bit-parallel logic evaluation; sequential cells pass D through.
@@ -187,6 +188,18 @@ class CellType:
             raise TechError(f"negative load {load_ff} on cell {self.name}")
         # ohm * fF = fs; /1000 -> ps.
         return self.intrinsic_ps + (self.drive_res * load_ff) / 1000.0
+
+
+@functools.cache
+def _cell_pins(cell: CellType) -> tuple[CellPinSpec, ...]:
+    out: list[CellPinSpec] = [
+        CellPinSpec(name, "in", cell.input_cap_ff) for name in cell.inputs
+    ]
+    if cell.clock_pin is not None:
+        out.append(CellPinSpec(cell.clock_pin, "in", cell.input_cap_ff * 0.8))
+    out.extend(cell.extra_pins)
+    out.append(CellPinSpec(cell.output, "out", 0.0))
+    return tuple(out)
 
 
 # -- reference (28 nm, unit-drive) cell definitions --------------------------
