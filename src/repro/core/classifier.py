@@ -1,7 +1,9 @@
 """The 2-layer MLP decision head (Algorithm 1, fine-tuning stage).
 
 Maps each DGI-pretrained node embedding to the binary MLS decision
-delta(n_i).
+delta(n_i).  Training and inference run the head inside the fused
+kernels of :mod:`repro.nn.fused`, which read ``mlp``'s parameters;
+the op-by-op ``__call__`` is what the test suite's oracles build on.
 """
 
 from __future__ import annotations
@@ -21,7 +23,3 @@ class DecisionHead(Module):
 
     def __call__(self, embeddings: Tensor) -> Tensor:
         return self.mlp(embeddings)
-
-    def probabilities(self, embeddings: Tensor) -> np.ndarray:
-        """Inference: per-node MLS probability."""
-        return self(embeddings).sigmoid().data[:, 0]

@@ -9,10 +9,11 @@ toward 0 through the sigmoid of Eq. 3.
 
 Training runs over zero-padded (B, L, D) minibatches — corruption is
 drawn per graph in visit order, the clean and corrupted batches share
-one stacked forward through the fused encoder kernel, the summary
-readout and score means are masked so padding contributes exact
-zeros, and one optimizer step covers the batch; the batch's loss graph
-is dropped once that step has run.
+one stacked forward through the fused encoder kernel, and the readout,
+discriminator and masked loss are one more fused node on top of it
+(:func:`repro.nn.fused.dgi_loss`), so padding contributes exact zeros.
+One optimizer step covers the batch; the batch's loss graph is
+dropped once that step has run.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import numpy as np
 from repro.core.batching import (length_bucketed_batches, pad_batch)
 from repro.core.encoder import GraphTransformer
 from repro.core.hypergraph import PathGraph
-from repro.nn.functional import masked_dgi_loss, masked_mean
-from repro.nn.fused import split_rows
+from repro.nn import fused
 from repro.nn.init import xavier_uniform
 from repro.nn.layers import Module
 from repro.nn.optim import Adam
@@ -56,19 +56,14 @@ class DGIPretrainer(Module):
         The clean and corrupted batches then run as one stacked
         (2B, L, D) forward whose two halves reduce their parameter
         gradients separately, so the loss and every gradient equal
-        those of two (B, L, D) forwards.
+        those of two (B, L, D) forwards; the objective on top is one
+        fused node as well.
         """
         batch, mask = pad_batch(mats)
         corrupt, _ = pad_batch([self.corrupt(m) for m in mats])
         stacked = self.encoder(Tensor(np.concatenate([batch, corrupt])),
                                np.concatenate([mask, mask]), groups=2)
-        pos, neg = split_rows(stacked, 2)
-        summary = masked_mean(pos, mask, axis=1).tanh()      # (B, D)
-        summary = summary.reshape(len(mats), 1,
-                                  self.encoder.config.d_model)
-        pos_scores = ((pos @ self.discriminator) * summary).sum(axis=-1)
-        neg_scores = ((neg @ self.discriminator) * summary).sum(axis=-1)
-        return masked_dgi_loss(pos_scores, neg_scores, mask)
+        return fused.dgi_loss(stacked, self.discriminator, mask)
 
     def pretrain(self, graphs: list[PathGraph], normalize,
                  epochs: int = 5, lr: float = 1e-3,

@@ -12,13 +12,15 @@ per epoch from the shuffle the ``finetune``/``dgi`` seed streams draw,
 padding rows contribute exact zeros through the masked attention/
 reduction stack, and one optimizer step covers each batch; a batch's
 loss graph is dropped once its step has run, so it never lives
-through the next batch's forward.  Each
-batched encoder forward is one fused autograd node
-(:mod:`repro.nn.fused`), bit-identical to the op-by-op graph;
-inference uses its forward-only entry.  One minibatch's loss is
-:func:`finetune_loss_for_batch` (fine-tuning) or
+through the next batch's forward.  Each batched encoder forward is
+one fused autograd node (:mod:`repro.nn.fused`), and each objective
+(head plus masked BCE, or the DGI readout and loss) one more on top
+of it, bit-identical to the op-by-op graphs; inference runs the
+encoder's forward-only entry and the head as plain NumPy.  One
+minibatch's loss is :func:`finetune_loss_for_batch` (fine-tuning) or
 :meth:`DGIPretrainer.loss_for_batch` (pretraining), and one batch's
-probabilities :meth:`GnnMlsModel.batch_probabilities`.
+probabilities :meth:`GnnMlsModel.batch_probabilities`.  Both stages
+step the flat-buffer :class:`~repro.nn.optim.Adam`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from repro.core.encoder import EncoderConfig, GraphTransformer
 from repro.core.hypergraph import PathGraph
 from repro.core.pathset import PathDataset
 from repro.errors import TrainingError
-from repro.nn.functional import masked_bce_with_logits
+from repro.nn import fused
 from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 from repro.obs import metrics, trace
@@ -83,8 +85,8 @@ class GnnMlsModel:
     def batch_probabilities(self, batch: np.ndarray,
                             mask: np.ndarray) -> np.ndarray:
         """(B, L) MLS probabilities of a padded, normalized batch."""
-        logits = self.head(Tensor(self.encoder.infer(batch, mask)))
-        return logits.sigmoid().data[:, :, 0]
+        return fused.head_probabilities(self.head.mlp,
+                                        self.encoder.infer(batch, mask))
 
     def _node_probabilities_all(self, graphs: list[PathGraph]
                                 ) -> list[np.ndarray]:
@@ -148,10 +150,8 @@ def finetune_loss_for_batch(encoder: GraphTransformer,
     length = batch.shape[1]
     labels = pad_rows([g.labels for g in graphs], length)
     dec = pad_rows([g.decidable for g in graphs], length, dtype=bool)
-    logits = head(encoder(Tensor(batch), mask)).reshape(len(graphs),
-                                                        length)
-    return masked_bce_with_logits(logits, labels, dec & mask,
-                                  pos_weight=pos_weight)
+    return fused.head_bce_loss(encoder(Tensor(batch), mask), head.mlp,
+                               labels, dec & mask, pos_weight)
 
 
 def _finetune(dataset: PathDataset, encoder: GraphTransformer,
@@ -215,8 +215,11 @@ def train_gnn_mls(dataset: PathDataset, seed: int,
     model = GnnMlsModel(encoder, head, dataset, config)
 
     if config.use_dgi:
-        pretrainer = DGIPretrainer(encoder, stream("dgi", seed))
-        model.history["dgi"] = pretrainer.pretrain(
+        # No name holds the pretrainer: its discriminator is a view of
+        # the DGI optimizer's flat buffer, which can then be freed as
+        # soon as fine-tuning's optimizer takes the encoder over.
+        model.history["dgi"] = DGIPretrainer(
+            encoder, stream("dgi", seed)).pretrain(
             dataset.graphs, dataset.extractor.normalize,
             epochs=config.dgi_epochs, lr=DGI_LR, log=log,
             batch_size=config.batch_size,

@@ -16,7 +16,7 @@ Three ways to pick the MLS net set, mirroring the paper's comparisons:
 
 from repro.mls.sota import sota_select
 from repro.mls.oracle import oracle_select, oracle_labels, NetLabel
-from repro.mls.apply import route_with_mls, apply_mls_incremental
+from repro.mls.apply import route_with_mls
 
 __all__ = [
     "sota_select",
@@ -24,5 +24,4 @@ __all__ = [
     "oracle_labels",
     "NetLabel",
     "route_with_mls",
-    "apply_mls_incremental",
 ]

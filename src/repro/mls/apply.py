@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.design import Design
 from repro.route.router import GlobalRouter, RoutingResult
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.timing.incremental import IncrementalSta
 
 
 def route_with_mls(design: Design, mls_nets: set[str],
@@ -36,40 +31,3 @@ def route_with_mls(design: Design, mls_nets: set[str],
     result = router.route_all(mls_nets=mls_nets, previous=previous)
     return router, result
 
-
-def apply_mls_incremental(design: Design, router: GlobalRouter,
-                          result: RoutingResult,
-                          add: set[str] = frozenset(),
-                          remove: set[str] = frozenset(),
-                          sta: "IncrementalSta | None" = None
-                          ) -> RoutingResult:
-    """Toggle MLS on individual nets of an existing routing.
-
-    An ECO-style edit, cheaper than a full re-route.  The flow does
-    not use it (its targeted routing re-routes differentially through
-    :func:`route_with_mls`, and Table I probes with ``reroute_net`` /
-    ``restore_net``); the incremental-STA tests make their edits
-    through it.  Nets are processed longest-first so trunk edges claim
-    shared resources in the same priority order as the full route.
-
-    Pass an :class:`~repro.timing.incremental.IncrementalSta` as *sta*
-    to patch its arc delays with exactly the toggled nets afterwards —
-    the ECO-loop pairing that keeps timing current without a full STA.
-    """
-    netlist = design.netlist
-    both = add & remove
-    if both:
-        raise ValueError(f"nets both added and removed: {sorted(both)[:3]}")
-
-    def hpwl(name: str) -> float:
-        net = netlist.net(name)
-        x0, y0, x1, y1 = design.require_placement().net_bbox(net)
-        return (x1 - x0) + (y1 - y0)
-
-    for name in sorted(remove, key=lambda n: (-hpwl(n), n)):
-        router.reroute_net(result, netlist.net(name), mls=False)
-    for name in sorted(add, key=lambda n: (-hpwl(n), n)):
-        router.reroute_net(result, netlist.net(name), mls=True)
-    if sta is not None:
-        sta.update(add | remove)
-    return result

@@ -3,16 +3,17 @@
 Replaces PyTorch/PyG for this reproduction (no network access, no GPU
 needed at our scale).  Provides the pieces GNN-MLS requires: a
 :class:`~repro.nn.tensor.Tensor` with broadcasting-aware backprop,
-Linear/LayerNorm/MLP layers, attention and Transformer layers whose
-one forward is the fused padded-batch encoder kernel
-(:mod:`repro.nn.fused`), the masked batch losses, Adam, and
+Linear/LayerNorm/MLP layers, attention and Transformer layers that
+hold parameters, the fused kernels of one selector training step
+(:mod:`repro.nn.fused`: the padded-batch encoder, the DGI and
+fine-tune objectives and the head's inference forward, each
+bit-identical to the op-by-op graph), a flat-buffer Adam, and
 deterministic parameter (de)serialization.  The model is tiny (3
 layers x 3 heads on <=64-dim embeddings), so NumPy trains it in
 seconds, bit-reproducibly.
 """
 
 from repro.nn.tensor import Tensor
-from repro.nn import functional
 from repro.nn.layers import (
     Module,
     Linear,
@@ -29,7 +30,6 @@ from repro.nn.serialize import save_params, load_params
 
 __all__ = [
     "Tensor",
-    "functional",
     "Module",
     "Linear",
     "LayerNorm",

@@ -1,4 +1,4 @@
-"""Fused batched Graph-Transformer kernel.
+"""Fused kernels for the selector's training step.
 
 The selector's encoder — input projection, sinusoidal positional
 encoding, pre-LN Transformer layers and a final LayerNorm — runs on
@@ -28,20 +28,35 @@ engine's gradient arithmetic bit for bit:
 gradients are reduced and accumulated separately, so one stacked
 forward of two batches is exactly two forwards (DGI runs its clean
 and corrupted views this way; :func:`split_rows` hands the blocks
-back).  The backward frees each layer's cached activations once it
-has used them, so a node backpropagates once; a second backward
-raises.  :func:`infer` is the forward alone, keeping no caches.  This
-kernel is the encoder's only forward; the op-by-op graphs it
-reproduces are oracles in the test suite.
+back to an op-by-op graph).  The backward frees each layer's cached
+activations once it has used them, so a node backpropagates once; a
+second backward raises.  :func:`infer` is the forward alone, keeping
+no caches.
+
+The two training objectives sit on top of that node as one more node
+each, under the same rules: :func:`dgi_loss` (masked-mean readout,
+tanh summary, bilinear discriminator and the masked DGI loss of
+Eq. 3) and :func:`head_bce_loss` (the MLP decision head and the
+masked, positively weighted BCE).  Their backward passes hand the
+encoder node the gradient the op-by-op graph would, and write the
+discriminator's or the head's parameter gradients.
+:func:`head_probabilities` is the head's forward alone, for
+inference.  These kernels are the only forwards of the encoder, the
+head and both losses; the op-by-op graphs they reproduce are oracles
+in the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import (LayerNorm, Linear, MultiHeadSelfAttention,
-                             TransformerEncoder)
-from repro.nn.tensor import Tensor, softmax_data
+from repro.nn.layers import (MLP, LayerNorm, Linear,
+                             MultiHeadSelfAttention, TransformerEncoder)
+from repro.nn.tensor import Tensor, _unbroadcast, softmax_data
+
+#: Both objectives squeeze each sigmoid into [EPS, 1 - EPS] before
+#: its log: ``p * (1 - 2 EPS) + EPS``.
+EPS = 1e-7
 
 
 def _group_sums(arr: np.ndarray, groups: int) -> list[np.ndarray]:
@@ -257,3 +272,142 @@ def split_rows(stacked: Tensor, groups: int) -> list[Tensor]:
         return stacked._make(stacked.data[lo:hi], (stacked,), backward)
 
     return [block(j * rows, (j + 1) * rows) for j in range(groups)]
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The engine's ``Tensor.sigmoid`` forward."""
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -60, 60)))
+
+
+def _head_forward(head: MLP, x: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``fc2(relu(fc1(x)))`` of a (B, L, D) batch: (B, L, 1) logits,
+    the rectified hidden layer and its active mask."""
+    hidden = x @ head.fc1.weight.data + head.fc1.bias.data
+    active = hidden > 0
+    hidden = hidden * active
+    logits = hidden @ head.fc2.weight.data + head.fc2.bias.data
+    return logits, hidden, active
+
+
+def head_probabilities(head: MLP, embeddings: np.ndarray) -> np.ndarray:
+    """(B, L) sigmoid of the head's logits over (B, L, D) embeddings,
+    with no autograd node."""
+    return _sigmoid(_head_forward(head, embeddings)[0])[:, :, 0]
+
+
+def _loss_node(value: np.ndarray, parent: Tensor, backward) -> Tensor:
+    """A scalar loss node whose only graph edge is *parent*; the
+    parameters are leaves its *backward* writes into directly."""
+    node = Tensor(value, requires_grad=True)
+    node._parents = (parent,)
+    node._backward = backward
+    return node
+
+
+def head_bce_loss(embeddings: Tensor, head: MLP, targets: np.ndarray,
+                  mask: np.ndarray, pos_weight: float) -> Tensor:
+    """Masked BCE of the head's logits over (B, L, D) *embeddings*, as
+    one autograd node.
+
+    Per row the loss is the mean over that row's *mask* (decidable,
+    non-padding) entries of ``-(t * log p * pos_weight + (1 - t) *
+    log(1 - p))``, with ``p`` the squeezed sigmoid of the logit; the
+    batch loss is the mean over rows with at least one masked-in
+    entry.  Rows with none (all padding, or no decidable node)
+    contribute exact zeros and are not counted.
+    """
+    x = embeddings.data
+    rows, length = x.shape[0], x.shape[1]
+    logits, hidden, active = _head_forward(head, x)
+    sig = _sigmoid(logits.reshape(rows, length))
+    squeeze = 1.0 - 2 * EPS
+    p = sig * squeeze + EPS
+    t = np.asarray(targets, dtype=np.float64)
+    pos_t = t * pos_weight
+    neg_t = 1.0 - t
+    rest = 1.0 - p
+    elementwise = -(pos_t * np.log(p) + neg_t * np.log(rest))
+    weights = np.asarray(mask, dtype=np.float64)
+    counts = weights.sum(axis=-1)
+    valid = counts > 0.0
+    row_scale = np.where(valid, 1.0 / np.maximum(counts, 1.0), 0.0)
+    per_row = (elementwise * weights).sum(axis=-1) * row_scale
+    batch_scale = 1.0 / max(int(valid.sum()), 1)
+
+    def backward(grad: np.ndarray) -> None:
+        d_rows = np.broadcast_to(grad * batch_scale, (rows,)) * row_scale
+        d_sum = -(d_rows[:, None] * weights)
+        # p feeds log(p) and 1 - p: two terms, so their order is moot.
+        d_p = d_sum * pos_t / p - d_sum * neg_t / rest
+        d_logits = d_p * squeeze * sig * (1.0 - sig)
+        d_hidden = _linear_backward(head.fc2, hidden,
+                                    d_logits.reshape(rows, length, 1), 1)
+        d_x = _linear_backward(head.fc1, x, d_hidden * active, 1)
+        _accumulate(embeddings, [d_x])
+
+    return _loss_node(per_row.sum() * batch_scale, embeddings, backward)
+
+
+def dgi_loss(stacked: Tensor, discriminator: Tensor,
+             mask: np.ndarray) -> Tensor:
+    """Deep Graph Infomax loss (paper Eq. 3, BCE form) of a stacked
+    clean + corrupted (2B, L, D) encoding, as one autograd node.
+
+    The summary of each clean row is the tanh of its masked-mean
+    readout; the bilinear discriminator scores every node against its
+    row's summary, ``<v, W g>``.  Per row, the squeezed sigmoids of
+    the clean scores are pushed toward 1 and the corrupted ones toward
+    0, each term a masked mean over the row's real nodes, and the
+    batch loss is the mean of the per-row losses.
+    """
+    rows, dim = stacked.shape[0] // 2, stacked.shape[2]
+    pos, neg = stacked.data[:rows], stacked.data[rows:]
+    weights = np.asarray(mask, dtype=np.float64)
+    node_weights = weights[..., None]
+    counts = node_weights.sum(axis=1)
+    inv_counts = 1.0 / np.where(counts == 0.0, 1.0, counts)
+    summary = np.tanh((pos * node_weights).sum(axis=1) * inv_counts)
+    summary_rows = summary.reshape(rows, 1, dim)
+    pos_proj = pos @ discriminator.data
+    neg_proj = neg @ discriminator.data
+    pos_sig = _sigmoid((pos_proj * summary_rows).sum(axis=-1))
+    neg_sig = _sigmoid((neg_proj * summary_rows).sum(axis=-1))
+    squeeze = 1.0 - 2 * EPS
+    pos_p = pos_sig * squeeze + EPS
+    neg_rest = 1.0 - (neg_sig * squeeze + EPS)
+    row_counts = weights.sum(axis=-1)
+    row_scale = 1.0 / np.where(row_counts == 0.0, 1.0, row_counts)
+    pos_term = (np.log(pos_p) * weights).sum(axis=-1) * row_scale
+    neg_term = (np.log(neg_rest) * weights).sum(axis=-1) * row_scale
+    batch_scale = 1.0 / max(rows, 1)
+
+    def backward(grad: np.ndarray) -> None:
+        d_rows = -np.broadcast_to(grad * batch_scale, (rows,)) * row_scale
+        d_nodes = d_rows[:, None] * weights
+        d_pos_scores = (d_nodes / pos_p * squeeze * pos_sig
+                        * (1.0 - pos_sig))[..., None]
+        d_neg_scores = (-(d_nodes / neg_rest) * squeeze * neg_sig
+                        * (1.0 - neg_sig))[..., None]
+        # The engine reaches the clean scores first: the summary and
+        # the discriminator take their clean term, then the corrupted.
+        d_summary = _unbroadcast(d_pos_scores * pos_proj,
+                                 summary_rows.shape) \
+            + _unbroadcast(d_neg_scores * neg_proj, summary_rows.shape)
+        d_pos_proj = d_pos_scores * summary_rows
+        d_neg_proj = d_neg_scores * summary_rows
+        _accumulate(discriminator, _group_sums(
+            pos.swapaxes(-1, -2) @ d_pos_proj, 1)
+            + _group_sums(neg.swapaxes(-1, -2) @ d_neg_proj, 1))
+        d_stacked = np.empty_like(stacked.data)
+        d_stacked[rows:] = d_neg_proj @ discriminator.data.T
+        # A clean row's gradient: its discriminator term, then its
+        # readout term.
+        d_total = d_summary.reshape(rows, dim) * (1.0 - summary ** 2) \
+            * inv_counts
+        d_stacked[:rows] = d_pos_proj @ discriminator.data.T \
+            + d_total[:, None, :] * node_weights
+        _accumulate(stacked, [d_stacked])
+
+    return _loss_node((-(pos_term + neg_term)).sum() * batch_scale,
+                      stacked, backward)

@@ -6,13 +6,14 @@ broadcasting-aware gradients.  Every op records a backward closure;
 The op set is exactly what the GNN-MLS model needs — add/mul/matmul,
 elementwise nonlinearities, reductions, softmax, slicing, concat.
 
-The decision head, the DGI discriminator and the masked losses run op
-by op here.  The padded (B, L, D) encoder forward is one node instead:
-:mod:`repro.nn.fused` computes it as plain NumPy and its hand-written
-backward reproduces this engine's arithmetic — ``_unbroadcast``
+The selector's training step records two nodes on this engine, not
+hundreds: :mod:`repro.nn.fused` computes the padded (B, L, D) encoder
+and the objective on top of it (DGI readout, discriminator and loss;
+decision head and masked BCE) as plain NumPy, and their hand-written
+backward passes reproduce this engine's arithmetic — ``_unbroadcast``
 reductions, C-ordered stored gradients, contribution order — bit for
-bit.  The op-by-op encoder graphs it is checked against live in the
-test suite as oracles and build on this op set.
+bit.  The op-by-op graphs they are checked against live in the test
+suite as oracles and build on this op set.
 """
 
 from __future__ import annotations

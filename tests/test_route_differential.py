@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mls import apply_mls_incremental, route_with_mls
+from repro.mls import route_with_mls
 from repro.mls.oracle import candidate_nets
 from repro.obs import metrics
 from repro.opt import insert_buffers
@@ -24,6 +24,7 @@ from repro.timing import IncrementalSta, run_sta
 
 from tests.conftest import build_small_design
 from tests.golden_util import assert_routing_identical
+from tests.mls_eco import apply_mls_incremental
 from tests.test_timing_incremental import (assert_reports_identical,
                                            build_small_a7,
                                            probe_and_restore)

@@ -23,13 +23,13 @@ from repro.core.batching import (length_bucketed_batches, pad_batch,
                                  pad_rows)
 from repro.core.dgi import DGIPretrainer
 from repro.nn import fused
-from repro.nn.functional import masked_bce_with_logits
 from repro.nn.tensor import Tensor
 from repro.route import GlobalRouter
 from repro.timing import run_sta
 
 from tests import select_oracle as reference
 from tests.conftest import TEST_SEED, build_small_design
+from tests.train_oracle import masked_bce_with_logits
 
 #: Forward/loss equivalence tolerance the issue gates on: padding
 #: changes reduction grouping (pairwise summation), never the terms.

@@ -14,7 +14,7 @@ import pytest
 
 from repro.design import Design
 from repro.errors import TimingError
-from repro.mls import apply_mls_incremental, route_with_mls
+from repro.mls import route_with_mls
 from repro.mls.oracle import candidate_nets
 from repro.netlist.generators.a7 import A7Config, generate_a7_dual_core
 from repro.opt import insert_buffers
@@ -26,6 +26,7 @@ from repro.timing import IncrementalSta, run_sta
 from repro.timing.sta import TimingReport
 
 from tests.conftest import TEST_SEED, build_small_design, make_chain_netlist
+from tests.mls_eco import apply_mls_incremental
 from tests.sta_oracle import serial_sta
 
 
